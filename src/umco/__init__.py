@@ -44,6 +44,7 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleBudgetError,
     ReducibleChainError,
+    UmcoError,
     ValidationError,
 )
 from .exponent import (

@@ -26,6 +26,7 @@ from .errors import ChannelFormatError, DimensionMismatchError, ValidationError
 LOAD_ROW_TOL = 1e-9
 STRICT_ROW_TOL = 1e-12
 _RENORM_EPS = 1e-15
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def binary_entropy(p: float) -> float:
@@ -37,6 +38,22 @@ def binary_entropy(p: float) -> float:
         if x > 0.0:
             out -= x * math.log2(x)
     return out
+
+
+def _check_entries(values, what: str, low: float = 0.0, high: float | None = None):
+    """Raise ValidationError unless every entry of ``values`` is finite and in [low, high].
+
+    The range test is written so that NaN (which fails every comparison)
+    and +-inf fail it too; a test for values *outside* the range, like the
+    row-sum checks, would let NaN through.
+    """
+    values = np.asarray(values, dtype=float)
+    upper = _FLOAT_MAX if high is None else high
+    if not (np.all(values >= low) and np.all(values <= upper)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{what} must be finite")
+        bound = "be nonnegative" if high is None else f"lie in [{low:g}, {high:g}]"
+        raise ValidationError(f"{what} must {bound}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -74,8 +91,7 @@ class UnitMemoryChannel:
         shape = (self.output_alphabet.size, self.input_alphabet.size, self.output_alphabet.size)
         if kernel.shape != shape:
             raise ValidationError(f"kernel shape {kernel.shape} does not match alphabets {shape}")
-        if np.any(kernel < 0.0) or np.any(kernel > 1.0):
-            raise ValidationError("kernel entries must lie in [0, 1]")
+        _check_entries(kernel, "kernel entries", 0.0, 1.0)
         sums = kernel.sum(axis=2)
         if np.any(np.abs(sums - 1.0) > STRICT_ROW_TOL):
             worst = float(np.abs(sums - 1.0).max())
@@ -110,8 +126,7 @@ class InputPolicy:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValidationError(f"policy matrix must be 2-d, got shape {matrix.shape}")
-        if np.any(matrix < 0.0) or np.any(matrix > 1.0):
-            raise ValidationError("policy entries must lie in [0, 1]")
+        _check_entries(matrix, "policy entries", 0.0, 1.0)
         sums = matrix.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > STRICT_ROW_TOL):
             raise ValidationError("policy rows must sum to 1 within 1e-12")
@@ -136,8 +151,7 @@ class OutputKernel:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"output kernel must be square, got shape {matrix.shape}")
-        if np.any(matrix < 0.0) or np.any(matrix > 1.0):
-            raise ValidationError("output kernel entries must lie in [0, 1]")
+        _check_entries(matrix, "output kernel entries", 0.0, 1.0)
         if np.any(np.abs(matrix.sum(axis=1) - 1.0) > STRICT_ROW_TOL):
             raise ValidationError("output kernel rows must sum to 1 within 1e-12")
         object.__setattr__(self, "matrix", _frozen_array(matrix))
@@ -157,8 +171,7 @@ class Distribution:
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1:
             raise ValidationError("distribution weights must be 1-d")
-        if np.any(weights < 0.0) or np.any(weights > 1.0):
-            raise ValidationError("distribution entries must lie in [0, 1]")
+        _check_entries(weights, "distribution entries", 0.0, 1.0)
         if abs(weights.sum() - 1.0) > STRICT_ROW_TOL:
             raise ValidationError("distribution must sum to 1 within 1e-12")
         object.__setattr__(self, "weights", _frozen_array(weights))
@@ -185,10 +198,8 @@ class CostSpec:
         gamma = np.asarray(self.gamma, dtype=float)
         if gamma.ndim != 2:
             raise ValidationError("cost table must be 2-d, indexed [b_prev][a]")
-        if np.any(gamma < 0.0):
-            raise ValidationError("cost entries must be nonnegative")
-        if self.kappa < 0.0:
-            raise ValidationError("budget kappa must be nonnegative")
+        _check_entries(gamma, "cost entries")
+        _check_entries(self.kappa, "budget kappa")
         object.__setattr__(self, "gamma", _frozen_array(gamma))
         object.__setattr__(self, "kappa", float(self.kappa))
 
@@ -273,10 +284,7 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
             f"kernel shape {kernel.shape} does not match alphabets "
             f"(expected {(n_out, n_in, n_out)}, indexed [b_prev][a][b])"
         )
-    if np.any(kernel < 0.0):
-        raise ValidationError("kernel has a negative entry")
-    if np.any(kernel > 1.0 + LOAD_ROW_TOL):
-        raise ValidationError("kernel has an entry above 1")
+    _check_entries(kernel, "kernel entries", 0.0, 1.0 + LOAD_ROW_TOL)
     sums = kernel.sum(axis=2)
     defect = np.abs(sums - 1.0)
     if np.any(defect > LOAD_ROW_TOL):
@@ -295,8 +303,7 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
         cost = np.asarray(doc["cost"], dtype=float)
         if cost.shape != (n_out, n_in):
             raise ValidationError(f"cost shape {cost.shape} must be (output_size, input_size)")
-        if np.any(cost < 0.0):
-            raise ValidationError("cost has a negative entry")
+        _check_entries(cost, "cost entries")
     return channel, cost
 
 

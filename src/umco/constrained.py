@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from .channel import CostSpec, InputPolicy, UnitMemoryChannel, induced_output_kernel
-from .errors import InfeasibleBudgetError
+from .errors import ConvergenceError, InfeasibleBudgetError, UmcoError
 from .infinite_horizon import (
     InfiniteHorizonSolution,
     minimum_average_cost,
@@ -147,9 +147,12 @@ def constrained_capacity(
     # violations of duality would show up at the budget scale.
     trace.sort(key=lambda pair: pair[0])
     costs = [c for _, c in trace]
-    assert all(b <= a + cost_tol for a, b in zip(costs, costs[1:])), (
-        f"achieved cost not monotone in the multiplier: {trace}"
-    )
+    if not all(b <= a + cost_tol for a, b in zip(costs, costs[1:])):
+        worst = max(b - a for a, b in zip(costs, costs[1:]))
+        raise ConvergenceError(
+            f"achieved cost not monotone in the multiplier (worst increase {worst:.3e}): {trace}",
+            residual=worst,
+        )
     return _result(kappa, s_star, best_solution, best_cost, cost_tol, kappa_max)
 
 
@@ -161,7 +164,12 @@ def capacity_cost_curve(
     cost_tol: float = DEFAULT_COST_TOL,
     solver_tol: float = 1e-10,
 ) -> list[ConstrainedResult]:
-    """One ConstrainedResult per budget; per-point failures are warned and skipped."""
+    """One ConstrainedResult per budget.
+
+    A point that fails with one of the package's own errors (a stalled
+    solve, an infeasible budget, a reducible chain, ...) is warned about and
+    skipped; any other exception is a bug and propagates.
+    """
     results = []
     for kappa in kappa_grid:
         point = CostSpec(cost.gamma, float(kappa))
@@ -169,7 +177,7 @@ def capacity_cost_curve(
             results.append(
                 constrained_capacity(channel, point, dual_tol=dual_tol, cost_tol=cost_tol, solver_tol=solver_tol)
             )
-        except Exception as exc:  # record and keep sweeping
+        except UmcoError as exc:  # record and keep sweeping
             warnings.warn(f"kappa={kappa:g}: {exc}")
     return results
 

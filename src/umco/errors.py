@@ -1,19 +1,23 @@
 """Exception types shared across the package."""
 
 
-class ChannelFormatError(ValueError):
+class UmcoError(Exception):
+    """Base of every exception type the package defines, so callers can catch them all."""
+
+
+class ChannelFormatError(UmcoError, ValueError):
     """Channel document is not parseable (bad JSON, missing or malformed fields)."""
 
 
-class ValidationError(ValueError):
+class ValidationError(UmcoError, ValueError):
     """A probability object violates its invariants (negative entry, bad row sum, ...)."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(UmcoError, ValueError):
     """Alphabet sizes of two objects do not agree."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(UmcoError, RuntimeError):
     """An iterative solver stopped before reaching its tolerance.
 
     Carries the achieved residual so the failure is diagnosable instead of
@@ -25,7 +29,7 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class ReducibleChainError(RuntimeError):
+class ReducibleChainError(UmcoError, RuntimeError):
     """An operation requiring an irreducible output chain met a reducible one.
 
     ``closed_classes`` lists the closed communicating classes that were found.
@@ -36,7 +40,7 @@ class ReducibleChainError(RuntimeError):
         self.closed_classes = tuple(tuple(c) for c in closed_classes)
 
 
-class InfeasibleBudgetError(ValueError):
+class InfeasibleBudgetError(UmcoError, ValueError):
     """The cost budget is below the minimum stationary cost any policy can achieve."""
 
     def __init__(self, message, min_cost=None):

@@ -109,28 +109,22 @@ def solve_finite_horizon(
         s = float(multiplier) if multiplier is not None else 0.0
         gamma = cost.gamma
 
-    n_states = channel.n_states
-    values = np.zeros((horizon + 1, n_states))
+    values = np.zeros((horizon + 1, channel.n_states))
     policies: list[InputPolicy | None] = [None] * (horizon + 1)
     inner_iterations = [0] * (horizon + 1)
     continuation = None
     for t in range(horizon, -1, -1):
-        stage_matrix = np.empty((n_states, channel.n_inputs))
-        stage_iters = 0
-        for b in range(n_states):
-            sol = maximize_stage_objective(
-                channel.kernel[b],
-                continuation=continuation,
-                cost_row=gamma[b] if gamma is not None else None,
-                multiplier=s or 0.0,
-                tol=inner_tol,
-                max_iter=inner_max_iter,
-            )
-            values[t, b] = sol.value
-            stage_matrix[b] = sol.policy
-            stage_iters = max(stage_iters, sol.iterations)
-        policies[t] = InputPolicy(stage_matrix, stage=t)
-        inner_iterations[t] = stage_iters
+        sol = maximize_stage_objective(
+            channel.kernel,
+            continuation=continuation,
+            cost_row=gamma,
+            multiplier=s or 0.0,
+            tol=inner_tol,
+            max_iter=inner_max_iter,
+        )
+        values[t] = sol.value
+        policies[t] = InputPolicy(sol.policy, stage=t)
+        inner_iterations[t] = sol.slowest_iterations
         continuation = values[t]
     values.setflags(write=False)
     return DPSolution(

@@ -205,26 +205,20 @@ def relative_value_iteration(
     """
     s, gamma = _resolve_cost(channel, cost, multiplier)
     inner_tol = max(tol * 1e-2, 1e-12)
-    n_states = channel.n_states
-    value = np.zeros(n_states) if initial_value is None else np.array(initial_value, dtype=float)
+    value = np.zeros(channel.n_states) if initial_value is None else np.array(initial_value, dtype=float)
     warm = None if initial_policy is None else np.array(initial_policy.matrix)
     span = np.inf
     gain = 0.0
     for sweep in range(1, max_iter + 1):
-        swept = np.empty(n_states)
-        stage_matrix = np.empty((n_states, channel.n_inputs))
-        for b in range(n_states):
-            sol = maximize_stage_objective(
-                channel.kernel[b],
-                continuation=value,
-                cost_row=gamma[b] if gamma is not None else None,
-                multiplier=s or 0.0,
-                tol=inner_tol,
-                initial=None if warm is None else warm[b],
-            )
-            swept[b] = sol.value
-            stage_matrix[b] = sol.policy
-        warm = stage_matrix
+        sol = maximize_stage_objective(
+            channel.kernel,
+            continuation=value,
+            cost_row=gamma,
+            multiplier=s or 0.0,
+            tol=inner_tol,
+            initial=warm,
+        )
+        swept, warm = sol.value, sol.policy
         diff = swept - value
         span = float(diff.max() - diff.min())
         gain = float(0.5 * (diff.max() + diff.min()))
@@ -237,7 +231,7 @@ def relative_value_iteration(
             f"(tol {tol:g}); the channel may violate the convergence assumptions",
             residual=span,
         )
-    policy = InputPolicy(stage_matrix)
+    policy = InputPolicy(warm)
     output_kernel = induced_output_kernel(channel, policy)
     irreducible = is_irreducible(output_kernel)
     invariant = stationary_distribution(output_kernel) if irreducible else None
@@ -323,16 +317,9 @@ def policy_iteration(
     for iteration in range(1, max_iter + 1):
         gain, bias, _ = _evaluate_policy(channel, matrix, gamma, s)
         trace.append(gain)
-        improved = np.empty_like(matrix)
-        for b in range(channel.n_states):
-            sol = maximize_stage_objective(
-                channel.kernel[b],
-                continuation=bias,
-                cost_row=gamma[b] if gamma is not None else None,
-                multiplier=s or 0.0,
-                tol=inner_tol,
-            )
-            improved[b] = sol.policy
+        improved = maximize_stage_objective(
+            channel.kernel, continuation=bias, cost_row=gamma, multiplier=s or 0.0, tol=inner_tol
+        ).policy
         change = float(np.abs(improved - matrix).max())
         matrix = improved
         if change <= tol:
@@ -345,16 +332,10 @@ def policy_iteration(
     gain, bias, kernel_matrix = _evaluate_policy(channel, matrix, gamma, s)
     trace.append(gain)
     # Residual of the Bellman equation at the returned pair.
-    residual = 0.0
-    for b in range(channel.n_states):
-        sol = maximize_stage_objective(
-            channel.kernel[b],
-            continuation=bias,
-            cost_row=gamma[b] if gamma is not None else None,
-            multiplier=s or 0.0,
-            tol=inner_tol,
-        )
-        residual = max(residual, abs(sol.value - gain - bias[b]))
+    optimum = maximize_stage_objective(
+        channel.kernel, continuation=bias, cost_row=gamma, multiplier=s or 0.0, tol=inner_tol
+    )
+    residual = np.abs(optimum.value - gain - bias).max()
     policy = InputPolicy(matrix)
     output_kernel = OutputKernel(kernel_matrix)
     return InfiniteHorizonSolution(
@@ -428,19 +409,18 @@ def generalized_dp_check(
             best = float((channel.kernel[b] @ gains).max())
             worst_drift = max(worst_drift, abs(best - gains[b]))
         message = f"state-dependent gain: worst drift-equation violation {worst_drift:.3e}"
-    worst = worst_drift
+    optimum = maximize_stage_objective(
+        channel.kernel,
+        continuation=solution.bias,
+        cost_row=solution.cost_gamma,
+        multiplier=solution.multiplier or 0.0,
+        tol=max(tol * 1e-3, 1e-14),
+    )
+    targets = gains + solution.bias
+    worst = max(worst_drift, float(np.abs(optimum.value - targets).max()))
     checks = []
-    inner_tol = max(tol * 1e-3, 1e-14)
     for b in range(channel.n_states):
-        sol = maximize_stage_objective(
-            channel.kernel[b],
-            continuation=solution.bias,
-            cost_row=solution.cost_gamma[b] if solution.cost_gamma is not None else None,
-            multiplier=solution.multiplier or 0.0,
-            tol=inner_tol,
-        )
-        target = float(gains[b] + solution.bias[b])
-        worst = max(worst, abs(sol.value - target))
+        target = float(targets[b])
         scores = letter_scores(
             channel.kernel[b],
             solution.policy.matrix[b],

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from umco import BSSCParams, bssc_channel, channel_from_kernel
+
+# Property tests draw the same examples on every run (no example database,
+# no random seed) and few enough of them to keep the suite fast.
+settings.register_profile("deterministic", derandomize=True, database=None, max_examples=40, deadline=None)
+settings.load_profile("deterministic")
 
 
 def bssc(alpha, beta):

@@ -13,6 +13,7 @@ from umco import (
     DimensionMismatchError,
     Distribution,
     InputPolicy,
+    OutputKernel,
     UnitMemoryChannel,
     ValidationError,
     binary_entropy,
@@ -94,6 +95,45 @@ def test_load_rejects_malformed_documents():
         load_channel(json.dumps({"input_size": 2}))
     with pytest.raises(ChannelFormatError):
         load_channel(json.dumps([1, 2, 3]))
+
+
+def _document_with(kernel_row=(1.0, 0.0), cost_entry=1.0):
+    doc = json.loads(BSSC_105_DOC)
+    doc["kernel"][0][0] = list(kernel_row)
+    doc["cost"] = [[cost_entry, 0.0], [0.0, 1.0]]
+    return json.dumps(doc)  # writes NaN / Infinity, which json.loads reads back
+
+
+def _set_first(array, value):
+    array = np.array(array, dtype=float)
+    array.flat[0] = value
+    return array
+
+
+# Each builder puts one given value into an object that is valid when the
+# value is 1.0.
+NON_FINITE_BUILDERS = {
+    "load_channel": lambda v: load_channel(_document_with(kernel_row=(v, 0.0))),
+    "load_cost_table": lambda v: load_channel(_document_with(cost_entry=v)),
+    "UnitMemoryChannel": lambda v: UnitMemoryChannel(Alphabet(2), Alphabet(2), _set_first(bssc(1.0, 0.5).kernel, v)),
+    "InputPolicy": lambda v: InputPolicy(_set_first([[1.0, 0.0], [0.5, 0.5]], v)),
+    "OutputKernel": lambda v: OutputKernel(_set_first([[1.0, 0.0], [0.5, 0.5]], v)),
+    "Distribution": lambda v: Distribution(_set_first([1.0, 0.0], v)),
+    "CostSpec.gamma": lambda v: CostSpec(_set_first(np.ones((2, 2)), v), 0.5),
+    "CostSpec.kappa": lambda v: CostSpec(np.ones((2, 2)), v),
+}
+
+
+def test_non_finite_builders_accept_a_finite_value():
+    for build in NON_FINITE_BUILDERS.values():
+        build(1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("target", sorted(NON_FINITE_BUILDERS))
+def test_non_finite_entry_is_rejected_at_construction(target, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        NON_FINITE_BUILDERS[target](value)
 
 
 def test_identity_channel_is_valid():

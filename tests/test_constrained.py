@@ -1,11 +1,15 @@
 """Capacity-cost machinery: average cost, dual bisection, curve properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import bssc
+import umco.constrained
 from umco import (
     BSSCParams,
+    ConvergenceError,
     CostSpec,
     InfeasibleBudgetError,
     InputPolicy,
@@ -127,6 +131,34 @@ def test_curve_skips_failing_points_with_warning():
         results = capacity_cost_curve(bssc(1.0, 0.5), CostSpec(np.ones((2, 2)), 0.0), grid)
     assert len(results) == 1
     assert results[0].kappa == 1.0
+
+
+def test_non_monotone_dual_trace_is_a_typed_error(monkeypatch):
+    # The achieved cost is about 0.6 at multiplier 0 and 0.0 at multiplier 1;
+    # inflate the latter above the former.
+    real = umco.constrained._solve_multiplier
+    bump = 0.7
+
+    def skewed(channel, cost, s, solver_tol, warm=None):
+        solution, achieved = real(channel, cost, s, solver_tol, warm=warm)
+        return solution, achieved + (bump if s == 1.0 else 0.0)
+
+    costs = {s: real(bssc(1.0, 0.5), CostSpec(GAMMA, 0.5), s, 1e-10)[1] for s in (0.0, 1.0)}
+    monkeypatch.setattr(umco.constrained, "_solve_multiplier", skewed)
+    with pytest.raises(ConvergenceError, match="not monotone") as exc_info:
+        constrained_capacity(bssc(1.0, 0.5), CostSpec(GAMMA, 0.5))
+    assert exc_info.value.residual == pytest.approx(costs[1.0] + bump - costs[0.0], abs=1e-9)
+
+
+def test_curve_lets_a_bug_propagate_instead_of_warning(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(umco.constrained, "constrained_capacity", broken)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="not a solver failure"):
+            capacity_cost_curve(bssc(1.0, 0.5), CostSpec(GAMMA, 0.0), [0.5])
 
 
 def test_penalized_solves_recover_the_constrained_point():
