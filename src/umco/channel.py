@@ -224,6 +224,22 @@ def _check_compatible(channel: UnitMemoryChannel, policy: InputPolicy):
         )
 
 
+def resolve_cost(channel: UnitMemoryChannel, cost: CostSpec | None, multiplier: float | None):
+    """(multiplier, cost table) of a solve: (None, None) without a cost, multiplier 0 by default."""
+    if multiplier is not None and cost is None:
+        raise ValueError("a multiplier requires a cost specification")
+    if multiplier is not None and not multiplier >= 0.0:  # NaN fails too
+        raise ValueError(f"multiplier must be nonnegative, got {multiplier}")
+    if cost is None:
+        return None, None
+    if cost.gamma.shape != (channel.n_states, channel.n_inputs):
+        raise DimensionMismatchError(
+            f"cost shape {cost.gamma.shape} does not match channel "
+            f"({channel.n_states} states, {channel.n_inputs} inputs)"
+        )
+    return float(multiplier) if multiplier is not None else 0.0, cost.gamma
+
+
 def induced_output_kernel(channel: UnitMemoryChannel, policy: InputPolicy) -> OutputKernel:
     """Mix the kernel with the policy: P(b | b_prev) = sum_a P(b | b_prev, a) pi(a | b_prev)."""
     _check_compatible(channel, policy)
@@ -234,7 +250,8 @@ def letter_divergences(rows: np.ndarray, output_row: np.ndarray) -> np.ndarray:
     """Per-input-letter divergence sum_b P(b|a) log2(P(b|a) / q(b)) in bits.
 
     Terms with P(b|a) = 0 contribute nothing; a letter whose row puts mass
-    where q vanishes scores +inf.
+    where q vanishes scores +inf.  The outputs run along the last axis, and
+    ``output_row`` broadcasts against ``rows``.
     """
     rows = np.asarray(rows, dtype=float)
     mask = rows > 0.0
@@ -242,7 +259,7 @@ def letter_divergences(rows: np.ndarray, output_row: np.ndarray) -> np.ndarray:
         log_rows = np.where(mask, np.log2(np.where(mask, rows, 1.0)), 0.0)
         log_out = np.log2(output_row)
         terms = np.where(mask, rows * (log_rows - log_out), 0.0)
-    return terms.sum(axis=1)
+    return terms.sum(axis=-1)
 
 
 def stage_reward(channel: UnitMemoryChannel, policy: InputPolicy, b_prev: int) -> float:

@@ -5,10 +5,12 @@ Solves the per-stage recursions
     V_n(b) = sup_pi { stage reward }                       (terminal)
     V_t(b) = sup_pi { stage reward + E[V_{t+1}(B) | b, pi] }
 
-independently for each previous-output state, with an optional transmission
-cost s * gamma(a, b_prev) subtracted from the reward.  Also provides the
-per-letter optimality-condition verifier and the classifier that decides
-whether the solved problem decomposes stage by stage.
+for all previous-output states at once, with an optional transmission cost
+s * gamma(a, b_prev) subtracted from the reward.  The terminal stage starts
+cold from uniform; stage t is warm-started from stage t+1's policy, lifted
+to a small floor so that a letter zeroed at t+1 can grow back.  Also
+provides the per-letter optimality-condition checker and the classifier
+that decides whether the solved problem decomposes stage by stage.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel
+from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, resolve_cost
 from .errors import DimensionMismatchError
 from .onestage import (
     DEFAULT_INNER_MAX_ITER,
@@ -28,6 +30,13 @@ from .onestage import (
 
 # Policy mass below this counts as an unsupported letter in condition checks.
 SUPPORT_EPS = 1e-9
+
+# Stage t starts from stage t+1's policy with every letter lifted to this
+# mass.  A letter zeroed at t+1 would otherwise start at the solver's 1e-280
+# floor and could not grow back within the iteration budget; from here it
+# needs 40 bits of score excess, and a letter that stays dead stays far below
+# SUPPORT_EPS, so the checker keeps it off the support.
+_WARM_START_FLOOR = 1e-12
 
 NESTED = "nested"
 NON_NESTED = "non_nested"
@@ -94,25 +103,13 @@ def solve_finite_horizon(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if multiplier is not None and cost is None:
-        raise ValueError("a multiplier requires a cost specification")
-    if multiplier is not None and multiplier < 0.0:
-        raise ValueError("multiplier must be nonnegative")
-    s = None
-    gamma = None
-    if cost is not None:
-        if cost.gamma.shape != (channel.n_states, channel.n_inputs):
-            raise DimensionMismatchError(
-                f"cost shape {cost.gamma.shape} does not match channel "
-                f"({channel.n_states} states, {channel.n_inputs} inputs)"
-            )
-        s = float(multiplier) if multiplier is not None else 0.0
-        gamma = cost.gamma
+    s, gamma = resolve_cost(channel, cost, multiplier)
 
     values = np.zeros((horizon + 1, channel.n_states))
     policies: list[InputPolicy | None] = [None] * (horizon + 1)
     inner_iterations = [0] * (horizon + 1)
     continuation = None
+    warm = None
     for t in range(horizon, -1, -1):
         sol = maximize_stage_objective(
             channel.kernel,
@@ -121,11 +118,13 @@ def solve_finite_horizon(
             multiplier=s or 0.0,
             tol=inner_tol,
             max_iter=inner_max_iter,
+            initial=warm,
         )
         values[t] = sol.value
         policies[t] = InputPolicy(sol.policy, stage=t)
         inner_iterations[t] = sol.slowest_iterations
         continuation = values[t]
+        warm = np.maximum(sol.policy, _WARM_START_FLOOR)
     values.setflags(write=False)
     return DPSolution(
         horizon=horizon,
@@ -151,6 +150,29 @@ def ftfi_capacity(solution: DPSolution, initial: Distribution) -> float:
     return float(solution.values[0] @ initial.weights)
 
 
+def _condition_report(channel, solution, policy, continuation, targets, tol, stages=(None,), worst=None, message=""):
+    """Check the per-letter conditions at every (stage, state) pair in one pass.
+
+    policy (T, S, A), continuation (T, B) and targets (T, S) stack the stages
+    labelled ``stages``; the cost penalty is the solution's.  Letter scores
+    must equal the target on the policy's support and not exceed it off the
+    support; ``worst`` overrides that worst violation when given.
+    """
+    scores = letter_scores(channel.kernel, policy, continuation, solution.cost_gamma, solution.multiplier or 0.0)
+    on_support = policy > SUPPORT_EPS
+    scores.setflags(write=False)
+    on_support.setflags(write=False)
+    if worst is None:
+        excess = scores - targets[..., None]
+        worst = float(np.where(on_support, np.abs(excess), np.maximum(excess, 0.0)).max())
+    checks = tuple(
+        StateCheck(stage, b, float(targets[t, b]), scores[t, b], on_support[t, b])
+        for t, stage in enumerate(stages)
+        for b in range(channel.n_states)
+    )
+    return ConditionReport(passed=worst <= tol, worst_violation=worst, per_state=checks, message=message)
+
+
 def verify_optimality_conditions(
     channel: UnitMemoryChannel, solution: DPSolution, tol: float
 ) -> ConditionReport:
@@ -160,25 +182,10 @@ def verify_optimality_conditions(
     letter score (divergence plus continuation, minus any cost penalty) on
     the support of the stage policy and dominate it off the support.
     """
-    checks = []
-    worst = 0.0
-    for t in range(solution.horizon + 1):
-        continuation = solution.values[t + 1] if t < solution.horizon else None
-        policy = solution.policies[t].matrix
-        for b in range(channel.n_states):
-            scores = letter_scores(
-                channel.kernel[b],
-                policy[b],
-                continuation=continuation,
-                cost_row=solution.cost_gamma[b] if solution.cost_gamma is not None else None,
-                multiplier=solution.multiplier or 0.0,
-            )
-            value = float(solution.values[t, b])
-            on_support = policy[b] > SUPPORT_EPS
-            violation = np.where(on_support, np.abs(scores - value), np.maximum(scores - value, 0.0))
-            worst = max(worst, float(violation.max()))
-            checks.append(StateCheck(t, b, value, scores, on_support))
-    return ConditionReport(passed=worst <= tol, worst_violation=worst, per_state=tuple(checks))
+    policy = np.stack([p.matrix for p in solution.policies])
+    continuation = np.vstack((solution.values[1:], np.zeros(channel.n_states)))  # none after the last stage
+    stages = range(solution.horizon + 1)
+    return _condition_report(channel, solution, policy, continuation, solution.values, tol, stages)
 
 
 def classify_non_nested(solution: DPSolution, tol: float) -> NestednessVerdict:

@@ -26,10 +26,11 @@ from .channel import (
     UnitMemoryChannel,
     induced_output_kernel,
     letter_divergences,
+    resolve_cost,
 )
 from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError
-from .finite_dp import SUPPORT_EPS, ConditionReport, StateCheck
-from .onestage import letter_scores, maximize_stage_objective
+from .finite_dp import ConditionReport, _condition_report
+from .onestage import maximize_stage_objective
 
 # Entries above this are edges of the output-chain graph; below is treated as
 # a structural zero rather than rounding noise.
@@ -169,19 +170,6 @@ def stationary_distribution(kernel: OutputKernel) -> Distribution:
     )
 
 
-def _resolve_cost(channel, cost, multiplier):
-    if multiplier is not None and cost is None:
-        raise ValueError("a multiplier requires a cost specification")
-    if cost is None:
-        return None, None
-    if cost.gamma.shape != (channel.n_states, channel.n_inputs):
-        raise DimensionMismatchError(
-            f"cost shape {cost.gamma.shape} does not match channel "
-            f"({channel.n_states} states, {channel.n_inputs} inputs)"
-        )
-    return float(multiplier) if multiplier is not None else 0.0, cost.gamma
-
-
 def relative_value_iteration(
     channel: UnitMemoryChannel,
     cost: CostSpec | None = None,
@@ -203,7 +191,7 @@ def relative_value_iteration(
     vector, which speeds up families of nearby solves such as a multiplier
     bisection.  Both defaults reproduce the cold uniform start.
     """
-    s, gamma = _resolve_cost(channel, cost, multiplier)
+    s, gamma = resolve_cost(channel, cost, multiplier)
     inner_tol = max(tol * 1e-2, 1e-12)
     value = np.zeros(channel.n_states) if initial_value is None else np.array(initial_value, dtype=float)
     warm = None if initial_policy is None else np.array(initial_policy.matrix)
@@ -309,7 +297,7 @@ def policy_iteration(
     """
     if initial_policy.matrix.shape != (channel.n_states, channel.n_inputs):
         raise DimensionMismatchError("initial policy does not match the channel alphabets")
-    s, gamma = _resolve_cost(channel, cost, multiplier)
+    s, gamma = resolve_cost(channel, cost, multiplier)
     inner_tol = max(tol * 1e-2, 1e-14)
     matrix = np.array(initial_policy.matrix)
     trace: list[float] = []
@@ -361,22 +349,8 @@ def verify_bellman_conditions(
     Equality must hold on the support of the policy and inequality (score at
     most J* + V(b)) off the support, all within ``tol``.
     """
-    worst = 0.0
-    checks = []
-    for b in range(channel.n_states):
-        scores = letter_scores(
-            channel.kernel[b],
-            solution.policy.matrix[b],
-            continuation=solution.bias,
-            cost_row=solution.cost_gamma[b] if solution.cost_gamma is not None else None,
-            multiplier=solution.multiplier or 0.0,
-        )
-        target = solution.gain + float(solution.bias[b])
-        on_support = solution.policy.matrix[b] > SUPPORT_EPS
-        violation = np.where(on_support, np.abs(scores - target), np.maximum(scores - target, 0.0))
-        worst = max(worst, float(violation.max()))
-        checks.append(StateCheck(None, b, target, scores, on_support))
-    return ConditionReport(passed=worst <= tol, worst_violation=worst, per_state=tuple(checks))
+    policy, bias = solution.policy.matrix[None], solution.bias[None]
+    return _condition_report(channel, solution, policy, bias, solution.gain + bias, tol)
 
 
 def generalized_dp_check(
@@ -405,9 +379,7 @@ def generalized_dp_check(
     if constant_gain:
         message = "constant gain: the drift equation holds for every policy"
     else:
-        for b in range(channel.n_states):
-            best = float((channel.kernel[b] @ gains).max())
-            worst_drift = max(worst_drift, abs(best - gains[b]))
+        worst_drift = float(np.abs((channel.kernel @ gains).max(axis=1) - gains).max())
         message = f"state-dependent gain: worst drift-equation violation {worst_drift:.3e}"
     optimum = maximize_stage_objective(
         channel.kernel,
@@ -418,20 +390,8 @@ def generalized_dp_check(
     )
     targets = gains + solution.bias
     worst = max(worst_drift, float(np.abs(optimum.value - targets).max()))
-    checks = []
-    for b in range(channel.n_states):
-        target = float(targets[b])
-        scores = letter_scores(
-            channel.kernel[b],
-            solution.policy.matrix[b],
-            continuation=solution.bias,
-            cost_row=solution.cost_gamma[b] if solution.cost_gamma is not None else None,
-            multiplier=solution.multiplier or 0.0,
-        )
-        checks.append(StateCheck(None, b, target, scores, solution.policy.matrix[b] > SUPPORT_EPS))
-    return ConditionReport(
-        passed=worst <= tol, worst_violation=worst, per_state=tuple(checks), message=message
-    )
+    policy, bias = solution.policy.matrix[None], solution.bias[None]
+    return _condition_report(channel, solution, policy, bias, targets[None], tol, worst=worst, message=message)
 
 
 def solution_report(solution: InfiniteHorizonSolution) -> str:
@@ -484,9 +444,7 @@ def minimum_average_cost(
     value = np.zeros(channel.n_states)
     gain = 0.0
     for _ in range(max_iter):
-        swept = np.empty_like(value)
-        for b in range(channel.n_states):
-            swept[b] = float((gamma[b] + channel.kernel[b] @ value).min())
+        swept = (gamma + channel.kernel @ value).min(axis=1)
         diff = swept - value
         span = float(diff.max() - diff.min())
         gain = float(0.5 * (diff.max() + diff.min()))

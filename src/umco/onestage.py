@@ -73,15 +73,27 @@ def _letter_bias(rows, continuation, cost_row, multiplier):
     return bias
 
 
-def letter_scores(rows, policy_row, continuation=None, cost_row=None, multiplier=0.0) -> np.ndarray:
+def letter_scores(rows, policy, continuation=None, cost_row=None, multiplier=0.0) -> np.ndarray:
     """Per-letter score D_a + E[continuation | a] - s*cost(a) at a given policy.
 
     On the support of an optimal policy these scores all equal the stage
     value; off the support they cannot exceed it.
+
+    rows is one kernel slice (A, B) with policy (A,), or the stack (S, A, B)
+    with policy (..., S, A), continuation (..., B) and cost_row (S, A); the
+    leading axes (stages, say) broadcast and the scores are (..., S, A).
     """
     rows = np.asarray(rows, dtype=float)
-    output_row = np.asarray(policy_row, dtype=float) @ rows
-    return letter_divergences(rows, output_row) + _letter_bias(rows, continuation, cost_row, multiplier)
+    output = np.matmul(np.asarray(policy, dtype=float)[..., None, :], rows)
+    bias = 0.0
+    if continuation is not None:
+        continuation = np.asarray(continuation, dtype=float)
+        if rows.ndim == 3:
+            continuation = continuation[..., None, :]
+        bias = np.matmul(rows, continuation[..., None])[..., 0]
+    if cost_row is not None and multiplier:
+        bias = bias - multiplier * np.asarray(cost_row, dtype=float)
+    return letter_divergences(rows, output) + bias
 
 
 def _snap(rows, pi, bias, tol):

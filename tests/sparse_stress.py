@@ -1,0 +1,50 @@
+"""Robustness census of the finite-horizon DP on sparse random channels.
+
+Draws channels with S = 2-4 states, A = 2-5 inputs and kernel entries zeroed
+with probability 0.4, solves the horizon-20 recursion and checks the
+per-letter conditions at tol 1e-8.  Prints one JSON line: solver stalls
+(ConvergenceError), channels the checker flags, and the summed slowest-state
+inner iterations.  Run it against two source trees to compare them:
+
+    PYTHONPATH=src python tests/sparse_stress.py --channels 600
+"""
+
+import argparse
+import json
+
+import numpy as np
+
+import umco
+
+
+def sparse_random_channel(rng, n_states, n_inputs, density=0.6):
+    """Random kernel whose entries are zero with probability 1 - density (no all-zero row)."""
+    kernel = rng.random((n_states, n_inputs, n_states)) * (rng.random((n_states, n_inputs, n_states)) < density)
+    kernel[..., 0] += kernel.sum(axis=2) == 0.0
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    return umco.channel_from_kernel(kernel)
+
+
+def census(n_channels, seed=2024, horizon=20, tol=1e-8):
+    rng = np.random.default_rng(seed)
+    stalls, flagged, iterations = [], [], 0
+    for i in range(n_channels):
+        channel = sparse_random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+        try:
+            solution = umco.solve_finite_horizon(channel, horizon)
+        except umco.ConvergenceError:
+            stalls.append(i)
+            continue
+        iterations += sum(solution.inner_iterations)
+        if not umco.verify_optimality_conditions(channel, solution, tol=tol).passed:
+            flagged.append(i)
+    return {"channels": n_channels, "stalls": stalls, "flagged": flagged, "slowest_state_iterations": iterations}
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--channels", type=int, default=600)
+    parser.add_argument("--seed", type=int, default=2024)
+    args = parser.parse_args()
+    result = census(args.channels, args.seed)
+    print(json.dumps({**result, "n_stalls": len(result["stalls"]), "n_flagged": len(result["flagged"])}))

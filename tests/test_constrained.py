@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import bssc
+from conftest import bssc, random_channel
 import umco.constrained
 from umco import (
     BSSCParams,
@@ -123,6 +123,29 @@ def test_infeasible_budget_names_minimum():
 def test_minimum_average_cost_binary():
     assert abs(minimum_average_cost(bssc(0.9, 0.6), GAMMA) - 0.0) < 1e-9
     assert abs(minimum_average_cost(bssc(0.9, 0.6), np.ones((2, 2))) - 1.0) < 1e-9
+
+
+def _minimum_average_cost_per_state(channel, gamma, tol=1e-10, max_iter=200_000):
+    """The damped minimum-cost value iteration, one state at a time."""
+    value = np.zeros(channel.n_states)
+    gain = 0.0
+    for _ in range(max_iter):
+        swept = np.array([(gamma[b] + channel.kernel[b] @ value).min() for b in range(channel.n_states)])
+        diff = swept - value
+        gain = float(0.5 * (diff.max() + diff.min()))
+        value = 0.5 * (value + swept)
+        value = value - value[0]
+        if diff.max() - diff.min() <= tol:
+            break
+    return gain
+
+
+def test_minimum_average_cost_matches_per_state_sweeps(rng):
+    cases = [(bssc(a, b), GAMMA) for a, b in [(0.9, 0.6), (1.0, 0.5), (0.95, 0.8), (0.7, 0.2)]]
+    for n_states, n_inputs in [(2, 2), (3, 2), (3, 4), (4, 3)]:
+        cases.append((random_channel(rng, n_states, n_inputs), rng.random((n_states, n_inputs))))
+    for channel, gamma in cases:
+        assert abs(minimum_average_cost(channel, gamma) - _minimum_average_cost_per_state(channel, gamma)) <= 1e-12
 
 
 def test_curve_skips_failing_points_with_warning():

@@ -1,15 +1,22 @@
 """Finite-horizon recursion, optimality-condition verifier, nestedness classifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bruteforce import dmc_capacity_grid, dp_grid_oracle
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc, random_channel
 from umco import (
+    ConvergenceError,
     CostSpec,
     DimensionMismatchError,
     DPSolution,
     Distribution,
+    InfiniteHorizonSolution,
     InputPolicy,
     binary_entropy,
     bssc_closed_form,
@@ -18,12 +25,15 @@ from umco import (
     channel_from_kernel,
     classify_non_nested,
     ftfi_capacity,
+    generalized_dp_check,
+    induced_output_kernel,
     relative_value_iteration,
     solve_finite_horizon,
+    verify_bellman_conditions,
     verify_optimality_conditions,
 )
-from umco.finite_dp import NESTED, NON_NESTED_TIME_INVARIANT, dp_report
-from umco.onestage import letter_scores
+from umco.finite_dp import NESTED, NON_NESTED_TIME_INVARIANT, SUPPORT_EPS, dp_report
+from umco.onestage import letter_scores, maximize_stage_objective
 
 CAP_105 = bssc_closed_form(BSSCParams(1.0, 0.5)).capacity  # = H(0.2) - 0.4
 
@@ -222,3 +232,149 @@ def test_terminal_values_nonnegative_without_cost(rng):
 def test_dp_report_mentions_stages():
     text = dp_report(solve_finite_horizon(bssc(1.0, 0.5), 2))
     assert "stage 0" in text and "stage 2" in text and "pi_1" in text
+
+
+def test_lifted_warm_start_revives_a_letter_the_snap_zeroed():
+    # Letter 1 of state 0 is dead at stage 1, where the snap zeroes it, and
+    # carries 4% of the mass at stage 0.
+    channel = channel_from_kernel([[[0.46, 0.54], [0.63, 0.37]], [[0.26, 0.74], [1.0, 0.0]]])
+    solution = solve_finite_horizon(channel, 2)
+    assert solution.policies[1].matrix[0, 1] == 0.0
+    assert solution.policies[0].matrix[0, 1] > 0.04
+    assert verify_optimality_conditions(channel, solution, tol=1e-9).passed
+    cold = maximize_stage_objective(channel.kernel, continuation=solution.values[1])
+    assert np.abs(cold.value - solution.values[0]).max() < 1e-12
+    # Passed on raw, the zeroed letter starts at the policy floor and cannot
+    # grow back within the iteration budget.
+    with pytest.raises(ConvergenceError):
+        maximize_stage_objective(
+            channel.kernel, continuation=solution.values[1], initial=solution.policies[1].matrix
+        )
+
+
+entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def sparse_channels(draw, max_states=3, max_inputs=4):
+    """Small random channels whose kernel rows may hold zeros."""
+    n_states = draw(st.integers(2, max_states))
+    n_inputs = draw(st.integers(2, max_inputs))
+    kernel = draw(hnp.arrays(float, (n_states, n_inputs, n_states), elements=entries))
+    kernel[..., 0] += kernel.sum(axis=2) == 0.0  # no all-zero row
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    return channel_from_kernel(kernel)
+
+
+def _cold_recursion(channel, horizon):
+    """The backward recursion with every stage started cold from uniform."""
+    values = np.zeros((horizon + 1, channel.n_states))
+    policies = [None] * (horizon + 1)
+    continuation = None
+    for t in range(horizon, -1, -1):
+        stage = maximize_stage_objective(channel.kernel, continuation=continuation)
+        values[t], policies[t] = stage.value, InputPolicy(stage.policy, stage=t)
+        continuation = values[t]
+    return DPSolution(horizon, values, tuple(policies), None, (0,) * (horizon + 1))
+
+
+@given(sparse_channels(), st.integers(0, 6))
+def test_warm_started_dp_equals_cold_recursion(channel, horizon):
+    try:
+        cold = _cold_recursion(channel, horizon)
+    except ConvergenceError:
+        return  # the cold start stalls: nothing to compare against
+    warm = solve_finite_horizon(channel, horizon)
+    assert np.abs(warm.values - cold.values).max() <= 1e-9 * (horizon + 1)
+    assert classify_non_nested(warm, tol=1e-6).kind == classify_non_nested(cold, tol=1e-6).kind
+
+
+def _per_state_conditions(channel, policy, continuations, targets, gamma, multiplier):
+    """Scores and worst violation from one letter_scores call per (stage, state)."""
+    scores, worst = [], 0.0
+    for t, continuation in enumerate(continuations):
+        for b in range(channel.n_states):
+            row = letter_scores(
+                channel.kernel[b],
+                policy[t][b],
+                continuation=continuation,
+                cost_row=None if gamma is None else gamma[b],
+                multiplier=multiplier or 0.0,
+            )
+            excess = row - targets[t][b]
+            violation = np.where(policy[t][b] > SUPPORT_EPS, np.abs(excess), np.maximum(excess, 0.0))
+            scores.append(row)
+            worst = max(worst, float(violation.max()))
+    return scores, worst
+
+
+def _assert_same_scores(report, scores):
+    assert len(report.per_state) == len(scores)
+    for check, expected in zip(report.per_state, scores):
+        assert np.abs(check.scores - expected).max() <= 1e-12
+        assert not check.scores.flags.writeable
+
+
+@st.composite
+def solved_problems(draw):
+    channel = draw(sparse_channels())
+    horizon = draw(st.integers(0, 4))
+    cost = multiplier = None
+    if draw(st.booleans()):
+        gamma = draw(hnp.arrays(float, (channel.n_states, channel.n_inputs), elements=st.floats(0.0, 2.0)))
+        cost, multiplier = CostSpec(gamma, 0.0), draw(st.floats(0.0, 2.0))
+    return channel, horizon, cost, multiplier
+
+
+@given(solved_problems())
+def test_stacked_checker_equals_per_state_scores(problem):
+    channel, horizon, cost, multiplier = problem
+    try:
+        solution = solve_finite_horizon(channel, horizon, cost=cost, multiplier=multiplier, inner_max_iter=20_000)
+    except ConvergenceError:
+        return  # slow to certify: the checker is on trial here, not the solver
+    policy = [p.matrix for p in solution.policies]
+    continuations = [*solution.values[1:], None]
+    scores, worst = _per_state_conditions(
+        channel, policy, continuations, solution.values, solution.cost_gamma, solution.multiplier
+    )
+    report = verify_optimality_conditions(channel, solution, tol=1e-8)
+    _assert_same_scores(report, scores)
+    assert [(c.stage, c.state) for c in report.per_state] == [
+        (t, b) for t in range(horizon + 1) for b in range(channel.n_states)
+    ]
+    assert abs(report.worst_violation - worst) <= 1e-12
+
+    # Shifting one stage's values breaks an equality at that stage (or, via
+    # the continuation, at the stage before) by the shift.
+    shift = np.zeros_like(solution.values)
+    shift[horizon // 2] = 1e-3
+    shifted = dataclasses.replace(solution, values=solution.values + shift)
+    broken = verify_optimality_conditions(channel, shifted, tol=1e-8)
+    assert not broken.passed and broken.worst_violation > 5e-4
+
+    # The stationary checkers score a policy against a bias the same way.
+    bias = solution.values[0] - solution.values[0, 0]
+    stationary = InfiniteHorizonSolution(
+        gain=float(solution.values[0].mean()),
+        bias=bias,
+        policy=solution.policies[0],
+        output_kernel=induced_output_kernel(channel, solution.policies[0]),
+        invariant_dist=None,
+        irreducible=False,
+        iterations=0,
+        span_residual=0.0,
+        multiplier=solution.multiplier,
+        cost_gamma=solution.cost_gamma,
+    )
+    scores, worst = _per_state_conditions(
+        channel, [policy[0]], [bias], [stationary.gain + bias], solution.cost_gamma, solution.multiplier
+    )
+    report = verify_bellman_conditions(channel, stationary, tol=1e-8)
+    _assert_same_scores(report, scores)
+    assert abs(report.worst_violation - worst) <= 1e-12
+    try:
+        general = generalized_dp_check(channel, stationary, tol=1e-8)
+    except ConvergenceError:
+        return
+    _assert_same_scores(general, scores)

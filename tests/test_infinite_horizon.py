@@ -9,12 +9,14 @@ from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc
 from umco import (
     BSSCParams,
     ConvergenceError,
+    CostSpec,
     InfiniteHorizonSolution,
     InputPolicy,
     OutputKernel,
     ReducibleChainError,
     bssc_closed_form,
     bssc_channel,
+    bssc_cost_function,
     channel_from_kernel,
     deterministic_policy,
     generalized_dp_check,
@@ -29,6 +31,24 @@ from umco import (
     verify_bellman_conditions,
 )
 from umco.infinite_horizon import solution_csv, solution_report
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda channel, **kw: relative_value_iteration(channel, **kw),
+        lambda channel, **kw: policy_iteration(channel, uniform_policy(2, 2), **kw),
+        lambda channel, **kw: solve_finite_horizon(channel, 3, **kw),
+    ],
+    ids=["rvi", "policy-iteration", "finite-horizon"],
+)
+@pytest.mark.parametrize("multiplier", [-1.0, float("nan")])
+def test_every_solver_rejects_a_negative_or_nan_multiplier(solve, multiplier):
+    # A negative multiplier rewards cost: RVI and PI once returned a "gain"
+    # of 1.0009 bits from a binary input here.
+    cost = CostSpec(bssc_cost_function(), 0.0)
+    with pytest.raises(ValueError, match="multiplier must be nonnegative"):
+        solve(bssc(0.9, 0.6), cost=cost, multiplier=multiplier)
 
 
 def test_rvi_bssc_best_worst():
