@@ -3,8 +3,9 @@
 The constrained problem is solved as inf over the multiplier s >= 0 of the
 infinite-horizon gain with per-stage reward penalized by s * gamma, plus
 s * kappa.  The achieved stationary cost is nonincreasing in s, so a
-bisection over s locates the budget; the problem is convex, so the duality
-gap is solver noise.
+root-finder on s -> achieved cost - kappa locates the budget: Illinois false
+position (Dowell & Jarratt 1971) safeguarded by bisection.  The problem is
+convex, so the duality gap is solver noise.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .channel import CostSpec, InputPolicy, UnitMemoryChannel, induced_output_kernel
+from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, induced_output_kernel
 from .errors import ConvergenceError, InfeasibleBudgetError, UmcoError
 from .infinite_horizon import (
     InfiniteHorizonSolution,
@@ -47,6 +48,10 @@ def average_cost(channel: UnitMemoryChannel, policy: InputPolicy, cost: CostSpec
     """Stationary average cost sum_b nu(b) sum_a pi(a|b) gamma(b, a)."""
     kernel = induced_output_kernel(channel, policy)
     nu = stationary_distribution(kernel)  # raises ReducibleChainError when not unique
+    return _stationary_cost(nu, policy, cost)
+
+
+def _stationary_cost(nu: Distribution, policy: InputPolicy, cost: CostSpec) -> float:
     per_state = (policy.matrix * cost.gamma).sum(axis=1)
     return float(nu.weights @ per_state)
 
@@ -60,7 +65,12 @@ def _solve_multiplier(channel, cost, s, solver_tol, warm=None):
         initial_value=None if warm is None else warm.bias,
         initial_policy=None if warm is None else warm.policy,
     )
-    achieved = average_cost(channel, solution.policy, cost)
+    # RVI already holds the invariant distribution of its policy's output
+    # chain; without one (a reducible chain) average_cost raises the error.
+    if solution.invariant_dist is None:
+        achieved = average_cost(channel, solution.policy, cost)
+    else:
+        achieved = _stationary_cost(solution.invariant_dist, solution.policy, cost)
     return solution, achieved
 
 
@@ -83,7 +93,16 @@ def constrained_capacity(
     cost_tol: float = DEFAULT_COST_TOL,
     solver_tol: float = 1e-10,
 ) -> ConstrainedResult:
-    """Bisect the multiplier until the achieved cost meets the budget.
+    """Find the multiplier at which the achieved cost meets the budget.
+
+    The multiplier is bracketed by doubling from 1, then located by Illinois
+    false position on f(s) = achieved cost - kappa: when the same end of the
+    bracket is replaced twice in a row, the f of the end that stayed is
+    halved, and the step falls back to the midpoint when the false-position
+    point is not strictly inside the bracket or the bracket did not halve
+    over the last three steps.  It stops once |f| <= cost_tol or the bracket
+    is narrower than dual_tol.  Each solve is warm-started from the previous
+    one.
 
     Returns the unconstrained solution (multiplier 0, binding False) when the
     budget is slack, and raises InfeasibleBudgetError when no multiplier can
@@ -105,18 +124,16 @@ def constrained_capacity(
             min_cost=floor,
         )
 
-    s_lo = 0.0
+    s_lo, f_lo = 0.0, cost_at_zero - kappa
     s_hi = 1.0
     warm = unconstrained
-    feasible = None
     while True:
         solution, achieved = _solve_multiplier(channel, cost, s_hi, solver_tol, warm=warm)
         warm = solution
         trace.append((s_hi, achieved))
         if achieved <= kappa:
-            feasible = (s_hi, solution, achieved)
             break
-        s_lo = s_hi
+        s_lo, f_lo = s_hi, achieved - kappa
         s_hi *= 2.0
         if s_hi > _MULTIPLIER_CAP:
             floor = minimum_average_cost(channel, cost.gamma)
@@ -126,21 +143,36 @@ def constrained_capacity(
                 min_cost=floor,
             )
 
-    s_star, best_solution, best_cost = feasible
-    if abs(best_cost - kappa) > cost_tol:
-        while s_hi - s_lo > dual_tol:
-            mid = 0.5 * (s_lo + s_hi)
-            solution, achieved = _solve_multiplier(channel, cost, mid, solver_tol, warm=warm)
-            warm = solution
-            trace.append((mid, achieved))
-            if abs(achieved - kappa) <= cost_tol:
-                s_star, best_solution, best_cost = mid, solution, achieved
-                break
-            if achieved > kappa:
-                s_lo = mid
-            else:
-                s_hi = mid
-                s_star, best_solution, best_cost = mid, solution, achieved
+    # The bracket keeps f(s_lo) > 0 >= f(s_hi); s_hi is the best feasible point.
+    s_star, best_solution, best_cost = s_hi, solution, achieved
+    f_hi = achieved - kappa
+    moved = None  # the end the last step replaced: "lo" or "hi"
+    widths = [s_hi - s_lo]
+    while abs(best_cost - kappa) > cost_tol and s_hi - s_lo > dual_tol:
+        s = s_hi - f_hi * (s_hi - s_lo) / (f_hi - f_lo)
+        # Three steps, not two: after one end is replaced twice, the halved
+        # f needs one more step to pull the point across the root.
+        if not s_lo < s < s_hi or (len(widths) > 3 and widths[-1] > 0.5 * widths[-4]):
+            s = 0.5 * (s_lo + s_hi)
+        solution, achieved = _solve_multiplier(channel, cost, s, solver_tol, warm=warm)
+        warm = solution
+        trace.append((s, achieved))
+        f = achieved - kappa
+        if abs(f) <= cost_tol:
+            s_star, best_solution, best_cost = s, solution, achieved
+            break
+        if f > 0.0:
+            s_lo, f_lo = s, f
+            if moved == "lo":
+                f_hi *= 0.5
+            moved = "lo"
+        else:
+            s_hi, f_hi = s, f
+            s_star, best_solution, best_cost = s, solution, achieved
+            if moved == "hi":
+                f_lo *= 0.5
+            moved = "hi"
+        widths.append(s_hi - s_lo)
 
     # The dual trace must be monotone: achieved cost nonincreasing in s.
     # Slack at the cost tolerance absorbs per-solve policy noise; genuine

@@ -24,19 +24,13 @@ from .errors import DimensionMismatchError
 from .onestage import (
     DEFAULT_INNER_MAX_ITER,
     DEFAULT_INNER_TOL,
+    _WARM_START_FLOOR,
     letter_scores,
     maximize_stage_objective,
 )
 
 # Policy mass below this counts as an unsupported letter in condition checks.
 SUPPORT_EPS = 1e-9
-
-# Stage t starts from stage t+1's policy with every letter lifted to this
-# mass.  A letter zeroed at t+1 would otherwise start at the solver's 1e-280
-# floor and could not grow back within the iteration budget; from here it
-# needs 40 bits of score excess, and a letter that stays dead stays far below
-# SUPPORT_EPS, so the checker keeps it off the support.
-_WARM_START_FLOOR = 1e-12
 
 NESTED = "nested"
 NON_NESTED = "non_nested"

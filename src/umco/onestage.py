@@ -39,6 +39,14 @@ from .errors import ConvergenceError
 # mass at the floor is far below any tolerance in use.
 _POLICY_FLOOR = 1e-280
 
+# A warm start from another solve's policy (the next DP stage, a nearby cost
+# multiplier) lifts every letter to this mass first.  A letter zeroed there
+# would otherwise start at the 1e-280 floor and could not grow back within
+# the iteration budget; from here it needs 40 bits of score excess, and a
+# letter that stays dead stays far below the condition checker's support
+# threshold (finite_dp.SUPPORT_EPS = 1e-9).
+_WARM_START_FLOOR = 1e-12
+
 # The multiplicative update crawls when the optimum sits on a face of the
 # simplex (it only reaches the boundary asymptotically).  Every so often,
 # test the candidate obtained by zeroing near-dead letters against the

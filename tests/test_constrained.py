@@ -1,9 +1,13 @@
-"""Capacity-cost machinery: average cost, dual bisection, curve properties."""
+"""Capacity-cost machinery: average cost, the multiplier search, curve properties."""
 
+import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import bssc, random_channel
 import umco.constrained
@@ -211,3 +215,94 @@ def test_curve_csv_format():
     assert lines[0] == "kappa,capacity_bits,multiplier,achieved_cost,binding"
     assert len(lines) == 2
     assert lines[1].endswith("true")
+
+
+def test_achieved_cost_reuses_the_invariant_distribution():
+    channel, cost = bssc(0.9, 0.6), CostSpec(GAMMA, 0.3)
+    for s in (0.0, 0.4, 1.0):
+        solution, achieved = umco.constrained._solve_multiplier(channel, cost, s, 1e-10)
+        assert solution.invariant_dist is not None
+        assert achieved == average_cost(channel, solution.policy, cost)  # bit for bit
+
+
+def test_achieved_cost_without_invariant_distribution_raises_reducible(monkeypatch):
+    # A = b_prev on the noiseless BSSC freezes the output chain.
+    channel = bssc(1.0, 0.5)
+    solution = umco.constrained.relative_value_iteration(channel, tol=1e-10)
+    frozen = dataclasses.replace(solution, policy=deterministic_policy([0, 1], 2), invariant_dist=None)
+    monkeypatch.setattr(umco.constrained, "relative_value_iteration", lambda *args, **kwargs: frozen)
+    with pytest.raises(ReducibleChainError):
+        umco.constrained._solve_multiplier(channel, CostSpec(GAMMA, 0.3), 0.5, 1e-10)
+
+
+STALLED_BSSC = BSSCParams(0.8275, 0.5769)
+
+
+def test_curve_solves_every_point_where_a_warm_start_used_to_stall():
+    # Bisection dropped every point of this curve: its first midpoint, 0.5,
+    # warm-started from the solve at 1, stalls the inner solver (the letter
+    # that solve leaves at ~2e-12 cannot regrow within the iteration budget).
+    kappas = [0.2, 0.3, 0.4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = capacity_cost_curve(bssc(0.8275, 0.5769), CostSpec(GAMMA, 0.0), kappas)
+    assert [r.kappa for r in results] == kappas
+    for result in results:
+        assert result.binding
+        assert abs(result.capacity - bssc_constrained_closed_form(STALLED_BSSC, result.kappa).capacity) <= 1e-9
+
+
+@given(
+    alpha=st.floats(0.8, 0.99),
+    beta=st.floats(0.6, 0.85),
+    kappas=st.lists(st.floats(0.1, 0.6), min_size=3, max_size=3, unique=True).map(sorted),
+)
+def test_driver_properties_on_generated_bssc(alpha, beta, kappas):
+    params = BSSCParams(alpha, beta)
+    real = umco.constrained._solve_multiplier
+    calls = []
+
+    def counted(channel, cost, s, solver_tol, warm=None):
+        calls.append(cost.kappa)
+        return real(channel, cost, s, solver_tol, warm=warm)
+
+    with mock.patch.object(umco.constrained, "_solve_multiplier", counted):
+        results = capacity_cost_curve(bssc(alpha, beta), CostSpec(GAMMA, 0.0), kappas)
+    assert [r.kappa for r in results] == kappas
+    for result in results:
+        assert abs(result.capacity - bssc_constrained_closed_form(params, result.kappa).capacity) <= 1e-6
+        assert result.achieved_cost <= result.kappa + umco.constrained.DEFAULT_COST_TOL
+        if result.kappa < result.kappa_max:
+            assert result.binding
+        assert calls.count(result.kappa) <= 10
+    capacities = [r.capacity for r in results]
+    assert capacities[0] <= capacities[1] + 1e-9 and capacities[1] <= capacities[2] + 1e-9
+    t = (kappas[1] - kappas[0]) / (kappas[2] - kappas[0])
+    assert capacities[1] >= (1 - t) * capacities[0] + t * capacities[2] - 1e-9
+
+
+@pytest.mark.parametrize(
+    "achieved_at, jump",
+    [
+        (lambda s: 0.6 if s < 0.3 else 0.4, 0.3),  # step: false position sees equal |f| at both ends
+        (lambda s: 0.5 + 1e-3 if s < 0.7 else 0.1, 0.7),  # flat just above the budget, then a cliff
+        (lambda s: 0.6 if s == 0.0 else 0.2, 0.0),  # flat below the budget for every s > 0
+    ],
+)
+def test_root_finder_terminates_on_flat_and_step_costs(monkeypatch, achieved_at, jump):
+    # Every solve returns the same solution; only the achieved cost is shaped.
+    solution, _ = umco.constrained._solve_multiplier(bssc(1.0, 0.5), CostSpec(GAMMA, 0.5), 0.0, 1e-10)
+    multipliers = []
+
+    def shaped(channel, cost, s, solver_tol, warm=None):
+        multipliers.append(s)
+        return solution, achieved_at(s)
+
+    monkeypatch.setattr(umco.constrained, "_solve_multiplier", shaped)
+    result = constrained_capacity(bssc(1.0, 0.5), CostSpec(GAMMA, 0.5))
+    dual_tol = umco.constrained.DEFAULT_DUAL_TOL
+    # The bracket closes on the jump; bisection alone needs 27 halvings of
+    # [0, 1], and the midpoint fallback bounds the search by 3 steps a halving.
+    assert jump <= result.multiplier <= jump + dual_tol
+    assert not result.binding
+    assert len(multipliers) <= 2 + 3 * 27

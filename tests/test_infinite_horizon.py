@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc
+import umco.infinite_horizon
 from umco import (
     BSSCParams,
     ConvergenceError,
@@ -307,3 +308,36 @@ def test_solution_reports():
     csv = solution_csv(solution)
     assert csv.splitlines()[0] == "state,bias_bits,invariant_mass,policy_a0,policy_a1"
     assert len(csv.splitlines()) == 3
+
+
+def test_warm_start_lets_a_zeroed_letter_grow_back(monkeypatch):
+    # At multiplier 1 the penalized letter of BSSC(0.9, 0.65) dies (the solve
+    # snaps it to the 1e-280 floor); at 0.5 it carries mass again.  Lifted to
+    # 1e-12 at entry it regrows in a few hundred iterations; passed raw it
+    # took more than 20 times the cold solve's.
+    real = umco.infinite_horizon.maximize_stage_objective
+    inner = []
+
+    def counted(*args, **kwargs):
+        solution = real(*args, **kwargs)
+        inner.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(umco.infinite_horizon, "maximize_stage_objective", counted)
+    channel = bssc(0.9, 0.65)
+    cost = CostSpec(bssc_cost_function(), 0.3)
+    free = relative_value_iteration(channel, cost=cost, multiplier=0.0, tol=1e-10)
+    dead = relative_value_iteration(
+        channel, cost=cost, multiplier=1.0, tol=1e-10, initial_value=free.bias, initial_policy=free.policy
+    )
+    assert dead.policy.matrix.min() < 1e-200
+    inner.clear()
+    cold = relative_value_iteration(channel, cost=cost, multiplier=0.5, tol=1e-10)
+    cold_inner = sum(inner)
+    inner.clear()
+    warm = relative_value_iteration(
+        channel, cost=cost, multiplier=0.5, tol=1e-10, initial_value=dead.bias, initial_policy=dead.policy
+    )
+    assert abs(warm.gain - cold.gain) <= 1e-10
+    assert warm.policy.matrix.min() > 1e-3
+    assert sum(inner) <= 3 * cold_inner
