@@ -60,6 +60,8 @@ def parse_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise _UsageError(f"range '{text}': {exc}") from exc
+    if not np.all(np.isfinite((start, stop, step))):
+        raise _UsageError(f"range '{text}': start, stop and step must be finite")
     if step <= 0:
         raise _UsageError(f"range '{text}': step must be positive")
     values = []

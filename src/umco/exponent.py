@@ -6,8 +6,9 @@ path sum over the state-weight matrix
     M[s_next][s_prev] = [ sum_a pi(a | s_prev) P(b = s_next | s_prev, a)^(1/(1+rho)) ]^(1+rho)
 
 whose Perron root lambda_max(rho) gives the asymptotic exponent
-F_inf(rho) = -log2 lambda_max.  The random-coding exponent is
-E_r(R) = max_{0 <= rho <= 1} F_inf(rho) - rho R, and the block-error bound
+F_inf(rho) = -log2 lambda_max (one stacked power iteration per rho grid).  The
+random-coding exponent E_r(R) = max_{0 <= rho <= 1} F_inf(rho) - rho R is taken
+on a 0.01 grid in rho refined by batched grids to a 1e-6 bracket; the block-error bound
 
     P_err <= 4 * |B| * (v_max / v_min) * 2^(-n E_r(R))
 
@@ -23,12 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import InputPolicy, UnitMemoryChannel, _check_compatible
-from .errors import ConvergenceError, ReducibleChainError
-from .infinite_horizon import _strongly_connected
+from .errors import ConvergenceError, ReducibleChainError, ValidationError
+from .infinite_horizon import EDGE_EPS, _strongly_connected
 
 ENUMERATION_LIMIT = 16
 _RHO_GRID_STEP = 0.01
-_GOLDEN_TOL = 1e-6
+_RHO_TOL = 1e-6
+# Two refinements take a 0.02-wide bracket below _RHO_TOL: 0.02 * (2 / 284)^2 < 1e-6.
+_REFINE_POINTS = 285
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +48,9 @@ class LambdaMatrix:
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
         if np.any(matrix < 0.0):
-            raise ValueError("state-weight entries must be nonnegative")
+            raise ValidationError("state-weight entries must be nonnegative")
         if self.rho == 0.0 and np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-9:
-            raise ValueError("at rho = 0 the state-weight columns must sum to 1")
+            raise ValidationError("at rho = 0 the state-weight columns must sum to 1")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -62,43 +65,65 @@ class ExponentCurve:
     def __post_init__(self):
         for rho, lam_max, f_inf in self.samples:
             if lam_max <= 0.0:
-                raise ValueError("the Perron root must be positive at every sample")
+                raise ValidationError("the Perron root must be positive at every sample")
             if rho == 0.0 and abs(f_inf) > 1e-10:
-                raise ValueError("the exponent must vanish at rho = 0")
+                raise ValidationError("the exponent must vanish at rho = 0")
+
+
+def _transposed_weights(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> np.ndarray:
+    """State-weight matrices transposed, [k][s_prev][s_next], for every rho at once."""
+    rhos = np.asarray(rhos, dtype=float)
+    outside = rhos[~((rhos >= 0.0) & (rhos <= 1.0))]
+    if outside.size:
+        raise ValidationError(f"rho must lie in [0, 1], got {outside[0]}")
+    _check_compatible(channel, policy)
+    power = (1.0 + rhos)[:, None, None]
+    inner = np.einsum("sa,ksan->ksn", policy.matrix, np.power(channel.kernel, 1.0 / power[..., None]))
+    return np.power(inner, power)
 
 
 def lambda_matrix(channel: UnitMemoryChannel, policy: InputPolicy, rho: float) -> LambdaMatrix:
     """Build the state-weight matrix for a time-invariant policy at rho in [0, 1]."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    _check_compatible(channel, policy)
-    inv = 1.0 / (1.0 + rho)
-    powered = channel.kernel**inv
-    inner = np.einsum("sa,san->sn", policy.matrix, powered)  # [s_prev, s_next]
-    return LambdaMatrix(rho=float(rho), matrix=(inner ** (1.0 + rho)).T)
+    return LambdaMatrix(rho=float(rho), matrix=_transposed_weights(channel, policy, [rho])[0].T)
 
 
-def _perron_pair(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 500_000):
-    """Perron root and positive eigenvector of a nonnegative irreducible matrix.
+def _perron_pair(matrices: np.ndarray, tol: float = 1e-12, max_iter: int = 500_000):
+    """Perron roots and positive eigenvectors of a stack (k, n, n) of nonnegative irreducible matrices.
 
-    Power iteration with the all-ones start; the identity shift makes the
-    iteration matrix primitive so periodic chains converge too.  Stops on a
-    1e-12 change of the Rayleigh quotient.
+    Power iteration with the all-ones start, one step for the whole stack at
+    a time; the identity shift makes the iteration matrices primitive so
+    periodic chains converge too.  Each matrix stops on a 1e-12 change of its
+    own Rayleigh quotient and is frozen; its products are the BLAS calls of a
+    solve of it alone, so its result does not depend on the rest of the stack.
     """
-    n = matrix.shape[0]
-    vec = np.ones(n)
-    quotient = np.inf
-    for _ in range(max_iter):
-        image = matrix @ vec
-        new_quotient = float(vec @ image) / float(vec @ vec)
+    k, n, _ = matrices.shape
+    roots, vecs = np.empty(k), np.empty((k, n))
+    live, vec, quotient = np.arange(k), np.ones((k, n)), np.full(k, np.inf)
+    for _ in range(max_iter + 1):
+        if not live.size:
+            return roots, vecs
+        image = (matrices @ vec[:, :, None])[:, :, 0]
+        new_quotient = (vec[:, None] @ image[:, :, None])[:, 0, 0] / (vec[:, None] @ vec[:, :, None])[:, 0, 0]
         shifted = image + vec
-        vec = shifted / shifted.sum()
-        if abs(new_quotient - quotient) <= tol:
-            return new_quotient, vec
-        quotient = new_quotient
+        vec = shifted / shifted.sum(axis=1, keepdims=True)
+        change, quotient = np.abs(new_quotient - quotient), new_quotient
+        done = change <= tol
+        if done.any():
+            roots[live[done]], vecs[live[done]] = quotient[done], vec[done]
+            live, matrices, vec, quotient = live[~done], matrices[~done], vec[~done], quotient[~done]
     raise ConvergenceError(
-        f"power iteration did not settle within {max_iter} iterations", residual=abs(new_quotient - quotient)
+        f"power iteration did not settle within {max_iter} iterations", residual=float(change.max())
     )
+
+
+def _gallager_exponents(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> tuple[np.ndarray, np.ndarray]:
+    """F_inf and the eigenvector ratio at every rho of rhos, from one stacked Perron solve."""
+    stack = _transposed_weights(channel, policy, rhos)
+    patterns = {adjacency.tobytes(): adjacency for adjacency in stack > EDGE_EPS}
+    if not all(_strongly_connected(adjacency) for adjacency in patterns.values()):
+        raise ReducibleChainError("state-weight matrix is reducible at this policy; the bound is not certified")
+    roots, vecs = _perron_pair(stack)
+    return -np.log2(roots), vecs.max(axis=1) / vecs.min(axis=1)
 
 
 def gallager_exponent_infinite(
@@ -111,23 +136,16 @@ def gallager_exponent_infinite(
     started from a known state.  A reducible matrix is rejected: the
     nonnegative-matrix theorem behind the bound needs irreducibility.
     """
-    lam = lambda_matrix(channel, policy, rho)
-    if not _strongly_connected(lam.matrix):
-        raise ReducibleChainError(
-            "state-weight matrix is reducible at this policy; the eigenvalue bound is not certified"
-        )
-    root, vec = _perron_pair(lam.matrix.T)
-    return float(-np.log2(root)), float(vec.max() / vec.min())
+    f_inf, ratio = _gallager_exponents(channel, policy, [rho])
+    return float(f_inf[0]), float(ratio[0])
 
 
 def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) -> ExponentCurve:
-    samples = []
-    ratios = []
-    for rho in rho_grid:
-        f_inf, ratio = gallager_exponent_infinite(channel, policy, float(rho))
-        samples.append((float(rho), float(2.0 ** (-f_inf)), f_inf))
-        ratios.append(ratio)
-    return ExponentCurve(samples=tuple(samples), eigen_ratio=tuple(ratios))
+    """(rho, lambda_max, F_inf) and the eigenvector ratio at every rho of rho_grid, in one stacked solve."""
+    rhos = [float(rho) for rho in rho_grid]
+    f_inf, ratios = _gallager_exponents(channel, policy, rhos)
+    samples = tuple((rho, float(2.0 ** (-f)), f) for rho, f in zip(rhos, f_inf.tolist()))
+    return ExponentCurve(samples=samples, eigen_ratio=tuple(ratios.tolist()))
 
 
 def random_coding_exponent(
@@ -135,40 +153,22 @@ def random_coding_exponent(
 ) -> tuple[float, float]:
     """Maximize F_inf(rho) - rho * rate over rho in [0, 1].
 
-    Coarse grid at step 0.01 followed by golden-section refinement of the
-    bracketing interval down to 1e-6 in rho; the value is clamped at 0 (the
+    Coarse grid at step 0.01, then grids of _REFINE_POINTS points over the
+    interval bracketing the best point until that bracket is at most 1e-6
+    wide in rho (two refinements); each grid is one batched solve searched
+    whole, so no unimodality is assumed.  The value is clamped at 0 (the
     rho = 0 endpoint always achieves 0).
     """
-    if rate < 0.0:
-        raise ValueError("rate must be nonnegative")
-
-    def objective(rho: float) -> float:
-        return gallager_exponent_infinite(channel, policy, rho)[0] - rho * rate
-
-    grid = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
-    values = [objective(float(r)) for r in grid]
-    best = int(np.argmax(values))
-    best_rho, best_val = float(grid[best]), values[best]
-
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    invphi = (5.0**0.5 - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > _GOLDEN_TOL:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = objective(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = objective(x1)
-    for rho, val in ((x1, f1), (x2, f2)):
-        if val > best_val:
-            best_rho, best_val = rho, val
-    return float(max(best_val, 0.0)), float(best_rho)
+    if not (np.isfinite(rate) and rate >= 0.0):
+        raise ValidationError(f"rate must be finite and nonnegative, got {rate}")
+    rhos = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
+    while True:
+        values = _gallager_exponents(channel, policy, rhos)[0] - rhos * rate
+        i = int(np.argmax(values))
+        lo, hi = rhos[max(i - 1, 0)], rhos[min(i + 1, len(rhos) - 1)]
+        if hi - lo <= _RHO_TOL:
+            return max(float(values[i]), 0.0), float(rhos[i])
+        rhos = np.linspace(lo, hi, _REFINE_POINTS)
 
 
 def error_probability_bound(
@@ -183,7 +183,7 @@ def error_probability_bound(
     With the initial state known at both ends the |B| factor drops.
     """
     if n < 1:
-        raise ValueError("block length n must be at least 1")
+        raise ValidationError("block length n must be at least 1")
     exponent, rho_star = random_coding_exponent(channel, policy, rate)
     _, ratio = gallager_exponent_infinite(channel, policy, rho_star)
     coefficient = 4.0 * (1 if state_known else channel.n_states) * ratio
@@ -204,22 +204,22 @@ def finite_horizon_exponent_oracle(
     16) and repeated matrix-vector products with per-step rescaling (any n).
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ValidationError("n must be at least 1")
     if method == "auto":
         method = "enumerate" if n <= ENUMERATION_LIMIT else "matrix"
     matrix = lambda_matrix(channel, policy, rho).matrix
     size = matrix.shape[0]
     if method == "enumerate":
         if n > ENUMERATION_LIMIT:
-            raise ValueError(f"path enumeration is limited to n <= {ENUMERATION_LIMIT}")
+            raise ValidationError(f"path enumeration is limited to n <= {ENUMERATION_LIMIT}")
         if size**n > 2**24:
-            raise ValueError(f"{size}^{n} paths is too many to enumerate; use method='matrix'")
+            raise ValidationError(f"{size}^{n} paths is too many to enumerate; use method='matrix'")
         paths = np.array(list(itertools.product(range(size), repeat=n)), dtype=int)
         prev = np.concatenate([np.full((paths.shape[0], 1), b_init, dtype=int), paths[:, :-1]], axis=1)
         total = float(matrix[paths, prev].prod(axis=1).sum())
         return -np.log2(total) / n
     if method != "matrix":
-        raise ValueError(f"unknown method {method!r}")
+        raise ValidationError(f"unknown method {method!r}")
     weights = np.zeros(size)
     weights[b_init] = 1.0
     log_total = 0.0

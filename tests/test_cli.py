@@ -5,7 +5,7 @@ import json
 import pytest
 
 from umco import BSSCParams, bssc_channel, bssc_cost_function, serialize_channel
-from umco.cli import parse_range, run_command
+from umco.cli import _UsageError, parse_range, run_command
 
 
 @pytest.fixture
@@ -33,6 +33,18 @@ def bibo_file(tmp_path):
 def test_parse_range_inclusive_endpoints():
     assert parse_range("0:1:0.25") == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert parse_range("0:0.4:0.1")[-1] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("text", ["nan:1:0.1", "0:1:nan", "0:nan:0.1", "0:inf:0.1", "-inf:1:0.1", "0:1:inf"])
+def test_parse_range_rejects_non_finite(text):
+    # A non-finite start, stop or step never ends the grid loop: reject it up front.
+    with pytest.raises(_UsageError, match="must be finite"):
+        parse_range(text)
+
+
+def test_error_exponent_non_finite_rates_exit_one(bssc_file, capsys):
+    assert run_command(["error-exponent", "--channel", bssc_file, "--rates", "0:inf:0.1"]) == 1
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_fb_capacity_prints_gain(bssc_file, capsys):

@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc, random_channel
 from umco import (
     BSSCParams,
+    ExponentCurve,
+    InputPolicy,
+    LambdaMatrix,
     ReducibleChainError,
+    ValidationError,
     bssc_closed_form,
     bssc_optimal_policy,
     channel_from_kernel,
@@ -20,7 +27,7 @@ from umco import (
     random_coding_exponent,
     uniform_policy,
 )
-from umco.exponent import exponent_csv, rate_sweep_csv
+from umco.exponent import _RHO_GRID_STEP, exponent_csv, rate_sweep_csv
 
 PARAMS = BSSCParams(0.95, 0.8)
 CHANNEL = bssc(0.95, 0.8)
@@ -220,3 +227,99 @@ def test_csv_emitters():
     sweep = rate_sweep_csv(CHANNEL, POLICY, [0.0, 0.1], n=100)
     assert sweep.splitlines()[0] == "rate_bits,E_r_bits,rho_star,bound_at_n"
     assert len(sweep.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_non_finite_rate_rejected(rate):
+    with pytest.raises(ValidationError):
+        random_coding_exponent(CHANNEL, POLICY, rate)
+    with pytest.raises(ValidationError):
+        rate_sweep_csv(CHANNEL, POLICY, [0.1, rate], n=100)
+
+
+def test_exponent_input_errors_are_typed():
+    with pytest.raises(ValidationError):
+        LambdaMatrix(0.5, -np.eye(2))
+    with pytest.raises(ValidationError):
+        LambdaMatrix(0.0, np.full((2, 2), 0.6))
+    with pytest.raises(ValidationError):
+        ExponentCurve(samples=((0.5, 0.0, 1.0),), eigen_ratio=(1.0,))
+    with pytest.raises(ValidationError):
+        ExponentCurve(samples=((0.0, 0.5, 1.0),), eigen_ratio=(1.0,))
+    for rho in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValidationError):
+            lambda_matrix(CHANNEL, POLICY, rho)
+        with pytest.raises(ValidationError):
+            exponent_curve(CHANNEL, POLICY, [0.5, rho])
+    with pytest.raises(ValidationError):
+        random_coding_exponent(CHANNEL, POLICY, -0.1)
+    with pytest.raises(ValidationError):
+        error_probability_bound(CHANNEL, POLICY, 0.1, 0)
+    for n, method in ((0, "auto"), (17, "enumerate"), (3, "simulate")):
+        with pytest.raises(ValidationError):
+            finite_horizon_exponent_oracle(CHANNEL, POLICY, 0.5, n, 0, method=method)
+    with pytest.raises(ValidationError):
+        finite_horizon_exponent_oracle(random_channel(np.random.default_rng(0), 5, 2), uniform_policy(5, 2), 0.5, 11, 0)
+
+
+def test_empty_rho_grid_gives_empty_curve():
+    curve = exponent_curve(CHANNEL, POLICY, [])
+    assert curve.samples == () and curve.eigen_ratio == ()
+    assert exponent_csv(CHANNEL, POLICY, []) == "rho,lambda_max,F_infinity_bits,eigen_ratio\n"
+
+
+@st.composite
+def irreducible_problems(draw):
+    """A channel with a positive kernel and a positive policy, S in {2, 3, 4}."""
+    n_states = draw(st.integers(2, 4))
+    n_inputs = draw(st.integers(2, 3))
+    kernel = draw(hnp.arrays(float, (n_states, n_inputs, n_states), elements=st.floats(1e-2, 1.0)))
+    policy = draw(hnp.arrays(float, (n_states, n_inputs), elements=st.floats(1e-2, 1.0)))
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    policy /= policy.sum(axis=1, keepdims=True)
+    return channel_from_kernel(kernel), InputPolicy(policy)
+
+
+@given(irreducible_problems(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_stacked_exponents_match_scalar_solves(problem, rhos):
+    channel, policy = problem
+    rhos = [0.0, 1.0, *rhos]
+    curve = exponent_curve(channel, policy, rhos)
+    for (rho, lam_max, f_inf), ratio in zip(curve.samples, curve.eigen_ratio):
+        f_one, ratio_one = gallager_exponent_infinite(channel, policy, rho)
+        assert abs(f_inf - f_one) <= 1e-12
+        assert abs(ratio - ratio_one) <= 1e-12 * ratio_one
+        assert lam_max == 2.0 ** (-f_inf)
+
+
+@given(irreducible_problems(), st.floats(0.0, 1.0), st.integers(1, 6), st.data())
+def test_oracle_enumeration_matches_matrix_method(problem, rho, n, data):
+    channel, policy = problem
+    b_init = data.draw(st.integers(0, channel.n_states - 1))
+    enum = finite_horizon_exponent_oracle(channel, policy, rho, n, b_init, method="enumerate")
+    matrix = finite_horizon_exponent_oracle(channel, policy, rho, n, b_init, method="matrix")
+    assert abs(enum - matrix) <= 1e-12 * max(1.0, abs(matrix))
+
+
+@given(irreducible_problems(), st.floats(0.0, 0.99), st.booleans())
+def test_random_coding_exponent_beats_the_scalar_grid(problem, x, interior):
+    """E_r against scalar solves, at rate x or at the slope of F near rho = x.
+
+    The slope rate puts the maximizer inside (0, 1), where the refinement
+    bracket decides the answer; a plain rate mostly lands on rho = 0 or 1.
+    """
+    channel, policy = problem
+
+    def objective(rho, rate):
+        return gallager_exponent_infinite(channel, policy, rho)[0] - rho * rate
+
+    rate = max((objective(x + 0.01, 0.0) - objective(x, 0.0)) / 0.01, 0.0) if interior else x
+    exponent, rho_star = random_coding_exponent(channel, policy, rate)
+    grid = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
+    assert exponent >= max(objective(float(rho), rate) for rho in grid) - 1e-12
+    # the value is the objective at the reported maximizer (up to the clamp at 0)
+    assert abs(exponent - max(objective(rho_star, rate), 0.0)) <= 1e-12
+    # and no nearby rho does better: the bracket held the maximum
+    for offset in (-1e-2, -1e-3, 1e-3, 1e-2):
+        if 0.0 <= rho_star + offset <= 1.0:
+            assert objective(rho_star + offset, rate) <= exponent + 1e-12
