@@ -6,6 +6,12 @@ s * kappa.  The achieved stationary cost is nonincreasing in s, so a
 root-finder on s -> achieved cost - kappa locates the budget: Illinois false
 position (Dowell & Jarratt 1971) safeguarded by bisection.  The problem is
 convex, so the duality gap is solver noise.
+
+A solve at s is a point of the curve whichever budget asked for it (Everett
+1963), so a curve's budgets share one dual trace s -> (achieved cost,
+solution): the s = 0 solve and the cost floor run once per curve, and each
+budget takes a trace point that meets it or starts from the trace's tightest
+bracket.
 """
 
 from __future__ import annotations
@@ -86,6 +92,108 @@ def _result(kappa, s, solution: InfiniteHorizonSolution, achieved, cost_tol, kap
     )
 
 
+def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> list:
+    """Solve the budgets on one dual trace s -> (achieved cost, solution).
+
+    Returns a ConstrainedResult or the UmcoError it failed with per budget.
+    """
+    try:
+        unconstrained, kappa_max = _solve_multiplier(channel, cost, 0.0, solver_tol)
+    except UmcoError as exc:
+        return [exc] * len(kappas)
+    trace = {0.0: (kappa_max, unconstrained)}
+    try:  # the one cost floor of the curve, needed only below kappa_max
+        floor = minimum_average_cost(channel, cost.gamma) if any(kappa_max > k + cost_tol for k in kappas) else None
+    except ConvergenceError as exc:
+        floor = exc
+
+    def solve(point, s):
+        warm = trace[min(trace, key=lambda t: abs(t - s))][1]  # nearest in s
+        solution, achieved = _solve_multiplier(channel, point, s, solver_tol, warm=warm)
+        trace[s] = (achieved, solution)
+        return achieved - point.kappa
+
+    def root(point):
+        kappa = point.kappa
+        feasible = [s for s in trace if trace[s][0] <= kappa]
+        if feasible:  # the tightest bracket of the trace
+            s_hi = min(feasible)
+            s_lo = max(s for s in trace if s < s_hi and trace[s][0] > kappa)  # s = 0 qualifies
+        else:  # double until feasible
+            s_lo = max(trace)
+            s_hi = max(1.0, 2.0 * s_lo)
+            while solve(point, s_hi) > 0.0:
+                s_lo, s_hi = s_hi, 2.0 * s_hi
+                if s_hi > _MULTIPLIER_CAP:
+                    raise InfeasibleBudgetError(
+                        f"budget kappa={kappa:g} is below the minimum stationary cost ~{floor:.9g} "
+                        f"(cost {trace[s_lo][0]:.9g} still exceeds it at multiplier {s_lo:g})", min_cost=floor,
+                    )
+
+        # The bracket keeps f(s_lo) > 0 >= f(s_hi); s_hi is the best feasible point.
+        s_star = s_hi
+        f_lo, f_hi = trace[s_lo][0] - kappa, trace[s_hi][0] - kappa
+        moved = None  # the end the last step replaced: "lo" or "hi"
+        widths = [s_hi - s_lo]
+        while abs(trace[s_star][0] - kappa) > cost_tol and s_hi - s_lo > dual_tol:
+            s = s_hi - f_hi * (s_hi - s_lo) / (f_hi - f_lo)
+            # Three steps, not two: after one end is replaced twice, the halved
+            # f needs one more step to pull the point across the root.
+            if not s_lo < s < s_hi or (len(widths) > 3 and widths[-1] > 0.5 * widths[-4]):
+                s = 0.5 * (s_lo + s_hi)
+            f = solve(point, s)
+            if abs(f) <= cost_tol:
+                return s
+            if f > 0.0:
+                s_lo, f_lo = s, f
+                if moved == "lo":
+                    f_hi *= 0.5
+                moved = "lo"
+            else:
+                s_hi, f_hi = s, f
+                s_star = s
+                if moved == "hi":
+                    f_lo *= 0.5
+                moved = "hi"
+            widths.append(s_hi - s_lo)
+        return s_star
+
+    def budget(kappa):
+        point = CostSpec(cost.gamma, kappa)
+        if kappa_max <= kappa + cost_tol:
+            return _result(kappa, 0.0, unconstrained, kappa_max, cost_tol, kappa_max)
+        if isinstance(floor, ConvergenceError):
+            raise floor
+        if kappa < floor - cost_tol:
+            raise InfeasibleBudgetError(
+                f"budget kappa={kappa:g} is below the minimum stationary cost {floor:.9g}", min_cost=floor
+            )
+        s_star = min(trace, key=lambda s: abs(trace[s][0] - kappa))  # met by the trace already?
+        if abs(trace[s_star][0] - kappa) > cost_tol:
+            s_star = root(point)
+        # The dual trace must be monotone: achieved cost nonincreasing in s.
+        # Slack at the cost tolerance absorbs per-solve policy noise; genuine
+        # violations of duality would show up at the budget scale.
+        points = sorted((s, achieved) for s, (achieved, _) in trace.items())
+        increases = [b - a for (_, a), (_, b) in zip(points, points[1:])]
+        if not all(increase <= cost_tol for increase in increases):  # a NaN fails too
+            worst = max(increases)
+            raise ConvergenceError(
+                f"achieved cost not monotone in the multiplier (worst increase {worst:.3e}): {points}",
+                residual=worst,
+            )
+        achieved, solution = trace[s_star]
+        return _result(kappa, s_star, solution, achieved, cost_tol, kappa_max)
+
+    outcomes = [None] * len(kappas)
+    for i in sorted(range(len(kappas)), key=kappas.__getitem__, reverse=True):
+        try:
+            outcomes[i] = budget(kappas[i])
+        except UmcoError as exc:  # this budget fails; the trace serves the rest
+            outcomes[i] = exc
+    return outcomes
+
+
 def constrained_capacity(
     channel: UnitMemoryChannel,
     cost: CostSpec,
@@ -101,91 +209,17 @@ def constrained_capacity(
     halved, and the step falls back to the midpoint when the false-position
     point is not strictly inside the bracket or the bracket did not halve
     over the last three steps.  It stops once |f| <= cost_tol or the bracket
-    is narrower than dual_tol.  Each solve is warm-started from the previous
-    one.
+    is narrower than dual_tol.  Each solve is warm-started from the solve
+    nearest in s.  This is a curve of one budget (see capacity_cost_curve).
 
     Returns the unconstrained solution (multiplier 0, binding False) when the
     budget is slack, and raises InfeasibleBudgetError when no multiplier can
     push the cost down to kappa.
     """
-    kappa = cost.kappa
-    trace: list[tuple[float, float]] = []
-
-    unconstrained, cost_at_zero = _solve_multiplier(channel, cost, 0.0, solver_tol)
-    kappa_max = float(cost_at_zero)
-    trace.append((0.0, cost_at_zero))
-    if cost_at_zero <= kappa + cost_tol:
-        return _result(kappa, 0.0, unconstrained, cost_at_zero, cost_tol, kappa_max)
-
-    floor = minimum_average_cost(channel, cost.gamma)
-    if kappa < floor - cost_tol:
-        raise InfeasibleBudgetError(
-            f"budget kappa={kappa:g} is below the minimum stationary cost {floor:.9g}",
-            min_cost=floor,
-        )
-
-    s_lo, f_lo = 0.0, cost_at_zero - kappa
-    s_hi = 1.0
-    warm = unconstrained
-    while True:
-        solution, achieved = _solve_multiplier(channel, cost, s_hi, solver_tol, warm=warm)
-        warm = solution
-        trace.append((s_hi, achieved))
-        if achieved <= kappa:
-            break
-        s_lo, f_lo = s_hi, achieved - kappa
-        s_hi *= 2.0
-        if s_hi > _MULTIPLIER_CAP:
-            floor = minimum_average_cost(channel, cost.gamma)
-            raise InfeasibleBudgetError(
-                f"budget kappa={kappa:g} is below the minimum stationary cost "
-                f"~{floor:.9g} (cost {achieved:.9g} still exceeds it at multiplier {s_lo:g})",
-                min_cost=floor,
-            )
-
-    # The bracket keeps f(s_lo) > 0 >= f(s_hi); s_hi is the best feasible point.
-    s_star, best_solution, best_cost = s_hi, solution, achieved
-    f_hi = achieved - kappa
-    moved = None  # the end the last step replaced: "lo" or "hi"
-    widths = [s_hi - s_lo]
-    while abs(best_cost - kappa) > cost_tol and s_hi - s_lo > dual_tol:
-        s = s_hi - f_hi * (s_hi - s_lo) / (f_hi - f_lo)
-        # Three steps, not two: after one end is replaced twice, the halved
-        # f needs one more step to pull the point across the root.
-        if not s_lo < s < s_hi or (len(widths) > 3 and widths[-1] > 0.5 * widths[-4]):
-            s = 0.5 * (s_lo + s_hi)
-        solution, achieved = _solve_multiplier(channel, cost, s, solver_tol, warm=warm)
-        warm = solution
-        trace.append((s, achieved))
-        f = achieved - kappa
-        if abs(f) <= cost_tol:
-            s_star, best_solution, best_cost = s, solution, achieved
-            break
-        if f > 0.0:
-            s_lo, f_lo = s, f
-            if moved == "lo":
-                f_hi *= 0.5
-            moved = "lo"
-        else:
-            s_hi, f_hi = s, f
-            s_star, best_solution, best_cost = s, solution, achieved
-            if moved == "hi":
-                f_lo *= 0.5
-            moved = "hi"
-        widths.append(s_hi - s_lo)
-
-    # The dual trace must be monotone: achieved cost nonincreasing in s.
-    # Slack at the cost tolerance absorbs per-solve policy noise; genuine
-    # violations of duality would show up at the budget scale.
-    trace.sort(key=lambda pair: pair[0])
-    costs = [c for _, c in trace]
-    if not all(b <= a + cost_tol for a, b in zip(costs, costs[1:])):
-        worst = max(b - a for a, b in zip(costs, costs[1:]))
-        raise ConvergenceError(
-            f"achieved cost not monotone in the multiplier (worst increase {worst:.3e}): {trace}",
-            residual=worst,
-        )
-    return _result(kappa, s_star, best_solution, best_cost, cost_tol, kappa_max)
+    (outcome,) = _solve_budgets(channel, cost, [cost.kappa], dual_tol, cost_tol, solver_tol)
+    if isinstance(outcome, UmcoError):
+        raise outcome
+    return outcome
 
 
 def capacity_cost_curve(
@@ -196,21 +230,20 @@ def capacity_cost_curve(
     cost_tol: float = DEFAULT_COST_TOL,
     solver_tol: float = 1e-10,
 ) -> list[ConstrainedResult]:
-    """One ConstrainedResult per budget.
+    """One ConstrainedResult per budget, in the order of kappa_grid.
 
-    A point that fails with one of the package's own errors (a stalled
-    solve, an infeasible budget, a reducible chain, ...) is warned about and
+    The budgets share one dual trace and are solved from the largest down.  A
+    point that fails with one of the package's own errors (a stalled solve,
+    an infeasible budget, a reducible chain, ...) is warned about and
     skipped; any other exception is a bug and propagates.
     """
+    kappas = [float(kappa) for kappa in kappa_grid]
     results = []
-    for kappa in kappa_grid:
-        point = CostSpec(cost.gamma, float(kappa))
-        try:
-            results.append(
-                constrained_capacity(channel, point, dual_tol=dual_tol, cost_tol=cost_tol, solver_tol=solver_tol)
-            )
-        except UmcoError as exc:  # record and keep sweeping
-            warnings.warn(f"kappa={kappa:g}: {exc}")
+    for kappa, outcome in zip(kappas, _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol)):
+        if isinstance(outcome, UmcoError):  # record and keep sweeping
+            warnings.warn(f"kappa={kappa:g}: {outcome}")
+        else:
+            results.append(outcome)
     return results
 
 

@@ -13,7 +13,6 @@ Bellman / generalized-equation verifiers live here too.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -442,19 +441,18 @@ def minimum_average_cost(
     optimization is linear in the policy, so the minimum sits at a single
     letter.  The sweep is damped (factor 1/2) to keep periodic deterministic
     chains from oscillating; min/max of the undamped difference bracket the
-    optimal average cost at every sweep.
+    optimal average cost at every sweep.  Raises ConvergenceError (residual:
+    the last bracket width) when max_iter sweeps do not close it to tol.
     """
     gamma = np.asarray(gamma, dtype=float)
     value = np.zeros(channel.n_states)
-    gain = 0.0
+    span = np.inf
     for _ in range(max_iter):
         swept = (gamma + channel.kernel @ value).min(axis=1)
         diff = swept - value
         span = float(diff.max() - diff.min())
-        gain = float(0.5 * (diff.max() + diff.min()))
         value = 0.5 * (value + swept)
         value = value - value[0]
         if span <= tol:
-            return gain
-    warnings.warn("minimum-cost iteration did not converge; reporting the latest bracket midpoint")
-    return gain
+            return float(0.5 * (diff.max() + diff.min()))
+    raise ConvergenceError(f"minimum-cost iteration did not converge (bracket width {span:.3e})", residual=span)

@@ -2,10 +2,11 @@
 
 Draws BSSC(alpha, beta) channels uniformly from the box alpha in [0.8, 0.99],
 beta in [0.6, 0.85], adds BSSC(0.8275, 0.5769), and solves the capacity-cost
-curve of each at kappa = 0.2, 0.3 and 0.4.  Prints one JSON line: solver
-stalls (ConvergenceError), points off the closed form by more than 1e-6, and
-the RVI solves per point.  Exits nonzero on any stall or wrong point.  Run it
-against two source trees to compare them:
+curve of each at kappa = 0.2, 0.3 and 0.4 with one ``capacity_cost_curve``
+call, the path of the benchmark and the CLI.  Prints one JSON line: stalls
+(points the curve dropped, with the warning it gave), points off the closed
+form by more than 1e-6, and the RVI solves per point.  Exits nonzero on any
+stall or wrong point.  Run it against two source trees to compare them:
 
     PYTHONPATH=src python tests/constrained_stress.py --channels 100
 """
@@ -13,6 +14,7 @@ against two source trees to compare them:
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -46,15 +48,18 @@ def census(n_channels, seed=2024):
     try:
         for alpha, beta in pairs:
             channel = umco.bssc_channel(umco.BSSCParams(alpha, beta))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                points = umco.capacity_cost_curve(channel, umco.CostSpec(gamma, 0.0), KAPPAS)
+            solved = {point.kappa for point in points}
+            messages = [str(w.message) for w in caught]
             for kappa in KAPPAS:
-                try:
-                    point = umco.constrained_capacity(channel, umco.CostSpec(gamma, kappa))
-                except umco.ConvergenceError:
-                    stalls.append((alpha, beta, kappa))
-                    continue
-                exact = umco.bssc_constrained_closed_form(umco.BSSCParams(alpha, beta), kappa).capacity
+                if kappa not in solved:
+                    stalls.append((alpha, beta, kappa, [m for m in messages if m.startswith(f"kappa={kappa:g}:")]))
+            for point in points:
+                exact = umco.bssc_constrained_closed_form(umco.BSSCParams(alpha, beta), point.kappa).capacity
                 if abs(point.capacity - exact) > CLOSED_FORM_TOL:
-                    wrong.append((alpha, beta, kappa, point.capacity - exact))
+                    wrong.append((alpha, beta, point.kappa, point.capacity - exact))
     finally:
         umco.constrained._solve_multiplier = real
     points = len(pairs) * len(KAPPAS)

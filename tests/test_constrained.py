@@ -181,7 +181,7 @@ def test_curve_lets_a_bug_propagate_instead_of_warning(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a solver failure")
 
-    monkeypatch.setattr(umco.constrained, "constrained_capacity", broken)
+    monkeypatch.setattr(umco.constrained, "_solve_multiplier", broken)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TypeError, match="not a solver failure"):
@@ -306,3 +306,129 @@ def test_root_finder_terminates_on_flat_and_step_costs(monkeypatch, achieved_at,
     assert jump <= result.multiplier <= jump + dual_tol
     assert not result.binding
     assert len(multipliers) <= 2 + 3 * 27
+
+
+def _counting(monkeypatch):
+    """Count the solves of the constrained module by multiplier, and its floor calls."""
+    real_solve, real_floor = umco.constrained._solve_multiplier, umco.constrained.minimum_average_cost
+    multipliers, floors = [], []
+
+    def counted_solve(channel, cost, s, solver_tol, warm=None):
+        multipliers.append(s)
+        return real_solve(channel, cost, s, solver_tol, warm=warm)
+
+    def counted_floor(*args, **kwargs):
+        floors.append(args)
+        return real_floor(*args, **kwargs)
+
+    monkeypatch.setattr(umco.constrained, "_solve_multiplier", counted_solve)
+    monkeypatch.setattr(umco.constrained, "minimum_average_cost", counted_floor)
+    return multipliers, floors
+
+
+def _same_point(curve_point, single, cost_tol=umco.constrained.DEFAULT_COST_TOL):
+    assert curve_point.kappa == single.kappa
+    assert abs(curve_point.capacity - single.capacity) <= 1e-9
+    assert (curve_point.binding, curve_point.kappa_max) == (single.binding, single.kappa_max)
+    if curve_point.kappa < curve_point.kappa_max:
+        assert abs(curve_point.achieved_cost - curve_point.kappa) <= cost_tol
+
+
+@given(
+    alpha=st.floats(0.8, 0.99),
+    beta=st.floats(0.6, 0.85),
+    kappas=st.lists(st.floats(0.1, 0.9), min_size=3, max_size=5, unique=True),
+)
+def test_curve_on_one_trace_matches_single_budget_calls(alpha, beta, kappas):
+    channel, cost = bssc(alpha, beta), CostSpec(GAMMA, 0.0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        multipliers, floors = _counting(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = capacity_cost_curve(channel, cost, kappas)
+    assert multipliers.count(0.0) == 1
+    assert len(floors) == (1 if any(r.multiplier > 0.0 for r in curve) else 0)
+    for point in curve:
+        _same_point(point, constrained_capacity(channel, CostSpec(GAMMA, point.kappa)))
+
+
+def test_shuffled_grid_gives_the_same_points_in_request_order():
+    channel, cost = bssc(0.9, 0.6), CostSpec(GAMMA, 0.0)
+    grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.7]
+    reference = {r.kappa: r for r in capacity_cost_curve(channel, cost, grid)}
+    shuffled = [0.4, 0.1, 0.7, 0.3, 0.5, 0.2, 0.4]  # a repeated budget too
+    results = capacity_cost_curve(channel, cost, shuffled)
+    assert [r.kappa for r in results] == shuffled
+    for result in results:
+        _same_point(result, reference[result.kappa])
+
+
+def test_curve_solves_multiplier_zero_and_the_floor_once(monkeypatch):
+    multipliers, floors = _counting(monkeypatch)
+    # slack, binding, on the floor and below it
+    with pytest.warns(UserWarning, match="kappa=-0.1"):
+        results = capacity_cost_curve(bssc(0.9, 0.6), CostSpec(GAMMA, 0.0), [0.9, 0.3, 0.0, -0.1, 0.5])
+    assert [r.kappa for r in results] == [0.9, 0.3, 0.0, 0.5]
+    assert multipliers.count(0.0) == 1
+    assert len(floors) == 1
+
+    multipliers.clear()
+    floors.clear()
+    capacity_cost_curve(bssc(0.9, 0.6), CostSpec(GAMMA, 0.0), [0.9, 0.95, 1.0])
+    assert multipliers == [0.0]
+    assert floors == []  # every budget is slack
+
+
+def test_a_floor_that_does_not_converge_drops_only_the_constrained_budgets(monkeypatch):
+    calls = []
+
+    def stalled(channel, gamma):
+        calls.append(gamma)
+        raise ConvergenceError("minimum-cost iteration did not converge", residual=1e-3)
+
+    monkeypatch.setattr(umco.constrained, "minimum_average_cost", stalled)
+    with pytest.warns(UserWarning, match="minimum-cost") as caught:
+        results = capacity_cost_curve(bssc(1.0, 0.5), CostSpec(GAMMA, 0.0), [0.2, 0.9, 0.4])
+    assert [r.kappa for r in results] == [0.9]
+    assert len(caught) == 2
+    assert len(calls) == 1
+    with pytest.raises(ConvergenceError, match="minimum-cost"):
+        constrained_capacity(bssc(1.0, 0.5), CostSpec(GAMMA, 0.3))
+
+
+def test_minimum_average_cost_raises_when_it_does_not_converge(rng):
+    channel = random_channel(rng, 3, 3)
+    gamma = rng.random((3, 3))
+    with pytest.raises(ConvergenceError) as exc_info:
+        minimum_average_cost(channel, gamma, max_iter=3)
+    assert exc_info.value.residual > 1e-10
+    # the residual is the width of the last bracket, which the full run closes
+    assert minimum_average_cost(channel, gamma, tol=exc_info.value.residual, max_iter=3) == pytest.approx(
+        minimum_average_cost(channel, gamma), abs=exc_info.value.residual
+    )
+
+
+def test_readme_sweep_takes_fewer_solves_than_its_single_budget_calls(monkeypatch):
+    channel, grid = bssc(1.0, 0.5), [0.05 * i for i in range(21)]  # kappa=0:1:0.05
+    multipliers, _ = _counting(monkeypatch)
+    singles = [constrained_capacity(channel, CostSpec(GAMMA, kappa)) for kappa in grid]
+    single_solves = len(multipliers)
+    multipliers.clear()
+    curve = capacity_cost_curve(channel, CostSpec(GAMMA, 0.0), grid)
+    assert len(multipliers) < single_solves
+    for point, single in zip(curve, singles, strict=True):
+        _same_point(point, single)
+
+
+def test_a_budget_the_trace_already_meets_takes_no_new_solve(monkeypatch):
+    channel, cost = bssc(0.9, 0.6), CostSpec(GAMMA, 0.0)
+    multipliers, _ = _counting(monkeypatch)
+    (first,) = capacity_cost_curve(channel, cost, [0.3])
+    solves = len(multipliers)
+    # Just below what the point achieved: met within cost_tol from the infeasible side.
+    nearby = first.achieved_cost - 0.5 * umco.constrained.DEFAULT_COST_TOL
+    multipliers.clear()
+    results = capacity_cost_curve(channel, cost, [0.3, nearby])
+    assert len(multipliers) == solves
+    assert results[1].multiplier == first.multiplier
+    assert results[1].binding
