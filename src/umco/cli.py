@@ -32,14 +32,12 @@ from .errors import (
     ReducibleChainError,
     ValidationError,
 )
-from .finite_dp import classify_non_nested, dp_report, ftfi_capacity, solve_finite_horizon, verify_optimality_conditions
-from .infinite_horizon import (
-    policy_iteration,
-    relative_value_iteration,
-    solution_csv,
-    solution_report,
-    verify_bellman_conditions,
-)
+from .finite_dp import classify_non_nested, ftfi_capacity, solve_finite_horizon, verify_optimality_conditions
+from .infinite_horizon import policy_iteration, relative_value_iteration, verify_bellman_conditions
+
+# A range is built point by point; one with more points than this is a typo
+# (a step off by orders of magnitude) and is refused before the loop starts.
+_MAX_RANGE_POINTS = 10**6
 
 
 class _UsageError(Exception):
@@ -64,14 +62,11 @@ def parse_range(text: str) -> list[float]:
         raise _UsageError(f"range '{text}': start, stop and step must be finite")
     if step <= 0:
         raise _UsageError(f"range '{text}': step must be positive")
+    if (stop - start) / step + 1 > _MAX_RANGE_POINTS:
+        raise _UsageError(f"range '{text}' has more than {_MAX_RANGE_POINTS} points")
     values = []
-    i = 0
-    while True:
-        v = start + i * step
-        if v > stop + step / 2:
-            break
+    while (v := start + len(values) * step) <= stop + step / 2:
         values.append(v)
-        i += 1
     return values
 
 
@@ -80,6 +75,58 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
         raise _UsageError(f"sweep '{text}' must have the form name=start:stop:step")
     key, rng = text.split("=", 1)
     return key.strip(), parse_range(rng)
+
+
+def _row(values) -> str:
+    """A probability row as printed in every report: [0.600000000, 0.400000000]."""
+    return f"[{', '.join(f'{x:.9f}' for x in values)}]"
+
+
+def solution_report(solution) -> str:
+    """Plain-text report of an InfiniteHorizonSolution."""
+    lines = [
+        f"gain            = {solution.gain:.10f} bits/channel use",
+        f"iterations      = {solution.iterations}",
+        f"span residual   = {solution.span_residual:.3e} bits",
+        f"irreducible     = {solution.irreducible}",
+    ]
+    if solution.multiplier is not None:
+        lines.append(f"cost multiplier = {solution.multiplier:.10g}")
+    for b, v in enumerate(solution.bias):
+        lines.append(f"bias V({b})       = {v:.10f}")
+    for b, row in enumerate(solution.policy.matrix):
+        lines.append(f"policy pi(.|{b})  = {_row(row)}")
+    for b, row in enumerate(solution.output_kernel.matrix):
+        lines.append(f"output P(.|{b})   = {_row(row)}")
+    if solution.invariant_dist is not None:
+        lines.append(f"invariant dist  = {_row(solution.invariant_dist.weights)}")
+    return "\n".join(lines)
+
+
+def solution_csv(solution) -> str:
+    """Per-state CSV table of an InfiniteHorizonSolution (bias in bits, invariant mass, policy rows)."""
+    n_inputs = solution.policy.n_inputs
+    header = ["state", "bias_bits", "invariant_mass"] + [f"policy_a{a}" for a in range(n_inputs)]
+    rows = [",".join(header)]
+    for b in range(solution.policy.n_states):
+        mass = "" if solution.invariant_dist is None else repr(float(solution.invariant_dist.weights[b]))
+        cells = [str(b), repr(float(solution.bias[b])), mass]
+        cells += [repr(float(x)) for x in solution.policy.matrix[b]]
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+def dp_report(solution) -> str:
+    """Human-readable per-stage table of the values and policies of a DPSolution."""
+    lines = [f"horizon n = {solution.horizon}"]
+    if solution.multiplier is not None:
+        lines.append(f"cost multiplier s = {solution.multiplier:.10g}")
+    for t in range(solution.horizon + 1):
+        vals = "  ".join(f"V_{t}({b})={v:.9f}" for b, v in enumerate(solution.values[t]))
+        lines.append(f"stage {t}: {vals}")
+        for b, row in enumerate(solution.policies[t].matrix):
+            lines.append(f"  pi_{t}(.|{b}) = {_row(row)}")
+    return "\n".join(lines)
 
 
 def _read_channel(path: str, need_cost: bool = False):
@@ -137,8 +184,7 @@ def _cmd_finite_horizon(args) -> int:
                 cells = [str(t), str(b), repr(float(solution.values[t, b]))]
                 cells += [repr(float(x)) for x in solution.policies[t].matrix[b]]
                 lines.append(",".join(cells))
-        Path(args.out).write_text("\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
+        _write_out(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -169,7 +215,7 @@ def _cmd_constrained(args) -> int:
     print(f"binding        = {str(result.binding).lower()}")
     print(f"kappa_max      = {result.kappa_max:.10f}")
     for b, row in enumerate(result.policy.matrix):
-        print(f"policy pi(.|{b}) = [{', '.join(f'{x:.9f}' for x in row)}]")
+        print(f"policy pi(.|{b}) = {_row(row)}")
     _write_out(args, constrained_mod.curve_csv([result]))
     return 0
 

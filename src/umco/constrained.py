@@ -107,9 +107,17 @@ def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> lis
     except ConvergenceError as exc:
         floor = exc
 
+    failed = {}  # s -> the UmcoError its solve raised, re-raised instead of solved again
+
     def solve(point, s):
+        if s in failed:
+            raise failed[s]
         warm = trace[min(trace, key=lambda t: abs(t - s))][1]  # nearest in s
-        solution, achieved = _solve_multiplier(channel, point, s, solver_tol, warm=warm)
+        try:
+            solution, achieved = _solve_multiplier(channel, point, s, solver_tol, warm=warm)
+        except UmcoError as exc:
+            failed[s] = exc
+            raise
         trace[s] = (achieved, solution)
         return achieved - point.kappa
 

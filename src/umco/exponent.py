@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import InputPolicy, UnitMemoryChannel, _check_compatible
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
-from .infinite_horizon import EDGE_EPS, _strongly_connected
+from .infinite_horizon import _reach
 
 ENUMERATION_LIMIT = 16
 _RHO_GRID_STEP = 0.01
@@ -119,8 +119,7 @@ def _perron_pair(matrices: np.ndarray, tol: float = 1e-12, max_iter: int = 500_0
 def _gallager_exponents(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> tuple[np.ndarray, np.ndarray]:
     """F_inf and the eigenvector ratio at every rho of rhos, from one stacked Perron solve."""
     stack = _transposed_weights(channel, policy, rhos)
-    patterns = {adjacency.tobytes(): adjacency for adjacency in stack > EDGE_EPS}
-    if not all(_strongly_connected(adjacency) for adjacency in patterns.values()):
+    if not _reach(stack).all():
         raise ReducibleChainError("state-weight matrix is reducible at this policy; the bound is not certified")
     roots, vecs = _perron_pair(stack)
     return -np.log2(roots), vecs.max(axis=1) / vecs.min(axis=1)

@@ -199,16 +199,3 @@ def classify_non_nested(solution: DPSolution, tol: float) -> NestednessVerdict:
             return NestednessVerdict(NON_NESTED_TIME_INVARIANT, spread)
         return NestednessVerdict(NON_NESTED, spread)
     return NestednessVerdict(NESTED, spread)
-
-
-def dp_report(solution: DPSolution) -> str:
-    """Human-readable per-stage table of values and policies."""
-    lines = [f"horizon n = {solution.horizon}"]
-    if solution.multiplier is not None:
-        lines.append(f"cost multiplier s = {solution.multiplier:.10g}")
-    for t in range(solution.horizon + 1):
-        vals = "  ".join(f"V_{t}({b})={v:.9f}" for b, v in enumerate(solution.values[t]))
-        lines.append(f"stage {t}: {vals}")
-        for b, row in enumerate(solution.policies[t].matrix):
-            lines.append(f"  pi_{t}(.|{b}) = [{', '.join(f'{x:.9f}' for x in row)}]")
-    return "\n".join(lines)

@@ -7,8 +7,11 @@ Two routes to the gain/bias pair (J*, V) solving
 relative value iteration (span-seminorm stopping, works without structural
 assumptions) and policy iteration (evaluation by a dense linear solve plus
 per-state improvement, requires the induced output chain to stay
-irreducible).  Stationary distributions, irreducibility diagnostics, and the
-Bellman / generalized-equation verifiers live here too.
+irreducible).  Stationary distributions, irreducibility and the closed
+classes of a reducible chain, and the Bellman / generalized-equation
+verifiers live here too.  All chain structure comes from one boolean
+reachability closure by repeated squaring, which the exponent module uses as
+well; the text reports of a solution are in the cli module.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from .channel import (
     OutputKernel,
     UnitMemoryChannel,
     induced_output_kernel,
-    letter_divergences,
     resolve_cost,
 )
 from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError
 from .finite_dp import ConditionReport, _condition_report
-from .onestage import _WARM_START_FLOOR, maximize_stage_objective
+from .onestage import _WARM_START_FLOOR, letter_scores, maximize_stage_objective
 
 # Entries above this are edges of the output-chain graph; below is treated as
 # a structural zero rather than rounding noise.
@@ -60,79 +62,42 @@ class InfiniteHorizonSolution:
     gain_trace: tuple[float, ...] = ()
 
 
-def _adjacency(matrix: np.ndarray, eps: float = EDGE_EPS) -> np.ndarray:
-    return np.asarray(matrix) > eps
+def _reach(matrix) -> np.ndarray:
+    """Reflexive transitive closure of the edges above EDGE_EPS, by boolean squaring (Warshall 1962).
+
+    Works on one matrix (n, n) or a stack (k, n, n): reach[..., i, j] is True
+    when j can be reached from i.  Squaring ceil(log2 n) times covers every
+    path of up to n - 1 steps.
+    """
+    matrix = np.asarray(matrix)
+    n = matrix.shape[-1]
+    reach = (matrix > EDGE_EPS) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return reach
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [start]
-    seen[start] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return seen
+def _require_irreducible(matrix: np.ndarray, hint: str = "") -> None:
+    """Raise ReducibleChainError with the closed communicating classes unless the chain is irreducible.
 
-
-def _strongly_connected(matrix: np.ndarray, eps: float = EDGE_EPS) -> bool:
-    adj = _adjacency(matrix, eps)
-    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
-
-
-def _closed_classes(matrix: np.ndarray, eps: float = EDGE_EPS) -> list[list[int]]:
-    """Closed communicating classes of the chain (SCCs with no outgoing edge)."""
-    adj = _adjacency(matrix, eps)
-    n = adj.shape[0]
-    # Kosaraju: order by finish time on the graph, then sweep the transpose.
-    visited = np.zeros(n, dtype=bool)
-    order: list[int] = []
-    for root in range(n):
-        if visited[root]:
-            continue
-        stack = [(root, iter(np.nonzero(adj[root])[0]))]
-        visited[root] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for j in it:
-                if not visited[j]:
-                    visited[j] = True
-                    stack.append((int(j), iter(np.nonzero(adj[j])[0])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    comp = np.full(n, -1, dtype=int)
-    label = 0
-    for root in reversed(order):
-        if comp[root] >= 0:
-            continue
-        stack = [root]
-        comp[root] = label
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(adj.T[i])[0]:
-                if comp[j] < 0:
-                    comp[j] = label
-                    stack.append(int(j))
-        label += 1
-    closed = []
-    for c in range(label):
-        members = np.nonzero(comp == c)[0]
-        leaves = any(comp[j] != c for i in members for j in np.nonzero(adj[i])[0])
-        if not leaves:
-            closed.append([int(i) for i in members])
-    return closed
+    A class is a row of reach & reach^T; it is closed when its states reach
+    nothing outside it (Puterman 1994, section 8.3).  Classes are listed by
+    their smallest member.
+    """
+    reach = _reach(matrix)
+    if reach.all():
+        return
+    same = reach & reach.T
+    closed = ~(reach & ~same).any(axis=1)
+    classes = [np.flatnonzero(same[i]).tolist() for i in range(len(same)) if closed[i] and same[i].argmax() == i]
+    raise ReducibleChainError(
+        f"output chain is reducible; closed communicating classes: {classes}{hint}", closed_classes=classes
+    )
 
 
 def is_irreducible(kernel: OutputKernel) -> bool:
     """True iff the graph of transitions above EDGE_EPS is strongly connected."""
-    return _strongly_connected(kernel.matrix)
+    return bool(_reach(kernel.matrix).all())
 
 
 def stationary_distribution(kernel: OutputKernel) -> Distribution:
@@ -142,12 +107,7 @@ def stationary_distribution(kernel: OutputKernel) -> Distribution:
     sum(nu) = 1; refined until the residual is at most 1e-12.
     """
     matrix = kernel.matrix
-    if not _strongly_connected(matrix):
-        classes = _closed_classes(matrix)
-        raise ReducibleChainError(
-            f"output chain is reducible; closed communicating classes: {classes}",
-            closed_classes=classes,
-        )
+    _require_irreducible(matrix)
     n = matrix.shape[0]
     system = matrix.T - np.eye(n)
     system[n - 1, :] = 1.0
@@ -241,39 +201,27 @@ def relative_value_iteration(
 
 
 def _policy_rewards(channel, matrix, gamma, s):
-    """Per-state reward l(b, pi) - s * E[gamma | b] at a fixed policy."""
-    rewards = np.empty(channel.n_states)
-    for b in range(channel.n_states):
-        rows = channel.kernel[b]
-        weights = matrix[b]
-        div = letter_divergences(rows, weights @ rows)
-        supported = weights > 0.0
-        rewards[b] = np.sum(weights[supported] * div[supported])
-        if gamma is not None and s:
-            rewards[b] -= s * float(weights @ gamma[b])
-    return rewards
+    """Per-state reward l(b, pi) - s * E[gamma | b] at a fixed policy.
+
+    Letters without mass are masked out: a row that hits an output the
+    policy never produces scores +inf there.
+    """
+    scores = letter_scores(channel.kernel, matrix, cost_row=gamma, multiplier=s or 0.0)
+    with np.errstate(invalid="ignore"):
+        return np.where(matrix > 0.0, matrix * scores, 0.0).sum(-1)
 
 
 def _evaluate_policy(channel, matrix, gamma, s):
     """Solve J + V(b) - sum_b' K(b,b') V(b') = l(b) with V(0) pinned to 0."""
     kernel_matrix = induced_output_kernel(channel, InputPolicy(matrix)).matrix
-    if not _strongly_connected(kernel_matrix):
-        classes = _closed_classes(kernel_matrix)
-        raise ReducibleChainError(
-            "policy iteration hit a reducible induced output chain "
-            f"(closed classes {classes}); use relative_value_iteration and "
-            "generalized_dp_check instead",
-            closed_classes=classes,
-        )
-    rewards = _policy_rewards(channel, matrix, gamma, s)
-    n = channel.n_states
-    system = np.zeros((n, n))
+    _require_irreducible(
+        kernel_matrix, hint="; policy iteration needs an irreducible chain (use relative_value_iteration "
+        "and generalized_dp_check instead)"
+    )
+    system = np.eye(channel.n_states) - kernel_matrix
     system[:, 0] = 1.0
-    for j in range(1, n):
-        system[:, j] = -kernel_matrix[:, j]
-        system[j, j] += 1.0
     try:
-        x = np.linalg.solve(system, rewards)
+        x = np.linalg.solve(system, _policy_rewards(channel, matrix, gamma, s))
     except np.linalg.LinAlgError as exc:
         raise ReducibleChainError(
             "policy evaluation system is singular; use relative_value_iteration "
@@ -395,41 +343,6 @@ def generalized_dp_check(
     worst = max(worst_drift, float(np.abs(optimum.value - targets).max()))
     policy, bias = solution.policy.matrix[None], solution.bias[None]
     return _condition_report(channel, solution, policy, bias, targets[None], tol, worst=worst, message=message)
-
-
-def solution_report(solution: InfiniteHorizonSolution) -> str:
-    """Plain-text report of an infinite-horizon solution."""
-    lines = [
-        f"gain            = {solution.gain:.10f} bits/channel use",
-        f"iterations      = {solution.iterations}",
-        f"span residual   = {solution.span_residual:.3e} bits",
-        f"irreducible     = {solution.irreducible}",
-    ]
-    if solution.multiplier is not None:
-        lines.append(f"cost multiplier = {solution.multiplier:.10g}")
-    for b, v in enumerate(solution.bias):
-        lines.append(f"bias V({b})       = {v:.10f}")
-    for b, row in enumerate(solution.policy.matrix):
-        lines.append(f"policy pi(.|{b})  = [{', '.join(f'{x:.9f}' for x in row)}]")
-    for b, row in enumerate(solution.output_kernel.matrix):
-        lines.append(f"output P(.|{b})   = [{', '.join(f'{x:.9f}' for x in row)}]")
-    if solution.invariant_dist is not None:
-        weights = ", ".join(f"{x:.9f}" for x in solution.invariant_dist.weights)
-        lines.append(f"invariant dist  = [{weights}]")
-    return "\n".join(lines)
-
-
-def solution_csv(solution: InfiniteHorizonSolution) -> str:
-    """Per-state CSV table (bias in bits, invariant mass, policy rows)."""
-    n_inputs = solution.policy.n_inputs
-    header = ["state", "bias_bits", "invariant_mass"] + [f"policy_a{a}" for a in range(n_inputs)]
-    rows = [",".join(header)]
-    for b in range(solution.policy.n_states):
-        mass = "" if solution.invariant_dist is None else repr(float(solution.invariant_dist.weights[b]))
-        cells = [str(b), repr(float(solution.bias[b])), mass]
-        cells += [repr(float(x)) for x in solution.policy.matrix[b]]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
 
 
 def minimum_average_cost(

@@ -47,6 +47,20 @@ def test_error_exponent_non_finite_rates_exit_one(bssc_file, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_parse_range_rejects_oversized_grids():
+    # 1e12 points would take hours to list before any solve; refused up front.
+    with pytest.raises(_UsageError, match="more than 1000000 points"):
+        parse_range("0:1:1e-12")
+    with pytest.raises(_UsageError, match="more than 1000000 points"):
+        parse_range("0:1000000:1")
+    assert len(parse_range("0:999999:1")) == 1_000_000
+
+
+def test_constrained_oversized_sweep_exits_one(bssc_file, capsys):
+    assert run_command(["constrained", "--channel", bssc_file, "--sweep", "kappa=0:1:1e-12"]) == 1
+    assert "more than 1000000 points" in capsys.readouterr().err
+
+
 def test_fb_capacity_prints_gain(bssc_file, capsys):
     assert run_command(["fb-capacity", "--channel", bssc_file]) == 0
     out = capsys.readouterr().out
@@ -207,3 +221,81 @@ def test_check_conditions(bssc_file, capsys):
     assert run_command(["check-conditions", "--channel", bssc_file, "--horizon", "3"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert run_command(["check-conditions", "--channel", bssc_file]) == 0
+
+
+# stdout of the README examples on bssc_1_05.json, byte for byte.  Reports
+# round to at most 10 decimals, so the solver's last bits do not show.
+README_GOLDENS = {
+    ('fb-capacity',): """\
+channel: bssc(1,0.5)
+gain            = 0.3219280949 bits/channel use
+iterations      = 1
+span residual   = 0.000e+00 bits
+irreducible     = True
+bias V(0)       = 0.0000000000
+bias V(1)       = 0.0000000000
+policy pi(.|0)  = [0.600000000, 0.400000000]
+policy pi(.|1)  = [0.400000000, 0.600000000]
+output P(.|0)   = [0.800000000, 0.200000000]
+output P(.|1)   = [0.200000000, 0.800000000]
+invariant dist  = [0.500000000, 0.500000000]
+""",
+    ('finite-horizon', '--horizon', '10'): """\
+horizon n = 10
+stage 0: V_0(0)=3.541209044  V_0(1)=3.541209044
+  pi_0(.|0) = [0.600000000, 0.400000000]
+  pi_0(.|1) = [0.400000000, 0.600000000]
+stage 1: V_1(0)=3.219280949  V_1(1)=3.219280949
+  pi_1(.|0) = [0.600000000, 0.400000000]
+  pi_1(.|1) = [0.400000000, 0.600000000]
+stage 2: V_2(0)=2.897352854  V_2(1)=2.897352854
+  pi_2(.|0) = [0.600000000, 0.400000000]
+  pi_2(.|1) = [0.400000000, 0.600000000]
+stage 3: V_3(0)=2.575424759  V_3(1)=2.575424759
+  pi_3(.|0) = [0.600000000, 0.400000000]
+  pi_3(.|1) = [0.400000000, 0.600000000]
+stage 4: V_4(0)=2.253496664  V_4(1)=2.253496664
+  pi_4(.|0) = [0.600000000, 0.400000000]
+  pi_4(.|1) = [0.400000000, 0.600000000]
+stage 5: V_5(0)=1.931568569  V_5(1)=1.931568569
+  pi_5(.|0) = [0.600000000, 0.400000000]
+  pi_5(.|1) = [0.400000000, 0.600000000]
+stage 6: V_6(0)=1.609640474  V_6(1)=1.609640474
+  pi_6(.|0) = [0.600000000, 0.400000000]
+  pi_6(.|1) = [0.400000000, 0.600000000]
+stage 7: V_7(0)=1.287712380  V_7(1)=1.287712380
+  pi_7(.|0) = [0.600000000, 0.400000000]
+  pi_7(.|1) = [0.400000000, 0.600000000]
+stage 8: V_8(0)=0.965784285  V_8(1)=0.965784285
+  pi_8(.|0) = [0.600000000, 0.400000000]
+  pi_8(.|1) = [0.400000000, 0.600000000]
+stage 9: V_9(0)=0.643856190  V_9(1)=0.643856190
+  pi_9(.|0) = [0.600000000, 0.400000000]
+  pi_9(.|1) = [0.400000000, 0.600000000]
+stage 10: V_10(0)=0.321928095  V_10(1)=0.321928095
+  pi_10(.|0) = [0.600000000, 0.400000000]
+  pi_10(.|1) = [0.400000000, 0.600000000]
+value under uniform initial distribution = 3.5412090438 bits
+per-stage average = 0.3219280949 bits/channel use
+stage coupling: non_nested_time_invariant (max value spread 0.000e+00 bits)
+""",
+    ('constrained', '--kappa', '0.5'): """\
+capacity       = 0.3112781245 bits
+multiplier     = 0.2075187304
+achieved cost  = 0.5000000100
+binding        = true
+kappa_max      = 0.6000000000
+policy pi(.|0) = [0.500000010, 0.499999990]
+policy pi(.|1) = [0.499999990, 0.500000010]
+""",
+    ('check-conditions', '--horizon', '10'): """\
+finite horizon n=10: conditions PASS
+worst violation = 1.498e-10 bits (tol 1e-08)
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(README_GOLDENS))
+def test_readme_examples_print_the_golden_output(bssc_file, capsys, command):
+    assert run_command([command[0], "--channel", bssc_file, *command[1:]]) == 0
+    assert capsys.readouterr().out == README_GOLDENS[command]

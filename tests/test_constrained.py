@@ -432,3 +432,23 @@ def test_a_budget_the_trace_already_meets_takes_no_new_solve(monkeypatch):
     assert len(multipliers) == solves
     assert results[1].multiplier == first.multiplier
     assert results[1].binding
+
+
+def test_a_failed_multiplier_is_solved_once_per_curve(monkeypatch):
+    # Every budget of this curve reaches s = 1 first; its failure is kept on
+    # the trace and re-raised for the later budgets instead of solved again.
+    real = umco.constrained._solve_multiplier
+    multipliers = []
+
+    def stalls_at_one(channel, cost, s, solver_tol, warm=None):
+        multipliers.append(s)
+        if s == 1.0:
+            raise ConvergenceError("stalled at s = 1", residual=1e-3)
+        return real(channel, cost, s, solver_tol, warm=warm)
+
+    monkeypatch.setattr(umco.constrained, "_solve_multiplier", stalls_at_one)
+    with pytest.warns(UserWarning) as caught:
+        results = capacity_cost_curve(bssc(0.9, 0.6), CostSpec(GAMMA, 0.0), [0.2, 0.3, 0.4])
+    assert results == []
+    assert multipliers == [0.0, 1.0]
+    assert sorted(str(w.message) for w in caught) == [f"kappa={k}: stalled at s = 1" for k in (0.2, 0.3, 0.4)]

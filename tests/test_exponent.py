@@ -27,7 +27,7 @@ from umco import (
     random_coding_exponent,
     uniform_policy,
 )
-from umco.exponent import _RHO_GRID_STEP, exponent_csv, rate_sweep_csv
+from umco.exponent import _RHO_GRID_STEP, _gallager_exponents, exponent_csv, rate_sweep_csv
 
 PARAMS = BSSCParams(0.95, 0.8)
 CHANNEL = bssc(0.95, 0.8)
@@ -105,6 +105,18 @@ def test_reducible_state_weight_matrix_rejected():
     frozen = channel_from_kernel(kernel)
     with pytest.raises(ReducibleChainError):
         gallager_exponent_infinite(frozen, uniform_policy(2, 2), 0.5)
+
+
+def test_one_reducible_matrix_fails_the_whole_rho_stack():
+    # From state 0 only letter 0 reaches output 1, with probability 3e-12.
+    # Under the uniform policy the weight of that edge is 1.5e-12 at rho = 0,
+    # 1.06e-12 at rho = 0.5 and 0.75e-12 at rho = 1, below EDGE_EPS = 1e-12:
+    # only the rho = 1 matrix, the middle of the stack, is reducible.
+    kernel = np.array([[[1.0 - 3e-12, 3e-12], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]])
+    channel, policy = channel_from_kernel(kernel), uniform_policy(2, 2)
+    _gallager_exponents(channel, policy, [0.0, 0.5])
+    with pytest.raises(ReducibleChainError):
+        _gallager_exponents(channel, policy, [0.0, 1.0, 0.5])
 
 
 def test_exponent_nondecreasing_in_rho():

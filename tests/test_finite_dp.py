@@ -32,7 +32,8 @@ from umco import (
     verify_bellman_conditions,
     verify_optimality_conditions,
 )
-from umco.finite_dp import NESTED, NON_NESTED_TIME_INVARIANT, SUPPORT_EPS, dp_report
+from umco.cli import dp_report
+from umco.finite_dp import NESTED, NON_NESTED_TIME_INVARIANT, SUPPORT_EPS
 from umco.onestage import letter_scores, maximize_stage_objective
 
 CAP_105 = bssc_closed_form(BSSCParams(1.0, 0.5)).capacity  # = H(0.2) - 0.4

@@ -1,9 +1,13 @@
 """Average-reward solvers, stationary distributions, Bellman-condition verifiers."""
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc
 import umco.infinite_horizon
@@ -31,7 +35,8 @@ from umco import (
     uniform_policy,
     verify_bellman_conditions,
 )
-from umco.infinite_horizon import solution_csv, solution_report
+from umco.cli import solution_csv, solution_report
+from umco.infinite_horizon import EDGE_EPS, _policy_rewards
 
 
 @pytest.mark.parametrize(
@@ -177,6 +182,88 @@ def test_is_irreducible():
     assert is_irreducible(OutputKernel([[0.5, 0.5], [0.5, 0.5]]))
     assert not is_irreducible(OutputKernel(np.eye(2)))
     assert not is_irreducible(OutputKernel([[0.5, 0.5], [0.0, 1.0]]))  # state 1 absorbing
+
+
+@st.composite
+def sparse_chains(draw):
+    """A stochastic matrix on 1-8 states.
+
+    Some rows have a single edge, others a few; entries of 1e-13 sit below
+    EDGE_EPS and are no edges.
+    """
+    n = draw(st.integers(1, 8))
+    weight = st.sampled_from([1e-13, 0.2, 0.5, 1.0])
+    rows = []
+    for _ in range(n):
+        row = np.zeros(n)
+        if draw(st.booleans()):
+            row[draw(st.integers(0, n - 1))] = 1.0
+        else:
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+            row[targets] = draw(st.lists(weight, min_size=len(targets), max_size=len(targets)))
+            if row.max() < 0.2:  # keep a real edge, so the 1e-13 entries stay below EDGE_EPS
+                row[targets[0]] = 1.0
+        rows.append(row / row.sum())
+    return np.array(rows)
+
+
+def _oracle_structure(matrix):
+    """Irreducibility and closed classes by one breadth-first search per state."""
+    n = len(matrix)
+    reached = []
+    for start in range(n):
+        seen, queue = {start}, deque([start])
+        while queue:
+            i = queue.popleft()
+            for j in range(n):
+                if matrix[i][j] > EDGE_EPS and j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        reached.append(seen)
+    classes = {tuple(sorted(j for j in reached[i] if i in reached[j])) for i in range(n)}
+    closed = sorted(c for c in classes if reached[c[0]] <= set(c))
+    return all(len(r) == n for r in reached), tuple(closed)
+
+
+@settings(max_examples=300)
+@given(sparse_chains())
+def test_chain_structure_matches_a_breadth_first_oracle(matrix):
+    irreducible, closed = _oracle_structure(matrix)
+    kernel = OutputKernel(matrix)
+    assert is_irreducible(kernel) == irreducible
+    if irreducible:
+        stationary_distribution(kernel)
+    else:
+        with pytest.raises(ReducibleChainError) as exc_info:
+            stationary_distribution(kernel)
+        assert exc_info.value.closed_classes == closed
+
+
+@st.composite
+def sparse_policy_problems(draw):
+    """Kernel, policy and cost with zero entries; every row keeps some mass."""
+    n_states, n_inputs = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = st.sampled_from([0.0, 0.0, 0.3, 1.0])
+    kernel = draw(hnp.arrays(float, (n_states, n_inputs, n_states), elements=weights))
+    kernel[..., 0] += kernel.sum(axis=-1) == 0.0
+    policy = draw(hnp.arrays(float, (n_states, n_inputs), elements=weights))
+    policy[:, 0] += policy.sum(axis=-1) == 0.0
+    gamma = draw(hnp.arrays(float, (n_states, n_inputs), elements=st.floats(0.0, 1.0)))
+    s = draw(st.sampled_from([None, 0.0, 0.7, 3.0]))
+    kernel /= kernel.sum(axis=-1, keepdims=True)
+    return kernel, policy / policy.sum(axis=-1, keepdims=True), gamma, s
+
+
+# the unused letter 1 puts mass on output 1, which letter 0 never produces
+@example((np.array([[[1.0, 0.0], [0.5, 0.5]]] * 2), np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones((2, 2)), 0.5))
+@given(sparse_policy_problems())
+def test_policy_rewards_match_per_state_stage_rewards(problem):
+    kernel, matrix, gamma, s = problem
+    channel = channel_from_kernel(kernel)
+    rewards = _policy_rewards(channel, matrix, gamma, s)
+    for b in range(channel.n_states):
+        expected = stage_reward(channel, InputPolicy(matrix), b) - (s or 0.0) * (matrix[b] @ gamma[b])
+        assert abs(rewards[b] - expected) <= 1e-14
 
 
 def test_bellman_conditions_pass_on_solver_output():
