@@ -8,6 +8,7 @@ output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -326,7 +327,9 @@ def _cmd_check_conditions(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="umco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,9 +6,11 @@ path sum over the state-weight matrix
     M[s_next][s_prev] = [ sum_a pi(a | s_prev) P(b = s_next | s_prev, a)^(1/(1+rho)) ]^(1+rho)
 
 whose Perron root lambda_max(rho) gives the asymptotic exponent
-F_inf(rho) = -log2 lambda_max (one stacked power iteration per rho grid).  The
-random-coding exponent E_r(R) = max_{0 <= rho <= 1} F_inf(rho) - rho R is taken
-on a 0.01 grid in rho refined by batched grids to a 1e-6 bracket; the block-error bound
+F_inf(rho) = -log2 lambda_max.  The roots of a whole rho grid come from one
+stacked repeated squaring, each certified by a Collatz-Wielandt bracket at
+most 1e-12 wide relative to lambda_max.  The random-coding exponent
+E_r(R) = max_{0 <= rho <= 1} F_inf(rho) - rho R is taken on a 0.01 grid in
+rho refined by batched grids to a 1e-6 bracket; the block-error bound
 
     P_err <= 4 * |B| * (v_max / v_min) * 2^(-n E_r(R))
 
@@ -57,10 +59,16 @@ class LambdaMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ExponentCurve:
-    """Samples (rho, lambda_max, F_infinity) plus the eigenvector ratio at each rho."""
+    """Samples (rho, lambda_max, F_infinity) plus the eigenvector ratio at each rho.
+
+    bracket_width holds, at each rho, the width of the Collatz-Wielandt
+    bracket on lambda_max relative to its upper end: the certificate of the
+    Perron root, at most 1e-12 for every sample a solve returns.
+    """
 
     samples: tuple[tuple[float, float, float], ...]
     eigen_ratio: tuple[float, ...]
+    bracket_width: tuple[float, ...] = ()
 
     def __post_init__(self):
         for rho, lam_max, f_inf in self.samples:
@@ -87,42 +95,58 @@ def lambda_matrix(channel: UnitMemoryChannel, policy: InputPolicy, rho: float) -
     return LambdaMatrix(rho=float(rho), matrix=_transposed_weights(channel, policy, [rho])[0].T)
 
 
-def _perron_pair(matrices: np.ndarray, tol: float = 1e-12, max_iter: int = 500_000):
-    """Perron roots and positive eigenvectors of a stack (k, n, n) of nonnegative irreducible matrices.
+def _perron_pair(matrices: np.ndarray, tol: float = 1e-12, max_squarings: int = 64):
+    """Perron roots, positive eigenvectors and relative bracket widths of a stack (k, n, n).
 
-    Power iteration with the all-ones start, one step for the whole stack at
-    a time; the identity shift makes the iteration matrices primitive so
-    periodic chains converge too.  Each matrix stops on a 1e-12 change of its
-    own Rayleigh quotient and is frozen; its products are the BLAS calls of a
-    solve of it alone, so its result does not depend on the rest of the stack.
+    The matrices must be nonnegative and irreducible.  Repeated squaring of
+    P = M + I, scaled to unit total before each square: the identity shift
+    makes P primitive, so periodic chains converge too, and j squares take
+    2^j power steps.  Products of nonnegative matrices have no cancellation,
+    so the squares are forward-stable.  The row sums of P^(2^j) are the
+    candidate Perron vector v; with r = Mv / v elementwise,
+    min r <= lambda_max <= max r (the Collatz-Wielandt bounds, Horn & Johnson,
+    Matrix Analysis, section 8.1).  A matrix whose bracket is at most
+    tol * max r wide is frozen with the midpoint as its root and
+    (max r - min r) / max r as its width; its products are those of a solve
+    of it alone, so its result does not depend on the rest of the stack.  A
+    bracket still open after max_squarings squares raises ConvergenceError
+    with the widest relative width as residual.
     """
     k, n, _ = matrices.shape
-    roots, vecs = np.empty(k), np.empty((k, n))
-    live, vec, quotient = np.arange(k), np.ones((k, n)), np.full(k, np.inf)
-    for _ in range(max_iter + 1):
-        if not live.size:
-            return roots, vecs
-        image = (matrices @ vec[:, :, None])[:, :, 0]
-        new_quotient = (vec[:, None] @ image[:, :, None])[:, 0, 0] / (vec[:, None] @ vec[:, :, None])[:, 0, 0]
-        shifted = image + vec
-        vec = shifted / shifted.sum(axis=1, keepdims=True)
-        change, quotient = np.abs(new_quotient - quotient), new_quotient
-        done = change <= tol
+    roots, vecs, widths = np.empty(k), np.empty((k, n)), np.empty(k)
+    live, power, ones = np.arange(k), matrices + np.eye(n), np.ones(n)
+    for squarings in itertools.count():
+        rows = power @ ones
+        total = rows.sum(axis=1)
+        vec = rows / total[:, None]
+        # Stored (n, k): numpy reduces across n long rows far faster than along k short ones.
+        ratios = np.ascontiguousarray(((matrices @ vec[:, :, None])[:, :, 0] / vec).T)
+        lo, hi = ratios.min(axis=0), ratios.max(axis=0)
+        width = (hi - lo) / hi
+        done = width <= tol
         if done.any():
-            roots[live[done]], vecs[live[done]] = quotient[done], vec[done]
-            live, matrices, vec, quotient = live[~done], matrices[~done], vec[~done], quotient[~done]
-    raise ConvergenceError(
-        f"power iteration did not settle within {max_iter} iterations", residual=float(change.max())
-    )
+            frozen = live[done]
+            roots[frozen], vecs[frozen], widths[frozen] = 0.5 * (lo + hi)[done], vec[done], width[done]
+            live, matrices, power, total = live[~done], matrices[~done], power[~done], total[~done]
+        if not live.size:
+            return roots, vecs, widths
+        if squarings == max_squarings:
+            raise ConvergenceError(
+                f"Perron bracket still open after {max_squarings} squarings", residual=float(width.max())
+            )
+        power = power / total[:, None, None]
+        power = power @ power
 
 
-def _gallager_exponents(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> tuple[np.ndarray, np.ndarray]:
-    """F_inf and the eigenvector ratio at every rho of rhos, from one stacked Perron solve."""
+def _gallager_exponents(
+    channel: UnitMemoryChannel, policy: InputPolicy, rhos
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F_inf, the eigenvector ratio and the relative Perron bracket width at every rho, from one stacked solve."""
     stack = _transposed_weights(channel, policy, rhos)
     if not _reach(stack).all():
         raise ReducibleChainError("state-weight matrix is reducible at this policy; the bound is not certified")
-    roots, vecs = _perron_pair(stack)
-    return -np.log2(roots), vecs.max(axis=1) / vecs.min(axis=1)
+    roots, vecs, widths = _perron_pair(stack)
+    return -np.log2(roots), vecs.max(axis=1) / vecs.min(axis=1), widths
 
 
 def gallager_exponent_infinite(
@@ -135,16 +159,16 @@ def gallager_exponent_infinite(
     started from a known state.  A reducible matrix is rejected: the
     nonnegative-matrix theorem behind the bound needs irreducibility.
     """
-    f_inf, ratio = _gallager_exponents(channel, policy, [rho])
+    f_inf, ratio, _ = _gallager_exponents(channel, policy, [rho])
     return float(f_inf[0]), float(ratio[0])
 
 
 def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) -> ExponentCurve:
     """(rho, lambda_max, F_inf) and the eigenvector ratio at every rho of rho_grid, in one stacked solve."""
     rhos = [float(rho) for rho in rho_grid]
-    f_inf, ratios = _gallager_exponents(channel, policy, rhos)
+    f_inf, ratios, widths = _gallager_exponents(channel, policy, rhos)
     samples = tuple((rho, float(2.0 ** (-f)), f) for rho, f in zip(rhos, f_inf.tolist()))
-    return ExponentCurve(samples=samples, eigen_ratio=tuple(ratios.tolist()))
+    return ExponentCurve(samples=samples, eigen_ratio=tuple(ratios.tolist()), bracket_width=tuple(widths.tolist()))
 
 
 def random_coding_exponent(

@@ -46,7 +46,9 @@ class InfiniteHorizonSolution:
 
     multiplier/cost_gamma record the cost penalty the solve used (None when
     unconstrained) so verifiers can replay it; gain_trace keeps per-iteration
-    gains when the solver produces them (policy iteration).
+    gains when the solver produces them (policy iteration); gain_bracket keeps
+    the span bounds (min, max) of the last sweep of relative value iteration,
+    which bracket the optimal gain up to that solve's inner tolerance.
     """
 
     gain: float
@@ -60,6 +62,7 @@ class InfiniteHorizonSolution:
     multiplier: float | None = None
     cost_gamma: np.ndarray | None = None
     gain_trace: tuple[float, ...] = ()
+    gain_bracket: tuple[float, float] | None = None
 
 
 def _reach(matrix) -> np.ndarray:
@@ -159,7 +162,6 @@ def relative_value_iteration(
     value = np.zeros(channel.n_states) if initial_value is None else np.array(initial_value, dtype=float)
     warm = None if initial_policy is None else np.maximum(initial_policy.matrix, _WARM_START_FLOOR)
     span = np.inf
-    gain = 0.0
     for sweep in range(1, max_iter + 1):
         sol = maximize_stage_objective(
             channel.kernel,
@@ -171,8 +173,8 @@ def relative_value_iteration(
         )
         swept, warm = sol.value, sol.policy
         diff = swept - value
-        span = float(diff.max() - diff.min())
-        gain = float(0.5 * (diff.max() + diff.min()))
+        lo, hi = float(diff.min()), float(diff.max())
+        span = hi - lo
         value = swept - swept[0]
         if span <= tol:
             break
@@ -187,7 +189,7 @@ def relative_value_iteration(
     irreducible = is_irreducible(output_kernel)
     invariant = stationary_distribution(output_kernel) if irreducible else None
     return InfiniteHorizonSolution(
-        gain=gain,
+        gain=0.5 * (lo + hi),
         bias=value,
         policy=policy,
         output_kernel=output_kernel,
@@ -197,6 +199,7 @@ def relative_value_iteration(
         span_residual=span,
         multiplier=s,
         cost_gamma=gamma,
+        gain_bracket=(lo, hi),
     )
 
 

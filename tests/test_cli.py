@@ -5,7 +5,7 @@ import json
 import pytest
 
 from umco import BSSCParams, bssc_channel, bssc_cost_function, serialize_channel
-from umco.cli import _UsageError, parse_range, run_command
+from umco.cli import _UsageError, build_parser, parse_range, run_command
 
 
 @pytest.fixture
@@ -79,6 +79,20 @@ def test_identical_invocations_are_bit_identical(bssc_file, capsys):
     run_command(["fb-capacity", "--channel", bssc_file])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_parser_is_built_once_and_reused(bssc_file, capsys):
+    # A usage error between two good calls leaves the shared parser as it was.
+    good = ["error-exponent", "--channel", bssc_file, "--rho-grid", "0:1:0.5"]
+    runs = []
+    for argv in (good, ["error-exponent", "--rates"], good, ["error-exponent", "--rates"]):
+        code = run_command(argv)
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in runs] == [0, 1, 0, 1]
+    assert runs[:2] == runs[2:]
+    assert "expected one argument" in runs[1][2]
+    assert build_parser() is build_parser()
 
 
 def test_unknown_command_exits_one(capsys):

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc, random_channel
 from umco import (
     BSSCParams,
+    ConvergenceError,
     ExponentCurve,
     InputPolicy,
     LambdaMatrix,
@@ -27,7 +28,7 @@ from umco import (
     random_coding_exponent,
     uniform_policy,
 )
-from umco.exponent import _RHO_GRID_STEP, _gallager_exponents, exponent_csv, rate_sweep_csv
+from umco.exponent import _RHO_GRID_STEP, _gallager_exponents, _perron_pair, exponent_csv, rate_sweep_csv
 
 PARAMS = BSSCParams(0.95, 0.8)
 CHANNEL = bssc(0.95, 0.8)
@@ -335,3 +336,88 @@ def test_random_coding_exponent_beats_the_scalar_grid(problem, x, interior):
     for offset in (-1e-2, -1e-3, 1e-3, 1e-2):
         if 0.0 <= rho_star + offset <= 1.0:
             assert objective(rho_star + offset, rate) <= exponent + 1e-12
+
+
+# The transposed state-weight matrix of a noisy 4-permutation channel under
+# the uniform policy; its complex subdominant pair made the Rayleigh quotient
+# of a power iteration oscillate, so a step test stopped 1.1e-9 off in F.
+PERM4 = np.array(
+    [
+        [0.1845299455520149, 0.14235035253801148, 0.20947132417446415, 0.1322367566608187],
+        [0.1370171319637355, 0.22533877972513064, 0.19803893908563755, 0.12835384664488964],
+        [0.14266970393955689, 0.13344820473837557, 0.13789829869496545, 0.19079393610643158],
+        [0.1592432493621669, 0.23512302878906308, 0.13766468023976408, 0.1337179034746096],
+    ]
+)
+PERM4_ROOT = 0.65694703418845626  # 40-digit eigenvalue solve, rounded
+
+
+def _bracket(root, width):
+    """The Collatz-Wielandt bracket [lo, hi] behind a root (lo + hi) / 2 of relative width (hi - lo) / hi."""
+    hi = root / (1.0 - 0.5 * width)
+    return hi * (1.0 - width), hi
+
+
+def test_perron_root_of_a_matrix_with_a_complex_subdominant_pair():
+    roots, vecs, widths = _perron_pair(PERM4[None])
+    assert abs(roots[0] - PERM4_ROOT) <= 1e-12 * PERM4_ROOT
+    assert 0.0 <= widths[0] <= 1e-12
+    lo, hi = _bracket(roots[0], widths[0])
+    assert lo <= PERM4_ROOT <= hi
+    assert np.abs(PERM4 @ vecs[0] - roots[0] * vecs[0]).max() <= 1e-12
+
+
+@given(st.tuples(*[st.floats(0.01, 1.0)] * 4))
+def test_perron_pair_matches_the_two_by_two_closed_form(entries):
+    a, b, c, d = entries
+    root = np.sqrt(((a - d) / 2) ** 2 + b * c)
+    lam = (a + d) / 2 + root
+    # lambda - a without cancellation: (lambda - a)(lambda - d) = bc.
+    lam_minus_a = (d - a) / 2 + root if d >= a else b * c / ((a - d) / 2 + root)
+    ratio = max(b, lam_minus_a) / min(b, lam_minus_a)
+    f_inf, ratio_out, width = _perron_pair(np.array([[[a, b], [c, d]]]))
+    f_inf, vec = -np.log2(f_inf[0]), ratio_out[0]
+    assert abs(f_inf + np.log2(lam)) <= 1e-12
+    assert abs(vec.max() / vec.min() - ratio) <= 1e-10 * ratio
+    assert width[0] <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_perron_pair_closes_on_periodic_chains(n):
+    # A weighted n-cycle: period n, root the geometric mean of the weights,
+    # and v[i + 1] = lambda v[i] / w[i].
+    weights = np.random.default_rng(n).uniform(0.2, 1.0, n)
+    matrix = np.zeros((n, n))
+    matrix[np.arange(n), (np.arange(n) + 1) % n] = weights
+    lam = np.prod(weights) ** (1.0 / n)
+    expected = np.cumprod(np.concatenate(([1.0], lam / weights[:-1])))
+    roots, vecs, widths = _perron_pair(matrix[None])
+    assert widths[0] <= 1e-12
+    assert abs(roots[0] - lam) <= 1e-12 * lam
+    assert np.allclose(vecs[0] / vecs[0, 0], expected, rtol=1e-10, atol=0.0)
+
+
+def test_perron_pair_raises_with_the_open_bracket_width():
+    # Eigenvalues 1 - eps/2 +- eps * sqrt(5)/2: about 2^15 power steps to mix.
+    eps = 1e-3
+    matrix = np.array([[1.0, eps], [eps, 1.0 - eps]])
+    shifted = matrix + np.eye(2)
+    vec = (shifted @ shifted).sum(axis=1)
+    ratios = matrix @ vec / vec
+    open_width = (ratios.max() - ratios.min()) / ratios.max()
+    with pytest.raises(ConvergenceError) as failure:
+        _perron_pair(matrix[None], max_squarings=1)
+    assert open_width > 1e-12
+    assert failure.value.residual == pytest.approx(open_width, rel=1e-9)
+    roots, _, widths = _perron_pair(matrix[None])
+    assert widths[0] <= 1e-12
+    assert abs(roots[0] - (1.0 - eps / 2 + eps * np.sqrt(5.0) / 2)) <= 1e-12
+
+
+def test_exponent_curve_records_the_bracket_widths():
+    curve = exponent_curve(bibo_channel(), _bibo_policy(), np.linspace(0.0, 1.0, 11))
+    assert len(curve.bracket_width) == 11
+    assert all(0.0 <= width <= 1e-12 for width in curve.bracket_width)
+    assert exponent_curve(CHANNEL, POLICY, []).bracket_width == ()
+    roots, vecs, widths = _perron_pair(np.empty((0, 3, 3)))
+    assert roots.shape == (0,) and vecs.shape == (0, 3) and widths.shape == (0,)

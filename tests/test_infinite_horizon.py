@@ -147,6 +147,36 @@ def test_larger_alphabets_stay_consistent(rng):
         assert abs(pi.gain - float(nu @ rewards)) < 1e-9
 
 
+@st.composite
+def positive_channels(draw):
+    """A channel with row-normalised rng.random + 0.01 kernel rows, S and A in {2, 3, 4}.
+
+    Kernels come from a drawn seed, not from hnp.arrays: that strategy
+    favours repeated entries, hence nearly input-independent rows, on which
+    the inner Blahut-Arimoto solver stalls even at tolerance 1e-8.
+    """
+    n_states, n_inputs = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.random((n_states, n_inputs, n_states)) + 0.01
+    return channel_from_kernel(kernel / kernel.sum(axis=2, keepdims=True))
+
+
+@settings(max_examples=15)
+@given(positive_channels())
+def test_policy_iteration_gain_lies_in_the_rvi_gain_bracket(channel):
+    # At the default span tolerance (inner tolerance 1e-11) the inner solver
+    # stalls on some of these channels, so both solvers run at 1e-6.
+    tol = 1e-6
+    rvi = relative_value_iteration(channel, tol=tol)
+    pi = policy_iteration(channel, uniform_policy(channel.n_states, channel.n_inputs), tol=tol)
+    lo, hi = rvi.gain_bracket
+    assert rvi.gain == 0.5 * (lo + hi) and rvi.span_residual == hi - lo
+    # The sweep's values are within RVI's inner tolerance of the exact operator.
+    inner_tol = max(tol * 1e-2, 1e-12)
+    assert lo - inner_tol <= pi.gain <= hi + inner_tol
+    assert pi.gain_bracket is None
+
+
 def test_stationary_distribution_values():
     doubly = OutputKernel([[0.8, 0.2], [0.2, 0.8]])
     assert np.allclose(stationary_distribution(doubly).weights, [0.5, 0.5], atol=1e-12)
