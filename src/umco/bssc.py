@@ -26,9 +26,14 @@ from .channel import (
     Distribution,
     InputPolicy,
     UnitMemoryChannel,
+    _check_compatible,
+    _check_entries,
+    _check_integer,
+    _stochastic_array,
     binary_entropy,
     channel_from_kernel,
 )
+from .errors import DimensionMismatchError, ValidationError
 
 _SINGULAR_EPS = 1e-12
 
@@ -41,7 +46,7 @@ class BSSCParams:
     def __post_init__(self):
         for label, p in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{label} must lie in [0, 1], got {p}")
+                raise ValidationError(f"{label} must lie in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -71,13 +76,9 @@ class MarkovInput:
     sigma: float
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if np.any(matrix < 0.0) or np.any(matrix > 1.0):
-            raise ValueError("Markov input entries must lie in [0, 1]")
-        if np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("Markov input rows must sum to 1")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _stochastic_array(self.matrix, "Markov input", 2))
+        _check_entries(self.sigma, "sigma", 0.0, 1.0)
+        object.__setattr__(self, "sigma", float(self.sigma))
 
 
 def bssc_channel(params: BSSCParams) -> UnitMemoryChannel:
@@ -116,7 +117,7 @@ def bssc_closed_form(params: BSSCParams) -> BSSCSolution:
     if a == b:
         mu, lam, nu = 0.0, 0.5, 0.5
     elif abs(a + b - 1.0) < _SINGULAR_EPS:
-        raise ValueError(
+        raise ValidationError(
             f"alpha + beta = {a + b:g}: the exponent denominator 1 - alpha - beta vanishes; "
             "the closed form is undefined on this line"
         )
@@ -126,7 +127,7 @@ def bssc_closed_form(params: BSSCParams) -> BSSCSolution:
         lam = 1.0 / scale
         nu = (1.0 - (1.0 - b) * scale) / ((a + b - 1.0) * scale)
     if not -1e-12 <= lam <= 1.0 + 1e-12 or not -1e-12 <= nu <= 1.0 + 1e-12:
-        raise ValueError(
+        raise ValidationError(
             f"closed form leaves the probability range (lam={lam:.6g}, nu={nu:.6g}) for "
             f"alpha={a:g}, beta={b:g}; relabel the channel inputs (crossovers above 1/2) "
             "and retry"
@@ -145,7 +146,7 @@ def bssc_constrained_closed_form(params: BSSCParams, kappa: float) -> BSSCSoluti
     is slack and the unconstrained solution is returned unflagged.
     """
     if not 0.0 <= kappa <= 1.0:
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
+        raise ValidationError(f"kappa must lie in [0, 1], got {kappa}")
     base = bssc_closed_form(params)
     if kappa > base.nu:
         return replace(base, kappa=float(kappa))
@@ -172,11 +173,11 @@ def bssc_nofeedback_markov(params: BSSCParams, kappa: float) -> MarkovInput:
     a, b = params.alpha, params.beta
     sigma = a * kappa + b * (1.0 - kappa)
     if abs(1.0 - 2.0 * sigma) < _SINGULAR_EPS:
-        raise ValueError(f"sigma = {sigma:g}: the denominator 1 - 2*sigma vanishes")
+        raise ValidationError(f"sigma = {sigma:g}: the denominator 1 - 2*sigma vanishes")
     diag = (1.0 - kappa - sigma) / (1.0 - 2.0 * sigma)
     off = (kappa - sigma) / (1.0 - 2.0 * sigma)
     if not -1e-12 <= diag <= 1.0 + 1e-12:
-        raise ValueError(
+        raise ValidationError(
             f"no-feedback Markov entries leave [0, 1] (diagonal {diag:.6g}); "
             "the construction does not apply to these parameters"
         )
@@ -199,26 +200,24 @@ def nofb_induction_deviations(
     Returns (stage, max deviation of the induced conditional P(a_i | b_{i-1})
     from the target, states skipped for zero probability) per stage.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    horizon = _check_integer(horizon, "horizon", 0)
     n_inputs, n_states = channel.n_inputs, channel.n_states
     if markov_input.matrix.shape != (n_inputs, n_inputs):
-        raise ValueError("Markov input does not match the channel input alphabet")
+        raise DimensionMismatchError(f"Markov input shape {markov_input.matrix.shape} does not match {n_inputs} inputs")
+    if initial.weights.shape != (n_states,):
+        raise DimensionMismatchError(f"initial law over {initial.weights.size} states does not match {n_states} states")
+    _check_compatible(channel, target_policy)
     target = target_policy.matrix
     records = [(0, 0.0, ())]
     # joint[a, b] = P(A_i = a, B_i = b)
     joint = np.einsum("m,ma,mab->ab", initial.weights, target, channel.kernel)
     for stage in range(1, horizon + 1):
         state_mass = joint.sum(axis=0)
-        skipped = tuple(int(b) for b in np.nonzero(state_mass <= 0.0)[0])
-        deviation = 0.0
-        induced = np.zeros((n_states, n_inputs))
-        for b in range(n_states):
-            if state_mass[b] <= 0.0:
-                continue
-            induced[b] = (joint[:, b] / state_mass[b]) @ markov_input.matrix
-            deviation = max(deviation, float(np.abs(induced[b] - target[b]).max()))
-        records.append((stage, deviation, skipped))
+        live = state_mass > 0.0
+        # induced[b] = P(next input | B_i = b), for the states b of positive mass
+        induced = (joint[:, live] / state_mass[live]).T @ markov_input.matrix
+        deviation = float(np.abs(induced - target[live]).max(initial=0.0))
+        records.append((stage, deviation, tuple(np.flatnonzero(~live).tolist())))
         # next joint: inputs step by the Markov law, outputs by the channel
         stepped = np.einsum("ab,ac->cb", joint, markov_input.matrix)  # P(A_i, B_{i-1})
         joint = np.einsum("cb,bcd->cd", stepped, channel.kernel)
@@ -256,7 +255,7 @@ def bssc_grid_csv(alphas, betas, kappa: float | None = None) -> str:
                     sol = bssc_constrained_closed_form(BSSCParams(a, b), kappa)
                     occupancy = sol.kappa if sol.constrained else sol.nu
                     diag = sol.lam_bar if sol.constrained else sol.lam
-            except ValueError as exc:
+            except ValidationError as exc:
                 warnings.warn(f"alpha={a:g}, beta={b:g}: {exc}")
                 continue
             lines.append(

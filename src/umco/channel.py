@@ -4,8 +4,9 @@ A channel here is a conditional distribution P(b | b_prev, a) over finite
 alphabets, stored as a dense kernel indexed ``[b_prev][a][b]``.  Everything a
 solver consumes -- input policies pi(a | b_prev), induced output kernels
 P(b | b_prev), distributions over states, cost tables -- lives in this module
-together with its validation.  All objects are immutable after construction
-(arrays are frozen), so they are safe to share across threads.
+together with its validation (one validator, ``_stochastic_array``, for every
+probability array).  All objects are immutable after construction (arrays are
+frozen), so they are safe to share across threads.
 
 Conventions: all logarithms are base 2 and every information quantity is in
 bits; 0 * log 0 = 0 throughout.
@@ -32,7 +33,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) source in bits, with 0*log 0 = 0."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binary_entropy needs p in [0, 1], got {p}")
+        raise ValidationError(f"binary_entropy needs p in [0, 1], got {p}")
     out = 0.0
     for x in (p, 1.0 - p):
         if x > 0.0:
@@ -43,13 +44,15 @@ def binary_entropy(p: float) -> float:
 def _check_entries(values, what: str, low: float = 0.0, high: float | None = None):
     """Raise ValidationError unless every entry of ``values`` is finite and in [low, high].
 
-    The range test is written so that NaN (which fails every comparison)
-    and +-inf fail it too; a test for values *outside* the range, like the
-    row-sum checks, would let NaN through.
+    The range test is written so that NaN (which fails every comparison,
+    and which minimum and maximum propagate) and +-inf fail it too; a test
+    for values *outside* the range would let NaN through.  The initial
+    values let an empty array pass.
     """
     values = np.asarray(values, dtype=float)
     upper = _FLOAT_MAX if high is None else high
-    if not (np.all(values >= low) and np.all(values <= upper)):
+    lowest = np.minimum.reduce(values, axis=None, initial=np.inf)
+    if not (lowest >= low and np.maximum.reduce(values, axis=None, initial=-np.inf) <= upper):
         if not np.isfinite(values).all():
             raise ValidationError(f"{what} must be finite")
         bound = "be nonnegative" if high is None else f"lie in [{low:g}, {high:g}]"
@@ -62,6 +65,35 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _stochastic_array(values, what: str, ndim: int, tol: float = STRICT_ROW_TOL, high: float = 1.0) -> np.ndarray:
+    """``values`` as a frozen float array of ``ndim`` axes whose rows are probability vectors.
+
+    Every entry must be finite and in [0, high], and the sums along the last
+    axis must equal 1 within tol.  Constructed objects use the defaults; the
+    load path passes its looser tolerance before it renormalizes.
+    """
+    array = _frozen_array(values)
+    if array.ndim != ndim:
+        raise ValidationError(f"{what} must be {ndim}-d, got shape {array.shape}")
+    _check_entries(array, f"{what} entries", 0.0, high)
+    worst = np.maximum.reduce(abs(np.add.reduce(array, axis=-1) - 1.0), axis=None, initial=0.0)
+    if worst > tol:
+        rows = " rows" if ndim > 1 else ""
+        raise ValidationError(f"{what}{rows} must sum to 1 within {tol:g}, worst defect {worst:.3e}")
+    return array
+
+
+def _check_integer(value, what: str, low: int) -> int:
+    """``value`` as an int; ValidationError unless it is a whole number of at least ``low``."""
+    try:
+        whole = int(value) == value >= low
+    except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+        whole = False
+    if not whole:
+        raise ValidationError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A finite symbol set {0, ..., size-1}."""
@@ -69,9 +101,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self):
-        if int(self.size) != self.size or self.size < 1:
-            raise ValidationError(f"alphabet size must be a positive integer, got {self.size}")
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", _check_integer(self.size, "alphabet size", 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +117,13 @@ class UnitMemoryChannel:
     name: str | None = None
 
     def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=float)
+        kernel = _stochastic_array(self.kernel, "kernel", 3)
         shape = (self.output_alphabet.size, self.input_alphabet.size, self.output_alphabet.size)
         if kernel.shape != shape:
-            raise ValidationError(f"kernel shape {kernel.shape} does not match alphabets {shape}")
-        _check_entries(kernel, "kernel entries", 0.0, 1.0)
-        sums = kernel.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > STRICT_ROW_TOL):
-            worst = float(np.abs(sums - 1.0).max())
-            raise ValidationError(f"kernel rows must sum to 1 within {STRICT_ROW_TOL}, worst defect {worst:.3e}")
-        object.__setattr__(self, "kernel", _frozen_array(kernel))
+            raise ValidationError(
+                f"kernel shape {kernel.shape} does not match alphabets {shape}, indexed [b_prev][a][b]"
+            )
+        object.__setattr__(self, "kernel", kernel)
 
     @property
     def n_inputs(self) -> int:
@@ -123,14 +150,7 @@ class InputPolicy:
     stage: int | None = None
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValidationError(f"policy matrix must be 2-d, got shape {matrix.shape}")
-        _check_entries(matrix, "policy entries", 0.0, 1.0)
-        sums = matrix.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > STRICT_ROW_TOL):
-            raise ValidationError("policy rows must sum to 1 within 1e-12")
-        object.__setattr__(self, "matrix", _frozen_array(matrix))
+        object.__setattr__(self, "matrix", _stochastic_array(self.matrix, "policy", 2))
 
     @property
     def n_states(self) -> int:
@@ -148,13 +168,10 @@ class OutputKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        matrix = _stochastic_array(self.matrix, "output kernel", 2)
+        if matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"output kernel must be square, got shape {matrix.shape}")
-        _check_entries(matrix, "output kernel entries", 0.0, 1.0)
-        if np.any(np.abs(matrix.sum(axis=1) - 1.0) > STRICT_ROW_TOL):
-            raise ValidationError("output kernel rows must sum to 1 within 1e-12")
-        object.__setattr__(self, "matrix", _frozen_array(matrix))
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def n_states(self) -> int:
@@ -168,13 +185,7 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1:
-            raise ValidationError("distribution weights must be 1-d")
-        _check_entries(weights, "distribution entries", 0.0, 1.0)
-        if abs(weights.sum() - 1.0) > STRICT_ROW_TOL:
-            raise ValidationError("distribution must sum to 1 within 1e-12")
-        object.__setattr__(self, "weights", _frozen_array(weights))
+        object.__setattr__(self, "weights", _stochastic_array(self.weights, "distribution", 1))
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -227,9 +238,9 @@ def _check_compatible(channel: UnitMemoryChannel, policy: InputPolicy):
 def resolve_cost(channel: UnitMemoryChannel, cost: CostSpec | None, multiplier: float | None):
     """(multiplier, cost table) of a solve: (None, None) without a cost, multiplier 0 by default."""
     if multiplier is not None and cost is None:
-        raise ValueError("a multiplier requires a cost specification")
+        raise ValidationError("a multiplier requires a cost specification")
     if multiplier is not None and not multiplier >= 0.0:  # NaN fails too
-        raise ValueError(f"multiplier must be nonnegative, got {multiplier}")
+        raise ValidationError(f"multiplier must be nonnegative, got {multiplier}")
     if cost is None:
         return None, None
     if cost.gamma.shape != (channel.n_states, channel.n_inputs):
@@ -289,36 +300,25 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
         if field not in doc:
             raise ChannelFormatError(f"channel document is missing required field '{field}'")
     try:
-        n_in = int(doc["input_size"])
-        n_out = int(doc["output_size"])
         kernel = np.asarray(doc["kernel"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ChannelFormatError(f"malformed channel document: {exc}") from exc
-    if n_in < 1 or n_out < 1:
-        raise ValidationError("alphabet sizes must be positive")
-    if kernel.shape != (n_out, n_in, n_out):
-        raise ValidationError(
-            f"kernel shape {kernel.shape} does not match alphabets "
-            f"(expected {(n_out, n_in, n_out)}, indexed [b_prev][a][b])"
-        )
-    _check_entries(kernel, "kernel entries", 0.0, 1.0 + LOAD_ROW_TOL)
-    sums = kernel.sum(axis=2)
-    defect = np.abs(sums - 1.0)
-    if np.any(defect > LOAD_ROW_TOL):
-        worst = float(defect.max())
-        raise ValidationError(f"kernel row sum off by {worst:.3e} (> {LOAD_ROW_TOL:g})")
+    inputs, outputs = Alphabet(doc["input_size"]), Alphabet(doc["output_size"])
+    kernel = _stochastic_array(kernel, "kernel", 3, LOAD_ROW_TOL, 1.0 + LOAD_ROW_TOL)
     # Renormalize textual rows to exact sums, but leave already-clean rows
-    # untouched so serialize -> load is the identity.
-    if np.any(defect > _RENORM_EPS):
-        kernel = np.clip(kernel, 0.0, 1.0) / sums[:, :, None]
+    # untouched so serialize -> load is the identity.  The sums are taken
+    # after the clip, so an entry just above 1 cannot leave its row short.
+    if np.any(np.abs(kernel.sum(axis=2) - 1.0) > _RENORM_EPS):
+        kernel = np.clip(kernel, 0.0, 1.0)
+        kernel = kernel / kernel.sum(axis=2, keepdims=True)
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ChannelFormatError("'name' must be a string")
-    channel = UnitMemoryChannel(Alphabet(n_in), Alphabet(n_out), kernel, name)
+    channel = UnitMemoryChannel(inputs, outputs, kernel, name)
     cost = None
     if doc.get("cost") is not None:
         cost = np.asarray(doc["cost"], dtype=float)
-        if cost.shape != (n_out, n_in):
+        if cost.shape != (outputs.size, inputs.size):
             raise ValidationError(f"cost shape {cost.shape} must be (output_size, input_size)")
         _check_entries(cost, "cost entries")
     return channel, cost

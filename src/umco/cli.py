@@ -25,14 +25,7 @@ from .channel import (
     parse_channel_document,
     uniform_policy,
 )
-from .errors import (
-    ChannelFormatError,
-    ConvergenceError,
-    DimensionMismatchError,
-    InfeasibleBudgetError,
-    ReducibleChainError,
-    ValidationError,
-)
+from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .finite_dp import classify_non_nested, ftfi_capacity, solve_finite_horizon, verify_optimality_conditions
 from .infinite_horizon import policy_iteration, relative_value_iteration, verify_bellman_conditions
 
@@ -252,7 +245,7 @@ def _cmd_bssc(args) -> int:
     try:
         markov = bssc_mod.bssc_nofeedback_markov(params, occupancy)
         print(f"no-feedback Markov input diagonal = {markov.matrix[0, 0]:.10f} (sigma {markov.sigma:.6f})")
-    except ValueError as exc:
+    except ValidationError as exc:
         print(f"no-feedback Markov input undefined: {exc}")
     return 0
 
@@ -402,7 +395,7 @@ def run_command(argv) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (ChannelFormatError, ValidationError, DimensionMismatchError, InfeasibleBudgetError, ValueError) as exc:
+    except ValueError as exc:  # ValidationError and the other input errors derive from it
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, ReducibleChainError) as exc:

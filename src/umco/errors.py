@@ -10,7 +10,7 @@ class ChannelFormatError(UmcoError, ValueError):
 
 
 class ValidationError(UmcoError, ValueError):
-    """A probability object violates its invariants (negative entry, bad row sum, ...)."""
+    """An input breaks a rule when built or passed: NaN, a value out of range, a row sum off 1, a non-integer size."""
 
 
 class DimensionMismatchError(UmcoError, ValueError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import InputPolicy, UnitMemoryChannel, _check_compatible
+from .channel import _FLOAT_MAX, InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _frozen_array
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .infinite_horizon import _reach
 
@@ -48,12 +48,11 @@ class LambdaMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if np.any(matrix < 0.0):
-            raise ValidationError("state-weight entries must be nonnegative")
+        _check_entries(self.rho, "rho", 0.0, 1.0)
+        matrix = _frozen_array(self.matrix)
+        _check_entries(matrix, "state-weight entries")
         if self.rho == 0.0 and np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-9:
             raise ValidationError("at rho = 0 the state-weight columns must sum to 1")
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
 
@@ -71,11 +70,13 @@ class ExponentCurve:
     bracket_width: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for rho, lam_max, f_inf in self.samples:
-            if lam_max <= 0.0:
-                raise ValidationError("the Perron root must be positive at every sample")
-            if rho == 0.0 and abs(f_inf) > 1e-10:
-                raise ValidationError("the exponent must vanish at rho = 0")
+        rho, lam_max, f_inf = np.array(self.samples, dtype=float).reshape(len(self.samples), 3).T
+        _check_entries(rho, "rho", 0.0, 1.0)
+        _check_entries(lam_max, "Perron roots")
+        if not lam_max.all():
+            raise ValidationError("the Perron root must be positive at every sample")
+        _check_entries(f_inf, "exponents", -_FLOAT_MAX)  # finite; rounding may put F just below 0
+        _check_entries(f_inf[rho == 0.0], "the exponent at rho = 0", -1e-10, 1e-10)
 
 
 def _transposed_weights(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> np.ndarray:

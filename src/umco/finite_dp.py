@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, resolve_cost
+from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, _check_integer, resolve_cost
 from .errors import DimensionMismatchError
 from .onestage import (
     DEFAULT_INNER_MAX_ITER,
@@ -95,8 +95,7 @@ def solve_finite_horizon(
     multiplier * gamma(a, b_prev); multiplier defaults to 0 in that case,
     which reproduces the unconstrained recursion exactly.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    horizon = _check_integer(horizon, "horizon", 0)
     s, gamma = resolve_cost(channel, cost, multiplier)
 
     values = np.zeros((horizon + 1, channel.n_states))

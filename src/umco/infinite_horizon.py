@@ -26,10 +26,11 @@ from .channel import (
     InputPolicy,
     OutputKernel,
     UnitMemoryChannel,
+    _check_compatible,
     induced_output_kernel,
     resolve_cost,
 )
-from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError
+from .errors import ConvergenceError, ReducibleChainError
 from .finite_dp import ConditionReport, _condition_report
 from .onestage import _WARM_START_FLOOR, letter_scores, maximize_stage_objective
 
@@ -249,8 +250,7 @@ def policy_iteration(
     Every iterate's induced output chain must be irreducible; a reducible
     chain or singular evaluation system aborts with a diagnostic.
     """
-    if initial_policy.matrix.shape != (channel.n_states, channel.n_inputs):
-        raise DimensionMismatchError("initial policy does not match the channel alphabets")
+    _check_compatible(channel, initial_policy)
     s, gamma = resolve_cost(channel, cost, multiplier)
     inner_tol = max(tol * 1e-2, 1e-14)
     matrix = np.array(initial_policy.matrix)

@@ -5,12 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+import umco.bssc
+from conftest import random_channel
 from umco import (
     BSSCParams,
     CostSpec,
+    DimensionMismatchError,
     Distribution,
     InputPolicy,
     MarkovInput,
+    ValidationError,
     average_cost,
     binary_entropy,
     bssc_channel,
@@ -22,6 +26,7 @@ from umco import (
     induced_output_kernel,
     nofb_induction_deviations,
     relative_value_iteration,
+    uniform_policy,
     verify_nofb_induces_fb,
 )
 from umco.bssc import bssc_grid_csv, bssc_kappa_csv
@@ -180,6 +185,43 @@ def test_markov_input_validation():
         MarkovInput(np.array([[0.7, 0.2], [0.3, 0.7]]), sigma=0.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MarkovInput([[0.7, 0.2], [0.3, 0.7]], sigma=0.5),
+        lambda: MarkovInput([0.5, 0.5], sigma=0.5),
+        lambda: MarkovInput([[1.0, 0.0], [0.5, 0.5]], sigma=1.5),
+        lambda: BSSCParams(1.5, 0.5),
+        lambda: BSSCParams(0.5, np.nan),
+        lambda: bssc_closed_form(BSSCParams(0.6, 0.4)),
+        lambda: bssc_constrained_closed_form(BSSCParams(1.0, 0.5), 1.2),
+        lambda: bssc_nofeedback_markov(BSSCParams(0.5, 0.5), 0.3),
+        lambda: bssc_nofeedback_markov(BSSCParams(0.9, 0.2), 0.3),
+    ],
+    ids=[
+        "markov-row-sum",
+        "markov-1d",
+        "markov-sigma",
+        "alpha",
+        "beta-nan",
+        "singular-line",
+        "kappa",
+        "sigma-half",
+        "markov-entries",
+    ],
+)
+def test_bssc_input_rules_raise_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_markov_input_copies_the_callers_array():
+    matrix = np.eye(2)
+    markov = MarkovInput(matrix, sigma=0.0)
+    assert matrix.flags.writeable and not markov.matrix.flags.writeable
+    assert isinstance(markov.sigma, float)
+
+
 def test_nofb_induces_fb_best_worst():
     params = BSSCParams(1.0, 0.5)
     channel = bssc_channel(params)
@@ -213,6 +255,68 @@ def test_nofb_horizon_zero_is_trivially_true():
         tol=1e-12,
     )
     assert ok
+
+
+def _nofb_records_per_state(channel, markov_input, target_policy, initial, horizon):
+    """The per-state loop the masked expression replaced, kept as the oracle."""
+    target = target_policy.matrix
+    records = [(0, 0.0, ())]
+    joint = np.einsum("m,ma,mab->ab", initial.weights, target, channel.kernel)
+    for stage in range(1, horizon + 1):
+        state_mass = joint.sum(axis=0)
+        skipped = tuple(int(b) for b in np.nonzero(state_mass <= 0.0)[0])
+        deviation = 0.0
+        for b in range(channel.n_states):
+            if state_mass[b] > 0.0:
+                induced = (joint[:, b] / state_mass[b]) @ markov_input.matrix
+                deviation = max(deviation, float(np.abs(induced - target[b]).max()))
+        records.append((stage, deviation, skipped))
+        joint = np.einsum("cb,bcd->cd", np.einsum("ab,ac->cb", joint, markov_input.matrix), channel.kernel)
+    return records
+
+
+def _random_stochastic(rng, shape):
+    matrix = rng.random(shape)
+    matrix[rng.random(shape) < 0.3] = 0.0
+    matrix[..., 0] += 1e-3
+    return matrix / matrix.sum(axis=-1, keepdims=True)
+
+
+def test_nofb_records_match_the_per_state_loop(rng):
+    for trial in range(40):
+        n_states, n_inputs = rng.integers(2, 5, size=2)
+        kernel = _random_stochastic(rng, (n_states, n_inputs, n_states))
+        if trial % 2:
+            kernel[:, :, -1] = 0.0  # the last output is never reached
+            kernel[:, :, 0] += 1.0 - kernel.sum(axis=2)
+        channel = umco.channel_from_kernel(kernel)
+        markov = MarkovInput(_random_stochastic(rng, (n_inputs, n_inputs)), sigma=0.5)
+        target = InputPolicy(_random_stochastic(rng, (n_states, n_inputs)))
+        initial = Distribution.point_mass(n_states, 0) if trial % 3 else Distribution.uniform(n_states)
+        got = nofb_induction_deviations(channel, markov, target, initial, 6)
+        want = _nofb_records_per_state(channel, markov, target, initial, 6)
+        assert [(s, k) for s, _, k in got] == [(s, k) for s, _, k in want]
+        assert all(isinstance(b, int) for _, _, skipped in got for b in skipped)
+        assert max(abs(g[1] - w[1]) for g, w in zip(got, want)) <= 1e-15
+    assert any(skipped for _, _, skipped in got)
+
+
+def test_nofb_rejects_mismatched_inputs():
+    params = BSSCParams(1.0, 0.5)
+    channel = bssc_channel(params)
+    markov = bssc_nofeedback_markov(params, 0.6)
+    target = bssc_optimal_policy(params)
+    three_state = umco.channel_from_kernel(np.full((3, 2, 3), 1.0 / 3.0))
+    uniform = Distribution.uniform(2)
+    with pytest.raises(DimensionMismatchError):  # 2x2 target on a 3-state channel
+        nofb_induction_deviations(three_state, markov, target, Distribution.uniform(3), 3)
+    with pytest.raises(DimensionMismatchError):  # 2-state initial law on a 3-state channel
+        nofb_induction_deviations(three_state, markov, uniform_policy(3, 2), uniform, 3)
+    with pytest.raises(DimensionMismatchError):  # 3-letter Markov input on a binary channel
+        nofb_induction_deviations(channel, MarkovInput(np.eye(3), sigma=0.5), target, uniform, 3)
+    for horizon in (2.5, -1, None):
+        with pytest.raises(ValidationError, match="horizon"):
+            nofb_induction_deviations(channel, markov, target, uniform, horizon)
 
 
 def test_nofb_point_mass_initial_flags_skipped_states():
@@ -249,6 +353,15 @@ def test_grid_csv_skips_singular_points():
     lines = text.strip().splitlines()
     assert lines[0].startswith("alpha,beta,kappa,capacity_bits")
     assert len(lines) == 2
+
+
+def test_grid_csv_lets_errors_other_than_input_rules_through(monkeypatch):
+    def broken(params):
+        raise ValueError("not an input rule")
+
+    monkeypatch.setattr(umco.bssc, "bssc_closed_form", broken)
+    with pytest.raises(ValueError, match="not an input rule"):
+        bssc_grid_csv([0.6], [0.8])
 
 
 def test_kappa_csv_values():

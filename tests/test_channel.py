@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bssc, embedded_dmc, random_channel
 from umco import (
@@ -12,7 +15,10 @@ from umco import (
     CostSpec,
     DimensionMismatchError,
     Distribution,
+    ExponentCurve,
     InputPolicy,
+    LambdaMatrix,
+    MarkovInput,
     OutputKernel,
     UnitMemoryChannel,
     ValidationError,
@@ -22,10 +28,12 @@ from umco import (
     deterministic_policy,
     induced_output_kernel,
     load_channel,
+    parse_channel_document,
     serialize_channel,
     stage_reward,
     uniform_policy,
 )
+from umco.channel import LOAD_ROW_TOL, resolve_cost
 
 BSSC_105_DOC = json.dumps(
     {
@@ -53,11 +61,48 @@ def test_binary_entropy_domain(p):
         binary_entropy(p)
 
 
+@pytest.mark.parametrize("p", [-0.1, np.nan])
+def test_binary_entropy_domain_error_is_typed(p):
+    with pytest.raises(ValidationError):
+        binary_entropy(p)
+
+
 def test_alphabet_rejects_bad_sizes():
     with pytest.raises(ValidationError):
         Alphabet(0)
     with pytest.raises(ValidationError):
         Alphabet(-3)
+
+
+@pytest.mark.parametrize("size", [None, "x", "2", np.nan, np.inf, 2.7], ids=repr)
+def test_alphabet_rejects_non_integer_sizes(size):
+    with pytest.raises(ValidationError, match="alphabet size must be an integer"):
+        Alphabet(size)
+
+
+def test_alphabet_keeps_whole_sizes_as_int():
+    assert Alphabet(2.0).size == 2 and isinstance(Alphabet(np.int64(3)).size, int)
+
+
+@pytest.mark.parametrize("size", [2.7, "x", None, 0])
+def test_load_rejects_declared_sizes_that_are_not_positive_integers(size):
+    doc = json.loads(BSSC_105_DOC)
+    doc["input_size"] = size
+    with pytest.raises(ValidationError, match="alphabet size"):
+        load_channel(json.dumps(doc))
+
+
+def test_load_rejects_infinite_declared_size():
+    with pytest.raises(ValidationError, match="alphabet size"):
+        load_channel(BSSC_105_DOC.replace('"output_size": 2', '"output_size": Infinity'))
+
+
+def test_multiplier_rules_raise_typed_errors():
+    channel = bssc(0.9, 0.2)
+    with pytest.raises(ValidationError, match="requires a cost"):
+        resolve_cost(channel, None, 1.0)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        resolve_cost(channel, CostSpec(np.ones((2, 2)), 0.5), np.nan)
 
 
 def test_load_bssc_file():
@@ -121,6 +166,12 @@ NON_FINITE_BUILDERS = {
     "Distribution": lambda v: Distribution(_set_first([1.0, 0.0], v)),
     "CostSpec.gamma": lambda v: CostSpec(_set_first(np.ones((2, 2)), v), 0.5),
     "CostSpec.kappa": lambda v: CostSpec(np.ones((2, 2)), v),
+    "MarkovInput": lambda v: MarkovInput(_set_first([[1.0, 0.0], [0.5, 0.5]], v), sigma=0.5),
+    "MarkovInput.sigma": lambda v: MarkovInput([[1.0, 0.0], [0.5, 0.5]], sigma=v),
+    "LambdaMatrix": lambda v: LambdaMatrix(0.5, _set_first([[1.0, 0.0], [0.5, 0.5]], v)),
+    "LambdaMatrix.rho": lambda v: LambdaMatrix(v, [[1.0, 0.0], [0.5, 0.5]]),
+    "ExponentCurve.lambda_max": lambda v: ExponentCurve(((0.5, v, 0.5),), (1.0,)),
+    "ExponentCurve.F": lambda v: ExponentCurve(((0.5, 0.5, v),), (1.0,)),
 }
 
 
@@ -161,6 +212,36 @@ def test_loose_row_sums_are_renormalized():
     doc["kernel"][0][1] = [0.5, 0.5 + 5e-10]
     channel = load_channel(json.dumps(doc))
     assert abs(channel.kernel[0][1].sum() - 1.0) <= 1e-12
+
+
+@st.composite
+def channel_documents(draw):
+    """A channel with zeros allowed in its rows, an optional name and an optional cost table."""
+    n_states, n_inputs = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    raw = draw(hnp.arrays(float, (n_states, n_inputs, n_states), elements=st.floats(0.0, 1.0)))
+    raw += raw.sum(axis=2, keepdims=True) == 0.0  # an all-zero row becomes uniform
+    name = draw(st.none() | st.text(max_size=12))
+    channel = channel_from_kernel(raw / raw.sum(axis=2, keepdims=True), name=name)
+    cost = draw(st.none() | hnp.arrays(float, (n_states, n_inputs), elements=st.floats(0.0, 1e6)))
+    scale = draw(hnp.arrays(float, (n_states, n_inputs), elements=st.floats(-0.9, 0.9)))
+    return channel, cost, 1.0 + scale * LOAD_ROW_TOL
+
+
+@given(channel_documents())
+def test_serialize_load_round_trip_property(case):
+    channel, cost, row_scale = case
+    reloaded, reloaded_cost = parse_channel_document(serialize_channel(channel, cost))
+    assert np.array_equal(reloaded.kernel, channel.kernel)
+    assert reloaded.name == channel.name
+    assert (reloaded_cost is None) == (cost is None)
+    if cost is not None:
+        assert np.array_equal(reloaded_cost, cost)
+    # rows scaled off 1 by less than LOAD_ROW_TOL still load, renormalized
+    doc = json.loads(serialize_channel(channel, cost))
+    doc["kernel"] = (channel.kernel * row_scale[:, :, None]).tolist()
+    perturbed = load_channel(json.dumps(doc))
+    assert np.abs(perturbed.kernel.sum(axis=2) - 1.0).max() <= 1e-12
+    assert np.abs(perturbed.kernel - channel.kernel).max() <= 2 * LOAD_ROW_TOL
 
 
 def test_induced_kernel_bssc_optimal_policy():

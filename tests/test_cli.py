@@ -4,7 +4,20 @@ import json
 
 import pytest
 
-from umco import BSSCParams, bssc_channel, bssc_cost_function, serialize_channel
+import umco.bssc
+import umco.cli
+from umco import (
+    BSSCParams,
+    ChannelFormatError,
+    ConvergenceError,
+    DimensionMismatchError,
+    InfeasibleBudgetError,
+    ReducibleChainError,
+    ValidationError,
+    bssc_channel,
+    bssc_cost_function,
+    serialize_channel,
+)
 from umco.cli import _UsageError, build_parser, parse_range, run_command
 
 
@@ -111,6 +124,26 @@ def test_invalid_channel_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ChannelFormatError, 1),
+        (ValidationError, 1),
+        (DimensionMismatchError, 1),
+        (InfeasibleBudgetError, 1),
+        (ConvergenceError, 2),
+        (ReducibleChainError, 2),
+    ],
+)
+def test_every_typed_error_keeps_its_exit_code(bssc_file, monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(umco.cli, "relative_value_iteration", fail)
+    assert run_command(["fb-capacity", "--channel", bssc_file]) == code
+    assert "injected" in capsys.readouterr().err
+
+
 def test_nonconvergence_exits_two(bibo_file, capsys):
     assert run_command(["fb-capacity", "--channel", bibo_file, "--max-iter", "1"]) == 2
     assert "solver failure" in capsys.readouterr().err
@@ -178,6 +211,22 @@ def test_bssc_kappa_sweep(tmp_path, capsys):
 
 def test_bssc_singular_params_exit_one(capsys):
     assert run_command(["bssc", "--alpha", "0.7", "--beta", "0.3"]) == 1
+
+
+def test_bssc_command_reports_an_undefined_markov_input(capsys):
+    assert run_command(["bssc", "--alpha", "0.9", "--beta", "0.2", "--kappa", "0.3"]) == 0
+    assert "no-feedback Markov input undefined: no-feedback Markov entries leave [0, 1]" in capsys.readouterr().out
+
+
+def test_bssc_command_lets_errors_other_than_input_rules_through(monkeypatch, capsys):
+    def broken(params, kappa):
+        raise ValueError("not an input rule")
+
+    monkeypatch.setattr(umco.bssc, "bssc_nofeedback_markov", broken)
+    assert run_command(["bssc", "--alpha", "1.0", "--beta", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert "undefined" not in captured.out
+    assert "error: not an input rule" in captured.err
 
 
 def test_nofb_verify_passes(capsys):

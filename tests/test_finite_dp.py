@@ -18,6 +18,7 @@ from umco import (
     Distribution,
     InfiniteHorizonSolution,
     InputPolicy,
+    ValidationError,
     binary_entropy,
     bssc_closed_form,
     bssc_cost_function,
@@ -37,6 +38,17 @@ from umco.finite_dp import NESTED, NON_NESTED_TIME_INVARIANT, SUPPORT_EPS
 from umco.onestage import letter_scores, maximize_stage_objective
 
 CAP_105 = bssc_closed_form(BSSCParams(1.0, 0.5)).capacity  # = H(0.2) - 0.4
+
+
+@pytest.mark.parametrize("horizon", [2.5, -1, np.nan, None, "3"], ids=repr)
+def test_horizon_must_be_a_nonnegative_integer(horizon):
+    with pytest.raises(ValidationError, match="horizon must be an integer"):
+        solve_finite_horizon(bssc(1.0, 0.5), horizon)
+
+
+def test_whole_float_horizon_is_accepted_as_int():
+    solution = solve_finite_horizon(bssc(1.0, 0.5), 2.0)
+    assert solution.horizon == 2 and isinstance(solution.horizon, int)
 
 
 def test_bssc_horizon_four():

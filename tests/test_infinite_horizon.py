@@ -15,6 +15,7 @@ from umco import (
     BSSCParams,
     ConvergenceError,
     CostSpec,
+    DimensionMismatchError,
     InfiniteHorizonSolution,
     InputPolicy,
     OutputKernel,
@@ -104,6 +105,11 @@ def test_policy_iteration_symmetric_dmc_fixed_after_one_improvement():
     solution = policy_iteration(embedded_dmc(bsc_rows(0.1)), uniform_policy(2, 2))
     assert solution.iterations == 1
     assert np.abs(solution.policy.matrix - 0.5).max() < 1e-9
+
+
+def test_policy_iteration_rejects_an_initial_policy_of_another_shape():
+    with pytest.raises(DimensionMismatchError, match="does not match channel"):
+        policy_iteration(bssc(1.0, 0.5), uniform_policy(3, 2))
 
 
 def test_policy_iteration_rejects_reducible_start():

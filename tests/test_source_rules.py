@@ -1,0 +1,47 @@
+"""Source rules: every failure the package raises is one of its typed errors."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "umco").glob("*.py"))
+UNTYPED = {"ValueError", "TypeError", "RuntimeError", "Exception"}
+
+
+def _untyped_failures(tree):
+    """(line, what) of every raise of a bare builtin exception and of every assert."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in UNTYPED:
+                yield node.lineno, f"raise {exc.id}"
+
+
+def test_sources_are_found():
+    assert {"channel.py", "bssc.py", "exponent.py", "cli.py"} <= {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_bare_builtin_raise_or_assert(path):
+    found = [f"{path.name}:{line}: {what}" for line, what in _untyped_failures(ast.parse(path.read_text()))]
+    assert not found, "raise a typed error from umco.errors instead:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("raise ValueError('x')", ["raise ValueError"]),
+        ("raise TypeError", ["raise TypeError"]),
+        ("def f():\n    raise RuntimeError('x') from None", ["raise RuntimeError"]),
+        ("raise Exception()", ["raise Exception"]),
+        ("assert x", ["assert"]),
+        ("raise ValidationError('x')", []),
+        ("try:\n    pass\nexcept ValueError as exc:\n    raise", []),
+        ("raise failed[s]", []),
+    ],
+)
+def test_the_rule_sees_each_form(source, expected):
+    assert [what for _, what in _untyped_failures(ast.parse(source))] == expected
