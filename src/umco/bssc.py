@@ -47,6 +47,7 @@ class BSSCParams:
         for label, p in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"{label} must lie in [0, 1], got {p}")
+            object.__setattr__(self, label, float(p))
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,10 @@ def bssc_constrained_closed_form(params: BSSCParams, kappa: float) -> BSSCSoluti
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValidationError(f"kappa must lie in [0, 1], got {kappa}")
+    kappa = float(kappa)
     base = bssc_closed_form(params)
     if kappa > base.nu:
-        return replace(base, kappa=float(kappa))
+        return replace(base, kappa=kappa)
     a, b = params.alpha, params.beta
     lam_bar = a * kappa + (1.0 - kappa) * (1.0 - b)
     capacity = binary_entropy(lam_bar) - kappa * binary_entropy(a) - (1.0 - kappa) * binary_entropy(b)
@@ -159,7 +161,7 @@ def bssc_constrained_closed_form(params: BSSCParams, kappa: float) -> BSSCSoluti
         bssc_exponent=base.bssc_exponent,
         capacity=capacity,
         constrained=True,
-        kappa=float(kappa),
+        kappa=kappa,
         lam_bar=lam_bar,
     )
 
@@ -170,6 +172,7 @@ def bssc_nofeedback_markov(params: BSSCParams, kappa: float) -> MarkovInput:
     Pass kappa = nu from the unconstrained closed form for the unconstrained
     case.  Undefined when sigma = alpha*kappa + beta*(1-kappa) equals 1/2.
     """
+    _check_entries(kappa, "kappa", 0.0, 1.0)
     a, b = params.alpha, params.beta
     sigma = a * kappa + b * (1.0 - kappa)
     if abs(1.0 - 2.0 * sigma) < _SINGULAR_EPS:

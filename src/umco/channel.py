@@ -83,14 +83,15 @@ def _stochastic_array(values, what: str, ndim: int, tol: float = STRICT_ROW_TOL,
     return array
 
 
-def _check_integer(value, what: str, low: int) -> int:
-    """``value`` as an int; ValidationError unless it is a whole number of at least ``low``."""
+def _check_integer(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int; ValidationError unless it is a whole number in [low, high] (no upper bound by default)."""
     try:
-        whole = int(value) == value >= low
+        whole = int(value) == value >= low and (high is None or value <= high)
     except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
         whole = False
     if not whole:
-        raise ValidationError(f"{what} must be an integer >= {low}, got {value!r}")
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
     return int(value)
 
 
@@ -193,8 +194,9 @@ class Distribution:
 
     @classmethod
     def point_mass(cls, n: int, index: int) -> "Distribution":
+        n = _check_integer(n, "size", 1)
         w = np.zeros(n)
-        w[index] = 1.0
+        w[_check_integer(index, "point-mass index", 0, n - 1)] = 1.0
         return cls(w)
 
 
@@ -223,7 +225,7 @@ def deterministic_policy(choices, n_inputs: int, stage: int | None = None) -> In
     """Point-mass policy selecting input choices[b_prev] in each state."""
     matrix = np.zeros((len(choices), n_inputs))
     for b, a in enumerate(choices):
-        matrix[b, a] = 1.0
+        matrix[b, _check_integer(a, "input choice", 0, n_inputs - 1)] = 1.0
     return InputPolicy(matrix, stage)
 
 
@@ -273,6 +275,12 @@ def letter_divergences(rows: np.ndarray, output_row: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
+def _policy_average(policy, scores):
+    """sum_a pi(a) * score(a) over the last axis; a letter without mass counts 0, even where it scores +inf."""
+    with np.errstate(invalid="ignore"):
+        return np.where(policy > 0.0, policy * scores, 0.0).sum(-1)
+
+
 def stage_reward(channel: UnitMemoryChannel, policy: InputPolicy, b_prev: int) -> float:
     """Conditional mutual information I(A; B | B_prev = b_prev) under the policy, in bits.
 
@@ -280,12 +288,10 @@ def stage_reward(channel: UnitMemoryChannel, policy: InputPolicy, b_prev: int) -
     policy always scores 0.
     """
     _check_compatible(channel, policy)
+    b_prev = _check_integer(b_prev, "b_prev", 0, channel.n_states - 1)
     rows = channel.kernel[b_prev]
     weights = policy.matrix[b_prev]
-    output_row = weights @ rows
-    div = letter_divergences(rows, output_row)
-    supported = weights > 0.0
-    return float(np.sum(weights[supported] * div[supported]))
+    return float(_policy_average(weights, letter_divergences(rows, weights @ rows)))
 
 
 def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray | None]:

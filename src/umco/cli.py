@@ -167,7 +167,7 @@ def _cmd_finite_horizon(args) -> int:
     print(f"value under uniform initial distribution = {value:.10f} bits")
     print(f"per-stage average = {value / (args.horizon + 1):.10f} bits/channel use")
     if args.multiplier is not None and args.kappa is not None:
-        lagrangian = value + args.multiplier * (args.horizon + 1) * args.kappa
+        lagrangian = value + args.kappa * ((args.horizon + 1) * args.multiplier)
         print(f"Lagrangian value at kappa={args.kappa:g} = {lagrangian:.10f} bits")
     verdict = classify_non_nested(solution, tol=1e-6)
     print(f"stage coupling: {verdict.kind} (max value spread {verdict.state_spread.max():.3e} bits)")

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _FLOAT_MAX, InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _frozen_array
+from .channel import (
+    _FLOAT_MAX, InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _check_integer, _frozen_array
+)
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .infinite_horizon import _reach
 
@@ -206,8 +208,7 @@ def error_probability_bound(
 
     With the initial state known at both ends the |B| factor drops.
     """
-    if n < 1:
-        raise ValidationError("block length n must be at least 1")
+    n = _check_integer(n, "block length n", 1)
     exponent, rho_star = random_coding_exponent(channel, policy, rate)
     _, ratio = gallager_exponent_infinite(channel, policy, rho_star)
     coefficient = 4.0 * (1 if state_known else channel.n_states) * ratio
@@ -227,12 +228,12 @@ def finite_horizon_exponent_oracle(
     Two interchangeable implementations: explicit path enumeration (n at most
     16) and repeated matrix-vector products with per-step rescaling (any n).
     """
-    if n < 1:
-        raise ValidationError("n must be at least 1")
+    n = _check_integer(n, "n", 1)
     if method == "auto":
         method = "enumerate" if n <= ENUMERATION_LIMIT else "matrix"
     matrix = lambda_matrix(channel, policy, rho).matrix
     size = matrix.shape[0]
+    b_init = _check_integer(b_init, "b_init", 0, size - 1)
     if method == "enumerate":
         if n > ENUMERATION_LIMIT:
             raise ValidationError(f"path enumeration is limited to n <= {ENUMERATION_LIMIT}")

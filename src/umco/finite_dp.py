@@ -92,8 +92,8 @@ def solve_finite_horizon(
     """Run the backward recursion over ``horizon + 1`` stages.
 
     With ``cost`` given, the per-stage reward is penalized by
-    multiplier * gamma(a, b_prev); multiplier defaults to 0 in that case,
-    which reproduces the unconstrained recursion exactly.
+    s * gamma(a, b_prev) for the multiplier s, which defaults to 0 and then
+    reproduces the unconstrained recursion exactly.
     """
     horizon = _check_integer(horizon, "horizon", 0)
     s, gamma = resolve_cost(channel, cost, multiplier)
@@ -108,7 +108,7 @@ def solve_finite_horizon(
             channel.kernel,
             continuation=continuation,
             cost_row=gamma,
-            multiplier=s or 0.0,
+            multiplier=s,
             tol=inner_tol,
             max_iter=inner_max_iter,
             initial=warm,
@@ -151,7 +151,7 @@ def _condition_report(channel, solution, policy, continuation, targets, tol, sta
     must equal the target on the policy's support and not exceed it off the
     support; ``worst`` overrides that worst violation when given.
     """
-    scores = letter_scores(channel.kernel, policy, continuation, solution.cost_gamma, solution.multiplier or 0.0)
+    scores = letter_scores(channel.kernel, policy, continuation, solution.cost_gamma, solution.multiplier)
     on_support = policy > SUPPORT_EPS
     scores.setflags(write=False)
     on_support.setflags(write=False)

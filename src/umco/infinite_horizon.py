@@ -27,6 +27,7 @@ from .channel import (
     OutputKernel,
     UnitMemoryChannel,
     _check_compatible,
+    _policy_average,
     induced_output_kernel,
     resolve_cost,
 )
@@ -168,7 +169,7 @@ def relative_value_iteration(
             channel.kernel,
             continuation=value,
             cost_row=gamma,
-            multiplier=s or 0.0,
+            multiplier=s,
             tol=inner_tol,
             initial=warm,
         )
@@ -205,14 +206,8 @@ def relative_value_iteration(
 
 
 def _policy_rewards(channel, matrix, gamma, s):
-    """Per-state reward l(b, pi) - s * E[gamma | b] at a fixed policy.
-
-    Letters without mass are masked out: a row that hits an output the
-    policy never produces scores +inf there.
-    """
-    scores = letter_scores(channel.kernel, matrix, cost_row=gamma, multiplier=s or 0.0)
-    with np.errstate(invalid="ignore"):
-        return np.where(matrix > 0.0, matrix * scores, 0.0).sum(-1)
+    """Per-state reward l(b, pi) - s * E[gamma | b] at a fixed policy (letters without mass count 0)."""
+    return _policy_average(matrix, letter_scores(channel.kernel, matrix, cost_row=gamma, multiplier=s))
 
 
 def _evaluate_policy(channel, matrix, gamma, s):
@@ -260,7 +255,7 @@ def policy_iteration(
         gain, bias, _ = _evaluate_policy(channel, matrix, gamma, s)
         trace.append(gain)
         improved = maximize_stage_objective(
-            channel.kernel, continuation=bias, cost_row=gamma, multiplier=s or 0.0, tol=inner_tol
+            channel.kernel, continuation=bias, cost_row=gamma, multiplier=s, tol=inner_tol
         ).policy
         change = float(np.abs(improved - matrix).max())
         matrix = improved
@@ -275,7 +270,7 @@ def policy_iteration(
     trace.append(gain)
     # Residual of the Bellman equation at the returned pair.
     optimum = maximize_stage_objective(
-        channel.kernel, continuation=bias, cost_row=gamma, multiplier=s or 0.0, tol=inner_tol
+        channel.kernel, continuation=bias, cost_row=gamma, multiplier=s, tol=inner_tol
     )
     residual = np.abs(optimum.value - gain - bias).max()
     policy = InputPolicy(matrix)
@@ -339,7 +334,7 @@ def generalized_dp_check(
         channel.kernel,
         continuation=solution.bias,
         cost_row=solution.cost_gamma,
-        multiplier=solution.multiplier or 0.0,
+        multiplier=solution.multiplier,
         tol=max(tol * 1e-3, 1e-14),
     )
     targets = gains + solution.bias

@@ -15,15 +15,15 @@ starting from uniform.  The certificate max_a(D_a + bias_a) - objective
 upper-bounds the remaining suboptimality, so iteration stops once it drops
 below ``tol``.
 
-The solver takes either one kernel slice ``(A, B)`` or a whole stack
-``(S, A, B)``, one slice per previous output, and then runs one vectorised
-update for all S states per iteration.  Each state stops at its own
-certificate, so it follows exactly the trajectory (and returns exactly the
-policy, value, iteration count and gap) it would follow if solved alone; a
-single slice is the S = 1 case of the same loop.  For a stack, ``iterations``
-is the sum of the per-state counts (the work done, as if the states were
-solved one by one), ``slowest_iterations`` the count of the slowest state
-(the number of vectorised updates run) and ``gap`` the worst state's gap.
+The solver takes the kernel stack ``(S, A, B)``, one slice per previous
+output, and runs one vectorised update for all S states per iteration; a
+single slice ``(A, B)`` is a stack of one and gets stack-shaped results.
+Each state stops at its own certificate, so it follows exactly the
+trajectory (and returns exactly the policy, value, iteration count and gap)
+it would follow if solved alone.  ``iterations`` is the sum of the
+per-state counts (the work done, as if the states were solved one by one),
+``slowest_iterations`` the count of the slowest state (the number of
+vectorised updates run) and ``gap`` the worst state's gap.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import letter_divergences
+from .channel import _policy_average, letter_divergences
 from .errors import ConvergenceError
 
 # Keep every letter strictly positive so induced outputs never lose support;
@@ -59,49 +59,44 @@ DEFAULT_INNER_MAX_ITER = 100_000
 
 
 class StateSolution(NamedTuple):
-    """Optimum of one state, or of a stack of states (see the module docstring).
-
-    One slice: policy (A,), value float.  A stack: policy (S, A), value (S,),
-    iterations summed and gap maximized over the states.
-    """
+    """Optimum of a stack of states: policy (S, A), value (S,), iterations summed and gap maximized."""
 
     policy: np.ndarray
-    value: float | np.ndarray
+    value: np.ndarray
     iterations: int
     gap: float
     slowest_iterations: int
 
 
 def _letter_bias(rows, continuation, cost_row, multiplier):
+    """E[continuation | b_prev, a] - multiplier * cost_row(b_prev, a) over a stack (S, A, B).
+
+    continuation (..., B) broadcasts its leading axes (stages, say) over the
+    states, giving a bias of shape (..., S, A); the cost term is skipped when
+    the multiplier is None or 0.
+    """
     bias = np.zeros(rows.shape[:-1])
     if continuation is not None:
-        bias = bias + rows @ np.asarray(continuation, dtype=float)
+        continuation = np.asarray(continuation, dtype=float)
+        bias = bias + np.matmul(rows, continuation[..., None, :, None])[..., 0]
     if cost_row is not None and multiplier:
         bias = bias - multiplier * np.asarray(cost_row, dtype=float)
     return bias
 
 
-def letter_scores(rows, policy, continuation=None, cost_row=None, multiplier=0.0) -> np.ndarray:
+def letter_scores(rows, policy, continuation=None, cost_row=None, multiplier=None) -> np.ndarray:
     """Per-letter score D_a + E[continuation | a] - s*cost(a) at a given policy.
 
     On the support of an optimal policy these scores all equal the stage
     value; off the support they cannot exceed it.
 
-    rows is one kernel slice (A, B) with policy (A,), or the stack (S, A, B)
-    with policy (..., S, A), continuation (..., B) and cost_row (S, A); the
-    leading axes (stages, say) broadcast and the scores are (..., S, A).
+    rows is the kernel stack (S, A, B) only (a slice (A, B) is a stack of
+    one), with policy (..., S, A), continuation (..., B) and cost_row (S, A);
+    the leading axes (stages, say) broadcast and the scores are (..., S, A).
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float).reshape(-1, *np.shape(rows)[-2:])  # a slice is a stack of one
     output = np.matmul(np.asarray(policy, dtype=float)[..., None, :], rows)
-    bias = 0.0
-    if continuation is not None:
-        continuation = np.asarray(continuation, dtype=float)
-        if rows.ndim == 3:
-            continuation = continuation[..., None, :]
-        bias = np.matmul(rows, continuation[..., None])[..., 0]
-    if cost_row is not None and multiplier:
-        bias = bias - multiplier * np.asarray(cost_row, dtype=float)
-    return letter_divergences(rows, output) + bias
+    return letter_divergences(rows, output) + _letter_bias(rows, continuation, cost_row, multiplier)
 
 
 def _snap(rows, pi, bias, tol):
@@ -112,8 +107,7 @@ def _snap(rows, pi, bias, tol):
             return None  # nothing to snap at this or any smaller threshold
         candidate = snapped / snapped.sum()
         scores = letter_divergences(rows, candidate @ rows) + bias
-        supported = candidate > 0.0
-        value = float(np.sum(candidate[supported] * scores[supported]))
+        value = float(_policy_average(candidate, scores))
         gap = float(scores.max() - value)
         if gap <= tol:
             return candidate, value, gap
@@ -124,27 +118,26 @@ def maximize_stage_objective(
     rows,
     continuation=None,
     cost_row=None,
-    multiplier: float = 0.0,
+    multiplier: float | None = None,
     tol: float = DEFAULT_INNER_TOL,
     max_iter: int = DEFAULT_INNER_MAX_ITER,
     initial=None,
 ) -> StateSolution:
-    """Solve one state's concave program, or every state's of a stack, over the input simplex.
+    """Solve every state's concave program of a kernel stack over the input simplex.
 
-    rows: kernel slice P(b | b_prev=., a), shape (n_inputs, n_outputs), or
-    the stack of all slices, shape (n_states, n_inputs, n_outputs).
+    rows: the kernel stack P(b | b_prev, a) only, shape (n_states, n_inputs,
+    n_outputs); a single slice (n_inputs, n_outputs) is a stack of one and
+    gets a policy (1, n_inputs) and a value (1,).
     continuation: optional next-stage value vector W(b), shared by all states.
-    cost_row, multiplier: optional linear penalty s * cost(a); cost_row has
-    shape (n_inputs,), or (n_states, n_inputs) for a stack.
+    cost_row, multiplier: optional linear penalty s * cost(a) of shape
+    (n_states, n_inputs); skipped when the multiplier is None or 0.
     initial: optional warm-start policy, shaped like cost_row; default is
     uniform, which is also the tie-breaker among optimal policies.
 
     Raises ConvergenceError with the worst achieved gap if ``max_iter`` is
     hit before every state is certified.
     """
-    rows = np.asarray(rows, dtype=float)
-    stacked = rows.ndim == 3
-    rows = rows.reshape(-1, *rows.shape[-2:])
+    rows = np.asarray(rows, dtype=float).reshape(-1, *np.shape(rows)[-2:])  # a slice is a stack of one
     n_states, n_inputs, _ = rows.shape
     bias = _letter_bias(rows, continuation, cost_row, multiplier)
     # Work with a centered bias: a common offset shifts every score and the
@@ -212,6 +205,4 @@ def maximize_stage_objective(
             f"(achieved gap {worst:.3e})",
             residual=worst,
         )
-    if stacked:
-        return StateSolution(policy, values, int(iterations.sum()), float(gaps.max()), int(iterations.max()))
-    return StateSolution(policy[0], float(values[0]), int(iterations[0]), float(gaps[0]), int(iterations[0]))
+    return StateSolution(policy, values, int(iterations.sum()), float(gaps.max()), int(iterations.max()))

@@ -372,3 +372,21 @@ def test_kappa_csv_values():
     cells = lines[2].split(",")
     assert abs(float(cells[1]) - 0.31127812445913283) < 1e-12
     assert lines[3].endswith("false")
+
+
+@pytest.mark.parametrize(
+    "kappa, message", [(2.0, "kappa must lie in"), (-0.5, "kappa must lie in"), (np.nan, "kappa must be finite")]
+)
+def test_nofeedback_markov_names_kappa(kappa, message):
+    with pytest.raises(ValidationError, match=message):
+        bssc_nofeedback_markov(BSSCParams(0.0, 1.0), kappa)
+
+
+def test_csvs_from_numpy_inputs_hold_plain_floats():
+    assert bssc_grid_csv(np.array([0.9]), np.array([0.6])) == bssc_grid_csv([0.9], [0.6])
+    assert "np." not in bssc_grid_csv(np.array([0.9]), np.array([0.6]))
+    assert bssc_grid_csv([0.9], [0.6], np.float64(0.3)) == bssc_grid_csv([0.9], [0.6], 0.3)
+    kappas = np.array([0.3, 0.9])
+    numpy_params = BSSCParams(np.float64(0.9), np.float64(0.6))
+    assert bssc_kappa_csv(numpy_params, kappas) == bssc_kappa_csv(BSSCParams(0.9, 0.6), [0.3, 0.9])
+    assert type(numpy_params.alpha) is float and type(numpy_params.beta) is float

@@ -26,6 +26,8 @@ from umco import (
     bssc_cost_function,
     channel_from_kernel,
     deterministic_policy,
+    error_probability_bound,
+    finite_horizon_exponent_oracle,
     induced_output_kernel,
     load_channel,
     parse_channel_document,
@@ -90,6 +92,42 @@ def test_load_rejects_declared_sizes_that_are_not_positive_integers(size):
     doc["input_size"] = size
     with pytest.raises(ValidationError, match="alphabet size"):
         load_channel(json.dumps(doc))
+
+
+def _oracle(n=3, b_init=0):
+    return finite_horizon_exponent_oracle(bibo_channel(), uniform_policy(2, 2), 0.5, n, b_init)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _oracle(n=2.5),
+        lambda: _oracle(b_init=5),
+        lambda: _oracle(b_init=-1),
+        lambda: error_probability_bound(bibo_channel(), uniform_policy(2, 2), 0.1, n=2.5),
+        lambda: Distribution.point_mass(2, -1),
+        lambda: deterministic_policy([-1, 0], 2),
+        lambda: stage_reward(bibo_channel(), uniform_policy(2, 2), -1),
+        lambda: Distribution.point_mass(2, 2),
+        lambda: deterministic_policy([0, 2], 2),
+        lambda: stage_reward(bibo_channel(), uniform_policy(2, 2), 2),
+    ],
+    ids=[
+        "oracle-n",
+        "oracle-b-init-past-end",
+        "oracle-b-init-negative",
+        "bound-n",
+        "point-mass-negative",
+        "choice-negative",
+        "stage-reward-negative",
+        "point-mass-past-end",
+        "choice-past-end",
+        "stage-reward-past-end",
+    ],
+)
+def test_indices_and_lengths_pass_the_integer_rule(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()
 
 
 def test_load_rejects_infinite_declared_size():

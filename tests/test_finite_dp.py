@@ -191,8 +191,8 @@ def test_stage_objective_concave_at_every_stage(rng):
         continuation = solution.values[t + 1] if t < 3 else None
 
         def objective(row, b):
-            scores = letter_scores(channel.kernel[b], row, continuation=continuation)
-            return float(row @ scores)
+            scores = letter_scores(channel.kernel[b : b + 1], row[None], continuation=continuation)
+            return float(row @ scores[0])
 
         for _ in range(10):
             p = rng.random(2)
@@ -308,12 +308,12 @@ def _per_state_conditions(channel, policy, continuations, targets, gamma, multip
     for t, continuation in enumerate(continuations):
         for b in range(channel.n_states):
             row = letter_scores(
-                channel.kernel[b],
-                policy[t][b],
+                channel.kernel[b : b + 1],
+                policy[t][b : b + 1],
                 continuation=continuation,
-                cost_row=None if gamma is None else gamma[b],
-                multiplier=multiplier or 0.0,
-            )
+                cost_row=None if gamma is None else gamma[b : b + 1],
+                multiplier=multiplier,
+            )[0]
             excess = row - targets[t][b]
             violation = np.where(policy[t][b] > SUPPORT_EPS, np.abs(excess), np.maximum(excess, 0.0))
             scores.append(row)

@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -181,6 +181,26 @@ def test_policy_iteration_gain_lies_in_the_rvi_gain_bracket(channel):
     inner_tol = max(tol * 1e-2, 1e-12)
     assert lo - inner_tol <= pi.gain <= hi + inner_tol
     assert pi.gain_bracket is None
+
+
+@settings(max_examples=15)
+@given(positive_channels(), st.integers(0, 30))
+def test_finite_horizon_value_tracks_horizon_times_gain(channel, n):
+    # T is monotone and commutes with constants, so for the exact pair (J, h)
+    # (n+1) J + h - max h <= V_0 = T^(n+1) 0 <= (n+1) J + h - min h, hence
+    # |V_0 - (n+1) J| <= span(h); the slack covers RVI's tolerance on J over
+    # n + 1 stages and the DP's inner tolerance.
+    rvi = relative_value_iteration(channel, tol=1e-6)
+    values = solve_finite_horizon(channel, n, inner_tol=1e-8).values[0]
+    assert np.abs(values - (n + 1) * rvi.gain).max() <= np.ptp(rvi.bias) + (n + 2) * 1e-6
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_bssc_closed_form_equals_rvi_gain_off_the_singular_line(alpha, beta):
+    assume(abs(alpha + beta - 1.0) >= 0.05)
+    params = BSSCParams(alpha, beta)
+    gain = relative_value_iteration(bssc_channel(params), tol=1e-9).gain
+    assert abs(bssc_closed_form(params).capacity - gain) <= 1e-9
 
 
 def test_stationary_distribution_values():

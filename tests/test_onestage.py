@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bssc
 from umco import ConvergenceError
-from umco.onestage import maximize_stage_objective
+from umco.onestage import letter_scores, maximize_stage_objective
 
 # Small enough that every generated stack runs in milliseconds; states that
 # need longer stall, which the property covers as well.
@@ -93,12 +93,22 @@ def test_state_certified_by_the_snap_is_frozen_in_a_stack():
     assert stacked.slowest_iterations == singles[1].iterations
 
 
-def test_single_slice_returns_scalars():
-    solution = maximize_stage_objective(bibo_channel().kernel[0])
-    assert solution.policy.shape == (2,)
-    assert isinstance(solution.value, float)
-    assert solution.iterations == solution.slowest_iterations
-    assert 0.0 <= solution.gap <= 1e-10
+def test_single_slice_is_a_stack_of_one():
+    kernel = bibo_channel().kernel
+    cost = np.array([[1.0, 0.0], [0.0, 0.5]])
+    for b in range(2):
+        kwargs = dict(continuation=[0.3, -0.2], multiplier=0.7, initial=[[0.2, 0.8]])
+        solution = maximize_stage_objective(kernel[b], cost_row=cost[b], **kwargs)
+        stack = maximize_stage_objective(kernel[b : b + 1], cost_row=cost[b : b + 1], **kwargs)
+        assert solution.policy.shape == (1, 2) and solution.value.shape == (1,)
+        assert solution.policy.tobytes() == stack.policy.tobytes()
+        assert solution.value.tobytes() == stack.value.tobytes()
+        assert solution[2:] == stack[2:]
+        assert solution.iterations == solution.slowest_iterations
+        assert 0.0 <= solution.gap <= 1e-10
+        scores = letter_scores(kernel[b], [0.2, 0.8], [0.3, -0.2], cost[b], 0.7)
+        stack_scores = letter_scores(kernel[b : b + 1], [[0.2, 0.8]], [0.3, -0.2], cost[b : b + 1], 0.7)
+        assert scores.shape == (1, 2) and scores.tobytes() == stack_scores.tobytes()
 
 
 def test_stall_in_one_state_carries_that_states_gap():
