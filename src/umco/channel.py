@@ -190,6 +190,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
+        n = _check_integer(n, "size", 1)
         return cls(np.full(n, 1.0 / n))
 
     @classmethod
@@ -218,11 +219,13 @@ class CostSpec:
 
 
 def uniform_policy(n_states: int, n_inputs: int, stage: int | None = None) -> InputPolicy:
-    return InputPolicy(np.full((n_states, n_inputs), 1.0 / n_inputs), stage)
+    n_inputs = _check_integer(n_inputs, "number of inputs", 1)
+    return InputPolicy(np.full((_check_integer(n_states, "number of states", 1), n_inputs), 1.0 / n_inputs), stage)
 
 
 def deterministic_policy(choices, n_inputs: int, stage: int | None = None) -> InputPolicy:
     """Point-mass policy selecting input choices[b_prev] in each state."""
+    n_inputs = _check_integer(n_inputs, "number of inputs", 1)
     matrix = np.zeros((len(choices), n_inputs))
     for b, a in enumerate(choices):
         matrix[b, _check_integer(a, "input choice", 0, n_inputs - 1)] = 1.0

@@ -254,12 +254,10 @@ def _cmd_nofb_verify(args) -> int:
     params = bssc_mod.BSSCParams(args.alpha, args.beta)
     solution = bssc_mod.bssc_closed_form(params)
     occupancy = args.kappa if args.kappa is not None else solution.nu
-    target = InputPolicy([[occupancy, 1 - occupancy], [1 - occupancy, occupancy]])
+    target = bssc_mod._diagonal_policy(occupancy)
     markov = bssc_mod.bssc_nofeedback_markov(params, occupancy)
     channel = bssc_mod.bssc_channel(params)
-    records = bssc_mod.nofb_induction_deviations(
-        channel, markov, target, Distribution.uniform(2), args.horizon
-    )
+    records = bssc_mod.nofb_induction_deviations(channel, markov, target, Distribution.uniform(2), args.horizon)
     worst = max(dev for _, dev, _ in records)
     print(f"Markov input diagonal = {markov.matrix[0, 0]:.10f}")
     print(f"worst stage deviation over {args.horizon} stages = {worst:.3e}")

@@ -7,8 +7,8 @@ Solves the per-stage recursions
 
 for all previous-output states at once, with an optional transmission cost
 s * gamma(a, b_prev) subtracted from the reward.  The terminal stage starts
-cold from uniform; stage t is warm-started from stage t+1's policy, lifted
-to a small floor so that a letter zeroed at t+1 can grow back.  Also
+cold from uniform; stage t is warm-started from stage t+1's policy as is: a
+letter zeroed at t+1 rejoins at t through the solver's active set.  Also
 provides the per-letter optimality-condition checker and the classifier
 that decides whether the solved problem decomposes stage by stage.
 """
@@ -21,13 +21,7 @@ import numpy as np
 
 from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, _check_integer, resolve_cost
 from .errors import DimensionMismatchError
-from .onestage import (
-    DEFAULT_INNER_MAX_ITER,
-    DEFAULT_INNER_TOL,
-    _WARM_START_FLOOR,
-    letter_scores,
-    maximize_stage_objective,
-)
+from .onestage import DEFAULT_INNER_MAX_ITER, DEFAULT_INNER_TOL, letter_scores, maximize_stage_objective
 
 # Policy mass below this counts as an unsupported letter in condition checks.
 SUPPORT_EPS = 1e-9
@@ -117,7 +111,7 @@ def solve_finite_horizon(
         policies[t] = InputPolicy(sol.policy, stage=t)
         inner_iterations[t] = sol.slowest_iterations
         continuation = values[t]
-        warm = np.maximum(sol.policy, _WARM_START_FLOOR)
+        warm = sol.policy
     values.setflags(write=False)
     return DPSolution(
         horizon=horizon,

@@ -33,7 +33,7 @@ from .channel import (
 )
 from .errors import ConvergenceError, ReducibleChainError
 from .finite_dp import ConditionReport, _condition_report
-from .onestage import _WARM_START_FLOOR, letter_scores, maximize_stage_objective
+from .onestage import letter_scores, maximize_stage_objective
 
 # Entries above this are edges of the output-chain graph; below is treated as
 # a structural zero rather than rounding noise.
@@ -153,16 +153,14 @@ def relative_value_iteration(
     The per-state fixed point is warm-started from the previous sweep (first
     sweep: uniform, or ``initial_policy``); ``initial_value`` seeds the value
     vector, which speeds up families of nearby solves such as a multiplier
-    search.  ``initial_policy`` comes from another solve, so every letter is
-    first lifted to a mass of at least 1e-12 (``onestage._WARM_START_FLOOR``):
-    a letter that solve drove to zero can then grow back instead of crawling
-    up from the solver's 1e-280 floor.  The sweep-to-sweep warm start is
-    passed as is.  Both defaults reproduce the cold uniform start.
+    search.  Both warm starts are passed as is: a letter another solve drove
+    to zero rejoins through the solver's active set.  Both defaults reproduce
+    the cold uniform start.
     """
     s, gamma = resolve_cost(channel, cost, multiplier)
     inner_tol = max(tol * 1e-2, 1e-12)
     value = np.zeros(channel.n_states) if initial_value is None else np.array(initial_value, dtype=float)
-    warm = None if initial_policy is None else np.maximum(initial_policy.matrix, _WARM_START_FLOOR)
+    warm = None if initial_policy is None else initial_policy.matrix
     span = np.inf
     for sweep in range(1, max_iter + 1):
         sol = maximize_stage_objective(

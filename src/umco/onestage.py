@@ -12,8 +12,12 @@ bias, solved by the multiplicative fixed point
     pi'(a)  proportional to  pi(a) * 2^(D_a + bias_a)
 
 starting from uniform.  The certificate max_a(D_a + bias_a) - objective
-upper-bounds the remaining suboptimality, so iteration stops once it drops
-below ``tol``.
+upper-bounds the remaining suboptimality of any policy, so iteration stops
+once it drops below ``tol``.  The update reaches a face of the simplex only
+asymptotically, so every 256 iterations each state not yet certified tries
+an active-set Newton ascent from its iterate: it puts exact zeros on dead
+letters, lets a letter at zero mass rejoin by its score, and is kept only
+once the same certificate holds.
 
 The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
@@ -39,20 +43,9 @@ from .errors import ConvergenceError
 # mass at the floor is far below any tolerance in use.
 _POLICY_FLOOR = 1e-280
 
-# A warm start from another solve's policy (the next DP stage, a nearby cost
-# multiplier) lifts every letter to this mass first.  A letter zeroed there
-# would otherwise start at the 1e-280 floor and could not grow back within
-# the iteration budget; from here it needs 40 bits of score excess, and a
-# letter that stays dead stays far below the condition checker's support
-# threshold (finite_dp.SUPPORT_EPS = 1e-9).
-_WARM_START_FLOOR = 1e-12
-
-# The multiplicative update crawls when the optimum sits on a face of the
-# simplex (it only reaches the boundary asymptotically).  Every so often,
-# test the candidate obtained by zeroing near-dead letters against the
-# certificate, which is valid for any policy.
-_SNAP_PERIOD = 256
-_SNAP_THRESHOLDS = (1e-4, 1e-8)
+# Iterations between the Newton attempts of an uncertified state, and steps per attempt.
+_NEWTON_PERIOD = 256
+_NEWTON_STEPS = 50
 
 DEFAULT_INNER_TOL = 1e-10
 DEFAULT_INNER_MAX_ITER = 100_000
@@ -99,18 +92,42 @@ def letter_scores(rows, policy, continuation=None, cost_row=None, multiplier=Non
     return letter_divergences(rows, output) + _letter_bias(rows, continuation, cost_row, multiplier)
 
 
-def _snap(rows, pi, bias, tol):
-    """Zero near-dead letters of one state's policy; return (policy, value, gap) if certified."""
-    for threshold in _SNAP_THRESHOLDS:
-        snapped = np.where(pi >= threshold * pi.max(), pi, 0.0)
-        if np.all(snapped > 0.0):
-            return None  # nothing to snap at this or any smaller threshold
-        candidate = snapped / snapped.sum()
-        scores = letter_divergences(rows, candidate @ rows) + bias
-        value = float(_policy_average(candidate, scores))
+def _newton(rows, pi, bias, tol):
+    """Active-set Newton ascent of one state's program; return (policy, value, gap) if certified.
+
+    The support starts at the letters with at least 1% of the top mass and
+    those reaching an output the others miss.  Each step solves [H_SS 1; 1^T 0]
+    with H = R diag(1/q) R^T / ln 2 shifted by 1e-12 trace(H), so a flat
+    direction (dependent rows) takes a long step; a step leaving the simplex
+    stops at its blocking letter, which drops out at exactly 0.  Once the
+    support's scores are level, the best letter off it joins.
+    """
+    support = pi >= 1e-2 * pi.max()
+    support |= rows @ (support @ rows == 0.0) > 0.0
+    pi = np.where(support, pi, 0.0) / pi[support].sum()
+    for _ in range(_NEWTON_STEPS):
+        output = pi @ rows
+        scores = letter_divergences(rows, output) + bias
+        value = float(_policy_average(pi, scores))
         gap = float(scores.max() - value)
         if gap <= tol:
-            return candidate, value, gap
+            return pi, value, gap
+        if np.ptp(scores[support]) <= tol:
+            support[np.argmax(np.where(support, -np.inf, scores))] = True
+        live = rows[support]
+        hessian = (live / np.where(output > 0.0, output, np.inf)) @ live.T / np.log(2.0)
+        system = np.pad(hessian + 1e-12 * np.trace(hessian) * np.eye(len(live)), (0, 1), constant_values=1.0)
+        system[-1, -1] = 0.0
+        step = np.linalg.solve(system, np.append(scores[support], 0.0))[:-1]
+        if not np.all(np.isfinite(step)):
+            return None
+        ratios = np.where(step < 0.0, pi[support] / np.where(step < 0.0, -step, 1.0), np.inf)
+        blocking = np.argmin(ratios)
+        pi[support] = np.maximum(pi[support] + min(1.0, ratios[blocking]) * step, 0.0)
+        if ratios[blocking] <= 1.0:
+            pi[np.flatnonzero(support)[blocking]] = 0.0
+        pi /= pi.sum()
+        support = pi > 0.0
     return None
 
 
@@ -175,11 +192,11 @@ def maximize_stage_objective(
         top = np.maximum.reduce(scores, axis=1)
         gap = top - value
         finished = gap <= tol
-        if iteration % _SNAP_PERIOD == 0:
+        if iteration % _NEWTON_PERIOD == 0:
             for i in np.flatnonzero(~finished):
-                snapped = _snap(rows[i], pi[i], bias[i], tol)
-                if snapped is not None:
-                    pi[i], value[i], gap[i] = snapped
+                newton = _newton(rows[i], pi[i], bias[i], tol)
+                if newton is not None:
+                    pi[i], value[i], gap[i] = newton
                     finished[i] = True
         if finished.any():
             slots = index[finished]

@@ -4,13 +4,16 @@ Draws channels with S = 2-4 states, A = 2-5 inputs and kernel entries zeroed
 with probability 0.4, solves the horizon-20 recursion and checks the
 per-letter conditions at tol 1e-8.  Prints one JSON line: solver stalls
 (ConvergenceError), channels the checker flags, and the summed slowest-state
-inner iterations.  Run it against two source trees to compare them:
+inner iterations.  Exits nonzero on any stall; the flagged count is reported
+but not gated (the inner certificate does not bound the per-letter
+conditions).  Run it against two source trees to compare them:
 
     PYTHONPATH=src python tests/sparse_stress.py --channels 600
 """
 
 import argparse
 import json
+import sys
 
 import numpy as np
 
@@ -48,3 +51,4 @@ if __name__ == "__main__":
     args = parser.parse_args()
     result = census(args.channels, args.seed)
     print(json.dumps({**result, "n_stalls": len(result["stalls"]), "n_flagged": len(result["flagged"])}))
+    sys.exit(1 if result["stalls"] else 0)

@@ -111,6 +111,11 @@ def _oracle(n=3, b_init=0):
         lambda: Distribution.point_mass(2, 2),
         lambda: deterministic_policy([0, 2], 2),
         lambda: stage_reward(bibo_channel(), uniform_policy(2, 2), 2),
+        lambda: Distribution.uniform(0),
+        lambda: Distribution.uniform(2.5),
+        lambda: uniform_policy(2, 0),
+        lambda: uniform_policy(0, 2),
+        lambda: deterministic_policy([0, 1], 2.5),
     ],
     ids=[
         "oracle-n",
@@ -123,6 +128,11 @@ def _oracle(n=3, b_init=0):
         "point-mass-past-end",
         "choice-past-end",
         "stage-reward-past-end",
+        "uniform-size-zero",
+        "uniform-size-fractional",
+        "uniform-policy-no-inputs",
+        "uniform-policy-no-states",
+        "choice-fractional-inputs",
     ],
 )
 def test_indices_and_lengths_pass_the_integer_rule(call):

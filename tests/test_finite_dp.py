@@ -247,9 +247,9 @@ def test_dp_report_mentions_stages():
     assert "stage 0" in text and "stage 2" in text and "pi_1" in text
 
 
-def test_lifted_warm_start_revives_a_letter_the_snap_zeroed():
-    # Letter 1 of state 0 is dead at stage 1, where the snap zeroes it, and
-    # carries 4% of the mass at stage 0.
+def test_raw_warm_start_revives_a_letter_zeroed_at_the_next_stage():
+    # Letter 1 of state 0 is dead at stage 1, where the Newton step zeroes it
+    # exactly, and carries 4% of the mass at stage 0.
     channel = channel_from_kernel([[[0.46, 0.54], [0.63, 0.37]], [[0.26, 0.74], [1.0, 0.0]]])
     solution = solve_finite_horizon(channel, 2)
     assert solution.policies[1].matrix[0, 1] == 0.0
@@ -257,12 +257,13 @@ def test_lifted_warm_start_revives_a_letter_the_snap_zeroed():
     assert verify_optimality_conditions(channel, solution, tol=1e-9).passed
     cold = maximize_stage_objective(channel.kernel, continuation=solution.values[1])
     assert np.abs(cold.value - solution.values[0]).max() < 1e-12
-    # Passed on raw, the zeroed letter starts at the policy floor and cannot
-    # grow back within the iteration budget.
-    with pytest.raises(ConvergenceError):
-        maximize_stage_objective(
-            channel.kernel, continuation=solution.values[1], initial=solution.policies[1].matrix
-        )
+    # Passed on raw, the exact-zero letter starts at the policy floor and
+    # rejoins by its score: the solve reaches the cold value.
+    raw = maximize_stage_objective(
+        channel.kernel, continuation=solution.values[1], initial=solution.policies[1].matrix
+    )
+    assert np.abs(raw.value - cold.value).max() < 1e-12
+    assert raw.policy[0, 1] > 0.04
 
 
 entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))

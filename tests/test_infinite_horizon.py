@@ -35,7 +35,9 @@ from umco import (
     stationary_distribution,
     uniform_policy,
     verify_bellman_conditions,
+    verify_optimality_conditions,
 )
+from sparse_stress import sparse_random_channel
 from umco.cli import solution_csv, solution_report
 from umco.infinite_horizon import EDGE_EPS, _policy_rewards
 
@@ -455,9 +457,9 @@ def test_solution_reports():
 
 def test_warm_start_lets_a_zeroed_letter_grow_back(monkeypatch):
     # At multiplier 1 the penalized letter of BSSC(0.9, 0.65) dies (the solve
-    # snaps it to the 1e-280 floor); at 0.5 it carries mass again.  Lifted to
-    # 1e-12 at entry it regrows in a few hundred iterations; passed raw it
-    # took more than 20 times the cold solve's.
+    # gives it exactly 0); at 0.5 it carries mass again.  Passed on as is, it
+    # starts at the 1e-280 policy floor and rejoins by its score through the
+    # Newton step at iteration 256.
     real = umco.infinite_horizon.maximize_stage_objective
     inner = []
 
@@ -484,3 +486,60 @@ def test_warm_start_lets_a_zeroed_letter_grow_back(monkeypatch):
     assert abs(warm.gain - cold.gain) <= 1e-10
     assert warm.policy.matrix.min() > 1e-3
     assert sum(inner) <= 3 * cold_inner
+
+
+def _normalised(kernel):
+    return channel_from_kernel(kernel / kernel.sum(axis=2, keepdims=True))
+
+
+def _dense_channel():
+    rng = np.random.default_rng(4)
+    n_states, n_inputs = rng.integers(2, 5, size=2)
+    return _normalised(rng.random((n_states, n_inputs, n_states)) + 0.01)
+
+
+def _sparse_stress_channel(index, seed=2024):
+    """Channel ``index`` of ``tests/sparse_stress.py`` at its default seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        channel = sparse_random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+    return channel
+
+
+# Nearly input-independent: every letter of state 1 and two of state 0 send
+# the same row, so the optimum sits on a face where the update crawls.
+NEAR_INDEPENDENT = [[[39 / 79, 40 / 79], [0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5]] * 3]
+
+
+def _rvi_agrees_with_pi(channel, tol):
+    rvi = relative_value_iteration(channel, tol=tol)
+    pi = policy_iteration(channel, uniform_policy(channel.n_states, channel.n_inputs), tol=tol)
+    assert rvi.gain_bracket[0] - tol <= pi.gain <= rvi.gain_bracket[1] + tol
+
+
+def _fresh_rng_16():
+    channel = _normalised(np.random.default_rng(0).random((16, 16, 16)))
+    assert verify_bellman_conditions(channel, relative_value_iteration(channel), tol=1e-8).passed
+
+
+def _sparse_190():
+    channel = _sparse_stress_channel(190)
+    assert not channel.kernel[1].any(axis=0).all()  # state 1 has outputs no letter reaches
+    assert verify_optimality_conditions(channel, solve_finite_horizon(channel, 20), tol=1e-8).passed
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: _rvi_agrees_with_pi(_dense_channel(), 1e-9),
+        lambda: _rvi_agrees_with_pi(channel_from_kernel(NEAR_INDEPENDENT), 1e-6),
+        lambda: _rvi_agrees_with_pi(channel_from_kernel(NEAR_INDEPENDENT), 1e-9),
+        _fresh_rng_16,
+        _sparse_190,
+    ],
+    ids=["dense-rng4", "near-independent-1e-6", "near-independent-1e-9", "fresh-rng0-16x16", "sparse-stress-190"],
+)
+def test_channels_that_stalled_the_inner_solver_converge(solve):
+    # On each of these the multiplicative update alone crawls past 100k inner
+    # iterations (ConvergenceError); the Newton step certifies every state.
+    solve()

@@ -28,7 +28,7 @@ def stage_problems(draw):
     rows /= rows.sum(axis=2, keepdims=True)
     if n_inputs > 2 and draw(st.booleans()):
         # A letter mixing two others is dominated, so the optimum sits on a
-        # face of the simplex and is reached by the periodic snap.
+        # face of the simplex and is reached by the periodic Newton step.
         weight = draw(st.floats(0.1, 0.9))
         rows[:, -1] = weight * rows[:, 0] + (1.0 - weight) * rows[:, 1]
     continuation = draw(st.none() | hnp.arrays(float, n_outputs, elements=st.floats(-5.0, 5.0)))
@@ -76,21 +76,23 @@ def test_stacked_call_equals_per_state_calls(problem):
     assert stacked.gap == max(s.gap for s in singles)
 
 
-def test_state_certified_by_the_snap_is_frozen_in_a_stack():
+def test_state_certified_by_the_newton_step_is_frozen_in_a_stack():
     # At multiplier 2 the costly letter of BSSC(0.95, 0.8) state 0 is just
-    # dead: the update crawls towards the vertex and only the periodic snap
-    # certifies it.  State 1, the mirror image at an effective multiplier
-    # of 1.9, keeps both letters and crawls on to a regular certificate.
-    rows = bssc(0.95, 0.8).kernel
-    cost = np.array([[1.0, 0.0], [0.0, 0.95]])
-    singles = [maximize_stage_objective(rows[b], cost_row=cost[b], multiplier=2.0) for b in range(2)]
-    assert (singles[0].iterations, singles[0].gap) == (256, 0.0)
-    assert singles[1].iterations > 256 and singles[1].policy.min() > 0.0
+    # dead, and state 1 at cost 0.95 keeps 0.7% on its costly letter: the
+    # update crawls on both, and the Newton step at iteration 256 certifies
+    # both, the first at an exact vertex.  State 1 at cost 0.5 reaches its
+    # certificate early and is frozen before either.
+    rows = bssc(0.95, 0.8).kernel[[0, 1, 1]]
+    cost = np.array([[1.0, 0.0], [0.0, 0.95], [0.0, 0.5]])
+    singles = [maximize_stage_objective(rows[b], cost_row=cost[b], multiplier=2.0) for b in range(3)]
+    assert [s.iterations for s in singles[:2]] == [256, 256] and singles[2].iterations < 256
+    assert singles[0].policy.tolist() == [[0.0, 1.0]] and singles[0].gap == 0.0
+    assert 0.0 < singles[1].policy[0, 1] < 0.01 and singles[1].gap <= 1e-10
     stacked = maximize_stage_objective(rows, cost_row=cost, multiplier=2.0)
-    assert stacked.policy.tobytes() == np.array([s.policy for s in singles]).tobytes()
-    assert stacked.value.tobytes() == np.array([s.value for s in singles]).tobytes()
-    assert stacked.iterations == 256 + singles[1].iterations
-    assert stacked.slowest_iterations == singles[1].iterations
+    assert stacked.policy.tobytes() == np.concatenate([s.policy for s in singles]).tobytes()
+    assert stacked.value.tobytes() == np.concatenate([s.value for s in singles]).tobytes()
+    assert stacked.iterations == 512 + singles[2].iterations
+    assert stacked.slowest_iterations == 256
 
 
 def test_single_slice_is_a_stack_of_one():
