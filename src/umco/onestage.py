@@ -11,13 +11,22 @@ bias, solved by the multiplicative fixed point
 
     pi'(a)  proportional to  pi(a) * 2^(D_a + bias_a)
 
-starting from uniform.  The certificate max_a(D_a + bias_a) - objective
-upper-bounds the remaining suboptimality of any policy, so iteration stops
-once it drops below ``tol``.  The update reaches a face of the simplex only
-asymptotically, so every 256 iterations each state not yet certified tries
-an active-set Newton ascent from its iterate: it puts exact zeros on dead
-letters, lets a letter at zero mass rejoin by its score, and is kept only
-once the same certificate holds.
+starting from uniform.  By Blahut's identity
+
+    D_a = sum_b P(b|a) log2 P(b|a) - sum_b P(b|a) log2 q(b),
+
+so a letter's score is a loop invariant, sum_b P log2 P + bias_a, minus one
+matrix product of log2 q with the kernel; each update then normalises once
+and lifts any letter below a tiny floor back to it.  The certificate
+max_a(D_a + bias_a) - objective upper-bounds the remaining suboptimality of
+any policy, so iteration stops once it drops below ``tol``.  The update
+reaches a face of the simplex only asymptotically, so every 256 iterations
+each state not yet certified tries an active-set Newton ascent from its
+iterate: it puts exact zeros on dead letters, lets a letter at zero mass
+rejoin by its score, and is kept only once the same certificate holds.  A
+state whose warm start holds an exact zero (a letter an earlier solve let
+die) makes its first attempt at iteration 1, since that letter would
+otherwise sit at the floor until iteration 256.
 
 The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
@@ -99,7 +108,9 @@ def _newton(rows, pi, bias, tol):
     those reaching an output the others miss.  Each step solves [H_SS 1; 1^T 0]
     with H = R diag(1/q) R^T / ln 2 shifted by 1e-12 trace(H), so a flat
     direction (dependent rows) takes a long step; a step leaving the simplex
-    stops at its blocking letter, which drops out at exactly 0.  Once the
+    stops at its blocking letter, which drops out at exactly 0, unless that
+    letter alone reaches some output: dropping it would leave q = 0 there and
+    an infinite score, so the step stops halfway to it instead.  Once the
     support's scores are level, the best letter off it joins.
     """
     support = pi >= 1e-2 * pi.max()
@@ -123,8 +134,12 @@ def _newton(rows, pi, bias, tol):
             return None
         ratios = np.where(step < 0.0, pi[support] / np.where(step < 0.0, -step, 1.0), np.inf)
         blocking = np.argmin(ratios)
-        pi[support] = np.maximum(pi[support] + min(1.0, ratios[blocking]) * step, 0.0)
-        if ratios[blocking] <= 1.0:
+        blocked = ratios[blocking] <= 1.0
+        reach = live > 0.0
+        halved = blocked and bool(np.any(reach[blocking] & (reach.sum(axis=0) == 1)))
+        length = 0.5 * ratios[blocking] if halved else min(1.0, ratios[blocking])
+        pi[support] = np.maximum(pi[support] + length * step, 0.0)
+        if blocked and not halved:
             pi[np.flatnonzero(support)[blocking]] = 0.0
         pi /= pi.sum()
         support = pi > 0.0
@@ -164,57 +179,71 @@ def maximize_stage_objective(
     bias = bias - offset[:, None]
     if initial is None:
         pi = np.full((n_states, n_inputs), 1.0 / n_inputs)
+        zero_start = np.zeros(n_states, dtype=bool)
     else:
-        pi = np.maximum(np.asarray(initial, dtype=float).reshape(n_states, n_inputs), _POLICY_FLOOR)
+        pi = np.asarray(initial, dtype=float).reshape(n_states, n_inputs)
+        # A letter warm-started at exactly 0 would sit at the floor until the
+        # first periodic Newton attempt; such a state tries one at once.
+        zero_start = (pi == 0.0).any(axis=1)
+        pi = np.maximum(pi, _POLICY_FLOOR)
         pi = pi / pi.sum(axis=1, keepdims=True)
-    # Loop invariants.  log2 P is 0 where P = 0, so those terms vanish as
-    # long as q is finite and positive; q > 0 wherever some letter reaches
-    # the output (the policy never drops below the floor), and outputs no
-    # letter of a state reaches get q = 1 instead of 0.
+    # Loop invariants.  By Blahut's identity a letter's score is base_a -
+    # (log2 q @ R^T)_a with base = sum_b P log2 P + bias.  log2 P is taken as 0
+    # where P = 0, so those terms vanish as long as q is finite and positive;
+    # q > 0 wherever some letter reaches the output (the policy never drops
+    # below the floor), and outputs no letter of a state reaches get q = 1
+    # instead of 0.  Vectors are kept as (S, 1, n) rows so each product is one
+    # batched matmul.
     support = rows > 0.0
-    log_rows = np.log2(np.where(support, rows, 1.0))
+    base = (np.add.reduce(rows * np.log2(np.where(support, rows, 1.0)), axis=2) + bias)[:, None]
+    rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
     unreachable = ~support.any(axis=1, keepdims=True)
     any_unreachable = bool(unreachable.any())
+    pi = pi[:, None]
 
-    policy = np.empty_like(pi)
+    policy = np.empty((n_states, n_inputs))
     values = np.empty(n_states)
     gaps = np.empty(n_states)
     iterations = np.zeros(n_states, dtype=int)
     index = np.arange(n_states)  # output slot of each state still iterating
-    gap = np.full(n_states, np.inf)
+    gap = np.full((n_states, 1, 1), np.inf)
     for iteration in range(1, max_iter + 1):
-        pi_rows = pi[:, None]
-        output = np.matmul(pi_rows, rows)
+        output = np.matmul(pi, rows)
         if any_unreachable:
             output += unreachable
-        scores = np.add.reduce(rows * (log_rows - np.log2(output)), axis=2) + bias
-        value = np.matmul(pi_rows, scores[:, :, None])[:, 0, 0]
-        top = np.maximum.reduce(scores, axis=1)
+        scores = base - np.matmul(np.log2(output), rows_t)
+        # An elementwise sum, not a BLAS dot, whose rounding may depend on the
+        # order of the letters: mirror-image states keep equal values.
+        value = np.add.reduce(pi * scores, axis=2, keepdims=True)
+        top = np.maximum.reduce(scores, axis=2, keepdims=True)
         gap = top - value
-        finished = gap <= tol
-        if iteration % _NEWTON_PERIOD == 0:
-            for i in np.flatnonzero(~finished):
-                newton = _newton(rows[i], pi[i], bias[i], tol)
-                if newton is not None:
-                    pi[i], value[i], gap[i] = newton
-                    finished[i] = True
-        if finished.any():
-            slots = index[finished]
-            policy[slots] = pi[finished]
-            values[slots] = value[finished] + offset[finished]
-            gaps[slots] = gap[finished]
-            iterations[slots] = iteration
-            if finished.all():
-                break
-            # Freeze the certified states: the rest iterate on alone.
-            running = ~finished
-            rows, log_rows, unreachable, bias, offset, index, pi, scores, top = (
-                a[running] for a in (rows, log_rows, unreachable, bias, offset, index, pi, scores, top)
-            )
-        pi = pi * np.exp2(scores - top[:, None])
-        pi /= np.add.reduce(pi, axis=1, keepdims=True)
+        newton_due = iteration % _NEWTON_PERIOD == 0 or (iteration == 1 and zero_start.any())
+        if newton_due or gap.min() <= tol:
+            value, gap = value[:, 0, 0], gap[:, 0, 0]
+            finished = gap <= tol
+            if newton_due:
+                attempts = ~finished if iteration > 1 else ~finished & zero_start
+                for i in np.flatnonzero(attempts):
+                    newton = _newton(rows[i], pi[i, 0], bias[i], tol)
+                    if newton is not None:
+                        pi[i, 0], value[i], gap[i] = newton
+                        finished[i] = True
+            if finished.any():
+                slots = index[finished]
+                policy[slots] = pi[finished, 0]
+                values[slots] = value[finished] + offset[finished]
+                gaps[slots] = gap[finished]
+                iterations[slots] = iteration
+                if finished.all():
+                    break
+                # Freeze the certified states: the rest iterate on alone.
+                running = ~finished
+                rows, rows_t, base, unreachable, bias, offset, index, pi, scores, top = (
+                    a[running] for a in (rows, rows_t, base, unreachable, bias, offset, index, pi, scores, top)
+                )
+        pi *= np.exp2(scores - top)
+        pi /= np.add.reduce(pi, axis=2, keepdims=True)
         np.maximum(pi, _POLICY_FLOOR, out=pi)
-        pi /= np.add.reduce(pi, axis=1, keepdims=True)
     else:
         worst = float(gap.max())
         raise ConvergenceError(

@@ -3,10 +3,12 @@
 Draws channels with S = 2-4 states, A = 2-5 inputs and kernel entries zeroed
 with probability 0.4, solves the horizon-20 recursion and checks the
 per-letter conditions at tol 1e-8.  Prints one JSON line: solver stalls
-(ConvergenceError), channels the checker flags, and the summed slowest-state
-inner iterations.  Exits nonzero on any stall; the flagged count is reported
-but not gated (the inner certificate does not bound the per-letter
-conditions).  Run it against two source trees to compare them:
+(ConvergenceError), channels the checker flags, the summed slowest-state
+inner iterations, and the inner solver's Newton attempts with the channels
+where one returned no certified policy.  Exits nonzero on any stall or any
+such attempt; the flagged count is reported but not gated (the inner
+certificate does not bound the per-letter conditions).  Run it against two
+source trees to compare them:
 
     PYTHONPATH=src python tests/sparse_stress.py --channels 600
 """
@@ -18,6 +20,7 @@ import sys
 import numpy as np
 
 import umco
+import umco.onestage
 
 
 def sparse_random_channel(rng, n_states, n_inputs, density=0.6):
@@ -31,17 +34,39 @@ def sparse_random_channel(rng, n_states, n_inputs, density=0.6):
 def census(n_channels, seed=2024, horizon=20, tol=1e-8):
     rng = np.random.default_rng(seed)
     stalls, flagged, iterations = [], [], 0
-    for i in range(n_channels):
-        channel = sparse_random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
-        try:
-            solution = umco.solve_finite_horizon(channel, horizon)
-        except umco.ConvergenceError:
-            stalls.append(i)
-            continue
-        iterations += sum(solution.inner_iterations)
-        if not umco.verify_optimality_conditions(channel, solution, tol=tol).passed:
-            flagged.append(i)
-    return {"channels": n_channels, "stalls": stalls, "flagged": flagged, "slowest_state_iterations": iterations}
+    newton_attempts, uncertified = 0, []
+    real = umco.onestage._newton
+
+    def counted(*args):
+        nonlocal newton_attempts
+        newton_attempts += 1
+        result = real(*args)
+        if result is None:
+            uncertified.append(i)
+        return result
+
+    umco.onestage._newton = counted
+    try:
+        for i in range(n_channels):
+            channel = sparse_random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+            try:
+                solution = umco.solve_finite_horizon(channel, horizon)
+            except umco.ConvergenceError:
+                stalls.append(i)
+                continue
+            iterations += sum(solution.inner_iterations)
+            if not umco.verify_optimality_conditions(channel, solution, tol=tol).passed:
+                flagged.append(i)
+    finally:
+        umco.onestage._newton = real
+    return {
+        "channels": n_channels,
+        "stalls": stalls,
+        "flagged": flagged,
+        "slowest_state_iterations": iterations,
+        "newton_attempts": newton_attempts,
+        "newton_uncertified": uncertified,
+    }
 
 
 if __name__ == "__main__":
@@ -50,5 +75,6 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=2024)
     args = parser.parse_args()
     result = census(args.channels, args.seed)
-    print(json.dumps({**result, "n_stalls": len(result["stalls"]), "n_flagged": len(result["flagged"])}))
-    sys.exit(1 if result["stalls"] else 0)
+    counts = {f"n_{key}": len(result[key]) for key in ("stalls", "flagged", "newton_uncertified")}
+    print(json.dumps({**result, **counts}))
+    sys.exit(1 if result["stalls"] or result["newton_uncertified"] else 0)

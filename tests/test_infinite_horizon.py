@@ -458,8 +458,8 @@ def test_solution_reports():
 def test_warm_start_lets_a_zeroed_letter_grow_back(monkeypatch):
     # At multiplier 1 the penalized letter of BSSC(0.9, 0.65) dies (the solve
     # gives it exactly 0); at 0.5 it carries mass again.  Passed on as is, it
-    # starts at the 1e-280 policy floor and rejoins by its score through the
-    # Newton step at iteration 256.
+    # starts at the 1e-280 policy floor, and the Newton attempt that a warm
+    # start with an exact zero gets at iteration 1 lets it rejoin by its score.
     real = umco.infinite_horizon.maximize_stage_objective
     inner = []
 
@@ -485,7 +485,7 @@ def test_warm_start_lets_a_zeroed_letter_grow_back(monkeypatch):
     )
     assert abs(warm.gain - cold.gain) <= 1e-10
     assert warm.policy.matrix.min() > 1e-3
-    assert sum(inner) <= 3 * cold_inner
+    assert sum(inner) <= cold_inner
 
 
 def _normalised(kernel):

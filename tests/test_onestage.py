@@ -1,4 +1,5 @@
-"""The per-state concave program: a stacked call is the per-state calls, bit for bit."""
+"""The per-state concave program: a stacked call is the per-state calls, bit for bit,
+and it agrees with a plain per-letter reference of the fixed point."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bssc
-from umco import ConvergenceError
-from umco.onestage import letter_scores, maximize_stage_objective
+from sparse_stress import sparse_random_channel
+from umco import ConvergenceError, onestage
+from umco.channel import letter_divergences
+from umco.onestage import _newton, letter_scores, maximize_stage_objective
 
 # Small enough that every generated stack runs in milliseconds; states that
 # need longer stall, which the property covers as well.
@@ -76,6 +79,51 @@ def test_stacked_call_equals_per_state_calls(problem):
     assert stacked.gap == max(s.gap for s in singles)
 
 
+def _reference_state(rows, bias, initial, tol=1e-10):
+    """One state's fixed point in its plain form, or None if it is not certified within MAX_ITER.
+
+    Each update scores every letter by its own divergence plus the bias, then
+    normalises, floors and normalises again; the Newton attempts run at the
+    solver's cadence.  Returns (policy, value, gap).
+    """
+    pi = np.ones(rows.shape[0]) if initial is None else np.maximum(initial, 1e-280)
+    pi = pi / pi.sum()
+    for iteration in range(1, MAX_ITER + 1):
+        scores = letter_divergences(rows, pi @ rows) + bias
+        value = float(pi @ scores)
+        gap = float(scores.max() - value)
+        if gap <= tol:
+            return pi, value, gap
+        if iteration % 256 == 0 or (iteration == 1 and initial is not None and (initial == 0.0).any()):
+            newton = _newton(rows, pi.copy(), bias, tol)
+            if newton is not None:
+                return newton
+        pi = pi * np.exp2(scores - scores.max())
+        pi = np.maximum(pi / pi.sum(), 1e-280)
+        pi /= pi.sum()
+    return None
+
+
+@given(stage_problems())
+def test_solver_matches_the_plain_fixed_point(problem):
+    rows, continuation, cost, multiplier, initial = problem
+    bias = np.zeros(rows.shape[:2])
+    if continuation is not None:
+        bias += rows @ continuation
+    if cost is not None:
+        bias -= multiplier * cost
+    references = [
+        _reference_state(rows[b], bias[b], None if initial is None else initial[b]) for b in range(rows.shape[0])
+    ]
+    solved = _solve(rows, continuation, cost, multiplier, initial)
+    if any(r is None for r in references):
+        return  # a state the reference cannot certify in MAX_ITER either
+    assert not isinstance(solved, ConvergenceError)
+    assert 0.0 <= solved.gap <= 1e-10
+    assert max(r[2] for r in references) <= 1e-10
+    np.testing.assert_allclose(solved.value, [r[1] for r in references], rtol=0.0, atol=1e-12)
+
+
 def test_state_certified_by_the_newton_step_is_frozen_in_a_stack():
     # At multiplier 2 the costly letter of BSSC(0.95, 0.8) state 0 is just
     # dead, and state 1 at cost 0.95 keeps 0.7% on its costly letter: the
@@ -93,6 +141,26 @@ def test_state_certified_by_the_newton_step_is_frozen_in_a_stack():
     assert stacked.value.tobytes() == np.concatenate([s.value for s in singles]).tobytes()
     assert stacked.iterations == 512 + singles[2].iterations
     assert stacked.slowest_iterations == 256
+
+
+def test_newton_step_keeps_the_only_letter_reaching_an_output(monkeypatch):
+    # State 1 of channel 149 of the sparse census (seed 2024): letter 0 alone
+    # reaches output 0 and holds 9e-5 of the mass at iteration 256.  The
+    # Newton step's ratio test blocks at it; zeroed, it would leave output 0
+    # at q = 0 and the attempt without a finite step, so the state would wait
+    # for the next attempt at 512.  Kept at half its mass, it lets the
+    # attempt certify.
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        channel = sparse_random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
+    rows = channel.kernel[1]
+    assert (rows[:, 0] > 0.0).tolist() == [True, False, False]
+    real, results = onestage._newton, []
+    monkeypatch.setattr(onestage, "_newton", lambda *args: results.append(real(*args)) or results[-1])
+    solution = maximize_stage_objective(rows)
+    assert len(results) == 1 and results[0] is not None
+    assert solution.iterations == 256 and solution.gap <= 1e-10
+    assert 0.0 < solution.policy[0, 0] < 1e-4
 
 
 def test_single_slice_is_a_stack_of_one():
