@@ -11,7 +11,10 @@ A solve at s is a point of the curve whichever budget asked for it (Everett
 1963), so a curve's budgets share one dual trace s -> (achieved cost,
 solution): the s = 0 solve and the cost floor run once per curve, and each
 budget takes a trace point that meets it or starts from the trace's tightest
-bracket.
+bracket.  The optimal policy and bias move smoothly with s between the
+breakpoints of the curve, so a solve strictly between two trace points starts
+from the linear interpolation of their solutions in s, and any other solve
+(the doubling phase) from the nearest trace point.
 """
 
 from __future__ import annotations
@@ -63,13 +66,10 @@ def _stationary_cost(nu: Distribution, policy: InputPolicy, cost: CostSpec) -> f
 
 
 def _solve_multiplier(channel, cost, s, solver_tol, warm=None):
+    """RVI at multiplier s, warm-started from a (policy, bias) pair, and its achieved cost."""
+    policy, bias = (None, None) if warm is None else warm
     solution = relative_value_iteration(
-        channel,
-        cost=cost,
-        multiplier=s,
-        tol=solver_tol,
-        initial_value=None if warm is None else warm.bias,
-        initial_policy=None if warm is None else warm.policy,
+        channel, cost=cost, multiplier=s, tol=solver_tol, initial_value=bias, initial_policy=policy
     )
     # RVI already holds the invariant distribution of its policy's output
     # chain; without one (a reducible chain) average_cost raises the error.
@@ -78,6 +78,23 @@ def _solve_multiplier(channel, cost, s, solver_tol, warm=None):
     else:
         achieved = _stationary_cost(solution.invariant_dist, solution.policy, cost)
     return solution, achieved
+
+
+def _warm_start(trace, s):
+    """The (policy, bias) pair to start the solve at s from, given the trace's solutions by multiplier.
+
+    Strictly between two trace points s_a < s < s_b it is their convex
+    combination with weight w = (s - s_a) / (s_b - s_a) on s_b; otherwise it
+    is the solution at the nearest trace point.
+    """
+    below, above = [t for t in trace if t < s], [t for t in trace if t > s]
+    if not below or not above:
+        nearest = trace[min(trace, key=lambda t: abs(t - s))]
+        return nearest.policy, nearest.bias
+    s_a, s_b = max(below), min(above)
+    w = (s - s_a) / (s_b - s_a)
+    a, b = trace[s_a], trace[s_b]
+    return InputPolicy((1.0 - w) * a.policy.matrix + w * b.policy.matrix), (1.0 - w) * a.bias + w * b.bias
 
 
 def _result(kappa, s, solution: InfiniteHorizonSolution, achieved, cost_tol, kappa_max):
@@ -112,7 +129,7 @@ def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> lis
     def solve(point, s):
         if s in failed:
             raise failed[s]
-        warm = trace[min(trace, key=lambda t: abs(t - s))][1]  # nearest in s
+        warm = _warm_start({t: solution for t, (_, solution) in trace.items()}, s)
         try:
             solution, achieved = _solve_multiplier(channel, point, s, solver_tol, warm=warm)
         except UmcoError as exc:
@@ -217,7 +234,9 @@ def constrained_capacity(
     halved, and the step falls back to the midpoint when the false-position
     point is not strictly inside the bracket or the bracket did not halve
     over the last three steps.  It stops once |f| <= cost_tol or the bracket
-    is narrower than dual_tol.  Each solve is warm-started from the solve
+    is narrower than dual_tol.  A solve strictly between two earlier solves
+    is warm-started from the convex combination of their policies and biases,
+    weighted by where s falls between them; any other solve from the solve
     nearest in s.  This is a curve of one budget (see capacity_cost_curve).
 
     Returns the unconstrained solution (multiplier 0, binding False) when the

@@ -19,7 +19,13 @@ so a letter's score is a loop invariant, sum_b P log2 P + bias_a, minus one
 matrix product of log2 q with the kernel; each update then normalises once
 and lifts any letter below a tiny floor back to it.  The certificate
 max_a(D_a + bias_a) - objective upper-bounds the remaining suboptimality of
-any policy, so iteration stops once it drops below ``tol``.  The update
+any policy, so iteration stops once it drops below ``tol``.  It is built only
+when it can pass: by Jensen's inequality the update's normaliser
+sum_a pi(a) 2^(score_a - top) is at least 2^-gap (Blahut's lower bound), so
+while every state's normaliser is below 2^-(tol + 1e-13) no state can
+certify, and the iteration skips the value and gap reductions; they still
+run on Newton iterations and the last one.  The reported gap is clamped at 0,
+since the value can round above the top score.  The update
 reaches a face of the simplex only asymptotically, so every 256 iterations
 each state not yet certified tries an active-set Newton ascent from its
 iterate: it puts exact zeros on dead letters, lets a letter at zero mass
@@ -55,6 +61,10 @@ _POLICY_FLOOR = 1e-280
 # Iterations between the Newton attempts of an uncertified state, and steps per attempt.
 _NEWTON_PERIOD = 256
 _NEWTON_STEPS = 50
+
+# Slack on the Jensen bound that lets an iteration skip the certificate, for
+# the rounding of the normaliser (its measured excess stays below 1e-15).
+_BOUND_MARGIN = 1e-13
 
 DEFAULT_INNER_TOL = 1e-10
 DEFAULT_INNER_MAX_ITER = 100_000
@@ -120,7 +130,7 @@ def _newton(rows, pi, bias, tol):
         output = pi @ rows
         scores = letter_divergences(rows, output) + bias
         value = float(_policy_average(pi, scores))
-        gap = float(scores.max() - value)
+        gap = max(float(scores.max() - value), 0.0)
         if gap <= tol:
             return pi, value, gap
         if np.ptp(scores[support]) <= tol:
@@ -206,20 +216,25 @@ def maximize_stage_objective(
     gaps = np.empty(n_states)
     iterations = np.zeros(n_states, dtype=int)
     index = np.arange(n_states)  # output slot of each state still iterating
-    gap = np.full((n_states, 1, 1), np.inf)
+    gap = np.full(n_states, np.inf)
+    # By Jensen's inequality the update's normaliser, sum_a pi_a 2^(score_a -
+    # top), is at least 2^-gap, so no state can certify while every
+    # normaliser stays below this.
+    certifiable = 2.0 ** -(tol + _BOUND_MARGIN)
     for iteration in range(1, max_iter + 1):
         output = np.matmul(pi, rows)
         if any_unreachable:
             output += unreachable
         scores = base - np.matmul(np.log2(output), rows_t)
-        # An elementwise sum, not a BLAS dot, whose rounding may depend on the
-        # order of the letters: mirror-image states keep equal values.
-        value = np.add.reduce(pi * scores, axis=2, keepdims=True)
         top = np.maximum.reduce(scores, axis=2, keepdims=True)
-        gap = top - value
+        weights = pi * np.exp2(scores - top)
+        total = np.add.reduce(weights, axis=2, keepdims=True)
         newton_due = iteration % _NEWTON_PERIOD == 0 or (iteration == 1 and zero_start.any())
-        if newton_due or gap.min() <= tol:
-            value, gap = value[:, 0, 0], gap[:, 0, 0]
+        if newton_due or iteration == max_iter or total.max() >= certifiable:
+            # An elementwise sum, not a BLAS dot, whose rounding may depend on
+            # the order of the letters: mirror-image states keep equal values.
+            value = np.add.reduce(pi * scores, axis=2)[:, 0]
+            gap = top[:, 0, 0] - value
             finished = gap <= tol
             if newton_due:
                 attempts = ~finished if iteration > 1 else ~finished & zero_start
@@ -232,17 +247,16 @@ def maximize_stage_objective(
                 slots = index[finished]
                 policy[slots] = pi[finished, 0]
                 values[slots] = value[finished] + offset[finished]
-                gaps[slots] = gap[finished]
+                gaps[slots] = np.maximum(gap[finished], 0.0)  # the value may round above the top score
                 iterations[slots] = iteration
                 if finished.all():
                     break
                 # Freeze the certified states: the rest iterate on alone.
                 running = ~finished
-                rows, rows_t, base, unreachable, bias, offset, index, pi, scores, top = (
-                    a[running] for a in (rows, rows_t, base, unreachable, bias, offset, index, pi, scores, top)
+                rows, rows_t, base, unreachable, bias, offset, index, weights, total = (
+                    a[running] for a in (rows, rows_t, base, unreachable, bias, offset, index, weights, total)
                 )
-        pi *= np.exp2(scores - top)
-        pi /= np.add.reduce(pi, axis=2, keepdims=True)
+        pi = weights / total
         np.maximum(pi, _POLICY_FLOOR, out=pi)
     else:
         worst = float(gap.max())

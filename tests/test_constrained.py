@@ -452,3 +452,38 @@ def test_a_failed_multiplier_is_solved_once_per_curve(monkeypatch):
     assert results == []
     assert multipliers == [0.0, 1.0]
     assert sorted(str(w.message) for w in caught) == [f"kappa={k}: stalled at s = 1" for k in (0.2, 0.3, 0.4)]
+
+
+def test_warm_start_interpolates_strictly_inside_the_trace_and_is_nearest_outside():
+    channel, cost = bssc(0.9, 0.6), CostSpec(GAMMA, 0.3)
+    trace = {s: umco.constrained._solve_multiplier(channel, cost, s, 1e-10)[0] for s in (0.25, 0.75)}
+    a, b = trace[0.25], trace[0.75]
+    assert np.abs(a.policy.matrix - b.policy.matrix).max() > 1e-3  # distinct ends
+    policy, bias = umco.constrained._warm_start(trace, 0.375)  # w = 1/4
+    assert policy.matrix.tobytes() == (0.75 * a.policy.matrix + 0.25 * b.policy.matrix).tobytes()
+    assert bias.tobytes() == (0.75 * a.bias + 0.25 * b.bias).tobytes()
+    assert np.abs(policy.matrix.sum(axis=1) - 1.0).max() <= 1e-15 and policy.matrix.min() >= 0.0
+    for s, nearest in ((0.0, a), (0.25, a), (0.75, b), (2.0, b)):
+        policy, bias = umco.constrained._warm_start(trace, s)
+        assert policy is nearest.policy and bias is nearest.bias
+
+
+def test_each_solve_of_a_curve_is_warm_started_from_the_trace_before_it(monkeypatch):
+    real = umco.constrained._solve_multiplier
+    trace, calls = {}, []
+
+    def recorded(channel, cost, s, solver_tol, warm=None):
+        calls.append((s, warm, dict(trace)))
+        solution, achieved = real(channel, cost, s, solver_tol, warm=warm)
+        trace[s] = solution
+        return solution, achieved
+
+    monkeypatch.setattr(umco.constrained, "_solve_multiplier", recorded)
+    capacity_cost_curve(bssc(0.9, 0.6), CostSpec(GAMMA, 0.0), [0.2, 0.3, 0.4])
+    assert calls[0][:2] == (0.0, None)
+    inside = 0
+    for s, warm, before in calls[1:]:
+        policy, bias = umco.constrained._warm_start(before, s)
+        assert warm[0].matrix.tobytes() == policy.matrix.tobytes() and warm[1].tobytes() == bias.tobytes()
+        inside += min(before) < s < max(before)
+    assert inside >= 3  # the root searches run inside the trace, not only the doubling

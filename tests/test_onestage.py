@@ -1,9 +1,11 @@
 """The per-state concave program: a stacked call is the per-state calls, bit for bit,
 and it agrees with a plain per-letter reference of the fixed point."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -79,6 +81,22 @@ def test_stacked_call_equals_per_state_calls(problem):
     assert stacked.gap == max(s.gap for s in singles)
 
 
+@given(stage_problems())
+def test_skipping_the_certificate_on_the_jensen_bound_changes_nothing(problem):
+    # With an infinite margin the bound never holds, so the certificate is
+    # checked on every iteration, as it was before the bound.
+    gated = _solve(*problem)
+    with mock.patch.object(onestage, "_BOUND_MARGIN", np.inf):
+        every = _solve(*problem)
+    assert type(gated) is type(every)
+    if isinstance(every, ConvergenceError):
+        assert gated.residual == every.residual
+        return
+    assert gated.policy.tobytes() == every.policy.tobytes()
+    assert gated.value.tobytes() == every.value.tobytes()
+    assert gated[2:] == every[2:]
+
+
 def _reference_state(rows, bias, initial, tol=1e-10):
     """One state's fixed point in its plain form, or None if it is not certified within MAX_ITER.
 
@@ -105,6 +123,8 @@ def _reference_state(rows, bias, initial, tol=1e-10):
 
 
 @given(stage_problems())
+# One letter alone reaches output 1; the value rounds 2.2e-16 above the top score.
+@example((np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]]), None, None, 0.0, None))
 def test_solver_matches_the_plain_fixed_point(problem):
     rows, continuation, cost, multiplier, initial = problem
     bias = np.zeros(rows.shape[:2])
