@@ -78,10 +78,14 @@ def _row(values) -> str:
 
 def solution_report(solution) -> str:
     """Plain-text report of an InfiniteHorizonSolution."""
+    if solution.span_residual is not None:
+        residual = f"span residual   = {solution.span_residual:.3e} bits"
+    else:
+        residual = f"bellman residual = {solution.bellman_residual:.3e} bits"
     lines = [
         f"gain            = {solution.gain:.10f} bits/channel use",
         f"iterations      = {solution.iterations}",
-        f"span residual   = {solution.span_residual:.3e} bits",
+        residual,
         f"irreducible     = {solution.irreducible}",
     ]
     if solution.multiplier is not None:

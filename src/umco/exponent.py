@@ -34,8 +34,10 @@ from .infinite_horizon import _reach
 ENUMERATION_LIMIT = 16
 _RHO_GRID_STEP = 0.01
 _RHO_TOL = 1e-6
-# Two refinements take a 0.02-wide bracket below _RHO_TOL: 0.02 * (2 / 284)^2 < 1e-6.
-_REFINE_POINTS = 285
+# A batched solve has a fixed cost plus a cost per point, so three small
+# refinements are cheaper than two large ones; three take a 0.02-wide bracket
+# below _RHO_TOL: 0.02 * (2 / 56)^3 < 1e-6.
+_REFINE_POINTS = 57
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +183,7 @@ def random_coding_exponent(
 
     Coarse grid at step 0.01, then grids of _REFINE_POINTS points over the
     interval bracketing the best point until that bracket is at most 1e-6
-    wide in rho (two refinements); each grid is one batched solve searched
+    wide in rho (three refinements); each grid is one batched solve searched
     whole, so no unimodality is assumed.  The value is clamped at 0 (the
     rho = 0 endpoint always achieves 0).
     """

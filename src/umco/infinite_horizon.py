@@ -51,6 +51,9 @@ class InfiniteHorizonSolution:
     gains when the solver produces them (policy iteration); gain_bracket keeps
     the span bounds (min, max) of the last sweep of relative value iteration,
     which bracket the optimal gain up to that solve's inner tolerance.
+    span_residual is that bracket's width (relative value iteration only);
+    bellman_residual is the sup-norm residual of the Bellman equation at the
+    returned gain and bias (policy iteration only).
     """
 
     gain: float
@@ -60,11 +63,12 @@ class InfiniteHorizonSolution:
     invariant_dist: Distribution | None
     irreducible: bool
     iterations: int
-    span_residual: float
+    span_residual: float | None
     multiplier: float | None = None
     cost_gamma: np.ndarray | None = None
     gain_trace: tuple[float, ...] = ()
     gain_bracket: tuple[float, float] | None = None
+    bellman_residual: float | None = None
 
 
 def _reach(matrix) -> np.ndarray:
@@ -281,10 +285,11 @@ def policy_iteration(
         invariant_dist=stationary_distribution(output_kernel),
         irreducible=True,
         iterations=iteration,
-        span_residual=float(residual),
+        span_residual=None,
         multiplier=s,
         cost_gamma=gamma,
         gain_trace=tuple(trace),
+        bellman_residual=float(residual),
     )
 
 

@@ -42,7 +42,12 @@ trajectory (and returns exactly the policy, value, iteration count and gap)
 it would follow if solved alone.  ``iterations`` is the sum of the
 per-state counts (the work done, as if the states were solved one by one),
 ``slowest_iterations`` the count of the slowest state (the number of
-vectorised updates run) and ``gap`` the worst state's gap.
+vectorised updates run) and ``gap`` the worst state's gap.  At a few dozen
+entries per array an update's cost is NumPy call overhead, so each update
+writes into work buffers allocated once per call, reads its largest
+normaliser for the pass test from a Python list, and a call whose states all
+certify on the same iteration returns its arrays directly, without the
+per-state slots a partial freeze needs.
 """
 
 from __future__ import annotations
@@ -189,12 +194,13 @@ def maximize_stage_objective(
     bias = bias - offset[:, None]
     if initial is None:
         pi = np.full((n_states, n_inputs), 1.0 / n_inputs)
-        zero_start = np.zeros(n_states, dtype=bool)
+        zero_start = None
     else:
         pi = np.asarray(initial, dtype=float).reshape(n_states, n_inputs)
         # A letter warm-started at exactly 0 would sit at the floor until the
         # first periodic Newton attempt; such a state tries one at once.
         zero_start = (pi == 0.0).any(axis=1)
+        zero_start = zero_start if zero_start.any() else None
         pi = np.maximum(pi, _POLICY_FLOOR)
         pi = pi / pi.sum(axis=1, keepdims=True)
     # Loop invariants.  By Blahut's identity a letter's score is base_a -
@@ -208,29 +214,39 @@ def maximize_stage_objective(
     base = (np.add.reduce(rows * np.log2(np.where(support, rows, 1.0)), axis=2) + bias)[:, None]
     rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
     unreachable = ~support.any(axis=1, keepdims=True)
-    any_unreachable = bool(unreachable.any())
+    unreachable = unreachable if unreachable.any() else None
     pi = pi[:, None]
+    # Work buffers, written in place by every update; after a freeze the
+    # first rows hold the states still iterating.
+    output = np.empty((n_states, 1, rows.shape[2]))
+    scores = np.empty((n_states, 1, n_inputs))
+    weights = np.empty((n_states, 1, n_inputs))
+    top = np.empty((n_states, 1, 1))
+    total = np.empty((n_states, 1, 1))
+    floor = np.array(_POLICY_FLOOR)  # a Python float would be converted on every update
 
-    policy = np.empty((n_states, n_inputs))
-    values = np.empty(n_states)
-    gaps = np.empty(n_states)
-    iterations = np.zeros(n_states, dtype=int)
-    index = np.arange(n_states)  # output slot of each state still iterating
+    index = None  # output slot of each state still iterating, from the first partial freeze on
     gap = np.full(n_states, np.inf)
     # By Jensen's inequality the update's normaliser, sum_a pi_a 2^(score_a -
     # top), is at least 2^-gap, so no state can certify while every
     # normaliser stays below this.
     certifiable = 2.0 ** -(tol + _BOUND_MARGIN)
     for iteration in range(1, max_iter + 1):
-        output = np.matmul(pi, rows)
-        if any_unreachable:
+        np.matmul(pi, rows, out=output)
+        if unreachable is not None:
             output += unreachable
-        scores = base - np.matmul(np.log2(output), rows_t)
-        top = np.maximum.reduce(scores, axis=2, keepdims=True)
-        weights = pi * np.exp2(scores - top)
-        total = np.add.reduce(weights, axis=2, keepdims=True)
-        newton_due = iteration % _NEWTON_PERIOD == 0 or (iteration == 1 and zero_start.any())
-        if newton_due or iteration == max_iter or total.max() >= certifiable:
+        np.log2(output, out=output)
+        np.matmul(output, rows_t, out=scores)
+        np.subtract(base, scores, out=scores)
+        np.maximum.reduce(scores, axis=2, keepdims=True, out=top)
+        np.subtract(scores, top, out=weights)
+        np.exp2(weights, out=weights)
+        np.multiply(pi, weights, out=weights)
+        np.add.reduce(weights, axis=2, keepdims=True, out=total)
+        newton_due = iteration % _NEWTON_PERIOD == 0 or (iteration == 1 and zero_start is not None)
+        # The largest normaliser is read from a list: on a few states that
+        # costs a fraction of total.max(), and the test runs on every update.
+        if newton_due or iteration == max_iter or max(total.ravel().tolist()) >= certifiable:
             # An elementwise sum, not a BLAS dot, whose rounding may depend on
             # the order of the letters: mirror-image states keep equal values.
             value = np.add.reduce(pi * scores, axis=2)[:, 0]
@@ -243,21 +259,35 @@ def maximize_stage_objective(
                     if newton is not None:
                         pi[i, 0], value[i], gap[i] = newton
                         finished[i] = True
-            if finished.any():
+            certified = np.count_nonzero(finished)  # cheaper than .any() and .all() on a few states
+            if index is None and certified == len(finished):
+                # Every state certified together: no slots to fill.
+                gap = np.maximum(gap, 0.0)  # the value may round above the top score
+                return StateSolution(pi[:, 0], value + offset, iteration * n_states, float(gap.max()), iteration)
+            if certified:
+                if index is None:
+                    index = np.arange(n_states)
+                    policy = np.empty((n_states, n_inputs))
+                    values = np.empty(n_states)
+                    gaps = np.empty(n_states)
+                    iterations = np.zeros(n_states, dtype=int)
                 slots = index[finished]
                 policy[slots] = pi[finished, 0]
                 values[slots] = value[finished] + offset[finished]
-                gaps[slots] = np.maximum(gap[finished], 0.0)  # the value may round above the top score
+                gaps[slots] = np.maximum(gap[finished], 0.0)
                 iterations[slots] = iteration
-                if finished.all():
+                if certified == len(finished):
                     break
                 # Freeze the certified states: the rest iterate on alone.
                 running = ~finished
-                rows, rows_t, base, unreachable, bias, offset, index, weights, total = (
-                    a[running] for a in (rows, rows_t, base, unreachable, bias, offset, index, weights, total)
+                rows, rows_t, base, bias, offset, index, pi, weights, total = (
+                    a[running] for a in (rows, rows_t, base, bias, offset, index, pi, weights, total)
                 )
-        pi = weights / total
-        np.maximum(pi, _POLICY_FLOOR, out=pi)
+                if unreachable is not None:
+                    unreachable = unreachable[running]
+                output, scores, top = output[: len(index)], scores[: len(index)], top[: len(index)]
+        np.divide(weights, total, out=pi)
+        np.maximum(pi, floor, out=pi)
     else:
         worst = float(gap.max())
         raise ConvergenceError(

@@ -83,7 +83,10 @@ def test_fb_capacity_prints_gain(bssc_file, capsys):
 
 def test_fb_capacity_policy_iteration_method(bibo_file, capsys):
     assert run_command(["fb-capacity", "--channel", bibo_file, "--method", "policy-iteration"]) == 0
-    assert "0.21497" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "0.21497" in out
+    # Policy iteration certifies by its Bellman residual and has no span bracket.
+    assert "bellman residual = " in out and "span residual" not in out
 
 
 def test_identical_invocations_are_bit_identical(bssc_file, capsys):

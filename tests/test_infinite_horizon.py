@@ -138,6 +138,9 @@ def test_three_state_channel_solvers_agree(rng):
     assert abs(rvi.gain - pi.gain) < 1e-6
     assert verify_bellman_conditions(channel, rvi, tol=1e-8).passed
     assert verify_bellman_conditions(channel, pi, tol=1e-8).passed
+    # Each solver reports its own certificate under its own name.
+    assert rvi.bellman_residual is None and 0.0 <= rvi.span_residual <= 1e-10
+    assert pi.span_residual is None and 0.0 <= pi.bellman_residual <= 1e-8
 
 
 def test_larger_alphabets_stay_consistent(rng):

@@ -97,6 +97,35 @@ def test_skipping_the_certificate_on_the_jensen_bound_changes_nothing(problem):
     assert gated[2:] == every[2:]
 
 
+@given(stage_problems())
+def test_solver_neither_writes_into_nor_aliases_its_inputs(problem):
+    # The update works in buffers of its own; the returned arrays must not be
+    # views of the caller's warm start either.
+    rows, continuation, cost, multiplier, initial = problem
+    before = [None if a is None else a.tobytes() for a in (rows, continuation, cost, initial)]
+    solved = _solve(rows, continuation, cost, multiplier, initial)
+    assert [None if a is None else a.tobytes() for a in (rows, continuation, cost, initial)] == before
+    if initial is not None and not isinstance(solved, ConvergenceError):
+        assert not np.shares_memory(solved.policy, initial)
+        assert not np.shares_memory(solved.value, initial)
+
+
+def test_warm_start_at_the_optimum_certifies_every_state_at_once():
+    # Warm-started from its own solution every state certifies at iteration
+    # 1, so the call returns without building the per-state slots; it must
+    # still return what the per-state calls return, bit for bit.
+    rows = np.concatenate([bibo_channel().kernel, bssc(0.9, 0.6).kernel])
+    continuation = np.array([0.3, -0.2])
+    solved = maximize_stage_objective(rows, continuation).policy
+    warm = maximize_stage_objective(rows, continuation, initial=solved)
+    singles = [maximize_stage_objective(rows[b], continuation, initial=solved[b]) for b in range(len(rows))]
+    assert warm.iterations == len(rows) and warm.slowest_iterations == 1
+    assert warm.policy.tobytes() == np.concatenate([s.policy for s in singles]).tobytes()
+    assert warm.value.tobytes() == np.concatenate([s.value for s in singles]).tobytes()
+    assert warm.gap == max(s.gap for s in singles) <= 1e-10
+    assert not np.shares_memory(warm.policy, solved)
+
+
 def _reference_state(rows, bias, initial, tol=1e-10):
     """One state's fixed point in its plain form, or None if it is not certified within MAX_ITER.
 
