@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, _check_integer, resolve_cost
+from .channel import (
+    CostSpec,
+    Distribution,
+    InputPolicy,
+    UnitMemoryChannel,
+    _check_entries,
+    _check_integer,
+    resolve_cost,
+)
 from .errors import DimensionMismatchError
 from .onestage import DEFAULT_INNER_MAX_ITER, DEFAULT_INNER_TOL, letter_scores, maximize_stage_objective
 
@@ -90,6 +98,7 @@ def solve_finite_horizon(
     reproduces the unconstrained recursion exactly.
     """
     horizon = _check_integer(horizon, "horizon", 0)
+    _check_entries(inner_tol, "inner_tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
 
     values = np.zeros((horizon + 1, channel.n_states))

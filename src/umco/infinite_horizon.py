@@ -27,6 +27,7 @@ from .channel import (
     OutputKernel,
     UnitMemoryChannel,
     _check_compatible,
+    _check_entries,
     _policy_average,
     induced_output_kernel,
     resolve_cost,
@@ -161,6 +162,7 @@ def relative_value_iteration(
     to zero rejoins through the solver's active set.  Both defaults reproduce
     the cold uniform start.
     """
+    _check_entries(tol, "tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
     inner_tol = max(tol * 1e-2, 1e-12)
     value = np.zeros(channel.n_states) if initial_value is None else np.array(initial_value, dtype=float)
@@ -248,6 +250,7 @@ def policy_iteration(
     chain or singular evaluation system aborts with a diagnostic.
     """
     _check_compatible(channel, initial_policy)
+    _check_entries(tol, "tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
     inner_tol = max(tol * 1e-2, 1e-14)
     matrix = np.array(initial_policy.matrix)

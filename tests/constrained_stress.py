@@ -6,7 +6,8 @@ curve of each at kappa = 0.2, 0.3 and 0.4 with one ``capacity_cost_curve``
 call, the path of the benchmark and the CLI.  Prints one JSON line: stalls
 (points the curve dropped, with the warning it gave), points off the closed
 form by more than 1e-6, and the RVI solves per point.  Exits nonzero on any
-stall or wrong point.  Run it against two source trees to compare them:
+stall or wrong point, or when the solves per point exceed
+SOLVES_PER_POINT_GATE.  Run it against two source trees to compare them:
 
     PYTHONPATH=src python tests/constrained_stress.py --channels 100
 """
@@ -28,6 +29,9 @@ BETA_RANGE = (0.6, 0.85)
 # warm-started from the solve at 1, stalls the inner solver.
 STALLED = (0.8275, 0.5769)
 CLOSED_FORM_TOL = 1e-6
+# Inverse interpolation on the dual trace reads 3.10 at 300 channels;
+# Illinois false position, the search before it, read 4.36.
+SOLVES_PER_POINT_GATE = 3.5
 
 
 def census(n_channels, seed=2024):
@@ -73,4 +77,5 @@ if __name__ == "__main__":
     args = parser.parse_args()
     result = census(args.channels, args.seed)
     print(json.dumps({**result, "n_stalls": len(result["stalls"]), "n_wrong": len(result["wrong"])}))
-    sys.exit(1 if result["stalls"] or result["wrong"] else 0)
+    slow = result["rvi_solves_per_point"] > SOLVES_PER_POINT_GATE
+    sys.exit(1 if result["stalls"] or result["wrong"] or slow else 0)

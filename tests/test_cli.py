@@ -347,12 +347,12 @@ stage coupling: non_nested_time_invariant (max value spread 0.000e+00 bits)
 """,
     ('constrained', '--kappa', '0.5'): """\
 capacity       = 0.3112781245 bits
-multiplier     = 0.2075187304
-achieved cost  = 0.5000000100
+multiplier     = 0.2075203394
+achieved cost  = 0.4999991735
 binding        = true
 kappa_max      = 0.6000000000
-policy pi(.|0) = [0.500000010, 0.499999990]
-policy pi(.|1) = [0.499999990, 0.500000010]
+policy pi(.|0) = [0.499999174, 0.500000826]
+policy pi(.|1) = [0.500000826, 0.499999174]
 """,
     ('check-conditions', '--horizon', '10'): """\
 finite horizon n=10: conditions PASS

@@ -18,6 +18,7 @@ from umco import (
     InfeasibleBudgetError,
     InputPolicy,
     ReducibleChainError,
+    ValidationError,
     average_cost,
     bssc_constrained_closed_form,
     bssc_cost_function,
@@ -274,7 +275,7 @@ def test_driver_properties_on_generated_bssc(alpha, beta, kappas):
         assert result.achieved_cost <= result.kappa + umco.constrained.DEFAULT_COST_TOL
         if result.kappa < result.kappa_max:
             assert result.binding
-        assert calls.count(result.kappa) <= 10
+        assert calls.count(result.kappa) <= 7  # the most of 900 random budgets; 6 take 6
     capacities = [r.capacity for r in results]
     assert capacities[0] <= capacities[1] + 1e-9 and capacities[1] <= capacities[2] + 1e-9
     t = (kappas[1] - kappas[0]) / (kappas[2] - kappas[0])
@@ -306,6 +307,31 @@ def test_root_finder_terminates_on_flat_and_step_costs(monkeypatch, achieved_at,
     assert jump <= result.multiplier <= jump + dual_tol
     assert not result.binding
     assert len(multipliers) <= 2 + 3 * 27
+
+
+@pytest.mark.parametrize(
+    "tolerances, message",
+    [
+        # A NaN width test stopped the search before its first step: C(0.3) of
+        # BSSC(0.9, 0.7) read 0.3044, above the unconstrained 0.2967 (the
+        # closed form is 0.2412).
+        ({"dual_tol": float("nan")}, "dual_tol must be finite"),
+        # The bracket of a jump in the achieved cost never closed.
+        ({"dual_tol": 0.0}, "dual_tol must be positive"),
+        ({"cost_tol": float("nan")}, "cost_tol must be finite"),  # was a bare TypeError
+        ({"cost_tol": -1.0}, "cost_tol must be nonnegative"),  # was InfeasibleBudgetError
+        ({"solver_tol": float("inf")}, "solver_tol must be finite"),
+        ({"solver_tol": -1e-10}, "solver_tol must be nonnegative"),
+    ],
+    ids=["dual-nan", "dual-zero", "cost-nan", "cost-negative", "solver-inf", "solver-negative"],
+)
+def test_bad_tolerances_are_rejected_before_any_solve(monkeypatch, tolerances, message):
+    multipliers, floors = _counting(monkeypatch)
+    with pytest.raises(ValidationError, match=message):
+        constrained_capacity(bssc(0.9, 0.7), CostSpec(GAMMA, 0.3), **tolerances)
+    with pytest.raises(ValidationError, match=message):  # raised, not warned about per point
+        capacity_cost_curve(bssc(0.9, 0.7), CostSpec(GAMMA, 0.0), [0.3], **tolerances)
+    assert multipliers == [] and floors == []
 
 
 def _counting(monkeypatch):
@@ -418,6 +444,30 @@ def test_readme_sweep_takes_fewer_solves_than_its_single_budget_calls(monkeypatc
     assert len(multipliers) < single_solves
     for point, single in zip(curve, singles, strict=True):
         _same_point(point, single)
+
+
+def test_readme_sweep_solve_count(monkeypatch):
+    multipliers, _ = _counting(monkeypatch)
+    capacity_cost_curve(bssc(1.0, 0.5), CostSpec(GAMMA, 0.0), [0.05 * i for i in range(21)])  # kappa=0:1:0.05
+    assert len(multipliers) <= 25  # 46 with Illinois false position
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.2, 0.3, 0.4, 0.5])
+def test_a_smooth_cost_meets_its_budget_in_five_solves_after_the_bracket(monkeypatch, kappa):
+    # Every solve returns the same solution; the achieved cost is 0.6 / (1 + s)^2.
+    solution, _ = umco.constrained._solve_multiplier(bssc(1.0, 0.5), CostSpec(GAMMA, 0.5), 0.0, 1e-10)
+    multipliers = []
+
+    def smooth(channel, cost, s, solver_tol, warm=None):
+        multipliers.append(s)
+        return solution, 0.6 / (1.0 + s) ** 2
+
+    monkeypatch.setattr(umco.constrained, "_solve_multiplier", smooth)
+    result = constrained_capacity(bssc(1.0, 0.5), CostSpec(GAMMA, kappa))
+    assert result.binding
+    assert result.multiplier == pytest.approx((0.6 / kappa) ** 0.5 - 1.0, abs=1e-4)
+    bracketed = 1 + next(i for i, s in enumerate(multipliers) if 0.6 / (1.0 + s) ** 2 <= kappa)
+    assert len(multipliers) - bracketed <= 5  # up to 8 with Illinois false position
 
 
 def test_a_budget_the_trace_already_meets_takes_no_new_solve(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc
+import umco.finite_dp
 import umco.infinite_horizon
 from umco import (
     BSSCParams,
@@ -20,6 +21,7 @@ from umco import (
     InputPolicy,
     OutputKernel,
     ReducibleChainError,
+    ValidationError,
     bssc_closed_form,
     bssc_channel,
     bssc_cost_function,
@@ -58,6 +60,36 @@ def test_every_solver_rejects_a_negative_or_nan_multiplier(solve, multiplier):
     cost = CostSpec(bssc_cost_function(), 0.0)
     with pytest.raises(ValueError, match="multiplier must be nonnegative"):
         solve(bssc(0.9, 0.6), cost=cost, multiplier=multiplier)
+
+
+TOLERANCE_SOLVERS = pytest.mark.parametrize(
+    "solve",
+    [
+        lambda channel, tol: relative_value_iteration(channel, tol=tol),
+        lambda channel, tol: policy_iteration(channel, uniform_policy(2, 2), tol=tol),
+        lambda channel, tol: solve_finite_horizon(channel, 3, inner_tol=tol),
+    ],
+    ids=["rvi", "policy-iteration", "finite-horizon"],
+)
+
+
+@TOLERANCE_SOLVERS
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")], ids=["nan", "negative", "inf"])
+def test_every_solver_rejects_a_bad_tolerance_before_any_stage_solve(monkeypatch, solve, tol):
+    # A NaN tolerance passes no stopping test: RVI ran its 100k sweeps before
+    # a ConvergenceError, and a negative one failed only after max_iter.
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage was solved")
+
+    for module in (umco.infinite_horizon, umco.finite_dp):
+        monkeypatch.setattr(module, "maximize_stage_objective", stage)
+    with pytest.raises(ValidationError, match="tol must be"):
+        solve(bssc(0.9, 0.6), tol)
+
+
+@TOLERANCE_SOLVERS
+def test_a_zero_tolerance_stays_legal(solve):
+    solve(bssc(0.9, 0.6), 0.0)
 
 
 def test_rvi_bssc_best_worst():
