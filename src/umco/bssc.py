@@ -236,6 +236,7 @@ def verify_nofb_induces_fb(
     tol: float,
 ) -> bool:
     """True iff the Markov input reproduces the target conditional at every stage."""
+    _check_entries(tol, "tol")
     records = nofb_induction_deviations(channel, markov_input, target_policy, initial, horizon)
     skipped = [r for r in records if r[2]]
     if skipped:

@@ -22,6 +22,7 @@ from .channel import (
     CostSpec,
     Distribution,
     InputPolicy,
+    _check_entries,
     parse_channel_document,
     uniform_policy,
 )
@@ -147,9 +148,8 @@ def _write_out(args, text: str):
 def _cmd_fb_capacity(args) -> int:
     channel, _ = _read_channel(args.channel)
     if args.method == "policy-iteration":
-        solution = policy_iteration(
-            channel, uniform_policy(channel.n_states, channel.n_inputs), tol=args.tol
-        )
+        policy = uniform_policy(channel.n_states, channel.n_inputs)
+        solution = policy_iteration(channel, policy, tol=args.tol, max_iter=args.max_iter)
     else:
         solution = relative_value_iteration(channel, tol=args.tol, max_iter=args.max_iter)
     if channel.name:
@@ -255,6 +255,7 @@ def _cmd_bssc(args) -> int:
 
 
 def _cmd_nofb_verify(args) -> int:
+    _check_entries(args.tol, "tol")
     params = bssc_mod.BSSCParams(args.alpha, args.beta)
     solution = bssc_mod.bssc_closed_form(params)
     occupancy = args.kappa if args.kappa is not None else solution.nu
@@ -307,6 +308,7 @@ def _cmd_error_exponent(args) -> int:
 
 
 def _cmd_check_conditions(args) -> int:
+    _check_entries(args.tol, "tol")  # before the solve: the checker would test it only after
     channel, gamma = _read_channel(args.channel, need_cost=args.multiplier is not None)
     cost = CostSpec(gamma, 0.0) if args.multiplier is not None else None
     if args.horizon is not None:

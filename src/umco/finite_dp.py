@@ -57,21 +57,12 @@ class DPSolution:
 
 
 @dataclass(frozen=True, eq=False)
-class StateCheck:
-    """Condition-check record for one (stage, state) pair."""
-
-    stage: int | None
-    state: int
-    value: float
-    scores: np.ndarray
-    on_support: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ConditionReport:
+    """violations[t, b, a] (read-only): |score - target| on the support, max(score - target, 0) off it."""
+
     passed: bool
     worst_violation: float
-    per_state: tuple[StateCheck, ...]
+    violations: np.ndarray
     message: str = ""
 
 
@@ -146,27 +137,21 @@ def ftfi_capacity(solution: DPSolution, initial: Distribution) -> float:
     return float(solution.values[0] @ initial.weights)
 
 
-def _condition_report(channel, solution, policy, continuation, targets, tol, stages=(None,), worst=None, message=""):
+def _condition_report(channel, solution, policy, continuation, targets, tol, worst=None, message=""):
     """Check the per-letter conditions at every (stage, state) pair in one pass.
 
-    policy (T, S, A), continuation (T, B) and targets (T, S) stack the stages
-    labelled ``stages``; the cost penalty is the solution's.  Letter scores
-    must equal the target on the policy's support and not exceed it off the
-    support; ``worst`` overrides that worst violation when given.
+    policy (T, S, A), continuation (T, B) and targets (T, S) stack the
+    stages; the cost penalty is the solution's.  Letter scores must equal the
+    target on the policy's support and not exceed it off the support;
+    ``worst`` overrides that worst violation when given.
     """
     scores = letter_scores(channel.kernel, policy, continuation, solution.cost_gamma, solution.multiplier)
-    on_support = policy > SUPPORT_EPS
-    scores.setflags(write=False)
-    on_support.setflags(write=False)
+    excess = scores - targets[..., None]
+    violations = np.where(policy > SUPPORT_EPS, np.abs(excess), np.maximum(excess, 0.0))
+    violations.setflags(write=False)
     if worst is None:
-        excess = scores - targets[..., None]
-        worst = float(np.where(on_support, np.abs(excess), np.maximum(excess, 0.0)).max())
-    checks = tuple(
-        StateCheck(stage, b, float(targets[t, b]), scores[t, b], on_support[t, b])
-        for t, stage in enumerate(stages)
-        for b in range(channel.n_states)
-    )
-    return ConditionReport(passed=worst <= tol, worst_violation=worst, per_state=checks, message=message)
+        worst = float(violations.max())
+    return ConditionReport(passed=worst <= tol, worst_violation=worst, violations=violations, message=message)
 
 
 def verify_optimality_conditions(
@@ -178,10 +163,10 @@ def verify_optimality_conditions(
     letter score (divergence plus continuation, minus any cost penalty) on
     the support of the stage policy and dominate it off the support.
     """
+    _check_entries(tol, "tol")
     policy = np.stack([p.matrix for p in solution.policies])
     continuation = np.vstack((solution.values[1:], np.zeros(channel.n_states)))  # none after the last stage
-    stages = range(solution.horizon + 1)
-    return _condition_report(channel, solution, policy, continuation, solution.values, tol, stages)
+    return _condition_report(channel, solution, policy, continuation, solution.values, tol)
 
 
 def classify_non_nested(solution: DPSolution, tol: float) -> NestednessVerdict:
@@ -190,6 +175,7 @@ def classify_non_nested(solution: DPSolution, tol: float) -> NestednessVerdict:
     non_nested: every V_t is constant across states (within tol).
     non_nested_time_invariant: additionally all stage policies agree.
     """
+    _check_entries(tol, "tol")
     spread = solution.values.max(axis=1) - solution.values.min(axis=1)
     spread.setflags(write=False)
     if np.all(spread <= tol):

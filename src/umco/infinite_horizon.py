@@ -304,6 +304,7 @@ def verify_bellman_conditions(
     Equality must hold on the support of the policy and inequality (score at
     most J* + V(b)) off the support, all within ``tol``.
     """
+    _check_entries(tol, "tol")
     policy, bias = solution.policy.matrix[None], solution.bias[None]
     return _condition_report(channel, solution, policy, bias, solution.gain + bias, tol)
 
@@ -322,8 +323,11 @@ def generalized_dp_check(
 
     ``gain_by_state`` overrides the constant gain of an irreducible solution
     with a per-state gain function; for a constant gain equation (1) holds
-    for every policy and the report says so.
+    for every policy and the report says so.  worst_violation is the larger
+    of the two equations' residuals; violations holds the per-letter
+    conditions of the solution's policy against J(b) + V(b).
     """
+    _check_entries(tol, "tol")
     if gain_by_state is None:
         gains = np.full(channel.n_states, solution.gain)
         constant_gain = True
@@ -361,6 +365,7 @@ def minimum_average_cost(
     optimal average cost at every sweep.  Raises ConvergenceError (residual:
     the last bracket width) when max_iter sweeps do not close it to tol.
     """
+    _check_entries(tol, "tol")
     gamma = np.asarray(gamma, dtype=float)
     value = np.zeros(channel.n_states)
     span = np.inf

@@ -3,11 +3,12 @@
 Draws channels with S = 2-4 states, A = 2-5 inputs and kernel entries zeroed
 with probability 0.4, solves the horizon-20 recursion and checks the
 per-letter conditions at tol 1e-8.  Prints one JSON line: solver stalls
-(ConvergenceError), channels the checker flags, the summed slowest-state
-inner iterations, and the inner solver's Newton attempts with the channels
-where one returned no certified policy.  Exits nonzero on any stall or any
-such attempt; the flagged count is reported but not gated (the inner
-certificate does not bound the per-letter conditions).  Run it against two
+(ConvergenceError), channels the checker flags with the stage, state and
+letter of each one's worst violation (and that letter's policy mass), the
+summed slowest-state inner iterations, and the inner solver's Newton
+attempts with the channels where one returned no certified policy.  Exits
+nonzero on any stall or any such attempt; the flagged count is reported but
+not gated (the inner certificate does not bound the per-letter conditions).  Run it against two
 source trees to compare them:
 
     PYTHONPATH=src python tests/sparse_stress.py --channels 600
@@ -33,7 +34,7 @@ def sparse_random_channel(rng, n_states, n_inputs, density=0.6):
 
 def census(n_channels, seed=2024, horizon=20, tol=1e-8):
     rng = np.random.default_rng(seed)
-    stalls, flagged, iterations = [], [], 0
+    stalls, flagged, worst, iterations = [], [], [], 0
     newton_attempts, uncertified = 0, []
     real = umco.onestage._newton
 
@@ -55,14 +56,25 @@ def census(n_channels, seed=2024, horizon=20, tol=1e-8):
                 stalls.append(i)
                 continue
             iterations += sum(solution.inner_iterations)
-            if not umco.verify_optimality_conditions(channel, solution, tol=tol).passed:
+            report = umco.verify_optimality_conditions(channel, solution, tol=tol)
+            if not report.passed:
                 flagged.append(i)
+                stage, state, letter = np.unravel_index(report.violations.argmax(), report.violations.shape)
+                worst.append({
+                    "channel": i,
+                    "stage": int(stage),
+                    "state": int(state),
+                    "letter": int(letter),
+                    "violation": report.worst_violation,
+                    "mass": float(solution.policies[stage].matrix[state, letter]),
+                })
     finally:
         umco.onestage._newton = real
     return {
         "channels": n_channels,
         "stalls": stalls,
         "flagged": flagged,
+        "flagged_worst": worst,
         "slowest_state_iterations": iterations,
         "newton_attempts": newton_attempts,
         "newton_uncertified": uncertified,

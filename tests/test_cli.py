@@ -152,6 +152,35 @@ def test_nonconvergence_exits_two(bibo_file, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_policy_iteration_honours_max_iter(bibo_file, capsys):
+    argv = ["fb-capacity", "--channel", bibo_file, "--method", "policy-iteration", "--max-iter", "1"]
+    assert run_command(argv) == 2
+    assert "policy iteration still moving" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-conditions", "--channel", "{bssc_file}", "--tol", "nan"],
+        ["check-conditions", "--channel", "{bssc_file}", "--horizon", "3", "--tol=-1e-9"],
+        ["nofb-verify", "--alpha", "1.0", "--beta", "0.5", "--tol", "inf"],
+    ],
+    ids=["check-conditions", "check-conditions-finite", "nofb-verify"],
+)
+def test_checker_commands_reject_a_bad_tolerance_before_any_solve(bssc_file, monkeypatch, capsys, argv):
+    # A NaN tolerance once read as a failed check: "conditions FAIL", exit 1.
+    def solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for name in ("solve_finite_horizon", "relative_value_iteration"):
+        monkeypatch.setattr(umco.cli, name, solve)
+    monkeypatch.setattr(umco.bssc, "nofb_induction_deviations", solve)
+    assert run_command([arg.format(bssc_file=bssc_file) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tol must be")
+    assert captured.out == ""
+
+
 def test_finite_horizon_with_multiplier_reports_lagrangian(bssc_file, capsys):
     code = run_command(
         ["finite-horizon", "--channel", bssc_file, "--horizon", "2", "--multiplier", "0.2", "--kappa", "0.5"]

@@ -304,8 +304,8 @@ def test_warm_started_dp_equals_cold_recursion(channel, horizon):
 
 
 def _per_state_conditions(channel, policy, continuations, targets, gamma, multiplier):
-    """Scores and worst violation from one letter_scores call per (stage, state)."""
-    scores, worst = [], 0.0
+    """Violation rows, stage-major, and the worst violation from one letter_scores call per (stage, state)."""
+    rows, worst = [], 0.0
     for t, continuation in enumerate(continuations):
         for b in range(channel.n_states):
             row = letter_scores(
@@ -317,16 +317,15 @@ def _per_state_conditions(channel, policy, continuations, targets, gamma, multip
             )[0]
             excess = row - targets[t][b]
             violation = np.where(policy[t][b] > SUPPORT_EPS, np.abs(excess), np.maximum(excess, 0.0))
-            scores.append(row)
+            rows.append(violation)
             worst = max(worst, float(violation.max()))
-    return scores, worst
+    return rows, worst
 
 
-def _assert_same_scores(report, scores):
-    assert len(report.per_state) == len(scores)
-    for check, expected in zip(report.per_state, scores):
-        assert np.abs(check.scores - expected).max() <= 1e-12
-        assert not check.scores.flags.writeable
+def _assert_same_violations(report, rows, shape):
+    assert report.violations.shape == shape
+    assert np.abs(report.violations.reshape(len(rows), -1) - rows).max() <= 1e-12
+    assert not report.violations.flags.writeable
 
 
 @st.composite
@@ -349,15 +348,13 @@ def test_stacked_checker_equals_per_state_scores(problem):
         return  # slow to certify: the checker is on trial here, not the solver
     policy = [p.matrix for p in solution.policies]
     continuations = [*solution.values[1:], None]
-    scores, worst = _per_state_conditions(
+    rows, worst = _per_state_conditions(
         channel, policy, continuations, solution.values, solution.cost_gamma, solution.multiplier
     )
     report = verify_optimality_conditions(channel, solution, tol=1e-8)
-    _assert_same_scores(report, scores)
-    assert [(c.stage, c.state) for c in report.per_state] == [
-        (t, b) for t in range(horizon + 1) for b in range(channel.n_states)
-    ]
+    _assert_same_violations(report, rows, (horizon + 1, channel.n_states, channel.n_inputs))
     assert abs(report.worst_violation - worst) <= 1e-12
+    assert report.worst_violation == float(report.violations.max())
 
     # Shifting one stage's values breaks an equality at that stage (or, via
     # the continuation, at the stage before) by the shift.
@@ -381,14 +378,16 @@ def test_stacked_checker_equals_per_state_scores(problem):
         multiplier=solution.multiplier,
         cost_gamma=solution.cost_gamma,
     )
-    scores, worst = _per_state_conditions(
+    rows, worst = _per_state_conditions(
         channel, [policy[0]], [bias], [stationary.gain + bias], solution.cost_gamma, solution.multiplier
     )
+    shape = (1, channel.n_states, channel.n_inputs)
     report = verify_bellman_conditions(channel, stationary, tol=1e-8)
-    _assert_same_scores(report, scores)
+    _assert_same_violations(report, rows, shape)
     assert abs(report.worst_violation - worst) <= 1e-12
+    assert report.worst_violation == float(report.violations.max())
     try:
         general = generalized_dp_check(channel, stationary, tol=1e-8)
     except ConvergenceError:
         return
-    _assert_same_scores(general, scores)
+    _assert_same_violations(general, rows, shape)

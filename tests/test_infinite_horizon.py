@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc
+import umco.bssc
 import umco.finite_dp
 import umco.infinite_horizon
 from umco import (
@@ -17,6 +19,7 @@ from umco import (
     ConvergenceError,
     CostSpec,
     DimensionMismatchError,
+    Distribution,
     InfiniteHorizonSolution,
     InputPolicy,
     OutputKernel,
@@ -25,11 +28,15 @@ from umco import (
     bssc_closed_form,
     bssc_channel,
     bssc_cost_function,
+    bssc_nofeedback_markov,
+    bssc_optimal_policy,
     channel_from_kernel,
+    classify_non_nested,
     deterministic_policy,
     generalized_dp_check,
     induced_output_kernel,
     is_irreducible,
+    minimum_average_cost,
     policy_iteration,
     relative_value_iteration,
     solve_finite_horizon,
@@ -37,6 +44,7 @@ from umco import (
     stationary_distribution,
     uniform_policy,
     verify_bellman_conditions,
+    verify_nofb_induces_fb,
     verify_optimality_conditions,
 )
 from sparse_stress import sparse_random_channel
@@ -73,8 +81,13 @@ TOLERANCE_SOLVERS = pytest.mark.parametrize(
 )
 
 
+BAD_TOLERANCES = pytest.mark.parametrize(
+    "tol", [float("nan"), -1e-9, float("inf")], ids=["nan", "negative", "inf"]
+)
+
+
 @TOLERANCE_SOLVERS
-@pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")], ids=["nan", "negative", "inf"])
+@BAD_TOLERANCES
 def test_every_solver_rejects_a_bad_tolerance_before_any_stage_solve(monkeypatch, solve, tol):
     # A NaN tolerance passes no stopping test: RVI ran its 100k sweeps before
     # a ConvergenceError, and a negative one failed only after max_iter.
@@ -90,6 +103,55 @@ def test_every_solver_rejects_a_bad_tolerance_before_any_stage_solve(monkeypatch
 @TOLERANCE_SOLVERS
 def test_a_zero_tolerance_stays_legal(solve):
     solve(bssc(0.9, 0.6), 0.0)
+
+
+NOFB_PARAMS = BSSCParams(0.9, 0.6)
+
+# Each entry solves what its checker needs and returns the checker as a
+# function of tol alone, so the test can forbid every later stage solve.
+TOLERANCE_CHECKERS = pytest.mark.parametrize(
+    "prepare",
+    [
+        lambda channel: partial(verify_optimality_conditions, channel, solve_finite_horizon(channel, 3)),
+        lambda channel: partial(verify_bellman_conditions, channel, relative_value_iteration(channel)),
+        lambda channel: partial(generalized_dp_check, channel, relative_value_iteration(channel)),
+        lambda channel: partial(classify_non_nested, solve_finite_horizon(channel, 3)),
+        lambda channel: partial(
+            verify_nofb_induces_fb,
+            channel,
+            bssc_nofeedback_markov(NOFB_PARAMS, bssc_closed_form(NOFB_PARAMS).nu),
+            bssc_optimal_policy(NOFB_PARAMS),
+            Distribution.uniform(2),
+            10,
+        ),
+        lambda channel: partial(minimum_average_cost, channel, bssc_cost_function()),
+    ],
+    ids=["optimality", "bellman", "generalized", "classifier", "nofb", "minimum-cost"],
+)
+
+
+@TOLERANCE_CHECKERS
+@BAD_TOLERANCES
+def test_every_checker_rejects_a_bad_tolerance_before_any_stage_solve(monkeypatch, prepare, tol):
+    # A NaN tolerance failed every comparison: the checkers reported a failed
+    # check (or NESTED), generalized_dp_check handed the stage solver a NaN
+    # inner tolerance, and minimum_average_cost ran its 200,000 sweeps before
+    # a ConvergenceError.
+    check = prepare(bssc(0.9, 0.6))
+
+    def evaluate(*args, **kwargs):
+        raise AssertionError("a stage was solved or scored")
+
+    monkeypatch.setattr(umco.infinite_horizon, "maximize_stage_objective", evaluate)
+    monkeypatch.setattr(umco.finite_dp, "letter_scores", evaluate)
+    monkeypatch.setattr(umco.bssc, "nofb_induction_deviations", evaluate)
+    with pytest.raises(ValidationError, match="tol must be"):
+        check(tol=tol)
+
+
+@TOLERANCE_CHECKERS
+def test_a_zero_checker_tolerance_stays_legal(prepare):
+    prepare(bssc(0.9, 0.6))(tol=0.0)
 
 
 def test_rvi_bssc_best_worst():
