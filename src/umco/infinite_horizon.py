@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    _FLOAT_MAX,
     CostSpec,
     Distribution,
     InputPolicy,
@@ -32,7 +33,7 @@ from .channel import (
     induced_output_kernel,
     resolve_cost,
 )
-from .errors import ConvergenceError, ReducibleChainError
+from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError
 from .finite_dp import ConditionReport, _condition_report
 from .onestage import letter_scores, maximize_stage_objective
 
@@ -160,12 +161,20 @@ def relative_value_iteration(
     vector, which speeds up families of nearby solves such as a multiplier
     search.  Both warm starts are passed as is: a letter another solve drove
     to zero rejoins through the solver's active set.  Both defaults reproduce
-    the cold uniform start.
+    the cold uniform start.  From an ``initial_policy``, each state it does
+    not certify tries the active-set Newton ascent at the first sweep's first
+    inner iteration, not its 256th.  A warm start of the wrong shape raises
+    DimensionMismatchError and a NaN or infinite value ValidationError.
     """
     _check_entries(tol, "tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
+    if initial_policy is not None:
+        _check_compatible(channel, initial_policy)
     inner_tol = max(tol * 1e-2, 1e-12)
     value = np.zeros(channel.n_states) if initial_value is None else np.array(initial_value, dtype=float)
+    if value.shape != (channel.n_states,):
+        raise DimensionMismatchError(f"initial value shape {value.shape} does not match {channel.n_states} states")
+    _check_entries(value, "initial value entries", -_FLOAT_MAX)
     warm = None if initial_policy is None else initial_policy.matrix
     span = np.inf
     for sweep in range(1, max_iter + 1):
@@ -176,6 +185,7 @@ def relative_value_iteration(
             multiplier=s,
             tol=inner_tol,
             initial=warm,
+            _newton_start=sweep == 1 and initial_policy is not None,
         )
         swept, warm = sol.value, sol.policy
         diff = swept - value

@@ -27,12 +27,13 @@ certify, and the iteration skips the value and gap reductions; they still
 run on Newton iterations and the last one.  The reported gap is clamped at 0,
 since the value can round above the top score.  The update
 reaches a face of the simplex only asymptotically, so every 256 iterations
-each state not yet certified tries an active-set Newton ascent from its
-iterate: it puts exact zeros on dead letters, lets a letter at zero mass
-rejoin by its score, and is kept only once the same certificate holds.  A
-state whose warm start holds an exact zero (a letter an earlier solve let
-die) makes its first attempt at iteration 1, since that letter would
-otherwise sit at the floor until iteration 256.
+the states not yet certified try an active-set Newton ascent from their
+iterates in one batched pass: it puts exact zeros on dead letters, lets a
+letter at zero mass rejoin by its score, and a state keeps its result only
+once the same certificate holds.  A state tries at iteration 1 when its warm
+start holds an exact zero (a letter that would sit at the floor until
+iteration 256) or when the caller asks, as relative value iteration does
+from a caller's warm start: near the optimum Newton converges quadratically.
 
 The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
@@ -116,49 +117,73 @@ def letter_scores(rows, policy, continuation=None, cost_row=None, multiplier=Non
     return letter_divergences(rows, output) + _letter_bias(rows, continuation, cost_row, multiplier)
 
 
-def _newton(rows, pi, bias, tol):
-    """Active-set Newton ascent of one state's program; return (policy, value, gap) if certified.
+def _newton_pass(rows, rows_t, pi, bias, tol):
+    """Active-set Newton ascent of a stack of states' programs; return (certified, policy, value, gap).
 
-    The support starts at the letters with at least 1% of the top mass and
-    those reaching an output the others miss.  Each step solves [H_SS 1; 1^T 0]
-    with H = R diag(1/q) R^T / ln 2 shifted by 1e-12 trace(H), so a flat
-    direction (dependent rows) takes a long step; a step leaving the simplex
-    stops at its blocking letter, which drops out at exactly 0, unless that
-    letter alone reaches some output: dropping it would leave q = 0 there and
-    an infinite score, so the step stops halfway to it instead.  Once the
-    support's scores are level, the best letter off it joins.
+    Each state's support starts at the letters with at least 1% of its top
+    mass and those reaching an output the others miss.  Each step solves
+    [H_SS 1; 1^T 0] with H = R diag(1/q) R^T / ln 2 shifted by 1e-12 trace(H_SS),
+    so a flat direction (dependent rows) takes a long step.  A step leaving
+    the simplex stops at its blocking letter, which drops out at exactly 0,
+    unless that letter alone reaches some output (q would vanish there and
+    its score be infinite): then the step stops halfway to it.  Once the
+    support's scores are level, the best letter off it joins.  A state leaves
+    the batch once its gap certificate holds, or uncertified after a step
+    that is not finite or _NEWTON_STEPS steps; policy, value and gap hold one
+    row per certified state, in stack order.
     """
-    support = pi >= 1e-2 * pi.max()
-    support |= rows @ (support @ rows == 0.0) > 0.0
-    pi = np.where(support, pi, 0.0) / pi[support].sum()
+    n_states, n_inputs, _ = rows.shape
+    support = pi >= 1e-2 * pi.max(axis=1, keepdims=True)
+    support |= np.matmul(np.matmul(support[:, None], rows) == 0.0, rows_t)[:, 0] > 0.0
+    pi = np.where(support, pi, 0.0)
+    pi /= pi.sum(axis=1, keepdims=True)
+    live = np.arange(n_states)  # stack index of each state still stepping
+    certified = np.zeros(n_states, dtype=bool)
+    policy, value, gap = np.empty((n_states, n_inputs)), np.empty(n_states), np.empty(n_states)
+    identity = np.eye(n_inputs)
     for _ in range(_NEWTON_STEPS):
-        output = pi @ rows
+        output = np.matmul(pi[:, None], rows)
         scores = letter_divergences(rows, output) + bias
-        value = float(_policy_average(pi, scores))
-        gap = max(float(scores.max() - value), 0.0)
-        if gap <= tol:
-            return pi, value, gap
-        if np.ptp(scores[support]) <= tol:
-            support[np.argmax(np.where(support, -np.inf, scores))] = True
-        live = rows[support]
-        hessian = (live / np.where(output > 0.0, output, np.inf)) @ live.T / np.log(2.0)
-        system = np.pad(hessian + 1e-12 * np.trace(hessian) * np.eye(len(live)), (0, 1), constant_values=1.0)
-        system[-1, -1] = 0.0
-        step = np.linalg.solve(system, np.append(scores[support], 0.0))[:-1]
-        if not np.all(np.isfinite(step)):
-            return None
-        ratios = np.where(step < 0.0, pi[support] / np.where(step < 0.0, -step, 1.0), np.inf)
-        blocking = np.argmin(ratios)
-        blocked = ratios[blocking] <= 1.0
-        reach = live > 0.0
-        halved = blocked and bool(np.any(reach[blocking] & (reach.sum(axis=0) == 1)))
-        length = 0.5 * ratios[blocking] if halved else min(1.0, ratios[blocking])
-        pi[support] = np.maximum(pi[support] + length * step, 0.0)
-        if blocked and not halved:
-            pi[np.flatnonzero(support)[blocking]] = 0.0
-        pi /= pi.sum()
+        values = _policy_average(pi, scores)
+        gaps = np.maximum(scores.max(axis=1) - values, 0.0)
+        done = gaps <= tol
+        if done.any():
+            won = live[done]
+            certified[won], policy[won], value[won], gap[won] = True, pi[done], values[done], gaps[done]
+            if done.all():
+                break
+        level = np.where(support, scores, -np.inf).max(axis=1) - np.where(support, scores, np.inf).min(axis=1) <= tol
+        support[level, np.where(support, -np.inf, scores).argmax(axis=1)[level]] = True
+        hessian = np.matmul(rows / np.where(output > 0.0, output, np.inf), rows_t) / np.log(2.0)
+        shift = 1e-12 * np.where(support, np.diagonal(hessian, axis1=1, axis2=2), 0.0).sum(axis=1)
+        system = np.zeros((len(live), n_inputs + 1, n_inputs + 1))
+        pair = support[:, :, None] & support[:, None, :]  # identity rows off the support decouple the states
+        system[:, :-1, :-1] = np.where(pair, hessian + shift[:, None, None] * identity, identity)
+        system[:, :-1, -1] = system[:, -1, :-1] = support
+        rhs = np.zeros((len(live), n_inputs + 1, 1))
+        rhs[:, :-1, 0] = np.where(support, scores, 0.0)
+        step = np.linalg.solve(system, rhs)[:, :-1, 0]
+        stepping = ~done & np.isfinite(step).all(axis=1)
+        if not stepping.all():
+            live, rows, rows_t, bias = live[stepping], rows[stepping], rows_t[stepping], bias[stepping]
+            pi, support, step = pi[stepping], support[stepping], step[stepping]
+            if not len(live):
+                break
+        falling = support & (step < 0.0)
+        ratios = np.where(falling, pi / np.where(falling, -step, 1.0), np.inf)
+        blocking = ratios.argmin(axis=1)
+        states = np.arange(len(live))
+        ratio = ratios[states, blocking]
+        length, dropped = np.minimum(1.0, ratio), ratio <= 1.0
+        if dropped.any():  # a blocking letter alone on some output halves the step instead
+            reach = (rows > 0.0) & support[:, :, None]
+            halved = dropped & (reach[states, blocking] & (reach.sum(axis=1) == 1)).any(axis=1)
+            length, dropped = np.where(halved, 0.5 * ratio, length), dropped & ~halved
+        pi = np.maximum(pi + length[:, None] * step, 0.0)
+        pi[states[dropped], blocking[dropped]] = 0.0
+        pi /= pi.sum(axis=1, keepdims=True)
         support = pi > 0.0
-    return None
+    return certified, policy[certified], value[certified], gap[certified]
 
 
 def maximize_stage_objective(
@@ -169,6 +194,8 @@ def maximize_stage_objective(
     tol: float = DEFAULT_INNER_TOL,
     max_iter: int = DEFAULT_INNER_MAX_ITER,
     initial=None,
+    *,
+    _newton_start: bool = False,
 ) -> StateSolution:
     """Solve every state's concave program of a kernel stack over the input simplex.
 
@@ -180,6 +207,7 @@ def maximize_stage_objective(
     (n_states, n_inputs); skipped when the multiplier is None or 0.
     initial: optional warm-start policy, shaped like cost_row; default is
     uniform, which is also the tie-breaker among optimal policies.
+    _newton_start: internal; every state not certified at iteration 1 tries Newton there.
 
     Raises ConvergenceError with the worst achieved gap if ``max_iter`` is
     hit before every state is certified.
@@ -194,15 +222,17 @@ def maximize_stage_objective(
     bias = bias - offset[:, None]
     if initial is None:
         pi = np.full((n_states, n_inputs), 1.0 / n_inputs)
-        zero_start = None
+        first_attempt = None
     else:
         pi = np.asarray(initial, dtype=float).reshape(n_states, n_inputs)
         # A letter warm-started at exactly 0 would sit at the floor until the
         # first periodic Newton attempt; such a state tries one at once.
-        zero_start = (pi == 0.0).any(axis=1)
-        zero_start = zero_start if zero_start.any() else None
+        first_attempt = (pi == 0.0).any(axis=1)
+        first_attempt = first_attempt if first_attempt.any() else None
         pi = np.maximum(pi, _POLICY_FLOOR)
         pi = pi / pi.sum(axis=1, keepdims=True)
+    if _newton_start:
+        first_attempt = np.ones(n_states, dtype=bool)
     # Loop invariants.  By Blahut's identity a letter's score is base_a -
     # (log2 q @ R^T)_a with base = sum_b P log2 P + bias.  log2 P is taken as 0
     # where P = 0, so those terms vanish as long as q is finite and positive;
@@ -243,7 +273,7 @@ def maximize_stage_objective(
         np.exp2(weights, out=weights)
         np.multiply(pi, weights, out=weights)
         np.add.reduce(weights, axis=2, keepdims=True, out=total)
-        newton_due = iteration % _NEWTON_PERIOD == 0 or (iteration == 1 and zero_start is not None)
+        newton_due = iteration % _NEWTON_PERIOD == 0 or (iteration == 1 and first_attempt is not None)
         # The largest normaliser is read from a list: on a few states that
         # costs a fraction of total.max(), and the test runs on every update.
         if newton_due or iteration == max_iter or max(total.ravel().tolist()) >= certifiable:
@@ -253,12 +283,12 @@ def maximize_stage_objective(
             gap = top[:, 0, 0] - value
             finished = gap <= tol
             if newton_due:
-                attempts = ~finished if iteration > 1 else ~finished & zero_start
-                for i in np.flatnonzero(attempts):
-                    newton = _newton(rows[i], pi[i, 0], bias[i], tol)
-                    if newton is not None:
-                        pi[i, 0], value[i], gap[i] = newton
-                        finished[i] = True
+                attempts = np.flatnonzero(~finished if iteration > 1 else ~finished & first_attempt)
+                if len(attempts):
+                    newton = _newton_pass(rows[attempts], rows_t[attempts], pi[attempts, 0], bias[attempts], tol)
+                    won = attempts[newton[0]]
+                    pi[won, 0], value[won], gap[won] = newton[1:]
+                    finished[won] = True
             certified = np.count_nonzero(finished)  # cheaper than .any() and .all() on a few states
             if index is None and certified == len(finished):
                 # Every state certified together: no slots to fill.

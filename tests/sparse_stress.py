@@ -5,11 +5,13 @@ with probability 0.4, solves the horizon-20 recursion and checks the
 per-letter conditions at tol 1e-8.  Prints one JSON line: solver stalls
 (ConvergenceError), channels the checker flags with the stage, state and
 letter of each one's worst violation (and that letter's policy mass), the
-summed slowest-state inner iterations, and the inner solver's Newton
-attempts with the channels where one returned no certified policy.  Exits
-nonzero on any stall or any such attempt; the flagged count is reported but
-not gated (the inner certificate does not bound the per-letter conditions).  Run it against two
-source trees to compare them:
+summed slowest-state inner iterations, and the inner solver's per-state
+Newton attempts, read from each batched Newton pass's result, with the
+channel of every state one left uncertified.  Exits nonzero on any stall,
+any such state, or a census that counts no Newton attempt at all (the
+counter no longer sees the solver's Newton pass); the flagged count is
+reported but not gated (the inner certificate does not bound the per-letter
+conditions).  Run it against two source trees to compare them:
 
     PYTHONPATH=src python tests/sparse_stress.py --channels 600
 """
@@ -36,17 +38,17 @@ def census(n_channels, seed=2024, horizon=20, tol=1e-8):
     rng = np.random.default_rng(seed)
     stalls, flagged, worst, iterations = [], [], [], 0
     newton_attempts, uncertified = 0, []
-    real = umco.onestage._newton
+    real = umco.onestage._newton_pass
 
     def counted(*args):
         nonlocal newton_attempts
-        newton_attempts += 1
         result = real(*args)
-        if result is None:
-            uncertified.append(i)
+        certified = result[0]
+        newton_attempts += len(certified)
+        uncertified.extend([i] * int(np.count_nonzero(~certified)))
         return result
 
-    umco.onestage._newton = counted
+    umco.onestage._newton_pass = counted
     try:
         for i in range(n_channels):
             channel = sparse_random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
@@ -69,7 +71,7 @@ def census(n_channels, seed=2024, horizon=20, tol=1e-8):
                     "mass": float(solution.policies[stage].matrix[state, letter]),
                 })
     finally:
-        umco.onestage._newton = real
+        umco.onestage._newton_pass = real
     return {
         "channels": n_channels,
         "stalls": stalls,
@@ -89,4 +91,4 @@ if __name__ == "__main__":
     result = census(args.channels, args.seed)
     counts = {f"n_{key}": len(result[key]) for key in ("stalls", "flagged", "newton_uncertified")}
     print(json.dumps({**result, **counts}))
-    sys.exit(1 if result["stalls"] or result["newton_uncertified"] else 0)
+    sys.exit(1 if result["stalls"] or result["newton_uncertified"] or not result["newton_attempts"] else 0)

@@ -163,15 +163,16 @@ def test_curve_skips_failing_points_with_warning():
 
 def test_non_monotone_dual_trace_is_a_typed_error(monkeypatch):
     # The achieved cost is about 0.6 at multiplier 0 and 0.0 at multiplier 1;
-    # inflate the latter above the former.
+    # inflate the latter above the former.  The costs are the ones of the
+    # solves constrained_capacity makes: its warm-started solve at 1 certifies
+    # the same stage gap as a cold one but lands 1.1e-8 away from it in cost.
     real = umco.constrained._solve_multiplier
-    bump = 0.7
+    bump, costs = 0.7, {}
 
     def skewed(channel, cost, s, solver_tol, warm=None):
-        solution, achieved = real(channel, cost, s, solver_tol, warm=warm)
-        return solution, achieved + (bump if s == 1.0 else 0.0)
+        solution, costs[s] = real(channel, cost, s, solver_tol, warm=warm)
+        return solution, costs[s] + (bump if s == 1.0 else 0.0)
 
-    costs = {s: real(bssc(1.0, 0.5), CostSpec(GAMMA, 0.5), s, 1e-10)[1] for s in (0.0, 1.0)}
     monkeypatch.setattr(umco.constrained, "_solve_multiplier", skewed)
     with pytest.raises(ConvergenceError, match="not monotone") as exc_info:
         constrained_capacity(bssc(1.0, 0.5), CostSpec(GAMMA, 0.5))

@@ -14,6 +14,7 @@ from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc
 import umco.bssc
 import umco.finite_dp
 import umco.infinite_horizon
+import umco.onestage
 from umco import (
     BSSCParams,
     ConvergenceError,
@@ -206,6 +207,34 @@ def test_policy_iteration_symmetric_dmc_fixed_after_one_improvement():
 def test_policy_iteration_rejects_an_initial_policy_of_another_shape():
     with pytest.raises(DimensionMismatchError, match="does not match channel"):
         policy_iteration(bssc(1.0, 0.5), uniform_policy(3, 2))
+
+
+def _no_stage_solve(monkeypatch):
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage was solved")
+
+    monkeypatch.setattr(umco.infinite_horizon, "maximize_stage_objective", stage)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rvi_rejects_a_non_finite_initial_value_before_any_sweep(monkeypatch, bad):
+    # Passed on, it made a RuntimeWarning and then a singular-matrix LinAlgError.
+    _no_stage_solve(monkeypatch)
+    with pytest.raises(ValidationError, match="initial value entries must be finite"):
+        relative_value_iteration(bssc(0.9, 0.6), initial_value=[bad, 0.0])
+
+
+@pytest.mark.parametrize("value", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]], ids=["short", "long", "matrix"])
+def test_rvi_rejects_an_initial_value_of_another_shape_before_any_sweep(monkeypatch, value):
+    _no_stage_solve(monkeypatch)
+    with pytest.raises(DimensionMismatchError, match="does not match 2 states"):
+        relative_value_iteration(bssc(0.9, 0.6), initial_value=value)
+
+
+def test_rvi_rejects_an_initial_policy_of_another_shape_before_any_sweep(monkeypatch):
+    _no_stage_solve(monkeypatch)
+    with pytest.raises(DimensionMismatchError, match="does not match channel"):
+        relative_value_iteration(bssc(0.9, 0.6), initial_policy=uniform_policy(3, 2))
 
 
 def test_policy_iteration_rejects_reducible_start():
@@ -583,6 +612,66 @@ def test_warm_start_lets_a_zeroed_letter_grow_back(monkeypatch):
     assert abs(warm.gain - cold.gain) <= 1e-10
     assert warm.policy.matrix.min() > 1e-3
     assert sum(inner) <= cold_inner
+
+
+def _newton_calls(monkeypatch):
+    """Record every batched Newton pass: (states attempted, states certified)."""
+    real, calls = umco.onestage._newton_pass, []
+
+    def counted(*args):
+        result = real(*args)
+        calls.append((len(result[0]), int(result[0].sum())))
+        return result
+
+    monkeypatch.setattr(umco.onestage, "_newton_pass", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: relative_value_iteration(bibo_channel(), tol=1e-10),
+        lambda: relative_value_iteration(bssc(1.0, 0.5), tol=1e-10),
+        lambda: policy_iteration(bibo_channel(), uniform_policy(2, 2)),
+        lambda: solve_finite_horizon(bssc(0.9, 0.6), 20),
+    ],
+    ids=["rvi-bibo", "rvi-bssc", "policy-iteration", "finite-horizon"],
+)
+def test_only_a_callers_warm_start_brings_the_first_newton_attempt_forward(monkeypatch, solve):
+    # With the periodic attempts out of reach, any attempt is an early one:
+    # RVI without an initial policy, PI and the finite-horizon recursion make
+    # none before iteration 256.
+    monkeypatch.setattr(umco.onestage, "_NEWTON_PERIOD", 10**9)
+    calls = _newton_calls(monkeypatch)
+    solve()
+    assert calls == []
+
+
+def test_rvi_from_a_neighbouring_multiplier_certifies_its_first_sweep_by_newton(monkeypatch):
+    real = umco.infinite_horizon.maximize_stage_objective
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        solution = real(*args, **kwargs)
+        sweeps.append(solution)
+        return solution
+
+    monkeypatch.setattr(umco.infinite_horizon, "maximize_stage_objective", counted)
+    channel = bssc(0.9, 0.65)
+    cost = CostSpec(bssc_cost_function(), 0.3)
+    neighbour = relative_value_iteration(channel, cost=cost, multiplier=0.3, tol=1e-10)
+    sweeps.clear()
+    cold = relative_value_iteration(channel, cost=cost, multiplier=0.32, tol=1e-10)
+    cold_inner = sum(s.iterations for s in sweeps)
+    sweeps.clear()
+    calls = _newton_calls(monkeypatch)
+    warm = relative_value_iteration(
+        channel, cost=cost, multiplier=0.32, tol=1e-10,
+        initial_value=neighbour.bias, initial_policy=neighbour.policy,
+    )
+    assert calls[0] == (2, 2) and sweeps[0].slowest_iterations == 1
+    assert abs(warm.gain - cold.gain) <= 1e-10
+    assert sum(s.iterations for s in sweeps) < cold_inner
 
 
 def _normalised(kernel):

@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 from conftest import bibo_channel, bssc
 from sparse_stress import sparse_random_channel
 from umco import ConvergenceError, onestage
-from umco.channel import letter_divergences
-from umco.onestage import _newton, letter_scores, maximize_stage_objective
+from umco.channel import _policy_average, letter_divergences
+from umco.onestage import _NEWTON_STEPS, _newton_pass, letter_scores, maximize_stage_objective
 
 # Small enough that every generated stack runs in milliseconds; states that
 # need longer stall, which the property covers as well.
@@ -23,9 +23,9 @@ entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 
 
 @st.composite
-def stage_problems(draw):
-    """A kernel stack (S, A, B) and optional continuation, cost and warm start."""
-    n_states = draw(st.integers(1, 6))
+def kernel_stacks(draw, max_states=6):
+    """A kernel stack (S, A, B), some with a dominated letter, a repeated letter or a letter alone on an output."""
+    n_states = draw(st.integers(1, max_states))
     n_inputs = draw(st.integers(2, 5))
     n_outputs = draw(st.integers(2, 5))
     rows = draw(hnp.arrays(float, (n_states, n_inputs, n_outputs), elements=entries))
@@ -36,6 +36,23 @@ def stage_problems(draw):
         # face of the simplex and is reached by the periodic Newton step.
         weight = draw(st.floats(0.1, 0.9))
         rows[:, -1] = weight * rows[:, 0] + (1.0 - weight) * rows[:, 1]
+    if n_inputs > 2 and draw(st.booleans()):
+        rows[:, -2] = rows[:, -3]  # dependent rows: the optimal policy is not unique
+    if draw(st.booleans()):
+        # Letter 0 alone reaches output 0: a Newton step that blocks at it
+        # stops halfway instead of zeroing it.
+        rows[:, 0, 0] += 0.5
+        rows[:, 1:, 0] = 0.0
+        rows[..., -1] += rows.sum(axis=2) == 0.0
+        rows /= rows.sum(axis=2, keepdims=True)
+    return rows
+
+
+@st.composite
+def stage_problems(draw):
+    """A kernel stack (S, A, B), optional continuation, cost and warm start, and the first-attempt flag."""
+    rows = draw(kernel_stacks())
+    n_states, n_inputs, n_outputs = rows.shape
     continuation = draw(st.none() | hnp.arrays(float, n_outputs, elements=st.floats(-5.0, 5.0)))
     cost = draw(st.none() | hnp.arrays(float, (n_states, n_inputs), elements=st.floats(0.0, 2.0)))
     multiplier = draw(st.floats(0.0, 3.0)) if cost is not None else 0.0
@@ -43,13 +60,14 @@ def stage_problems(draw):
     if initial is not None:
         initial[:, 0] += initial.sum(axis=1) == 0.0
         initial /= initial.sum(axis=1, keepdims=True)
-    return rows, continuation, cost, multiplier, initial
+    return rows, continuation, cost, multiplier, initial, draw(st.booleans())
 
 
-def _solve(rows, continuation, cost, multiplier, initial):
+def _solve(rows, continuation, cost, multiplier, initial, newton_start):
     try:
         return maximize_stage_objective(
-            rows, continuation, cost, multiplier, tol=1e-10, max_iter=MAX_ITER, initial=initial
+            rows, continuation, cost, multiplier, tol=1e-10, max_iter=MAX_ITER, initial=initial,
+            _newton_start=newton_start,
         )
     except ConvergenceError as exc:
         return exc
@@ -57,8 +75,8 @@ def _solve(rows, continuation, cost, multiplier, initial):
 
 @given(stage_problems())
 def test_stacked_call_equals_per_state_calls(problem):
-    rows, continuation, cost, multiplier, initial = problem
-    stacked = _solve(rows, continuation, cost, multiplier, initial)
+    rows, continuation, cost, multiplier, initial, newton_start = problem
+    stacked = _solve(*problem)
     singles = [
         _solve(
             rows[b],
@@ -66,6 +84,7 @@ def test_stacked_call_equals_per_state_calls(problem):
             None if cost is None else cost[b],
             multiplier,
             None if initial is None else initial[b],
+            newton_start,
         )
         for b in range(rows.shape[0])
     ]
@@ -101,9 +120,9 @@ def test_skipping_the_certificate_on_the_jensen_bound_changes_nothing(problem):
 def test_solver_neither_writes_into_nor_aliases_its_inputs(problem):
     # The update works in buffers of its own; the returned arrays must not be
     # views of the caller's warm start either.
-    rows, continuation, cost, multiplier, initial = problem
+    rows, continuation, cost, multiplier, initial, _ = problem
     before = [None if a is None else a.tobytes() for a in (rows, continuation, cost, initial)]
-    solved = _solve(rows, continuation, cost, multiplier, initial)
+    solved = _solve(*problem)
     assert [None if a is None else a.tobytes() for a in (rows, continuation, cost, initial)] == before
     if initial is not None and not isinstance(solved, ConvergenceError):
         assert not np.shares_memory(solved.policy, initial)
@@ -126,7 +145,83 @@ def test_warm_start_at_the_optimum_certifies_every_state_at_once():
     assert not np.shares_memory(warm.policy, solved)
 
 
-def _reference_state(rows, bias, initial, tol=1e-10):
+def _newton_reference(rows, pi, bias, tol, steps=_NEWTON_STEPS):
+    """One state's active-set Newton ascent in its plain form; (policy, value, gap) if certified, else None.
+
+    The support and the bordered system [H_SS 1; 1^T 0] are built for this
+    state alone, so each step solves a system of the support's size.
+    """
+    support = pi >= 1e-2 * pi.max()
+    support |= rows @ (support @ rows == 0.0) > 0.0
+    pi = np.where(support, pi, 0.0) / pi[support].sum()
+    for _ in range(steps):
+        output = pi @ rows
+        scores = letter_divergences(rows, output) + bias
+        value = float(_policy_average(pi, scores))
+        gap = max(float(scores.max() - value), 0.0)
+        if gap <= tol:
+            return pi, value, gap
+        if np.ptp(scores[support]) <= tol:
+            support[np.argmax(np.where(support, -np.inf, scores))] = True
+        live = rows[support]
+        hessian = (live / np.where(output > 0.0, output, np.inf)) @ live.T / np.log(2.0)
+        system = np.pad(hessian + 1e-12 * np.trace(hessian) * np.eye(len(live)), (0, 1), constant_values=1.0)
+        system[-1, -1] = 0.0
+        step = np.linalg.solve(system, np.append(scores[support], 0.0))[:-1]
+        if not np.all(np.isfinite(step)):
+            return None
+        ratios = np.where(step < 0.0, pi[support] / np.where(step < 0.0, -step, 1.0), np.inf)
+        blocking = np.argmin(ratios)
+        blocked = ratios[blocking] <= 1.0
+        reach = live > 0.0
+        halved = blocked and bool(np.any(reach[blocking] & (reach.sum(axis=0) == 1)))
+        length = 0.5 * ratios[blocking] if halved else min(1.0, ratios[blocking])
+        pi[support] = np.maximum(pi[support] + length * step, 0.0)
+        if blocked and not halved:
+            pi[np.flatnonzero(support)[blocking]] = 0.0
+        pi /= pi.sum()
+        support = pi > 0.0
+    return None
+
+
+@st.composite
+def newton_problems(draw):
+    """A kernel stack, a centered letter bias, a start policy with a letter near 0 and a cap on the steps.
+
+    A cap of one or three steps leaves many states uncertified, so both
+    outcomes are compared.
+    """
+    rows = draw(kernel_stacks(max_states=8))
+    n_states, n_inputs, _ = rows.shape
+    bias = draw(hnp.arrays(float, (n_states, n_inputs), elements=st.floats(-3.0, 3.0)))
+    pi = draw(hnp.arrays(float, (n_states, n_inputs), elements=st.floats(1e-3, 1.0)))
+    pi[:, 0] *= draw(st.sampled_from([1.0, 1e-4, 1e-9]))
+    steps = draw(st.sampled_from([1, 3, _NEWTON_STEPS]))
+    return rows, bias - bias.max(axis=1, keepdims=True), pi / pi.sum(axis=1, keepdims=True), steps
+
+
+@given(newton_problems())
+def test_batched_newton_pass_matches_the_per_state_reference(problem):
+    rows, bias, pi, steps = problem
+    rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    with mock.patch.object(onestage, "_NEWTON_STEPS", steps):
+        certified, policy, value, gap = _newton_pass(rows, rows_t, pi.copy(), bias, 1e-10)
+    references = [_newton_reference(rows[b], pi[b].copy(), bias[b], 1e-10, steps) for b in range(len(rows))]
+    assert certified.tolist() == [r is not None for r in references]
+    for b, (p, v, g), reference in zip(np.flatnonzero(certified), zip(policy, value, gap), filter(None, references)):
+        assert ((p > 0.0) == (reference[0] > 0.0)).all()
+        assert abs(v - reference[1]) <= 1e-12 and 0.0 <= g <= 1e-10
+        np.testing.assert_allclose(p @ rows[b], reference[0] @ rows[b], rtol=0.0, atol=1e-12)
+        live = rows[b][p > 0.0]
+        if np.linalg.matrix_rank(live) == len(live):
+            # Independent rows fix the policy by its output; on dependent
+            # rows the optimum is a face, along which the shifted system's
+            # flat direction turns last-bit differences into a long step.
+            np.testing.assert_allclose(p, reference[0], rtol=0.0, atol=1e-12)
+    assert not np.shares_memory(policy, pi)
+
+
+def _reference_state(rows, bias, initial, newton_start, tol=1e-10):
     """One state's fixed point in its plain form, or None if it is not certified within MAX_ITER.
 
     Each update scores every letter by its own divergence plus the bias, then
@@ -135,14 +230,15 @@ def _reference_state(rows, bias, initial, tol=1e-10):
     """
     pi = np.ones(rows.shape[0]) if initial is None else np.maximum(initial, 1e-280)
     pi = pi / pi.sum()
+    zero_start = initial is not None and (initial == 0.0).any()
     for iteration in range(1, MAX_ITER + 1):
         scores = letter_divergences(rows, pi @ rows) + bias
         value = float(pi @ scores)
         gap = float(scores.max() - value)
         if gap <= tol:
             return pi, value, gap
-        if iteration % 256 == 0 or (iteration == 1 and initial is not None and (initial == 0.0).any()):
-            newton = _newton(rows, pi.copy(), bias, tol)
+        if iteration % 256 == 0 or (iteration == 1 and (newton_start or zero_start)):
+            newton = _newton_reference(rows, pi.copy(), bias, tol)
             if newton is not None:
                 return newton
         pi = pi * np.exp2(scores - scores.max())
@@ -153,18 +249,19 @@ def _reference_state(rows, bias, initial, tol=1e-10):
 
 @given(stage_problems())
 # One letter alone reaches output 1; the value rounds 2.2e-16 above the top score.
-@example((np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]]), None, None, 0.0, None))
+@example((np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]]), None, None, 0.0, None, False))
 def test_solver_matches_the_plain_fixed_point(problem):
-    rows, continuation, cost, multiplier, initial = problem
+    rows, continuation, cost, multiplier, initial, newton_start = problem
     bias = np.zeros(rows.shape[:2])
     if continuation is not None:
         bias += rows @ continuation
     if cost is not None:
         bias -= multiplier * cost
     references = [
-        _reference_state(rows[b], bias[b], None if initial is None else initial[b]) for b in range(rows.shape[0])
+        _reference_state(rows[b], bias[b], None if initial is None else initial[b], newton_start)
+        for b in range(rows.shape[0])
     ]
-    solved = _solve(rows, continuation, cost, multiplier, initial)
+    solved = _solve(*problem)
     if any(r is None for r in references):
         return  # a state the reference cannot certify in MAX_ITER either
     assert not isinstance(solved, ConvergenceError)
@@ -204,10 +301,10 @@ def test_newton_step_keeps_the_only_letter_reaching_an_output(monkeypatch):
         channel = sparse_random_channel(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
     rows = channel.kernel[1]
     assert (rows[:, 0] > 0.0).tolist() == [True, False, False]
-    real, results = onestage._newton, []
-    monkeypatch.setattr(onestage, "_newton", lambda *args: results.append(real(*args)) or results[-1])
+    real, results = onestage._newton_pass, []
+    monkeypatch.setattr(onestage, "_newton_pass", lambda *args: results.append(real(*args)) or results[-1])
     solution = maximize_stage_objective(rows)
-    assert len(results) == 1 and results[0] is not None
+    assert len(results) == 1 and results[0][0].tolist() == [True]
     assert solution.iterations == 256 and solution.gap <= 1e-10
     assert 0.0 < solution.policy[0, 0] < 1e-4
 
