@@ -29,6 +29,7 @@ from .channel import (
     _check_compatible,
     _check_entries,
     _check_integer,
+    _csv,
     _stochastic_array,
     binary_entropy,
     channel_from_kernel,
@@ -44,10 +45,8 @@ class BSSCParams:
     beta: float
 
     def __post_init__(self):
-        for label, p in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{label} must lie in [0, 1], got {p}")
-            object.__setattr__(self, label, float(p))
+        for label in ("alpha", "beta"):
+            object.__setattr__(self, label, float(_check_entries(getattr(self, label), label, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,7 @@ class MarkovInput:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _stochastic_array(self.matrix, "Markov input", 2))
-        _check_entries(self.sigma, "sigma", 0.0, 1.0)
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", float(_check_entries(self.sigma, "sigma", 0.0, 1.0)))
 
 
 def bssc_channel(params: BSSCParams) -> UnitMemoryChannel:
@@ -146,9 +144,7 @@ def bssc_constrained_closed_form(params: BSSCParams, kappa: float) -> BSSCSoluti
     the optimal policy diagonal is pinned at kappa; beyond that the constraint
     is slack and the unconstrained solution is returned unflagged.
     """
-    if not 0.0 <= kappa <= 1.0:
-        raise ValidationError(f"kappa must lie in [0, 1], got {kappa}")
-    kappa = float(kappa)
+    kappa = float(_check_entries(kappa, "kappa", 0.0, 1.0))
     base = bssc_closed_form(params)
     if kappa > base.nu:
         return replace(base, kappa=kappa)
@@ -172,7 +168,7 @@ def bssc_nofeedback_markov(params: BSSCParams, kappa: float) -> MarkovInput:
     Pass kappa = nu from the unconstrained closed form for the unconstrained
     case.  Undefined when sigma = alpha*kappa + beta*(1-kappa) equals 1/2.
     """
-    _check_entries(kappa, "kappa", 0.0, 1.0)
+    kappa = float(_check_entries(kappa, "kappa", 0.0, 1.0))
     a, b = params.alpha, params.beta
     sigma = a * kappa + b * (1.0 - kappa)
     if abs(1.0 - 2.0 * sigma) < _SINGULAR_EPS:
@@ -246,37 +242,28 @@ def verify_nofb_induces_fb(
     return all(dev <= tol for _, dev, _ in records)
 
 
+def _point_diagonals(solution: BSSCSolution) -> tuple[float, float]:
+    """(policy, output) diagonals of a closed-form point: (kappa, lam_bar) if the budget binds, else (nu, lam)."""
+    return (solution.kappa, solution.lam_bar) if solution.constrained else (solution.nu, solution.lam)
+
+
 def bssc_grid_csv(alphas, betas, kappa: float | None = None) -> str:
     """CSV sweep over an (alpha, beta) grid; singular points are skipped with a warning."""
-    lines = ["alpha,beta,kappa,capacity_bits,policy_diagonal,output_diagonal"]
+    rows = []
     for a in alphas:
         for b in betas:
             try:
-                if kappa is None:
-                    sol = bssc_closed_form(BSSCParams(a, b))
-                    occupancy, diag = sol.nu, sol.lam
-                else:
-                    sol = bssc_constrained_closed_form(BSSCParams(a, b), kappa)
-                    occupancy = sol.kappa if sol.constrained else sol.nu
-                    diag = sol.lam_bar if sol.constrained else sol.lam
+                params = BSSCParams(a, b)
+                sol = bssc_closed_form(params) if kappa is None else bssc_constrained_closed_form(params, kappa)
             except ValidationError as exc:
                 warnings.warn(f"alpha={a:g}, beta={b:g}: {exc}")
                 continue
-            lines.append(
-                f"{float(a)!r},{float(b)!r},{'' if kappa is None else repr(float(kappa))},"
-                f"{sol.capacity!r},{occupancy!r},{diag!r}"
-            )
-    return "\n".join(lines) + "\n"
+            rows.append([a, b, kappa, sol.capacity, *_point_diagonals(sol)])
+    return _csv(["alpha", "beta", "kappa", "capacity_bits", "policy_diagonal", "output_diagonal"], rows)
 
 
 def bssc_kappa_csv(params: BSSCParams, kappas) -> str:
     """CSV of the constrained closed-form curve over a budget grid."""
-    lines = ["kappa,capacity_bits,policy_diagonal,output_diagonal,constrained"]
-    for kappa in kappas:
-        sol = bssc_constrained_closed_form(params, float(kappa))
-        occupancy = sol.kappa if sol.constrained else sol.nu
-        diag = sol.lam_bar if sol.constrained else sol.lam
-        lines.append(
-            f"{float(kappa)!r},{sol.capacity!r},{occupancy!r},{diag!r},{str(sol.constrained).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+    points = [bssc_constrained_closed_form(params, kappa) for kappa in kappas]
+    rows = ([sol.kappa, sol.capacity, *_point_diagonals(sol), sol.constrained] for sol in points)
+    return _csv(["kappa", "capacity_bits", "policy_diagonal", "output_diagonal", "constrained"], rows)

@@ -4,9 +4,10 @@ A channel here is a conditional distribution P(b | b_prev, a) over finite
 alphabets, stored as a dense kernel indexed ``[b_prev][a][b]``.  Everything a
 solver consumes -- input policies pi(a | b_prev), induced output kernels
 P(b | b_prev), distributions over states, cost tables -- lives in this module
-together with its validation (one validator, ``_stochastic_array``, for every
-probability array).  All objects are immutable after construction (arrays are
-frozen), so they are safe to share across threads.
+together with its validation (one rule, ``_check_entries``, for every number
+a caller passes and ``_stochastic_array`` for every probability array) and
+``_csv``, the one writer of the package's CSV tables.  All objects are
+immutable after construction (arrays are frozen), so they are thread-safe.
 
 Conventions: all logarithms are base 2 and every information quantity is in
 bits; 0 * log 0 = 0 throughout.
@@ -32,8 +33,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) source in bits, with 0*log 0 = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"binary_entropy needs p in [0, 1], got {p}")
+    p = float(_check_entries(p, "binary_entropy argument p", 0.0, 1.0))
     out = 0.0
     for x in (p, 1.0 - p):
         if x > 0.0:
@@ -41,15 +41,23 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def _check_entries(values, what: str, low: float = 0.0, high: float | None = None):
-    """Raise ValidationError unless every entry of ``values`` is finite and in [low, high].
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, not copied when it is one; ValidationError for text or a ragged nest."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be numbers: {exc}") from None
 
-    The range test is written so that NaN (which fails every comparison,
-    and which minimum and maximum propagate) and +-inf fail it too; a test
-    for values *outside* the range would let NaN through.  The initial
-    values let an empty array pass.
+
+def _check_entries(values, what: str, low: float = 0.0, high: float | None = None) -> np.ndarray:
+    """``values`` as a float array; ValidationError unless every entry is a finite number in [low, high].
+
+    None (read as NaN), text and a ragged nest fail too.  The range test is
+    written so that NaN (which fails every comparison, and which minimum and
+    maximum propagate) and +-inf fail it; a test for values *outside* the
+    range would let NaN through.  The initial values let an empty array pass.
     """
-    values = np.asarray(values, dtype=float)
+    values = _float_array(values, what)
     upper = _FLOAT_MAX if high is None else high
     lowest = np.minimum.reduce(values, axis=None, initial=np.inf)
     if not (lowest >= low and np.maximum.reduce(values, axis=None, initial=-np.inf) <= upper):
@@ -57,12 +65,13 @@ def _check_entries(values, what: str, low: float = 0.0, high: float | None = Non
             raise ValidationError(f"{what} must be finite")
         bound = "be nonnegative" if high is None else f"lie in [{low:g}, {high:g}]"
         raise ValidationError(f"{what} must {bound}")
+    return values
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+def _frozen_array(values, what: str) -> np.ndarray:
+    array = _float_array(values, what).copy()
+    array.setflags(write=False)
+    return array
 
 
 def _stochastic_array(values, what: str, ndim: int, tol: float = STRICT_ROW_TOL, high: float = 1.0) -> np.ndarray:
@@ -72,7 +81,7 @@ def _stochastic_array(values, what: str, ndim: int, tol: float = STRICT_ROW_TOL,
     axis must equal 1 within tol.  Constructed objects use the defaults; the
     load path passes its looser tolerance before it renormalizes.
     """
-    array = _frozen_array(values)
+    array = _frozen_array(values, what)
     if array.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-d, got shape {array.shape}")
     _check_entries(array, f"{what} entries", 0.0, high)
@@ -137,7 +146,7 @@ class UnitMemoryChannel:
 
 def channel_from_kernel(kernel, name: str | None = None) -> UnitMemoryChannel:
     """Build a channel from a raw [b_prev][a][b] array, deriving the alphabets."""
-    kernel = np.asarray(kernel, dtype=float)
+    kernel = _float_array(kernel, "kernel")
     if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2]:
         raise ValidationError(f"kernel must have shape (n_out, n_in, n_out), got {kernel.shape}")
     return UnitMemoryChannel(Alphabet(kernel.shape[1]), Alphabet(kernel.shape[0]), kernel, name)
@@ -209,13 +218,12 @@ class CostSpec:
     kappa: float
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float)
+        gamma = _frozen_array(self.gamma, "cost table")
         if gamma.ndim != 2:
             raise ValidationError("cost table must be 2-d, indexed [b_prev][a]")
         _check_entries(gamma, "cost entries")
-        _check_entries(self.kappa, "budget kappa")
-        object.__setattr__(self, "gamma", _frozen_array(gamma))
-        object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "kappa", float(_check_entries(self.kappa, "budget kappa")))
 
 
 def uniform_policy(n_states: int, n_inputs: int, stage: int | None = None) -> InputPolicy:
@@ -244,16 +252,15 @@ def resolve_cost(channel: UnitMemoryChannel, cost: CostSpec | None, multiplier: 
     """(multiplier, cost table) of a solve: (None, None) without a cost, multiplier 0 by default."""
     if multiplier is not None and cost is None:
         raise ValidationError("a multiplier requires a cost specification")
-    if multiplier is not None and not multiplier >= 0.0:  # NaN fails too
-        raise ValidationError(f"multiplier must be nonnegative, got {multiplier}")
     if cost is None:
         return None, None
+    s = 0.0 if multiplier is None else float(_check_entries(multiplier, "multiplier"))
     if cost.gamma.shape != (channel.n_states, channel.n_inputs):
         raise DimensionMismatchError(
             f"cost shape {cost.gamma.shape} does not match channel "
             f"({channel.n_states} states, {channel.n_inputs} inputs)"
         )
-    return float(multiplier) if multiplier is not None else 0.0, cost.gamma
+    return s, cost.gamma
 
 
 def induced_output_kernel(channel: UnitMemoryChannel, policy: InputPolicy) -> OutputKernel:
@@ -326,7 +333,7 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
     channel = UnitMemoryChannel(inputs, outputs, kernel, name)
     cost = None
     if doc.get("cost") is not None:
-        cost = np.asarray(doc["cost"], dtype=float)
+        cost = _float_array(doc["cost"], "cost table")
         if cost.shape != (outputs.size, inputs.size):
             raise ValidationError(f"cost shape {cost.shape} must be (output_size, input_size)")
         _check_entries(cost, "cost entries")
@@ -350,3 +357,19 @@ def serialize_channel(channel: UnitMemoryChannel, cost: np.ndarray | None = None
     if channel.name is not None:
         doc["name"] = channel.name
     return json.dumps(doc, indent=2)
+
+
+def _cell(value) -> str:
+    if value is None or isinstance(value, str):
+        return value or ""
+    return str(value).lower() if isinstance(value, (bool, np.bool_)) else repr(float(value))
+
+
+def _csv(header, rows) -> str:
+    """A table as CSV text, one line per row and each ending in a newline.
+
+    Every number is written as repr(float), so an integer 1 reads 1.0; a
+    boolean is written in lower case, None as an empty cell and text (the
+    header, stage and state indices) as it is.
+    """
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])

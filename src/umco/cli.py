@@ -23,6 +23,7 @@ from .channel import (
     Distribution,
     InputPolicy,
     _check_entries,
+    _csv,
     parse_channel_document,
     uniform_policy,
 )
@@ -104,15 +105,10 @@ def solution_report(solution) -> str:
 
 def solution_csv(solution) -> str:
     """Per-state CSV table of an InfiniteHorizonSolution (bias in bits, invariant mass, policy rows)."""
-    n_inputs = solution.policy.n_inputs
-    header = ["state", "bias_bits", "invariant_mass"] + [f"policy_a{a}" for a in range(n_inputs)]
-    rows = [",".join(header)]
-    for b in range(solution.policy.n_states):
-        mass = "" if solution.invariant_dist is None else repr(float(solution.invariant_dist.weights[b]))
-        cells = [str(b), repr(float(solution.bias[b])), mass]
-        cells += [repr(float(x)) for x in solution.policy.matrix[b]]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    policy = solution.policy
+    header = ["state", "bias_bits", "invariant_mass"] + [f"policy_a{a}" for a in range(policy.n_inputs)]
+    mass = [None] * policy.n_states if solution.invariant_dist is None else solution.invariant_dist.weights
+    return _csv(header, ([str(b), solution.bias[b], mass[b], *policy.matrix[b]] for b in range(policy.n_states)))
 
 
 def dp_report(solution) -> str:
@@ -176,13 +172,10 @@ def _cmd_finite_horizon(args) -> int:
     verdict = classify_non_nested(solution, tol=1e-6)
     print(f"stage coupling: {verdict.kind} (max value spread {verdict.state_spread.max():.3e} bits)")
     if args.out:
-        lines = ["stage,state,value_bits," + ",".join(f"policy_a{a}" for a in range(channel.n_inputs))]
-        for t in range(solution.horizon + 1):
-            for b in range(channel.n_states):
-                cells = [str(t), str(b), repr(float(solution.values[t, b]))]
-                cells += [repr(float(x)) for x in solution.policies[t].matrix[b]]
-                lines.append(",".join(cells))
-        _write_out(args, "\n".join(lines) + "\n")
+        header = ["stage", "state", "value_bits"] + [f"policy_a{a}" for a in range(channel.n_inputs)]
+        stage_states = [(t, b) for t in range(solution.horizon + 1) for b in range(channel.n_states)]
+        rows = ([str(t), str(b), solution.values[t, b], *solution.policies[t].matrix[b]] for t, b in stage_states)
+        _write_out(args, _csv(header, rows))
     return 0
 
 
@@ -239,15 +232,14 @@ def _cmd_bssc(args) -> int:
     print(f"output diagonal          = {solution.lam:.10f}")
     print(f"exponent                 = {solution.bssc_exponent:.10f}")
     if args.kappa is not None:
-        constrained = bssc_mod.bssc_constrained_closed_form(params, args.kappa)
-        print(f"capacity at kappa={args.kappa:g}  = {constrained.capacity:.10f} bits")
-        if constrained.constrained:
-            print(f"constrained output diag  = {constrained.lam_bar:.10f}")
+        solution = bssc_mod.bssc_constrained_closed_form(params, args.kappa)
+        print(f"capacity at kappa={args.kappa:g}  = {solution.capacity:.10f} bits")
+        if solution.constrained:
+            print(f"constrained output diag  = {solution.lam_bar:.10f}")
         else:
             print("budget is slack (kappa above the saturation point)")
-    occupancy = args.kappa if args.kappa is not None else solution.nu
     try:
-        markov = bssc_mod.bssc_nofeedback_markov(params, occupancy)
+        markov = bssc_mod.bssc_nofeedback_markov(params, bssc_mod._point_diagonals(solution)[0])
         print(f"no-feedback Markov input diagonal = {markov.matrix[0, 0]:.10f} (sigma {markov.sigma:.6f})")
     except ValidationError as exc:
         print(f"no-feedback Markov input undefined: {exc}")
@@ -258,7 +250,9 @@ def _cmd_nofb_verify(args) -> int:
     _check_entries(args.tol, "tol")
     params = bssc_mod.BSSCParams(args.alpha, args.beta)
     solution = bssc_mod.bssc_closed_form(params)
-    occupancy = args.kappa if args.kappa is not None else solution.nu
+    if args.kappa is not None:
+        solution = bssc_mod.bssc_constrained_closed_form(params, args.kappa)
+    occupancy = bssc_mod._point_diagonals(solution)[0]
     target = bssc_mod._diagonal_policy(occupancy)
     markov = bssc_mod.bssc_nofeedback_markov(params, occupancy)
     channel = bssc_mod.bssc_channel(params)
@@ -287,7 +281,7 @@ def _resolve_exponent_policy(args, channel) -> InputPolicy:
         return bssc_mod.bssc_optimal_policy(bssc_mod.BSSCParams(alpha, beta))
     # otherwise: a JSON file holding the policy matrix
     try:
-        matrix = np.asarray(json.loads(Path(args.policy).read_text()), dtype=float)
+        matrix = json.loads(Path(args.policy).read_text())
     except OSError as exc:
         raise ValidationError(f"cannot read policy file {args.policy}: {exc}") from exc
     return InputPolicy(matrix)

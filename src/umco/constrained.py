@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, _check_entries, induced_output_kernel
+from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, _check_entries, _csv, induced_output_kernel
 from .errors import ConvergenceError, InfeasibleBudgetError, UmcoError, ValidationError
 from .infinite_horizon import (
     InfiniteHorizonSolution,
@@ -306,9 +306,5 @@ def capacity_cost_curve(
 
 def curve_csv(results) -> str:
     """CSV of the capacity-cost curve (capacity in bits, rest dimensionless)."""
-    lines = ["kappa,capacity_bits,multiplier,achieved_cost,binding"]
-    for r in results:
-        lines.append(
-            f"{r.kappa!r},{r.capacity!r},{r.multiplier!r},{r.achieved_cost!r},{str(r.binding).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([r.kappa, r.capacity, r.multiplier, r.achieved_cost, r.binding] for r in results)
+    return _csv(["kappa", "capacity_bits", "multiplier", "achieved_cost", "binding"], rows)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    _FLOAT_MAX, InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _check_integer, _frozen_array
+    _FLOAT_MAX, InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _check_integer, _csv, _frozen_array
 )
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .infinite_horizon import _reach
@@ -52,8 +52,8 @@ class LambdaMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        _check_entries(self.rho, "rho", 0.0, 1.0)
-        matrix = _frozen_array(self.matrix)
+        object.__setattr__(self, "rho", float(_check_entries(self.rho, "rho", 0.0, 1.0)))
+        matrix = _frozen_array(self.matrix, "state-weight matrix")
         _check_entries(matrix, "state-weight entries")
         if self.rho == 0.0 and np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-9:
             raise ValidationError("at rho = 0 the state-weight columns must sum to 1")
@@ -74,21 +74,18 @@ class ExponentCurve:
     bracket_width: tuple[float, ...] = ()
 
     def __post_init__(self):
-        rho, lam_max, f_inf = np.array(self.samples, dtype=float).reshape(len(self.samples), 3).T
+        # Every sample must be finite; rounding may put F just below 0.
+        rho, lam_max, f_inf = _check_entries(self.samples, "samples", -_FLOAT_MAX).reshape(len(self.samples), 3).T
         _check_entries(rho, "rho", 0.0, 1.0)
         _check_entries(lam_max, "Perron roots")
         if not lam_max.all():
             raise ValidationError("the Perron root must be positive at every sample")
-        _check_entries(f_inf, "exponents", -_FLOAT_MAX)  # finite; rounding may put F just below 0
         _check_entries(f_inf[rho == 0.0], "the exponent at rho = 0", -1e-10, 1e-10)
 
 
 def _transposed_weights(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> np.ndarray:
     """State-weight matrices transposed, [k][s_prev][s_next], for every rho at once."""
-    rhos = np.asarray(rhos, dtype=float)
-    outside = rhos[~((rhos >= 0.0) & (rhos <= 1.0))]
-    if outside.size:
-        raise ValidationError(f"rho must lie in [0, 1], got {outside[0]}")
+    rhos = _check_entries(rhos, "rho", 0.0, 1.0)
     _check_compatible(channel, policy)
     power = (1.0 + rhos)[:, None, None]
     inner = np.einsum("sa,ksan->ksn", policy.matrix, np.power(channel.kernel, 1.0 / power[..., None]))
@@ -97,7 +94,7 @@ def _transposed_weights(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -
 
 def lambda_matrix(channel: UnitMemoryChannel, policy: InputPolicy, rho: float) -> LambdaMatrix:
     """Build the state-weight matrix for a time-invariant policy at rho in [0, 1]."""
-    return LambdaMatrix(rho=float(rho), matrix=_transposed_weights(channel, policy, [rho])[0].T)
+    return LambdaMatrix(rho=rho, matrix=_transposed_weights(channel, policy, [rho])[0].T)
 
 
 def _perron_pair(matrices: np.ndarray, tol: float = 1e-12, max_squarings: int = 64):
@@ -170,9 +167,9 @@ def gallager_exponent_infinite(
 
 def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) -> ExponentCurve:
     """(rho, lambda_max, F_inf) and the eigenvector ratio at every rho of rho_grid, in one stacked solve."""
-    rhos = [float(rho) for rho in rho_grid]
+    rhos = _check_entries(rho_grid, "rho", 0.0, 1.0)
     f_inf, ratios, widths = _gallager_exponents(channel, policy, rhos)
-    samples = tuple((rho, float(2.0 ** (-f)), f) for rho, f in zip(rhos, f_inf.tolist()))
+    samples = tuple((rho, float(2.0 ** (-f)), f) for rho, f in zip(rhos.tolist(), f_inf.tolist()))
     return ExponentCurve(samples=samples, eigen_ratio=tuple(ratios.tolist()), bracket_width=tuple(widths.tolist()))
 
 
@@ -187,8 +184,7 @@ def random_coding_exponent(
     whole, so no unimodality is assumed.  The value is clamped at 0 (the
     rho = 0 endpoint always achieves 0).
     """
-    if not (np.isfinite(rate) and rate >= 0.0):
-        raise ValidationError(f"rate must be finite and nonnegative, got {rate}")
+    rate = float(_check_entries(rate, "rate"))
     rhos = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
     while True:
         values = _gallager_exponents(channel, policy, rhos)[0] - rhos * rate
@@ -261,10 +257,8 @@ def finite_horizon_exponent_oracle(
 def exponent_csv(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) -> str:
     """CSV of (rho, lambda_max, F_infinity in bits, eigenvector ratio)."""
     curve = exponent_curve(channel, policy, rho_grid)
-    lines = ["rho,lambda_max,F_infinity_bits,eigen_ratio"]
-    for (rho, lam_max, f_inf), ratio in zip(curve.samples, curve.eigen_ratio):
-        lines.append(f"{rho!r},{lam_max!r},{f_inf!r},{ratio!r}")
-    return "\n".join(lines) + "\n"
+    rows = ([*sample, ratio] for sample, ratio in zip(curve.samples, curve.eigen_ratio))
+    return _csv(["rho", "lambda_max", "F_infinity_bits", "eigen_ratio"], rows)
 
 
 def rate_sweep_csv(
@@ -275,9 +269,8 @@ def rate_sweep_csv(
     state_known: bool = False,
 ) -> str:
     """CSV of (rate in bits, E_r in bits, maximizing rho, error bound at block length n)."""
-    lines = ["rate_bits,E_r_bits,rho_star,bound_at_n"]
+    rows = []
     for rate in rates:
-        exponent, rho_star = random_coding_exponent(channel, policy, float(rate))
-        bound = error_probability_bound(channel, policy, float(rate), n, state_known)
-        lines.append(f"{float(rate)!r},{exponent!r},{rho_star!r},{bound!r}")
-    return "\n".join(lines) + "\n"
+        exponent, rho_star = random_coding_exponent(channel, policy, rate)
+        rows.append([rate, exponent, rho_star, error_probability_bound(channel, policy, rate, n, state_known)])
+    return _csv(["rate_bits", "E_r_bits", "rho_star", "bound_at_n"], rows)

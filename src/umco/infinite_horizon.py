@@ -29,6 +29,7 @@ from .channel import (
     UnitMemoryChannel,
     _check_compatible,
     _check_entries,
+    _float_array,
     _policy_average,
     induced_output_kernel,
     resolve_cost,
@@ -164,14 +165,14 @@ def relative_value_iteration(
     the cold uniform start.  From an ``initial_policy``, each state it does
     not certify tries the active-set Newton ascent at the first sweep's first
     inner iteration, not its 256th.  A warm start of the wrong shape raises
-    DimensionMismatchError and a NaN or infinite value ValidationError.
+    DimensionMismatchError, and a value that is not all finite numbers ValidationError.
     """
     _check_entries(tol, "tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
     if initial_policy is not None:
         _check_compatible(channel, initial_policy)
     inner_tol = max(tol * 1e-2, 1e-12)
-    value = np.zeros(channel.n_states) if initial_value is None else np.array(initial_value, dtype=float)
+    value = np.zeros(channel.n_states) if initial_value is None else _float_array(initial_value, "initial value")
     if value.shape != (channel.n_states,):
         raise DimensionMismatchError(f"initial value shape {value.shape} does not match {channel.n_states} states")
     _check_entries(value, "initial value entries", -_FLOAT_MAX)
@@ -342,7 +343,9 @@ def generalized_dp_check(
         gains = np.full(channel.n_states, solution.gain)
         constant_gain = True
     else:
-        gains = np.asarray(gain_by_state, dtype=float)
+        gains = _check_entries(gain_by_state, "gain_by_state entries", -_FLOAT_MAX)
+        if gains.shape != (channel.n_states,):
+            raise DimensionMismatchError(f"gain_by_state shape {gains.shape} does not match {channel.n_states} states")
         constant_gain = bool(np.ptp(gains) == 0.0)
     worst_drift = 0.0
     if constant_gain:
@@ -376,7 +379,7 @@ def minimum_average_cost(
     the last bracket width) when max_iter sweeps do not close it to tol.
     """
     _check_entries(tol, "tol")
-    gamma = np.asarray(gamma, dtype=float)
+    _, gamma = resolve_cost(channel, CostSpec(gamma, 0.0), None)
     value = np.zeros(channel.n_states)
     span = np.inf
     for _ in range(max_iter):

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bssc, embedded_dmc, random_channel
+import umco.exponent
+import umco.infinite_horizon
 from umco import (
     Alphabet,
+    BSSCParams,
     ChannelFormatError,
     CostSpec,
     DimensionMismatchError,
@@ -23,14 +26,18 @@ from umco import (
     UnitMemoryChannel,
     ValidationError,
     binary_entropy,
+    bssc_constrained_closed_form,
     bssc_cost_function,
     channel_from_kernel,
     deterministic_policy,
     error_probability_bound,
+    exponent_curve,
     finite_horizon_exponent_oracle,
     induced_output_kernel,
     load_channel,
     parse_channel_document,
+    random_coding_exponent,
+    relative_value_iteration,
     serialize_channel,
     stage_reward,
     uniform_policy,
@@ -149,7 +156,9 @@ def test_multiplier_rules_raise_typed_errors():
     channel = bssc(0.9, 0.2)
     with pytest.raises(ValidationError, match="requires a cost"):
         resolve_cost(channel, None, 1.0)
-    with pytest.raises(ValidationError, match="nonnegative"):
+    with pytest.raises(ValidationError, match="multiplier must be nonnegative"):
+        resolve_cost(channel, CostSpec(np.ones((2, 2)), 0.5), -1.0)
+    with pytest.raises(ValidationError, match="multiplier must be finite"):
         resolve_cost(channel, CostSpec(np.ones((2, 2)), 0.5), np.nan)
 
 
@@ -425,3 +434,35 @@ def test_strict_constructor_tolerance():
     kernel[:, :, 1] = 0.5 + 1e-9  # off by far more than the strict tolerance
     with pytest.raises(ValidationError):
         UnitMemoryChannel(Alphabet(2), Alphabet(2), kernel)
+
+
+# Each entry calls one public entry point with a malformed number in place of
+# one of its arguments; None stands for the argument, or for one entry of it
+# where None is the argument's default.
+MALFORMED_NUMBERS = {
+    "BSSCParams": lambda bad: BSSCParams(bad, 0.5),
+    "binary_entropy": binary_entropy,
+    "bssc_constrained_closed_form": lambda bad: bssc_constrained_closed_form(BSSCParams(0.9, 0.6), bad),
+    "random_coding_exponent": lambda bad: random_coding_exponent(bssc(0.9, 0.6), uniform_policy(2, 2), bad),
+    "exponent_curve": lambda bad: exponent_curve(bssc(0.9, 0.6), uniform_policy(2, 2), bad),
+    "InputPolicy": InputPolicy,
+    "channel_from_kernel": channel_from_kernel,
+    "CostSpec": lambda bad: CostSpec(bad, 0.5),
+    "CostSpec-kappa": lambda bad: CostSpec(np.eye(2), bad),
+    "rvi-initial_value": lambda bad: relative_value_iteration(
+        bssc(0.9, 0.6), initial_value=[None, 0.0] if bad is None else bad
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "x", [[0.0], [0.5, 1.0]]], ids=["none", "text", "ragged"])
+@pytest.mark.parametrize("entry", list(MALFORMED_NUMBERS))
+def test_every_malformed_number_raises_a_validation_error_before_any_solve(monkeypatch, entry, bad):
+    # Each of these raised a bare TypeError or NumPy's ValueError.
+    def solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(umco.infinite_horizon, "maximize_stage_objective", solve)
+    monkeypatch.setattr(umco.exponent, "_perron_pair", solve)
+    with pytest.raises(ValidationError):
+        MALFORMED_NUMBERS[entry](bad)

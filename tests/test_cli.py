@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import umco.bssc
@@ -16,6 +17,7 @@ from umco import (
     ValidationError,
     bssc_channel,
     bssc_cost_function,
+    channel_from_kernel,
     serialize_channel,
 )
 from umco.cli import _UsageError, build_parser, parse_range, run_command
@@ -264,6 +266,59 @@ def test_bssc_command_lets_errors_other_than_input_rules_through(monkeypatch, ca
 def test_nofb_verify_passes(capsys):
     assert run_command(["nofb-verify", "--alpha", "1.0", "--beta", "0.5", "--horizon", "20"]) == 0
     assert "induces the feedback-optimal conditional" in capsys.readouterr().out
+
+
+def test_bssc_slack_budget_prints_the_markov_input_of_the_unconstrained_optimum(capsys):
+    # nu = 0.5323894180 < kappa = 0.9: the Markov input is the one for
+    # occupancy nu, not for 0.9 (diagonal 0.9597701149, sigma 0.935).
+    assert run_command(["bssc", "--alpha", "0.95", "--beta", "0.8", "--kappa", "0.9"]) == 0
+    out = capsys.readouterr().out
+    assert "budget is slack" in out
+    assert out.endswith("no-feedback Markov input diagonal = 0.5426335404 (sigma 0.879858)\n")
+
+
+def test_nofb_verify_slack_budget_checks_the_unconstrained_target(capsys):
+    argv = ["nofb-verify", "--alpha", "0.95", "--beta", "0.8"]
+    assert run_command(argv) == 0
+    unconstrained = capsys.readouterr().out
+    assert run_command([*argv, "--kappa", "0.9"]) == 0
+    assert capsys.readouterr().out == unconstrained
+    assert unconstrained.startswith("Markov input diagonal = 0.5426335404\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "gamma=0:1:0.5"], "unknown sweep variable 'gamma'"),
+        (["constrained", "--channel", "{bssc_file}"], "constrained needs --kappa or --sweep"),
+        (["constrained", "--channel", "{bssc_file}", "--sweep", "alpha=0:1:0.5"], "support only kappa"),
+        (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa=0:1"], "must have the form start:stop:step"),
+        (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa=0:x:0.5"], "could not convert string to float"),
+        (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa=0:1:0"], "step must be positive"),
+        (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa=0:1:-0.5"], "step must be positive"),
+        (["error-exponent", "--channel", "{perm3_file}"], "--policy closed-form needs a binary channel"),
+        (["error-exponent", "--channel", "{bssc_file}", "--policy", "{missing}"], "cannot read policy file"),
+    ],
+    ids=[
+        "bssc-sweep-gamma",
+        "constrained-no-budget",
+        "constrained-sweep-alpha",
+        "range-two-fields",
+        "range-not-a-number",
+        "range-zero-step",
+        "range-negative-step",
+        "closed-form-three-states",
+        "missing-policy-file",
+    ],
+)
+def test_cli_edge_branches_exit_one_with_their_message(bssc_file, tmp_path, capsys, argv, message):
+    perm3 = tmp_path / "perm3.json"
+    perm3.write_text(serialize_channel(channel_from_kernel(np.eye(3)[[[0, 1, 2], [1, 2, 0], [2, 0, 1]]])))
+    paths = {"bssc_file": bssc_file, "perm3_file": str(perm3), "missing": str(tmp_path / "missing.json")}
+    assert run_command([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_error_exponent_rate_sweep(bssc_file, tmp_path, capsys):

@@ -62,12 +62,22 @@ from umco.infinite_horizon import EDGE_EPS, _policy_rewards
     ],
     ids=["rvi", "policy-iteration", "finite-horizon"],
 )
-@pytest.mark.parametrize("multiplier", [-1.0, float("nan")])
-def test_every_solver_rejects_a_negative_or_nan_multiplier(solve, multiplier):
+@pytest.mark.parametrize(
+    "multiplier, message",
+    [
+        (-1.0, "multiplier must be nonnegative"),
+        (float("nan"), "multiplier must be finite"),
+        (float("inf"), "multiplier must be finite"),
+        ("x", "multiplier must be numbers"),
+    ],
+    ids=["-1.0", "nan", "inf", "x"],
+)
+def test_every_solver_rejects_a_negative_or_nan_multiplier(solve, multiplier, message):
     # A negative multiplier rewards cost: RVI and PI once returned a "gain"
-    # of 1.0009 bits from a binary input here.
+    # of 1.0009 bits from a binary input here.  An infinite one ran RVI into
+    # a singular-matrix LinAlgError, and text raised a bare TypeError.
     cost = CostSpec(bssc_cost_function(), 0.0)
-    with pytest.raises(ValueError, match="multiplier must be nonnegative"):
+    with pytest.raises(ValidationError, match=message):
         solve(bssc(0.9, 0.6), cost=cost, multiplier=multiplier)
 
 
@@ -535,6 +545,37 @@ def test_generalized_check_two_state_frozen_outputs():
     )
     report = generalized_dp_check(channel, solution, tol=1e-12, gain_by_state=[0.0, 0.0])
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "gains, error",
+    [([0.1, np.nan], ValidationError), ([[0.1], [0.1, 0.2]], ValidationError), ([0.1, 0.1, 0.1], DimensionMismatchError)],
+    ids=["nan", "ragged", "wrong-length"],
+)
+def test_generalized_check_rejects_a_malformed_gain_by_state_before_any_stage_solve(monkeypatch, gains, error):
+    # A NaN gain read as a failed check with a NaN worst violation; the
+    # ragged and wrong-length gains raised NumPy's bare ValueError.
+    channel = bssc(0.9, 0.6)
+    solution = relative_value_iteration(channel)
+    _no_stage_solve(monkeypatch)
+    with pytest.raises(error):
+        generalized_dp_check(channel, solution, tol=1e-9, gain_by_state=gains)
+
+
+@pytest.mark.parametrize(
+    "gamma, error",
+    [
+        ([[np.nan, 0.0], [0.0, 1.0]], ValidationError),
+        ([[-1.0, 0.0], [0.0, 1.0]], ValidationError),
+        (np.ones((3, 3)), DimensionMismatchError),
+    ],
+    ids=["nan", "negative", "wrong-shape"],
+)
+def test_minimum_average_cost_takes_the_cost_rules_at_entry(gamma, error):
+    # A NaN cost ran all 200,000 sweeps before a ConvergenceError, a negative
+    # one returned -1.0 and a (3, 3) table raised a bare broadcast ValueError.
+    with pytest.raises(error):
+        minimum_average_cost(bssc(0.9, 0.6), gamma)
 
 
 def test_bellman_conditions_pass_with_cost_multiplier():

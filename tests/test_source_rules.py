@@ -45,3 +45,22 @@ def test_no_bare_builtin_raise_or_assert(path):
 )
 def test_the_rule_sees_each_form(source, expected):
     assert [what for _, what in _untyped_failures(ast.parse(source))] == expected
+
+
+def test_one_function_writes_csv():
+    # channel._csv owns the CSV format; every table builds rows and calls it.
+    writers = [
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "join"
+            and isinstance(call.func.value, ast.Constant)
+            and call.func.value.value == ","
+            for call in ast.walk(node)
+        )
+    ]
+    assert writers == [("channel.py", "_csv")]
