@@ -14,7 +14,6 @@ from .bssc import (
     verify_nofb_induces_fb,
 )
 from .channel import (
-    Alphabet,
     CostSpec,
     Distribution,
     InputPolicy,

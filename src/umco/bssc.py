@@ -27,9 +27,10 @@ from .channel import (
     InputPolicy,
     UnitMemoryChannel,
     _check_compatible,
-    _check_entries,
     _check_integer,
+    _check_number,
     _csv,
+    _float_grid,
     _stochastic_array,
     binary_entropy,
     channel_from_kernel,
@@ -46,7 +47,7 @@ class BSSCParams:
 
     def __post_init__(self):
         for label in ("alpha", "beta"):
-            object.__setattr__(self, label, float(_check_entries(getattr(self, label), label, 0.0, 1.0)))
+            object.__setattr__(self, label, _check_number(getattr(self, label), label, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,12 @@ class BSSCSolution:
     nu: float
     bssc_exponent: float
     capacity: float
-    constrained: bool
     kappa: float | None = None
     lam_bar: float | None = None
+
+    @property
+    def constrained(self) -> bool:
+        return self.lam_bar is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +81,7 @@ class MarkovInput:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _stochastic_array(self.matrix, "Markov input", 2))
-        object.__setattr__(self, "sigma", float(_check_entries(self.sigma, "sigma", 0.0, 1.0)))
+        object.__setattr__(self, "sigma", _check_number(self.sigma, "sigma", 0.0, 1.0))
 
 
 def bssc_channel(params: BSSCParams) -> UnitMemoryChannel:
@@ -96,8 +100,8 @@ def bssc_cost_function() -> np.ndarray:
     return np.eye(2)
 
 
-def _diagonal_policy(diag: float, stage: int | None = None) -> InputPolicy:
-    return InputPolicy([[diag, 1.0 - diag], [1.0 - diag, diag]], stage)
+def _diagonal_policy(diag: float) -> InputPolicy:
+    return InputPolicy([[diag, 1.0 - diag], [1.0 - diag, diag]])
 
 
 def bssc_optimal_policy(params: BSSCParams) -> InputPolicy:
@@ -134,7 +138,7 @@ def bssc_closed_form(params: BSSCParams) -> BSSCSolution:
     lam = min(max(lam, 0.0), 1.0)
     nu = min(max(nu, 0.0), 1.0)
     capacity = binary_entropy(lam) - nu * binary_entropy(a) - (1.0 - nu) * binary_entropy(b)
-    return BSSCSolution(lam=lam, nu=nu, bssc_exponent=mu, capacity=capacity, constrained=False)
+    return BSSCSolution(lam=lam, nu=nu, bssc_exponent=mu, capacity=capacity)
 
 
 def bssc_constrained_closed_form(params: BSSCParams, kappa: float) -> BSSCSolution:
@@ -144,22 +148,14 @@ def bssc_constrained_closed_form(params: BSSCParams, kappa: float) -> BSSCSoluti
     the optimal policy diagonal is pinned at kappa; beyond that the constraint
     is slack and the unconstrained solution is returned unflagged.
     """
-    kappa = float(_check_entries(kappa, "kappa", 0.0, 1.0))
+    kappa = _check_number(kappa, "kappa", 0.0, 1.0)
     base = bssc_closed_form(params)
     if kappa > base.nu:
         return replace(base, kappa=kappa)
     a, b = params.alpha, params.beta
     lam_bar = a * kappa + (1.0 - kappa) * (1.0 - b)
     capacity = binary_entropy(lam_bar) - kappa * binary_entropy(a) - (1.0 - kappa) * binary_entropy(b)
-    return BSSCSolution(
-        lam=base.lam,
-        nu=base.nu,
-        bssc_exponent=base.bssc_exponent,
-        capacity=capacity,
-        constrained=True,
-        kappa=kappa,
-        lam_bar=lam_bar,
-    )
+    return replace(base, capacity=capacity, kappa=kappa, lam_bar=lam_bar)
 
 
 def bssc_nofeedback_markov(params: BSSCParams, kappa: float) -> MarkovInput:
@@ -168,7 +164,7 @@ def bssc_nofeedback_markov(params: BSSCParams, kappa: float) -> MarkovInput:
     Pass kappa = nu from the unconstrained closed form for the unconstrained
     case.  Undefined when sigma = alpha*kappa + beta*(1-kappa) equals 1/2.
     """
-    kappa = float(_check_entries(kappa, "kappa", 0.0, 1.0))
+    kappa = _check_number(kappa, "kappa", 0.0, 1.0)
     a, b = params.alpha, params.beta
     sigma = a * kappa + b * (1.0 - kappa)
     if abs(1.0 - 2.0 * sigma) < _SINGULAR_EPS:
@@ -205,7 +201,7 @@ def nofb_induction_deviations(
         raise DimensionMismatchError(f"Markov input shape {markov_input.matrix.shape} does not match {n_inputs} inputs")
     if initial.weights.shape != (n_states,):
         raise DimensionMismatchError(f"initial law over {initial.weights.size} states does not match {n_states} states")
-    _check_compatible(channel, target_policy)
+    _check_compatible(channel, target_policy.matrix)
     target = target_policy.matrix
     records = [(0, 0.0, ())]
     # joint[a, b] = P(A_i = a, B_i = b)
@@ -232,7 +228,7 @@ def verify_nofb_induces_fb(
     tol: float,
 ) -> bool:
     """True iff the Markov input reproduces the target conditional at every stage."""
-    _check_entries(tol, "tol")
+    _check_number(tol, "tol")
     records = nofb_induction_deviations(channel, markov_input, target_policy, initial, horizon)
     skipped = [r for r in records if r[2]]
     if skipped:
@@ -249,8 +245,8 @@ def _point_diagonals(solution: BSSCSolution) -> tuple[float, float]:
 
 def bssc_grid_csv(alphas, betas, kappa: float | None = None) -> str:
     """CSV sweep over an (alpha, beta) grid; singular points are skipped with a warning."""
-    rows = []
-    for a in alphas:
+    rows, betas = [], _float_grid(betas, "betas").tolist()
+    for a in _float_grid(alphas, "alphas").tolist():
         for b in betas:
             try:
                 params = BSSCParams(a, b)
@@ -264,6 +260,6 @@ def bssc_grid_csv(alphas, betas, kappa: float | None = None) -> str:
 
 def bssc_kappa_csv(params: BSSCParams, kappas) -> str:
     """CSV of the constrained closed-form curve over a budget grid."""
-    points = [bssc_constrained_closed_form(params, kappa) for kappa in kappas]
+    points = [bssc_constrained_closed_form(params, kappa) for kappa in _float_grid(kappas, "kappa grid").tolist()]
     rows = ([sol.kappa, sol.capacity, *_point_diagonals(sol), sol.constrained] for sol in points)
     return _csv(["kappa", "capacity_bits", "policy_diagonal", "output_diagonal", "constrained"], rows)

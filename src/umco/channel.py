@@ -5,9 +5,10 @@ alphabets, stored as a dense kernel indexed ``[b_prev][a][b]``.  Everything a
 solver consumes -- input policies pi(a | b_prev), induced output kernels
 P(b | b_prev), distributions over states, cost tables -- lives in this module
 together with its validation (one rule, ``_check_entries``, for every number
-a caller passes and ``_stochastic_array`` for every probability array) and
-``_csv``, the one writer of the package's CSV tables.  All objects are
-immutable after construction (arrays are frozen), so they are thread-safe.
+a caller passes, ``_check_number`` on it for every scalar, ``_stochastic_array``
+for every probability array) and ``_csv``, the one writer of the package's CSV
+tables.  All objects are immutable after construction (arrays are frozen), so
+they are thread-safe.
 
 Conventions: all logarithms are base 2 and every information quantity is in
 bits; 0 * log 0 = 0 throughout.
@@ -33,7 +34,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 def binary_entropy(p: float) -> float:
     """Entropy of a Bernoulli(p) source in bits, with 0*log 0 = 0."""
-    p = float(_check_entries(p, "binary_entropy argument p", 0.0, 1.0))
+    p = _check_number(p, "binary_entropy argument p", 0.0, 1.0)
     out = 0.0
     for x in (p, 1.0 - p):
         if x > 0.0:
@@ -66,6 +67,22 @@ def _check_entries(values, what: str, low: float = 0.0, high: float | None = Non
         bound = "be nonnegative" if high is None else f"lie in [{low:g}, {high:g}]"
         raise ValidationError(f"{what} must {bound}")
     return values
+
+
+def _check_number(value, what: str, low: float = 0.0, high: float | None = None) -> float:
+    """``value`` as a float; ValidationError unless it is one finite number in [low, high], not a list of one."""
+    value = _check_entries(value, what, low, high)
+    if value.ndim:
+        raise ValidationError(f"{what} must be a single number, got shape {value.shape}")
+    return float(value)
+
+
+def _float_grid(values, what: str) -> np.ndarray:
+    """``values`` as a 1-d float array, None read as NaN; ValidationError for text, a scalar or a nested grid."""
+    grid = _float_array(values, what)
+    if grid.ndim != 1:
+        raise ValidationError(f"{what} must be a 1-d grid, got shape {grid.shape}")
+    return grid
 
 
 def _frozen_array(values, what: str) -> np.ndarray:
@@ -104,60 +121,41 @@ def _check_integer(value, what: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite symbol set {0, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "size", _check_integer(self.size, "alphabet size", 1))
-
-
 @dataclass(frozen=True, eq=False)
 class UnitMemoryChannel:
     """Channel kernel P(b | b_prev, a) on finite alphabets.
 
-    kernel[b_prev][a] is a probability row over the next output b.
+    kernel[b_prev][a] is a probability row over the next output b; the alphabet sizes are its shape (S, A, S).
     """
 
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
     kernel: np.ndarray
     name: str | None = None
 
     def __post_init__(self):
         kernel = _stochastic_array(self.kernel, "kernel", 3)
-        shape = (self.output_alphabet.size, self.input_alphabet.size, self.output_alphabet.size)
-        if kernel.shape != shape:
-            raise ValidationError(
-                f"kernel shape {kernel.shape} does not match alphabets {shape}, indexed [b_prev][a][b]"
-            )
+        if kernel.shape[0] != kernel.shape[2] or 0 in kernel.shape:
+            raise ValidationError(f"kernel must have shape (S, A, S) with S, A >= 1, got {kernel.shape}")
         object.__setattr__(self, "kernel", kernel)
 
     @property
     def n_inputs(self) -> int:
-        return self.input_alphabet.size
+        return self.kernel.shape[1]
 
     @property
     def n_states(self) -> int:
-        return self.output_alphabet.size
+        return self.kernel.shape[0]
 
 
 def channel_from_kernel(kernel, name: str | None = None) -> UnitMemoryChannel:
-    """Build a channel from a raw [b_prev][a][b] array, deriving the alphabets."""
-    kernel = _float_array(kernel, "kernel")
-    if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2]:
-        raise ValidationError(f"kernel must have shape (n_out, n_in, n_out), got {kernel.shape}")
-    return UnitMemoryChannel(Alphabet(kernel.shape[1]), Alphabet(kernel.shape[0]), kernel, name)
+    """Build a channel from a raw [b_prev][a][b] array."""
+    return UnitMemoryChannel(kernel, name)
 
 
 @dataclass(frozen=True, eq=False)
 class InputPolicy:
-    """Conditional input distribution pi(a | b_prev); ``stage`` is None when time-invariant."""
+    """Conditional input distribution pi(a | b_prev); a stage policy's stage is its index in DPSolution.policies."""
 
     matrix: np.ndarray
-    stage: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _stochastic_array(self.matrix, "policy", 2))
@@ -223,28 +221,28 @@ class CostSpec:
             raise ValidationError("cost table must be 2-d, indexed [b_prev][a]")
         _check_entries(gamma, "cost entries")
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "kappa", float(_check_entries(self.kappa, "budget kappa")))
+        object.__setattr__(self, "kappa", _check_number(self.kappa, "budget kappa"))
 
 
-def uniform_policy(n_states: int, n_inputs: int, stage: int | None = None) -> InputPolicy:
+def uniform_policy(n_states: int, n_inputs: int) -> InputPolicy:
     n_inputs = _check_integer(n_inputs, "number of inputs", 1)
-    return InputPolicy(np.full((_check_integer(n_states, "number of states", 1), n_inputs), 1.0 / n_inputs), stage)
+    return InputPolicy(np.full((_check_integer(n_states, "number of states", 1), n_inputs), 1.0 / n_inputs))
 
 
-def deterministic_policy(choices, n_inputs: int, stage: int | None = None) -> InputPolicy:
+def deterministic_policy(choices, n_inputs: int) -> InputPolicy:
     """Point-mass policy selecting input choices[b_prev] in each state."""
     n_inputs = _check_integer(n_inputs, "number of inputs", 1)
     matrix = np.zeros((len(choices), n_inputs))
     for b, a in enumerate(choices):
         matrix[b, _check_integer(a, "input choice", 0, n_inputs - 1)] = 1.0
-    return InputPolicy(matrix, stage)
+    return InputPolicy(matrix)
 
 
-def _check_compatible(channel: UnitMemoryChannel, policy: InputPolicy):
-    if policy.matrix.shape != (channel.n_states, channel.n_inputs):
+def _check_compatible(channel: UnitMemoryChannel, table: np.ndarray, what: str = "policy"):
+    """DimensionMismatchError unless a [b_prev][a] table (a policy or cost matrix) fits the channel."""
+    if table.shape != (channel.n_states, channel.n_inputs):
         raise DimensionMismatchError(
-            f"policy shape {policy.matrix.shape} does not match channel "
-            f"({channel.n_states} states, {channel.n_inputs} inputs)"
+            f"{what} shape {table.shape} does not match channel ({channel.n_states} states, {channel.n_inputs} inputs)"
         )
 
 
@@ -254,18 +252,14 @@ def resolve_cost(channel: UnitMemoryChannel, cost: CostSpec | None, multiplier: 
         raise ValidationError("a multiplier requires a cost specification")
     if cost is None:
         return None, None
-    s = 0.0 if multiplier is None else float(_check_entries(multiplier, "multiplier"))
-    if cost.gamma.shape != (channel.n_states, channel.n_inputs):
-        raise DimensionMismatchError(
-            f"cost shape {cost.gamma.shape} does not match channel "
-            f"({channel.n_states} states, {channel.n_inputs} inputs)"
-        )
+    s = 0.0 if multiplier is None else _check_number(multiplier, "multiplier")
+    _check_compatible(channel, cost.gamma, "cost")
     return s, cost.gamma
 
 
 def induced_output_kernel(channel: UnitMemoryChannel, policy: InputPolicy) -> OutputKernel:
     """Mix the kernel with the policy: P(b | b_prev) = sum_a P(b | b_prev, a) pi(a | b_prev)."""
-    _check_compatible(channel, policy)
+    _check_compatible(channel, policy.matrix)
     return OutputKernel(np.einsum("sab,sa->sb", channel.kernel, policy.matrix))
 
 
@@ -297,7 +291,7 @@ def stage_reward(channel: UnitMemoryChannel, policy: InputPolicy, b_prev: int) -
     Input letters with zero policy mass are excluded, so a deterministic
     policy always scores 0.
     """
-    _check_compatible(channel, policy)
+    _check_compatible(channel, policy.matrix)
     b_prev = _check_integer(b_prev, "b_prev", 0, channel.n_states - 1)
     rows = channel.kernel[b_prev]
     weights = policy.matrix[b_prev]
@@ -319,8 +313,10 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
         kernel = np.asarray(doc["kernel"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ChannelFormatError(f"malformed channel document: {exc}") from exc
-    inputs, outputs = Alphabet(doc["input_size"]), Alphabet(doc["output_size"])
+    inputs, outputs = (_check_integer(doc[field], "alphabet size", 1) for field in ("input_size", "output_size"))
     kernel = _stochastic_array(kernel, "kernel", 3, LOAD_ROW_TOL, 1.0 + LOAD_ROW_TOL)
+    if kernel.shape != (outputs, inputs, outputs):
+        raise ValidationError(f"kernel shape {kernel.shape} does not match alphabet sizes {outputs, inputs, outputs}")
     # Renormalize textual rows to exact sums, but leave already-clean rows
     # untouched so serialize -> load is the identity.  The sums are taken
     # after the clip, so an entry just above 1 cannot leave its row short.
@@ -330,11 +326,11 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ChannelFormatError("'name' must be a string")
-    channel = UnitMemoryChannel(inputs, outputs, kernel, name)
+    channel = UnitMemoryChannel(kernel, name)
     cost = None
     if doc.get("cost") is not None:
         cost = _float_array(doc["cost"], "cost table")
-        if cost.shape != (outputs.size, inputs.size):
+        if cost.shape != (outputs, inputs):
             raise ValidationError(f"cost shape {cost.shape} must be (output_size, input_size)")
         _check_entries(cost, "cost entries")
     return channel, cost

@@ -22,7 +22,7 @@ from .channel import (
     CostSpec,
     Distribution,
     InputPolicy,
-    _check_entries,
+    _check_number,
     _csv,
     parse_channel_document,
     uniform_policy,
@@ -247,7 +247,7 @@ def _cmd_bssc(args) -> int:
 
 
 def _cmd_nofb_verify(args) -> int:
-    _check_entries(args.tol, "tol")
+    _check_number(args.tol, "tol")
     params = bssc_mod.BSSCParams(args.alpha, args.beta)
     solution = bssc_mod.bssc_closed_form(params)
     if args.kappa is not None:
@@ -302,7 +302,7 @@ def _cmd_error_exponent(args) -> int:
 
 
 def _cmd_check_conditions(args) -> int:
-    _check_entries(args.tol, "tol")  # before the solve: the checker would test it only after
+    _check_number(args.tol, "tol")  # before the solve: the checker would test it only after
     channel, gamma = _read_channel(args.channel, need_cost=args.multiplier is not None)
     cost = CostSpec(gamma, 0.0) if args.multiplier is not None else None
     if args.horizon is not None:

@@ -24,7 +24,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .channel import CostSpec, Distribution, InputPolicy, UnitMemoryChannel, _check_entries, _csv, induced_output_kernel
+from .channel import (
+    CostSpec, Distribution, InputPolicy, UnitMemoryChannel, _check_number, _csv, _float_grid, induced_output_kernel
+)
 from .errors import ConvergenceError, InfeasibleBudgetError, UmcoError, ValidationError
 from .infinite_horizon import (
     InfiniteHorizonSolution,
@@ -147,7 +149,7 @@ def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> lis
     ValidationError for all of them.
     """
     for value, what in ((dual_tol, "dual_tol"), (cost_tol, "cost_tol"), (solver_tol, "solver_tol")):
-        _check_entries(value, what)
+        _check_number(value, what)
     if dual_tol == 0.0:
         raise ValidationError("dual_tol must be positive")
     try:
@@ -238,7 +240,8 @@ def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> lis
         return _result(kappa, s_star, solution, achieved, cost_tol, kappa_max)
 
     outcomes = [None] * len(kappas)
-    for i in sorted(range(len(kappas)), key=kappas.__getitem__, reverse=True):
+    # Largest first; a NaN budget (not equal to itself) goes last, so it cannot reorder the rest.
+    for i in sorted(range(len(kappas)), key=lambda i: (kappas[i] == kappas[i], kappas[i]), reverse=True):
         try:
             outcomes[i] = budget(kappas[i])
         except UmcoError as exc:  # this budget fails; the trace serves the rest
@@ -294,7 +297,7 @@ def capacity_cost_curve(
     an infeasible budget, a reducible chain, ...) is warned about and
     skipped; any other exception is a bug and propagates.
     """
-    kappas = [float(kappa) for kappa in kappa_grid]
+    kappas = _float_grid(kappa_grid, "kappa grid").tolist()
     results = []
     for kappa, outcome in zip(kappas, _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol)):
         if isinstance(outcome, UmcoError):  # record and keep sweeping

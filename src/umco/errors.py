@@ -14,7 +14,7 @@ class ValidationError(UmcoError, ValueError):
 
 
 class DimensionMismatchError(UmcoError, ValueError):
-    """Alphabet sizes of two objects do not agree."""
+    """The alphabet sizes of two objects do not agree."""
 
 
 class ConvergenceError(UmcoError, RuntimeError):

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    _FLOAT_MAX, InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _check_integer, _csv, _frozen_array
+    _FLOAT_MAX, InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _check_integer, _check_number, _csv,
+    _float_grid, _frozen_array,
 )
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .infinite_horizon import _reach
@@ -52,7 +53,7 @@ class LambdaMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", float(_check_entries(self.rho, "rho", 0.0, 1.0)))
+        object.__setattr__(self, "rho", _check_number(self.rho, "rho", 0.0, 1.0))
         matrix = _frozen_array(self.matrix, "state-weight matrix")
         _check_entries(matrix, "state-weight entries")
         if self.rho == 0.0 and np.abs(matrix.sum(axis=0) - 1.0).max() > 1e-9:
@@ -86,7 +87,7 @@ class ExponentCurve:
 def _transposed_weights(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> np.ndarray:
     """State-weight matrices transposed, [k][s_prev][s_next], for every rho at once."""
     rhos = _check_entries(rhos, "rho", 0.0, 1.0)
-    _check_compatible(channel, policy)
+    _check_compatible(channel, policy.matrix)
     power = (1.0 + rhos)[:, None, None]
     inner = np.einsum("sa,ksan->ksn", policy.matrix, np.power(channel.kernel, 1.0 / power[..., None]))
     return np.power(inner, power)
@@ -94,6 +95,7 @@ def _transposed_weights(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -
 
 def lambda_matrix(channel: UnitMemoryChannel, policy: InputPolicy, rho: float) -> LambdaMatrix:
     """Build the state-weight matrix for a time-invariant policy at rho in [0, 1]."""
+    rho = _check_number(rho, "rho", 0.0, 1.0)
     return LambdaMatrix(rho=rho, matrix=_transposed_weights(channel, policy, [rho])[0].T)
 
 
@@ -161,13 +163,13 @@ def gallager_exponent_infinite(
     started from a known state.  A reducible matrix is rejected: the
     nonnegative-matrix theorem behind the bound needs irreducibility.
     """
-    f_inf, ratio, _ = _gallager_exponents(channel, policy, [rho])
+    f_inf, ratio, _ = _gallager_exponents(channel, policy, [_check_number(rho, "rho", 0.0, 1.0)])
     return float(f_inf[0]), float(ratio[0])
 
 
 def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) -> ExponentCurve:
     """(rho, lambda_max, F_inf) and the eigenvector ratio at every rho of rho_grid, in one stacked solve."""
-    rhos = _check_entries(rho_grid, "rho", 0.0, 1.0)
+    rhos = _float_grid(rho_grid, "rho grid")  # each rho is checked before the solve
     f_inf, ratios, widths = _gallager_exponents(channel, policy, rhos)
     samples = tuple((rho, float(2.0 ** (-f)), f) for rho, f in zip(rhos.tolist(), f_inf.tolist()))
     return ExponentCurve(samples=samples, eigen_ratio=tuple(ratios.tolist()), bracket_width=tuple(widths.tolist()))
@@ -184,7 +186,7 @@ def random_coding_exponent(
     whole, so no unimodality is assumed.  The value is clamped at 0 (the
     rho = 0 endpoint always achieves 0).
     """
-    rate = float(_check_entries(rate, "rate"))
+    rate = _check_number(rate, "rate")
     rhos = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
     while True:
         values = _gallager_exponents(channel, policy, rhos)[0] - rhos * rate
@@ -270,7 +272,7 @@ def rate_sweep_csv(
 ) -> str:
     """CSV of (rate in bits, E_r in bits, maximizing rho, error bound at block length n)."""
     rows = []
-    for rate in rates:
+    for rate in _float_grid(rates, "rate grid").tolist():
         exponent, rho_star = random_coding_exponent(channel, policy, rate)
         rows.append([rate, exponent, rho_star, error_probability_bound(channel, policy, rate, n, state_known)])
     return _csv(["rate_bits", "E_r_bits", "rho_star", "bound_at_n"], rows)

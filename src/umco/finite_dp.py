@@ -24,8 +24,8 @@ from .channel import (
     Distribution,
     InputPolicy,
     UnitMemoryChannel,
-    _check_entries,
     _check_integer,
+    _check_number,
     resolve_cost,
 )
 from .errors import DimensionMismatchError
@@ -43,17 +43,21 @@ NON_NESTED_TIME_INVARIANT = "non_nested_time_invariant"
 class DPSolution:
     """Value functions and per-stage policies from the backward recursion.
 
-    values[t][b] is V_t(b) in bits for t = 0..horizon; multiplier is the cost
-    multiplier the recursion was solved with (None when unconstrained), and
-    cost_gamma the cost table, kept so verifiers are self-contained.
+    values[t][b] is V_t(b) in bits and policies[t] the policy of stage t,
+    for t = 0..horizon; multiplier is the cost multiplier the recursion was
+    solved with (None when unconstrained), and cost_gamma the cost table,
+    kept so verifiers are self-contained.
     """
 
-    horizon: int
     values: np.ndarray
     policies: tuple[InputPolicy, ...]
     multiplier: float | None
     inner_iterations: tuple[int, ...]
     cost_gamma: np.ndarray | None = None
+
+    @property
+    def horizon(self) -> int:
+        return len(self.policies) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +93,7 @@ def solve_finite_horizon(
     reproduces the unconstrained recursion exactly.
     """
     horizon = _check_integer(horizon, "horizon", 0)
-    _check_entries(inner_tol, "inner_tol")
+    _check_number(inner_tol, "inner_tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
 
     values = np.zeros((horizon + 1, channel.n_states))
@@ -108,13 +112,12 @@ def solve_finite_horizon(
             initial=warm,
         )
         values[t] = sol.value
-        policies[t] = InputPolicy(sol.policy, stage=t)
+        policies[t] = InputPolicy(sol.policy)
         inner_iterations[t] = sol.slowest_iterations
         continuation = values[t]
         warm = sol.policy
     values.setflags(write=False)
     return DPSolution(
-        horizon=horizon,
         values=values,
         policies=tuple(policies),
         multiplier=s,
@@ -163,7 +166,7 @@ def verify_optimality_conditions(
     letter score (divergence plus continuation, minus any cost penalty) on
     the support of the stage policy and dominate it off the support.
     """
-    _check_entries(tol, "tol")
+    _check_number(tol, "tol")
     policy = np.stack([p.matrix for p in solution.policies])
     continuation = np.vstack((solution.values[1:], np.zeros(channel.n_states)))  # none after the last stage
     return _condition_report(channel, solution, policy, continuation, solution.values, tol)
@@ -175,7 +178,7 @@ def classify_non_nested(solution: DPSolution, tol: float) -> NestednessVerdict:
     non_nested: every V_t is constant across states (within tol).
     non_nested_time_invariant: additionally all stage policies agree.
     """
-    _check_entries(tol, "tol")
+    _check_number(tol, "tol")
     spread = solution.values.max(axis=1) - solution.values.min(axis=1)
     spread.setflags(write=False)
     if np.all(spread <= tol):

@@ -29,6 +29,7 @@ from .channel import (
     UnitMemoryChannel,
     _check_compatible,
     _check_entries,
+    _check_number,
     _float_array,
     _policy_average,
     induced_output_kernel,
@@ -49,14 +50,14 @@ DEFAULT_SPAN_TOL = 1e-9
 class InfiniteHorizonSolution:
     """Gain (bits per use), bias normalized to V(0) = 0, and the policy attaining them.
 
-    multiplier/cost_gamma record the cost penalty the solve used (None when
-    unconstrained) so verifiers can replay it; gain_trace keeps per-iteration
-    gains when the solver produces them (policy iteration); gain_bracket keeps
-    the span bounds (min, max) of the last sweep of relative value iteration,
-    which bracket the optimal gain up to that solve's inner tolerance.
-    span_residual is that bracket's width (relative value iteration only);
-    bellman_residual is the sup-norm residual of the Bellman equation at the
-    returned gain and bias (policy iteration only).
+    invariant_dist is None when the output chain is reducible (irreducible
+    reads False).  multiplier/cost_gamma record the cost penalty the solve
+    used (None when unconstrained) so verifiers can replay it; gain_trace keeps
+    per-iteration gains (policy iteration); gain_bracket keeps the span bounds
+    (min, max) of the last sweep of relative value iteration, which bracket
+    the optimal gain up to that solve's inner tolerance, and span_residual
+    reads its width; bellman_residual is the sup-norm residual of the Bellman
+    equation at the returned gain and bias (policy iteration only).
     """
 
     gain: float
@@ -64,14 +65,20 @@ class InfiniteHorizonSolution:
     policy: InputPolicy
     output_kernel: OutputKernel
     invariant_dist: Distribution | None
-    irreducible: bool
     iterations: int
-    span_residual: float | None
     multiplier: float | None = None
     cost_gamma: np.ndarray | None = None
     gain_trace: tuple[float, ...] = ()
     gain_bracket: tuple[float, float] | None = None
     bellman_residual: float | None = None
+
+    @property
+    def irreducible(self) -> bool:
+        return self.invariant_dist is not None
+
+    @property
+    def span_residual(self) -> float | None:
+        return None if self.gain_bracket is None else self.gain_bracket[1] - self.gain_bracket[0]
 
 
 def _reach(matrix) -> np.ndarray:
@@ -167,10 +174,10 @@ def relative_value_iteration(
     inner iteration, not its 256th.  A warm start of the wrong shape raises
     DimensionMismatchError, and a value that is not all finite numbers ValidationError.
     """
-    _check_entries(tol, "tol")
+    _check_number(tol, "tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
     if initial_policy is not None:
-        _check_compatible(channel, initial_policy)
+        _check_compatible(channel, initial_policy.matrix)
     inner_tol = max(tol * 1e-2, 1e-12)
     value = np.zeros(channel.n_states) if initial_value is None else _float_array(initial_value, "initial value")
     if value.shape != (channel.n_states,):
@@ -203,17 +210,13 @@ def relative_value_iteration(
         )
     policy = InputPolicy(warm)
     output_kernel = induced_output_kernel(channel, policy)
-    irreducible = is_irreducible(output_kernel)
-    invariant = stationary_distribution(output_kernel) if irreducible else None
     return InfiniteHorizonSolution(
         gain=0.5 * (lo + hi),
         bias=value,
         policy=policy,
         output_kernel=output_kernel,
-        invariant_dist=invariant,
-        irreducible=irreducible,
+        invariant_dist=stationary_distribution(output_kernel) if is_irreducible(output_kernel) else None,
         iterations=sweep,
-        span_residual=span,
         multiplier=s,
         cost_gamma=gamma,
         gain_bracket=(lo, hi),
@@ -226,13 +229,13 @@ def _policy_rewards(channel, matrix, gamma, s):
 
 
 def _evaluate_policy(channel, matrix, gamma, s):
-    """Solve J + V(b) - sum_b' K(b,b') V(b') = l(b) with V(0) pinned to 0."""
-    kernel_matrix = induced_output_kernel(channel, InputPolicy(matrix)).matrix
+    """Solve J + V(b) - sum_b' K(b,b') V(b') = l(b) with V(0) pinned to 0; (J, V, the output kernel K)."""
+    kernel = induced_output_kernel(channel, InputPolicy(matrix))
     _require_irreducible(
-        kernel_matrix, hint="; policy iteration needs an irreducible chain (use relative_value_iteration "
+        kernel.matrix, hint="; policy iteration needs an irreducible chain (use relative_value_iteration "
         "and generalized_dp_check instead)"
     )
-    system = np.eye(channel.n_states) - kernel_matrix
+    system = np.eye(channel.n_states) - kernel.matrix
     system[:, 0] = 1.0
     try:
         x = np.linalg.solve(system, _policy_rewards(channel, matrix, gamma, s))
@@ -243,7 +246,7 @@ def _evaluate_policy(channel, matrix, gamma, s):
         ) from exc
     gain = float(x[0])
     bias = np.concatenate(([0.0], x[1:]))
-    return gain, bias, kernel_matrix
+    return gain, bias, kernel
 
 
 def policy_iteration(
@@ -260,8 +263,8 @@ def policy_iteration(
     Every iterate's induced output chain must be irreducible; a reducible
     chain or singular evaluation system aborts with a diagnostic.
     """
-    _check_compatible(channel, initial_policy)
-    _check_entries(tol, "tol")
+    _check_compatible(channel, initial_policy.matrix)
+    _check_number(tol, "tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
     inner_tol = max(tol * 1e-2, 1e-14)
     matrix = np.array(initial_policy.matrix)
@@ -282,24 +285,20 @@ def policy_iteration(
             f"policy iteration still moving by {change:.3e} after {max_iter} iterations",
             residual=change,
         )
-    gain, bias, kernel_matrix = _evaluate_policy(channel, matrix, gamma, s)
+    gain, bias, output_kernel = _evaluate_policy(channel, matrix, gamma, s)
     trace.append(gain)
     # Residual of the Bellman equation at the returned pair.
     optimum = maximize_stage_objective(
         channel.kernel, continuation=bias, cost_row=gamma, multiplier=s, tol=inner_tol
     )
     residual = np.abs(optimum.value - gain - bias).max()
-    policy = InputPolicy(matrix)
-    output_kernel = OutputKernel(kernel_matrix)
     return InfiniteHorizonSolution(
         gain=gain,
         bias=bias,
-        policy=policy,
+        policy=InputPolicy(matrix),
         output_kernel=output_kernel,
         invariant_dist=stationary_distribution(output_kernel),
-        irreducible=True,
         iterations=iteration,
-        span_residual=None,
         multiplier=s,
         cost_gamma=gamma,
         gain_trace=tuple(trace),
@@ -315,7 +314,7 @@ def verify_bellman_conditions(
     Equality must hold on the support of the policy and inequality (score at
     most J* + V(b)) off the support, all within ``tol``.
     """
-    _check_entries(tol, "tol")
+    _check_number(tol, "tol")
     policy, bias = solution.policy.matrix[None], solution.bias[None]
     return _condition_report(channel, solution, policy, bias, solution.gain + bias, tol)
 
@@ -338,7 +337,7 @@ def generalized_dp_check(
     of the two equations' residuals; violations holds the per-letter
     conditions of the solution's policy against J(b) + V(b).
     """
-    _check_entries(tol, "tol")
+    _check_number(tol, "tol")
     if gain_by_state is None:
         gains = np.full(channel.n_states, solution.gain)
         constant_gain = True
@@ -378,7 +377,7 @@ def minimum_average_cost(
     optimal average cost at every sweep.  Raises ConvergenceError (residual:
     the last bracket width) when max_iter sweeps do not close it to tol.
     """
-    _check_entries(tol, "tol")
+    _check_number(tol, "tol")
     _, gamma = resolve_cost(channel, CostSpec(gamma, 0.0), None)
     value = np.zeros(channel.n_states)
     span = np.inf

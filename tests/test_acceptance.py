@@ -147,9 +147,8 @@ def test_criterion_6_condition_verifier_grid():
             assert verify_bellman_conditions(channel, stationary, tol=1e-8).passed, (a, b)
 
             perturbed_policies = list(dp.policies)
-            perturbed_policies[0] = InputPolicy(_perturb_policy(dp.policies[0].matrix), stage=0)
+            perturbed_policies[0] = InputPolicy(_perturb_policy(dp.policies[0].matrix))
             broken_dp = DPSolution(
-                horizon=dp.horizon,
                 values=dp.values,
                 policies=tuple(perturbed_policies),
                 multiplier=dp.multiplier,

@@ -1,5 +1,6 @@
 """Closed-form state-symmetric channel solutions and the no-feedback induction."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -145,6 +146,11 @@ def test_constrained_closed_form_slack_budget():
     assert not solution.constrained
     assert solution.kappa == 0.9
     assert abs(solution.capacity - 0.3219) < 1e-4
+
+
+def test_a_point_is_constrained_exactly_when_it_carries_lam_bar():
+    binding = bssc_constrained_closed_form(BSSCParams(1.0, 0.5), 0.5)
+    assert binding.constrained and not dataclasses.replace(binding, lam_bar=None).constrained
 
 
 def test_constrained_monotone_then_flat():

@@ -1,5 +1,6 @@
 """Channel data model: validation, induced distributions, per-stage rewards."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,16 +10,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bssc, embedded_dmc, random_channel
+import umco.bssc
 import umco.exponent
+import umco.finite_dp
 import umco.infinite_horizon
 from umco import (
-    Alphabet,
     BSSCParams,
+    BSSCSolution,
     ChannelFormatError,
     CostSpec,
     DimensionMismatchError,
+    DPSolution,
     Distribution,
     ExponentCurve,
+    InfiniteHorizonSolution,
     InputPolicy,
     LambdaMatrix,
     MarkovInput,
@@ -26,23 +31,40 @@ from umco import (
     UnitMemoryChannel,
     ValidationError,
     binary_entropy,
+    bssc_closed_form,
     bssc_constrained_closed_form,
     bssc_cost_function,
+    bssc_nofeedback_markov,
+    bssc_optimal_policy,
+    capacity_cost_curve,
     channel_from_kernel,
+    classify_non_nested,
+    constrained_capacity,
     deterministic_policy,
     error_probability_bound,
     exponent_curve,
     finite_horizon_exponent_oracle,
+    gallager_exponent_infinite,
+    generalized_dp_check,
     induced_output_kernel,
+    lambda_matrix,
     load_channel,
+    minimum_average_cost,
     parse_channel_document,
+    policy_iteration,
     random_coding_exponent,
     relative_value_iteration,
     serialize_channel,
+    solve_finite_horizon,
     stage_reward,
     uniform_policy,
+    verify_bellman_conditions,
+    verify_nofb_induces_fb,
+    verify_optimality_conditions,
 )
+from umco.bssc import bssc_grid_csv, bssc_kappa_csv
 from umco.channel import LOAD_ROW_TOL, resolve_cost
+from umco.exponent import exponent_csv, rate_sweep_csv
 
 BSSC_105_DOC = json.dumps(
     {
@@ -74,23 +96,6 @@ def test_binary_entropy_domain(p):
 def test_binary_entropy_domain_error_is_typed(p):
     with pytest.raises(ValidationError):
         binary_entropy(p)
-
-
-def test_alphabet_rejects_bad_sizes():
-    with pytest.raises(ValidationError):
-        Alphabet(0)
-    with pytest.raises(ValidationError):
-        Alphabet(-3)
-
-
-@pytest.mark.parametrize("size", [None, "x", "2", np.nan, np.inf, 2.7], ids=repr)
-def test_alphabet_rejects_non_integer_sizes(size):
-    with pytest.raises(ValidationError, match="alphabet size must be an integer"):
-        Alphabet(size)
-
-
-def test_alphabet_keeps_whole_sizes_as_int():
-    assert Alphabet(2.0).size == 2 and isinstance(Alphabet(np.int64(3)).size, int)
 
 
 @pytest.mark.parametrize("size", [2.7, "x", None, 0])
@@ -190,6 +195,53 @@ def test_load_rejects_shape_mismatch():
         load_channel(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "field, size",
+    [
+        ("input_size", 3),
+        ("output_size", 3),
+        ("input_size", 1),
+        ("input_size", "2"),
+        ("output_size", -3),
+        ("input_size", np.nan),
+    ],
+)
+def test_load_checks_each_declared_size_against_the_kernel(field, size):
+    # The sizes are the kernel's shape; a declared size is a whole number >= 1 that agrees with it.
+    doc = json.loads(BSSC_105_DOC)
+    doc[field] = size
+    with pytest.raises(ValidationError, match="alphabet size"):
+        load_channel(json.dumps(doc))
+
+
+def test_load_keeps_a_whole_declared_size_and_reads_the_sizes_from_the_kernel():
+    doc = json.loads(BSSC_105_DOC)
+    doc["input_size"] = 2.0
+    channel = load_channel(json.dumps(doc))
+    assert (channel.n_states, channel.n_inputs) == (2, 2) and isinstance(channel.n_inputs, int)
+
+
+def test_each_record_stores_only_independent_facts():
+    assert [field.name for field in dataclasses.fields(InputPolicy)] == ["matrix"]
+    assert [field.name for field in dataclasses.fields(UnitMemoryChannel)] == ["kernel", "name"]
+    derived = {
+        InfiniteHorizonSolution: {"irreducible", "span_residual"},
+        DPSolution: {"horizon"},
+        BSSCSolution: {"constrained"},
+    }
+    for record, names in derived.items():
+        assert names.isdisjoint(field.name for field in dataclasses.fields(record))
+        assert all(isinstance(getattr(record, name), property) for name in names)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (0, 1, 0), (2, 0, 2)], ids=str)
+def test_channel_sizes_are_the_kernel_shape(shape):
+    with pytest.raises(ValidationError, match="kernel must have shape"):
+        UnitMemoryChannel(np.full(shape, 1.0 / shape[2] if shape[2] else 0.0))
+    channel = UnitMemoryChannel(np.full((3, 2, 3), 1.0 / 3))
+    assert (channel.n_states, channel.n_inputs) == (3, 2)
+
+
 def test_load_rejects_malformed_documents():
     with pytest.raises(ChannelFormatError):
         load_channel("{not json")
@@ -217,7 +269,7 @@ def _set_first(array, value):
 NON_FINITE_BUILDERS = {
     "load_channel": lambda v: load_channel(_document_with(kernel_row=(v, 0.0))),
     "load_cost_table": lambda v: load_channel(_document_with(cost_entry=v)),
-    "UnitMemoryChannel": lambda v: UnitMemoryChannel(Alphabet(2), Alphabet(2), _set_first(bssc(1.0, 0.5).kernel, v)),
+    "UnitMemoryChannel": lambda v: UnitMemoryChannel(_set_first(bssc(1.0, 0.5).kernel, v)),
     "InputPolicy": lambda v: InputPolicy(_set_first([[1.0, 0.0], [0.5, 0.5]], v)),
     "OutputKernel": lambda v: OutputKernel(_set_first([[1.0, 0.0], [0.5, 0.5]], v)),
     "Distribution": lambda v: Distribution(_set_first([1.0, 0.0], v)),
@@ -433,7 +485,7 @@ def test_strict_constructor_tolerance():
     kernel[:, :, 0] = 0.5
     kernel[:, :, 1] = 0.5 + 1e-9  # off by far more than the strict tolerance
     with pytest.raises(ValidationError):
-        UnitMemoryChannel(Alphabet(2), Alphabet(2), kernel)
+        UnitMemoryChannel(kernel)
 
 
 # Each entry calls one public entry point with a malformed number in place of
@@ -466,3 +518,104 @@ def test_every_malformed_number_raises_a_validation_error_before_any_solve(monke
     monkeypatch.setattr(umco.exponent, "_perron_pair", solve)
     with pytest.raises(ValidationError):
         MALFORMED_NUMBERS[entry](bad)
+
+
+# Each entry passes one scalar through ``wrap`` (a list of one or an array of
+# two), given an RVI solution and a DP solution of BSSC_09_06.
+BSSC_09_06 = bssc(0.9, 0.6)
+GAMMA_03 = CostSpec(bssc_cost_function(), 0.3)
+NOFB = BSSCParams(0.9, 0.6)
+SCALAR_SITES = {
+    "rvi-tol": lambda wrap, rvi, dp: relative_value_iteration(BSSC_09_06, tol=wrap(1e-9)),
+    "rvi-multiplier": lambda wrap, rvi, dp: relative_value_iteration(BSSC_09_06, cost=GAMMA_03, multiplier=wrap(0.5)),
+    "pi-tol": lambda wrap, rvi, dp: policy_iteration(BSSC_09_06, uniform_policy(2, 2), tol=wrap(1e-9)),
+    "dp-inner_tol": lambda wrap, rvi, dp: solve_finite_horizon(BSSC_09_06, 3, inner_tol=wrap(1e-10)),
+    "constrained-dual_tol": lambda wrap, rvi, dp: constrained_capacity(BSSC_09_06, GAMMA_03, dual_tol=wrap(1e-8)),
+    "curve-cost_tol": lambda wrap, rvi, dp: capacity_cost_curve(BSSC_09_06, GAMMA_03, [0.3], cost_tol=wrap(1e-6)),
+    "bellman-tol": lambda wrap, rvi, dp: verify_bellman_conditions(BSSC_09_06, rvi, wrap(1e-8)),
+    "generalized-tol": lambda wrap, rvi, dp: generalized_dp_check(BSSC_09_06, rvi, wrap(1e-8)),
+    "optimality-tol": lambda wrap, rvi, dp: verify_optimality_conditions(BSSC_09_06, dp, wrap(1e-8)),
+    "classifier-tol": lambda wrap, rvi, dp: classify_non_nested(dp, wrap(1e-6)),
+    "minimum-cost-tol": lambda wrap, rvi, dp: minimum_average_cost(BSSC_09_06, bssc_cost_function(), wrap(1e-10)),
+    "nofb-tol": lambda wrap, rvi, dp: verify_nofb_induces_fb(
+        BSSC_09_06,
+        bssc_nofeedback_markov(NOFB, bssc_closed_form(NOFB).nu),
+        bssc_optimal_policy(NOFB),
+        Distribution.uniform(2),
+        10,
+        wrap(1e-9),
+    ),
+    "binary_entropy": lambda wrap, rvi, dp: binary_entropy(wrap(0.5)),
+    "BSSCParams": lambda wrap, rvi, dp: BSSCParams(wrap(0.9), 0.5),
+    "bssc-kappa": lambda wrap, rvi, dp: bssc_constrained_closed_form(NOFB, wrap(0.3)),
+    "markov-kappa": lambda wrap, rvi, dp: bssc_nofeedback_markov(NOFB, wrap(0.3)),
+    "MarkovInput-sigma": lambda wrap, rvi, dp: MarkovInput([[1.0, 0.0], [0.5, 0.5]], sigma=wrap(0.5)),
+    "CostSpec-kappa": lambda wrap, rvi, dp: CostSpec(np.eye(2), wrap(0.5)),
+    "bound-rate": lambda wrap, rvi, dp: error_probability_bound(BSSC_09_06, uniform_policy(2, 2), wrap(0.1), 100),
+    "lambda_matrix-rho": lambda wrap, rvi, dp: lambda_matrix(BSSC_09_06, uniform_policy(2, 2), wrap(0.5)),
+    "LambdaMatrix-rho": lambda wrap, rvi, dp: LambdaMatrix(wrap(0.5), [[0.5, 0.5], [0.5, 0.5]]),
+    "gallager-rho": lambda wrap, rvi, dp: gallager_exponent_infinite(BSSC_09_06, uniform_policy(2, 2), wrap(0.5)),
+}
+
+
+@pytest.mark.parametrize(
+    "wrap", [lambda x: [x], lambda x: np.array([x, x])], ids=["list-of-one", "array-of-two"]
+)
+@pytest.mark.parametrize("site", list(SCALAR_SITES))
+def test_every_scalar_given_as_an_array_raises_a_validation_error_before_any_solve(monkeypatch, site, wrap):
+    # Each of these raised NumPy's bare TypeError or ValueError, some of them
+    # after a solve had run.
+    rvi, dp = relative_value_iteration(BSSC_09_06), solve_finite_horizon(BSSC_09_06, 3)
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for module in (umco.infinite_horizon, umco.finite_dp):
+        monkeypatch.setattr(module, "maximize_stage_objective", solve)
+    monkeypatch.setattr(umco.finite_dp, "letter_scores", solve)
+    monkeypatch.setattr(umco.bssc, "nofb_induction_deviations", solve)
+    monkeypatch.setattr(umco.exponent, "_perron_pair", solve)
+    with pytest.raises(ValidationError, match="must be a single number"):
+        SCALAR_SITES[site](wrap, rvi, dp)
+
+
+# Each entry runs one sweep over the given grid.
+GRID_TABLES = {
+    "kappa_grid": lambda grid: capacity_cost_curve(BSSC_09_06, GAMMA_03, grid),
+    "alphas": lambda grid: bssc_grid_csv(grid, [0.5]),
+    "betas": lambda grid: bssc_grid_csv([0.9], grid),
+    "rho_grid": lambda grid: exponent_csv(BSSC_09_06, uniform_policy(2, 2), grid),
+    "bssc_kappas": lambda grid: bssc_kappa_csv(NOFB, grid),
+    "rates": lambda grid: rate_sweep_csv(BSSC_09_06, uniform_policy(2, 2), grid, 100),
+}
+
+
+@pytest.mark.parametrize("grid", ["x", 0.3, [[0.2], [0.3]]], ids=["text", "scalar", "2-d"])
+@pytest.mark.parametrize("table", list(GRID_TABLES))
+def test_a_grid_that_is_not_one_row_of_numbers_raises_a_validation_error(table, grid):
+    # A 2-d rho grid raised NumPy's einsum ValueError, a scalar grid a bare TypeError.
+    with pytest.raises(ValidationError):
+        GRID_TABLES[table](grid)
+
+
+@pytest.mark.parametrize(
+    "table, message, rows",
+    [
+        ("kappa_grid", "kappa=nan: budget kappa must be finite", 1),
+        ("alphas", "alpha=nan, beta=0.5: alpha must be finite", 2),
+        ("betas", "alpha=0.9, beta=nan: beta must be finite", 2),
+    ],
+)
+def test_a_none_grid_point_reads_as_nan_and_is_warned_about_and_skipped(table, message, rows):
+    # It raised a bare TypeError from float(None) or from formatting None in the warning.
+    with pytest.warns(UserWarning, match=message):
+        result = GRID_TABLES[table]([None, 0.3])
+    assert len(result if table == "kappa_grid" else result.splitlines()) == rows
+
+
+def test_a_nan_budget_leaves_the_other_budgets_of_a_curve_as_they_were():
+    # Sorted largest first with a NaN key, the budgets were solved in grid order.
+    expected = capacity_cost_curve(BSSC_09_06, GAMMA_03, [0.2, 0.4, 0.3])
+    with pytest.warns(UserWarning, match="kappa=nan"):
+        got = capacity_cost_curve(BSSC_09_06, GAMMA_03, [0.2, float("nan"), 0.4, 0.3])
+    assert [(r.kappa, r.multiplier, r.capacity) for r in got] == [(r.kappa, r.multiplier, r.capacity) for r in expected]

@@ -126,9 +126,8 @@ def test_conditions_fail_on_perturbed_policy():
     channel = bssc(1.0, 0.5)
     solution = solve_finite_horizon(channel, 4)
     perturbed = list(solution.policies)
-    perturbed[0] = InputPolicy([[0.8, 0.2], [0.2, 0.8]], stage=0)
+    perturbed[0] = InputPolicy([[0.8, 0.2], [0.2, 0.8]])
     broken = DPSolution(
-        horizon=solution.horizon,
         values=solution.values,
         policies=tuple(perturbed),
         multiplier=solution.multiplier,
@@ -287,9 +286,9 @@ def _cold_recursion(channel, horizon):
     continuation = None
     for t in range(horizon, -1, -1):
         stage = maximize_stage_objective(channel.kernel, continuation=continuation)
-        values[t], policies[t] = stage.value, InputPolicy(stage.policy, stage=t)
+        values[t], policies[t] = stage.value, InputPolicy(stage.policy)
         continuation = values[t]
-    return DPSolution(horizon, values, tuple(policies), None, (0,) * (horizon + 1))
+    return DPSolution(values, tuple(policies), None, (0,) * (horizon + 1))
 
 
 @given(sparse_channels(), st.integers(0, 6))
@@ -372,9 +371,7 @@ def test_stacked_checker_equals_per_state_scores(problem):
         policy=solution.policies[0],
         output_kernel=induced_output_kernel(channel, solution.policies[0]),
         invariant_dist=None,
-        irreducible=False,
         iterations=0,
-        span_residual=0.0,
         multiplier=solution.multiplier,
         cost_gamma=solution.cost_gamma,
     )
@@ -391,3 +388,9 @@ def test_stacked_checker_equals_per_state_scores(problem):
     except ConvergenceError:
         return
     _assert_same_violations(general, rows, shape)
+
+
+def test_horizon_is_read_from_the_stage_policies():
+    solution = solve_finite_horizon(bssc(0.9, 0.6), 4)
+    assert solution.horizon == len(solution.policies) - 1 == 4
+    assert dataclasses.replace(solution, policies=solution.policies[1:]).horizon == 3

@@ -508,9 +508,7 @@ def test_generalized_check_per_class_gains():
         policy=policy,
         output_kernel=induced_output_kernel(channel, policy),
         invariant_dist=None,
-        irreducible=False,
         iterations=0,
-        span_residual=0.0,
     )
     report = generalized_dp_check(
         channel, solution, tol=1e-9, gain_by_state=[gain_top, gain_top, gain_bottom, gain_bottom]
@@ -539,9 +537,7 @@ def test_generalized_check_two_state_frozen_outputs():
         policy=policy,
         output_kernel=induced_output_kernel(channel, policy),
         invariant_dist=None,
-        irreducible=False,
         iterations=0,
-        span_residual=0.0,
     )
     report = generalized_dp_check(channel, solution, tol=1e-12, gain_by_state=[0.0, 0.0])
     assert report.passed
@@ -770,3 +766,13 @@ def test_channels_that_stalled_the_inner_solver_converge(solve):
     # On each of these the multiplicative update alone crawls past 100k inner
     # iterations (ConvergenceError); the Newton step certifies every state.
     solve()
+
+
+def test_irreducible_and_span_residual_are_read_from_the_fields_they_derive_from():
+    channel = bssc(0.9, 0.6)
+    rvi = relative_value_iteration(channel)
+    lo, hi = rvi.gain_bracket
+    assert rvi.irreducible and rvi.span_residual == hi - lo  # bit for bit
+    assert not dataclasses.replace(rvi, invariant_dist=None).irreducible
+    pi = policy_iteration(channel, uniform_policy(2, 2))
+    assert pi.irreducible and pi.gain_bracket is None and pi.span_residual is None

@@ -64,3 +64,19 @@ def test_one_function_writes_csv():
         )
     ]
     assert writers == [("channel.py", "_csv")]
+
+
+def _scalar_conversions(tree):
+    """Line of every float(_check_entries(...)) call: a scalar check that lets a list of one through."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            for arg in node.args:
+                if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "_check_entries":
+                    yield node.lineno
+
+
+def test_scalars_pass_the_scalar_rule():
+    # channel._check_number owns the scalar rule: _check_entries plus a 0-d test.
+    assert list(_scalar_conversions(ast.parse("x = float(_check_entries(v, 'x'))"))) == [1]
+    found = [f"{path.name}:{line}" for path in SOURCES for line in _scalar_conversions(ast.parse(path.read_text()))]
+    assert not found, "call channel._check_number instead:\n" + "\n".join(found)
