@@ -132,8 +132,8 @@ def bssc_closed_form(params: BSSCParams) -> BSSCSolution:
     if not -1e-12 <= lam <= 1.0 + 1e-12 or not -1e-12 <= nu <= 1.0 + 1e-12:
         raise ValidationError(
             f"closed form leaves the probability range (lam={lam:.6g}, nu={nu:.6g}) for "
-            f"alpha={a:g}, beta={b:g}; relabel the channel inputs (crossovers above 1/2) "
-            "and retry"
+            f"alpha={a:g}, beta={b:g}: alpha + beta - 1 = {a + b - 1.0:.3g} is so near the singular "
+            "line alpha + beta = 1 that the formula for nu cancels; solve numerically instead"
         )
     lam = min(max(lam, 0.0), 1.0)
     nu = min(max(nu, 0.0), 1.0)

@@ -313,7 +313,9 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
         kernel = np.asarray(doc["kernel"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ChannelFormatError(f"malformed channel document: {exc}") from exc
-    inputs, outputs = (_check_integer(doc[field], "alphabet size", 1) for field in ("input_size", "output_size"))
+    inputs, outputs = (
+        _check_integer(doc[field], f"'{field}' (alphabet size)", 1) for field in ("input_size", "output_size")
+    )
     kernel = _stochastic_array(kernel, "kernel", 3, LOAD_ROW_TOL, 1.0 + LOAD_ROW_TOL)
     if kernel.shape != (outputs, inputs, outputs):
         raise ValidationError(f"kernel shape {kernel.shape} does not match alphabet sizes {outputs, inputs, outputs}")

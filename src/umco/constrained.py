@@ -189,7 +189,7 @@ def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> lis
                 s_lo, s_hi = s_hi, 2.0 * s_hi
                 if s_hi > _MULTIPLIER_CAP:
                     raise InfeasibleBudgetError(
-                        f"budget kappa={kappa:g} is below the minimum stationary cost ~{floor:.9g} "
+                        f"budget kappa={kappa:.9g} is below the minimum stationary cost ~{floor:.9g} "
                         f"(cost {trace[s_lo][0]:.9g} still exceeds it at multiplier {s_lo:g})", min_cost=floor,
                     )
 
@@ -220,7 +220,7 @@ def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> lis
             raise floor
         if kappa < floor - cost_tol:
             raise InfeasibleBudgetError(
-                f"budget kappa={kappa:g} is below the minimum stationary cost {floor:.9g}", min_cost=floor
+                f"budget kappa={kappa:.9g} is below the minimum stationary cost {floor:.9g}", min_cost=floor
             )
         s_star = min(trace, key=lambda s: abs(trace[s][0] - kappa))  # met by the trace already?
         if abs(trace[s_star][0] - kappa) > cost_tol:

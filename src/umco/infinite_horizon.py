@@ -122,8 +122,11 @@ def is_irreducible(kernel: OutputKernel) -> bool:
 def stationary_distribution(kernel: OutputKernel) -> Distribution:
     """Unique invariant distribution of an irreducible output chain.
 
-    Solved as the linear fixed-point system with the normalization
-    sum(nu) = 1; refined until the residual is at most 1e-12.
+    One linear solve of the fixed-point system with the normalization
+    sum(nu) = 1, clipped at 0 and renormalized, with the rounding defect of
+    the sum moved onto the largest entry.  The certificate is the residual
+    max |K^T nu - nu|: above 1e-12 it raises ConvergenceError with that
+    residual.
     """
     matrix = kernel.matrix
     _require_irreducible(matrix)
@@ -134,17 +137,24 @@ def stationary_distribution(kernel: OutputKernel) -> Distribution:
     rhs[n - 1] = 1.0
     nu = np.linalg.solve(system, rhs)
     nu = np.clip(nu, 0.0, None)
-    for _ in range(64):
-        nu = nu / nu.sum()
-        defect = 1.0 - nu.sum()
-        if defect != 0.0:
-            nu[np.argmax(nu)] += defect
-        residual = float(np.abs(matrix.T @ nu - nu).max())
-        if residual <= 1e-12:
-            return Distribution(nu)
-        nu = matrix.T @ nu
-    raise ConvergenceError(
-        f"stationary distribution residual stalled at {residual:.3e}", residual=residual
+    nu = nu / nu.sum()
+    nu[np.argmax(nu)] += 1.0 - nu.sum()
+    residual = float(np.abs(matrix.T @ nu - nu).max())
+    if residual > 1e-12:
+        raise ConvergenceError(f"stationary distribution residual {residual:.3e} exceeds 1e-12", residual=residual)
+    return Distribution(nu)
+
+
+def _sweep(channel, continuation, gamma, s, tol, initial=None, newton_start=False):
+    """One Bellman sweep: every state's stage problem solved to max(tol * 1e-2, 1e-14)."""
+    return maximize_stage_objective(
+        channel.kernel,
+        continuation=continuation,
+        cost_row=gamma,
+        multiplier=s,
+        tol=max(tol * 1e-2, 1e-14),
+        initial=initial,
+        _newton_start=newton_start,
     )
 
 
@@ -178,7 +188,6 @@ def relative_value_iteration(
     s, gamma = resolve_cost(channel, cost, multiplier)
     if initial_policy is not None:
         _check_compatible(channel, initial_policy.matrix)
-    inner_tol = max(tol * 1e-2, 1e-12)
     value = np.zeros(channel.n_states) if initial_value is None else _float_array(initial_value, "initial value")
     if value.shape != (channel.n_states,):
         raise DimensionMismatchError(f"initial value shape {value.shape} does not match {channel.n_states} states")
@@ -186,15 +195,7 @@ def relative_value_iteration(
     warm = None if initial_policy is None else initial_policy.matrix
     span = np.inf
     for sweep in range(1, max_iter + 1):
-        sol = maximize_stage_objective(
-            channel.kernel,
-            continuation=value,
-            cost_row=gamma,
-            multiplier=s,
-            tol=inner_tol,
-            initial=warm,
-            _newton_start=sweep == 1 and initial_policy is not None,
-        )
+        sol = _sweep(channel, value, gamma, s, tol, warm, newton_start=sweep == 1 and initial_policy is not None)
         swept, warm = sol.value, sol.policy
         diff = swept - value
         lo, hi = float(diff.min()), float(diff.max())
@@ -266,16 +267,13 @@ def policy_iteration(
     _check_compatible(channel, initial_policy.matrix)
     _check_number(tol, "tol")
     s, gamma = resolve_cost(channel, cost, multiplier)
-    inner_tol = max(tol * 1e-2, 1e-14)
     matrix = np.array(initial_policy.matrix)
     trace: list[float] = []
     change = np.inf
     for iteration in range(1, max_iter + 1):
         gain, bias, _ = _evaluate_policy(channel, matrix, gamma, s)
         trace.append(gain)
-        improved = maximize_stage_objective(
-            channel.kernel, continuation=bias, cost_row=gamma, multiplier=s, tol=inner_tol
-        ).policy
+        improved = _sweep(channel, bias, gamma, s, tol).policy
         change = float(np.abs(improved - matrix).max())
         matrix = improved
         if change <= tol:
@@ -288,9 +286,7 @@ def policy_iteration(
     gain, bias, output_kernel = _evaluate_policy(channel, matrix, gamma, s)
     trace.append(gain)
     # Residual of the Bellman equation at the returned pair.
-    optimum = maximize_stage_objective(
-        channel.kernel, continuation=bias, cost_row=gamma, multiplier=s, tol=inner_tol
-    )
+    optimum = _sweep(channel, bias, gamma, s, tol)
     residual = np.abs(optimum.value - gain - bias).max()
     return InfiniteHorizonSolution(
         gain=gain,
@@ -352,13 +348,8 @@ def generalized_dp_check(
     else:
         worst_drift = float(np.abs((channel.kernel @ gains).max(axis=1) - gains).max())
         message = f"state-dependent gain: worst drift-equation violation {worst_drift:.3e}"
-    optimum = maximize_stage_objective(
-        channel.kernel,
-        continuation=solution.bias,
-        cost_row=solution.cost_gamma,
-        multiplier=solution.multiplier,
-        tol=max(tol * 1e-3, 1e-14),
-    )
+    # A checker solves ten times tighter than the solver it checks.
+    optimum = _sweep(channel, solution.bias, solution.cost_gamma, solution.multiplier, 0.1 * tol)
     targets = gains + solution.bias
     worst = max(worst_drift, float(np.abs(optimum.value - targets).max()))
     policy, bias = solution.policy.matrix[None], solution.bias[None]

@@ -88,6 +88,14 @@ def test_closed_form_singular_line_rejected():
         bssc_closed_form(BSSCParams(0.7, 0.3))
 
 
+def test_closed_form_range_guard_names_the_cancellation_near_the_singular_line():
+    # Past the exact-line test, nu = (1 - (1 - beta) * scale) / ((alpha + beta - 1) * scale)
+    # loses every digit to cancellation; here it reads about -1127.
+    with pytest.raises(ValidationError, match="near the singular line alpha \\+ beta = 1 .* cancels") as exc_info:
+        bssc_closed_form(BSSCParams(0.3, 0.7 + 1e-10))
+    assert "relabel" not in str(exc_info.value)
+
+
 def test_closed_form_matches_numerics():
     for a, b in [(0.95, 0.8), (0.1, 0.4), (0.85, 0.6)]:
         closed = bssc_closed_form(BSSCParams(a, b))

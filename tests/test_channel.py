@@ -251,6 +251,36 @@ def test_load_rejects_malformed_documents():
         load_channel(json.dumps([1, 2, 3]))
 
 
+@pytest.mark.parametrize("field", ["input_size", "output_size"])
+def test_load_size_message_names_the_field(field):
+    doc = json.loads(BSSC_105_DOC)
+    doc[field] = 2.7
+    with pytest.raises(ValidationError, match=f"^'{field}' \\(alphabet size\\) must be an integer >= 1, got 2.7$"):
+        load_channel(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda doc: doc["kernel"][0].append([1.0]), ChannelFormatError, "malformed channel document"),
+        (lambda doc: doc.update(name=3), ChannelFormatError, "'name' must be a string"),
+        (lambda doc: doc.update(cost=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), ValidationError, "cost shape (2, 3) must be"),
+    ],
+    ids=["ragged-kernel", "name-not-a-string", "cost-wrong-shape"],
+)
+def test_load_rejects_each_malformed_field(edit, error, message):
+    doc = json.loads(BSSC_105_DOC)
+    edit(doc)
+    with pytest.raises(error) as exc_info:
+        load_channel(json.dumps(doc))
+    assert message in str(exc_info.value)
+
+
+def test_output_kernel_must_be_square():
+    with pytest.raises(ValidationError, match="output kernel must be square, got shape \\(2, 3\\)"):
+        OutputKernel(np.full((2, 3), 1.0 / 3))
+
+
 def _document_with(kernel_row=(1.0, 0.0), cost_entry=1.0):
     doc = json.loads(BSSC_105_DOC)
     doc["kernel"][0][0] = list(kernel_row)

@@ -292,6 +292,7 @@ def test_nofb_verify_slack_budget_checks_the_unconstrained_target(capsys):
         (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "gamma=0:1:0.5"], "unknown sweep variable 'gamma'"),
         (["constrained", "--channel", "{bssc_file}"], "constrained needs --kappa or --sweep"),
         (["constrained", "--channel", "{bssc_file}", "--sweep", "alpha=0:1:0.5"], "support only kappa"),
+        (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa0:1:0.5"], "form name=start:stop:step"),
         (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa=0:1"], "must have the form start:stop:step"),
         (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa=0:x:0.5"], "could not convert string to float"),
         (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa=0:1:0"], "step must be positive"),
@@ -303,6 +304,7 @@ def test_nofb_verify_slack_budget_checks_the_unconstrained_target(capsys):
         "bssc-sweep-gamma",
         "constrained-no-budget",
         "constrained-sweep-alpha",
+        "sweep-without-name",
         "range-two-fields",
         "range-not-a-number",
         "range-zero-step",

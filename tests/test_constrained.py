@@ -125,6 +125,41 @@ def test_infeasible_budget_names_minimum():
     assert abs(exc_info.value.min_cost - 1.0) < 1e-9
 
 
+def test_doubling_cap_names_budget_and_cost_apart_from_the_floor():
+    # A budget just inside the floor's cost tolerance passes the floor test
+    # and is found infeasible only when the doubled multiplier passes the cap.
+    gamma = np.array([[1.0, 0.2], [0.2, 1.0]])
+    channel = bssc(0.9, 0.6)
+    floor = minimum_average_cost(channel, gamma)
+    kappa = floor - umco.constrained.DEFAULT_COST_TOL / 2
+    with mock.patch.object(umco.constrained, "_MULTIPLIER_CAP", 8.0):
+        with pytest.raises(InfeasibleBudgetError, match="at multiplier 8\\)") as exc_info:
+            constrained_capacity(channel, CostSpec(gamma, kappa))
+    assert str(exc_info.value).startswith("budget kappa=0.1999995 is below the minimum stationary cost ~0.2 ")
+    assert exc_info.value.min_cost == floor
+
+
+def test_floor_message_prints_the_budget_to_the_floor_precision():
+    # At six digits this budget read 0.199999, indistinguishable from the floor's 0.2.
+    gamma = np.array([[1.0, 0.2], [0.2, 1.0]])
+    with pytest.raises(InfeasibleBudgetError, match="kappa=0.1999985 is below the minimum stationary cost 0.2$"):
+        constrained_capacity(bssc(0.9, 0.6), CostSpec(gamma, 0.1999985))
+
+
+def test_failed_unconstrained_solve_fails_every_budget_of_a_curve():
+    def solve(channel, cost, s, solver_tol, warm=None):
+        if s == 0.0:
+            raise ConvergenceError("s = 0 stalled", residual=1.0)
+        pytest.fail("only s = 0 is solved")
+
+    with mock.patch.object(umco.constrained, "_solve_multiplier", solve):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = capacity_cost_curve(bssc(1.0, 0.5), CostSpec(GAMMA, 0.0), [0.2, 0.3, 0.4])
+    assert results == []
+    assert [str(w.message) for w in caught] == [f"kappa={k:g}: s = 0 stalled" for k in (0.2, 0.3, 0.4)]
+
+
 def test_minimum_average_cost_binary():
     assert abs(minimum_average_cost(bssc(0.9, 0.6), GAMMA) - 0.0) < 1e-9
     assert abs(minimum_average_cost(bssc(0.9, 0.6), np.ones((2, 2))) - 1.0) < 1e-9

@@ -34,7 +34,7 @@ from umco import (
     verify_optimality_conditions,
 )
 from umco.cli import dp_report
-from umco.finite_dp import NESTED, NON_NESTED_TIME_INVARIANT, SUPPORT_EPS
+from umco.finite_dp import NESTED, NON_NESTED, NON_NESTED_TIME_INVARIANT, SUPPORT_EPS
 from umco.onestage import letter_scores, maximize_stage_objective
 
 CAP_105 = bssc_closed_form(BSSCParams(1.0, 0.5)).capacity  # = H(0.2) - 0.4
@@ -181,6 +181,19 @@ def test_classify_bibo_nested():
 def test_classify_embedded_dmc_time_invariant():
     solution = solve_finite_horizon(embedded_dmc([[0.7, 0.3], [0.2, 0.8]]), 3)
     assert classify_non_nested(solution, tol=1e-6).kind == NON_NESTED_TIME_INVARIANT
+
+
+def test_classify_stage_dependent_policies_non_nested():
+    # Every V_t is constant across states, but the stage policies differ.
+    solution = DPSolution(
+        values=np.array([[2.0, 2.0], [1.0, 1.0]]),
+        policies=(InputPolicy([[0.5, 0.5], [0.5, 0.5]]), InputPolicy([[0.9, 0.1], [0.1, 0.9]])),
+        multiplier=None,
+        inner_iterations=(1, 1),
+    )
+    verdict = classify_non_nested(solution, tol=1e-6)
+    assert verdict.kind == NON_NESTED
+    assert verdict.state_spread.tolist() == [0.0, 0.0]
 
 
 def test_stage_objective_concave_at_every_stage(rng):

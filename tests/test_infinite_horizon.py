@@ -50,6 +50,7 @@ from umco import (
 )
 from sparse_stress import sparse_random_channel
 from umco.cli import solution_csv, solution_report
+from umco.exponent import _perron_pair
 from umco.infinite_horizon import EDGE_EPS, _policy_rewards
 
 
@@ -362,6 +363,67 @@ def test_stationary_distribution_rejects_reducible():
     with pytest.raises(ReducibleChainError) as exc_info:
         stationary_distribution(OutputKernel(np.eye(2)))
     assert len(exc_info.value.closed_classes) == 2
+
+
+def _row_normalised(matrix):
+    return matrix / matrix.sum(axis=1, keepdims=True)
+
+
+def _irreducible_chain(rng, kind, n):
+    """An irreducible stochastic matrix on n states, of one of five kinds that stress a linear solve."""
+    if kind == "dense":
+        return _row_normalised(rng.random((n, n)))
+    if kind == "sparse":  # heavy-tailed weights on random supports, kept connected by a cycle
+        matrix = np.zeros((n, n))
+        for i in range(n):
+            targets = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            matrix[i, targets] = rng.pareto(0.7, targets.size) + 1e-3
+        matrix[np.arange(n), (np.arange(n) + 1) % n] += 1e-3
+        return _row_normalised(matrix)
+    if kind == "nearly-decomposable":  # two blocks joined by one edge of 1.01e-12 each way
+        half = n // 2
+        matrix = np.zeros((n, n))
+        matrix[:half, :half] = rng.random((half, half))
+        matrix[half:, half:] = rng.random((n - half, n - half))
+        matrix = _row_normalised(matrix)
+        for i, j in ((half - 1, half), (n - 1, 0)):
+            matrix[i] *= 1.0 - 1.01e-12
+            matrix[i, j] += 1.01e-12
+        return matrix
+    if kind == "periodic":  # each state moves only to the next of `period` phases
+        period = rng.integers(2, n + 1)
+        phase = np.arange(n) % period
+        return _row_normalised(rng.random((n, n)) * (phase[None, :] == (phase[:, None] + 1) % period))
+    # birth-death: nu falls by the same factor per state, down to 1e-20 from bottom to top
+    ratio = 10.0 ** (rng.uniform(-20.0, 0.0) / (n - 1))
+    down = rng.uniform(0.1, 0.5)
+    matrix = np.diag(np.full(n - 1, max(down * ratio, 2e-12)), 1) + np.diag(np.full(n - 1, down), -1)
+    return matrix + np.diag(1.0 - matrix.sum(axis=1))
+
+
+CHAIN_KINDS = ["dense", "sparse", "nearly-decomposable", "periodic", "birth-death"]
+
+
+def test_stationary_distribution_certifies_generated_chains():
+    # 2,000 chains on 2-16 states; on the dense ones nu is also the Perron vector of K^T.
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        for kind in CHAIN_KINDS:
+            matrix = _irreducible_chain(rng, kind, int(rng.integers(2, 17)))
+            nu = stationary_distribution(OutputKernel(matrix)).weights
+            assert np.abs(matrix.T @ nu - nu).max() <= 1e-12, kind
+            assert abs(nu.sum() - 1.0) <= 1e-15, kind
+            if kind == "dense":
+                _, vecs, _ = _perron_pair(matrix.T[None])
+                assert np.abs(vecs[0] - nu).max() <= 1e-11
+
+
+def test_stationary_distribution_raises_on_an_uncertified_solve(monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + np.array([1e-9, -1e-9]))
+    with pytest.raises(ConvergenceError, match="stationary distribution residual") as exc_info:
+        stationary_distribution(OutputKernel([[0.9, 0.1], [0.3, 0.7]]))
+    assert 1e-12 < exc_info.value.residual < 1e-8
 
 
 def test_closed_classes_exclude_transient_states():

@@ -66,6 +66,21 @@ def test_one_function_writes_csv():
     assert writers == [("channel.py", "_csv")]
 
 
+def test_one_sweep_sets_the_average_reward_stage_tolerance():
+    # infinite_horizon._sweep owns the inner tolerance of every average-reward stage solve.
+    tree = ast.parse(next(path for path in SOURCES if path.name == "infinite_horizon.py").read_text())
+    callers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "maximize_stage_objective"
+    ]
+    assert callers == ["_sweep"]
+
+
 def _scalar_conversions(tree):
     """Line of every float(_check_entries(...)) call: a scalar check that lets a list of one through."""
     for node in ast.walk(tree):
