@@ -54,18 +54,21 @@ class BSSCParams:
 class BSSCSolution:
     """Closed-form capacity point.
 
-    lam is the output-kernel diagonal, nu the input-policy diagonal (equal to
-    the state-zero occupancy), bssc_exponent the exponent mu entering lam.
+    nu is the input-policy diagonal (equal to the state-zero occupancy), lam
+    the output-kernel diagonal 1/(1 + 2^mu) of the exponent mu = bssc_exponent.
     Constrained solutions carry the budget kappa and the diagonal lam_bar of
     the constrained output kernel; the occupancy is then kappa instead of nu.
     """
 
-    lam: float
     nu: float
     bssc_exponent: float
     capacity: float
     kappa: float | None = None
     lam_bar: float | None = None
+
+    @property
+    def lam(self) -> float:
+        return 1.0 / (1.0 + 2.0**self.bssc_exponent)
 
     @property
     def constrained(self) -> bool:
@@ -118,7 +121,7 @@ def bssc_closed_form(params: BSSCParams) -> BSSCSolution:
     """
     a, b = params.alpha, params.beta
     if a == b:
-        mu, lam, nu = 0.0, 0.5, 0.5
+        mu, scale, nu = 0.0, 2.0, 0.5
     elif abs(a + b - 1.0) < _SINGULAR_EPS:
         raise ValidationError(
             f"alpha + beta = {a + b:g}: the exponent denominator 1 - alpha - beta vanishes; "
@@ -127,18 +130,16 @@ def bssc_closed_form(params: BSSCParams) -> BSSCSolution:
     else:
         mu = (binary_entropy(b) - binary_entropy(a)) / (1.0 - a - b)
         scale = 1.0 + 2.0**mu
-        lam = 1.0 / scale
         nu = (1.0 - (1.0 - b) * scale) / ((a + b - 1.0) * scale)
-    if not -1e-12 <= lam <= 1.0 + 1e-12 or not -1e-12 <= nu <= 1.0 + 1e-12:
+    if not -1e-12 <= nu <= 1.0 + 1e-12:
         raise ValidationError(
-            f"closed form leaves the probability range (lam={lam:.6g}, nu={nu:.6g}) for "
+            f"closed form leaves the probability range (lam={1.0 / scale:.6g}, nu={nu:.6g}) for "
             f"alpha={a:g}, beta={b:g}: alpha + beta - 1 = {a + b - 1.0:.3g} is so near the singular "
             "line alpha + beta = 1 that the formula for nu cancels; solve numerically instead"
         )
-    lam = min(max(lam, 0.0), 1.0)
     nu = min(max(nu, 0.0), 1.0)
-    capacity = binary_entropy(lam) - nu * binary_entropy(a) - (1.0 - nu) * binary_entropy(b)
-    return BSSCSolution(lam=lam, nu=nu, bssc_exponent=mu, capacity=capacity)
+    capacity = binary_entropy(1.0 / scale) - nu * binary_entropy(a) - (1.0 - nu) * binary_entropy(b)
+    return BSSCSolution(nu=nu, bssc_exponent=mu, capacity=capacity)
 
 
 def bssc_constrained_closed_form(params: BSSCParams, kappa: float) -> BSSCSolution:

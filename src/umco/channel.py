@@ -64,7 +64,7 @@ def _check_entries(values, what: str, low: float = 0.0, high: float | None = Non
     if not (lowest >= low and np.maximum.reduce(values, axis=None, initial=-np.inf) <= upper):
         if not np.isfinite(values).all():
             raise ValidationError(f"{what} must be finite")
-        bound = "be nonnegative" if high is None else f"lie in [{low:g}, {high:g}]"
+        bound = f"lie in [{low:g}, {high:g}]" if high is not None else f"be at least {low:g}" if low else "be nonnegative"
         raise ValidationError(f"{what} must {bound}")
     return values
 

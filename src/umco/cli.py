@@ -90,8 +90,6 @@ def solution_report(solution) -> str:
         residual,
         f"irreducible     = {solution.irreducible}",
     ]
-    if solution.multiplier is not None:
-        lines.append(f"cost multiplier = {solution.multiplier:.10g}")
     for b, v in enumerate(solution.bias):
         lines.append(f"bias V({b})       = {v:.10f}")
     for b, row in enumerate(solution.policy.matrix):
@@ -156,6 +154,8 @@ def _cmd_fb_capacity(args) -> int:
 
 
 def _cmd_finite_horizon(args) -> int:
+    if args.kappa is not None and args.multiplier is None:
+        raise _UsageError("finite-horizon --kappa needs --multiplier")
     channel, gamma = _read_channel(args.channel, need_cost=args.multiplier is not None)
     cost = CostSpec(gamma, args.kappa or 0.0) if args.multiplier is not None else None
     solution = solve_finite_horizon(
@@ -166,7 +166,7 @@ def _cmd_finite_horizon(args) -> int:
     value = ftfi_capacity(solution, uniform)
     print(f"value under uniform initial distribution = {value:.10f} bits")
     print(f"per-stage average = {value / (args.horizon + 1):.10f} bits/channel use")
-    if args.multiplier is not None and args.kappa is not None:
+    if args.kappa is not None:
         lagrangian = value + args.kappa * ((args.horizon + 1) * args.multiplier)
         print(f"Lagrangian value at kappa={args.kappa:g} = {lagrangian:.10f} bits")
     verdict = classify_non_nested(solution, tol=1e-6)
@@ -180,6 +180,8 @@ def _cmd_finite_horizon(args) -> int:
 
 
 def _cmd_constrained(args) -> int:
+    if (args.kappa is None) == (not args.sweep):
+        raise _UsageError("constrained needs --kappa or --sweep kappa=start:stop:step, not both")
     channel, gamma = _read_channel(args.channel, need_cost=True)
     if args.sweep:
         key, grid = _parse_sweep(args.sweep)
@@ -195,8 +197,6 @@ def _cmd_constrained(args) -> int:
             )
         _write_out(args, constrained_mod.curve_csv(results))
         return 0
-    if args.kappa is None:
-        raise _UsageError("constrained needs --kappa or --sweep kappa=start:stop:step")
     result = constrained_mod.constrained_capacity(
         channel, CostSpec(gamma, args.kappa), dual_tol=args.dual_tol, cost_tol=args.cost_tol
     )
@@ -215,6 +215,8 @@ def _cmd_bssc(args) -> int:
     params = bssc_mod.BSSCParams(args.alpha, args.beta)
     if args.sweep:
         key, grid = _parse_sweep(args.sweep)
+        if key == "kappa" and args.kappa is not None:
+            raise _UsageError("bssc --kappa cannot be combined with --sweep kappa=start:stop:step")
         if key == "kappa":
             text = bssc_mod.bssc_kappa_csv(params, grid)
         elif key == "alpha":
@@ -271,14 +273,12 @@ def _resolve_exponent_policy(args, channel) -> InputPolicy:
     if args.policy == "closed-form":
         if channel.n_inputs != 2 or channel.n_states != 2:
             raise ValidationError("--policy closed-form needs a binary channel")
-        alpha = float(channel.kernel[0, 0, 0])
-        beta = float(channel.kernel[1, 0, 0])
-        expected = bssc_mod.bssc_channel(bssc_mod.BSSCParams(alpha, beta))
-        if not np.allclose(channel.kernel, expected.kernel, atol=1e-9):
+        params = bssc_mod.BSSCParams(float(channel.kernel[0, 0, 0]), float(channel.kernel[1, 0, 0]))
+        if not np.allclose(channel.kernel, bssc_mod.bssc_channel(params).kernel, atol=1e-9):
             raise ValidationError(
                 "--policy closed-form needs a state-symmetric kernel; this channel is not one"
             )
-        return bssc_mod.bssc_optimal_policy(bssc_mod.BSSCParams(alpha, beta))
+        return bssc_mod.bssc_optimal_policy(params)
     # otherwise: a JSON file holding the policy matrix
     try:
         matrix = json.loads(Path(args.policy).read_text())
@@ -294,7 +294,7 @@ def _cmd_error_exponent(args) -> int:
         rates = parse_range(args.rates)
         text = exponent_mod.rate_sweep_csv(channel, policy, rates, args.n, args.state_known)
     else:
-        grid = parse_range(args.rho_grid)
+        grid = parse_range(args.rho_grid or "0:1:0.01")
         text = exponent_mod.exponent_csv(channel, policy, grid)
     print(text, end="")
     _write_out(args, text)
@@ -369,8 +369,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("error-exponent", help="exponent curves and error-probability bounds")
     p.add_argument("--channel", required=True)
     p.add_argument("--policy", default="closed-form", help="closed-form, uniform, or a JSON matrix file")
-    p.add_argument("--rates", help="rate sweep start:stop:step (bits)")
-    p.add_argument("--rho-grid", default="0:1:0.01")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--rates", help="rate sweep start:stop:step (bits)")
+    grid.add_argument("--rho-grid", help="rho grid start:stop:step (default 0:1:0.01)")
     p.add_argument("--n", type=int, default=1000, help="block length for the bound")
     p.add_argument("--state-known", action="store_true")
     p.add_argument("--out")

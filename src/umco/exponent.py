@@ -63,25 +63,26 @@ class LambdaMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ExponentCurve:
-    """Samples (rho, lambda_max, F_infinity) plus the eigenvector ratio at each rho.
+    """Read-only arrays of one length: rho, F_infinity = -log2 lambda_max, eigenvector ratio, bracket width.
 
     bracket_width holds, at each rho, the width of the Collatz-Wielandt
     bracket on lambda_max relative to its upper end: the certificate of the
     Perron root, at most 1e-12 for every sample a solve returns.
     """
 
-    samples: tuple[tuple[float, float, float], ...]
-    eigen_ratio: tuple[float, ...]
-    bracket_width: tuple[float, ...] = ()
+    rho: np.ndarray
+    f_infinity: np.ndarray
+    eigen_ratio: np.ndarray
+    bracket_width: np.ndarray
 
     def __post_init__(self):
-        # Every sample must be finite; rounding may put F just below 0.
-        rho, lam_max, f_inf = _check_entries(self.samples, "samples", -_FLOAT_MAX).reshape(len(self.samples), 3).T
-        _check_entries(rho, "rho", 0.0, 1.0)
-        _check_entries(lam_max, "Perron roots")
-        if not lam_max.all():
-            raise ValidationError("the Perron root must be positive at every sample")
-        _check_entries(f_inf[rho == 0.0], "the exponent at rho = 0", -1e-10, 1e-10)
+        ranges = (0.0, 1.0), (-_FLOAT_MAX, None), (1.0, None), (0.0, 1.0)  # F may round just below 0
+        for name, (low, high) in zip(("rho", "f_infinity", "eigen_ratio", "bracket_width"), ranges):
+            array = _check_entries(_frozen_array(_float_grid(getattr(self, name), name), name), name, low, high)
+            if len(array) != len(self.rho):
+                raise ValidationError(f"{name} has {len(array)} entries but rho has {len(self.rho)}")
+            object.__setattr__(self, name, array)
+        _check_entries(self.f_infinity[self.rho == 0.0], "the exponent at rho = 0", -1e-10, 1e-10)
 
 
 def _transposed_weights(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> np.ndarray:
@@ -168,11 +169,9 @@ def gallager_exponent_infinite(
 
 
 def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) -> ExponentCurve:
-    """(rho, lambda_max, F_inf) and the eigenvector ratio at every rho of rho_grid, in one stacked solve."""
+    """F_inf, the eigenvector ratio and the bracket width at every rho of rho_grid, in one stacked solve."""
     rhos = _float_grid(rho_grid, "rho grid")  # each rho is checked before the solve
-    f_inf, ratios, widths = _gallager_exponents(channel, policy, rhos)
-    samples = tuple((rho, float(2.0 ** (-f)), f) for rho, f in zip(rhos.tolist(), f_inf.tolist()))
-    return ExponentCurve(samples=samples, eigen_ratio=tuple(ratios.tolist()), bracket_width=tuple(widths.tolist()))
+    return ExponentCurve(rhos, *_gallager_exponents(channel, policy, rhos))
 
 
 def random_coding_exponent(
@@ -259,7 +258,9 @@ def finite_horizon_exponent_oracle(
 def exponent_csv(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) -> str:
     """CSV of (rho, lambda_max, F_infinity in bits, eigenvector ratio)."""
     curve = exponent_curve(channel, policy, rho_grid)
-    rows = ([*sample, ratio] for sample, ratio in zip(curve.samples, curve.eigen_ratio))
+    # lambda_max = 2^-F on Python floats: NumPy's vectorised power may differ in the last bit.
+    samples = zip(curve.rho.tolist(), curve.f_infinity.tolist(), curve.eigen_ratio.tolist())
+    rows = ([rho, 2.0 ** -f, f, ratio] for rho, f, ratio in samples)
     return _csv(["rho", "lambda_max", "F_infinity_bits", "eigen_ratio"], rows)
 
 

@@ -209,6 +209,7 @@ def relative_value_iteration(
             f"(tol {tol:g}); the channel may violate the convergence assumptions",
             residual=span,
         )
+    value.setflags(write=False)
     policy = InputPolicy(warm)
     output_kernel = induced_output_kernel(channel, policy)
     return InfiniteHorizonSolution(
@@ -284,6 +285,7 @@ def policy_iteration(
             residual=change,
         )
     gain, bias, output_kernel = _evaluate_policy(channel, matrix, gamma, s)
+    bias.setflags(write=False)
     trace.append(gain)
     # Residual of the Bellman equation at the returned pair.
     optimum = _sweep(channel, bias, gamma, s, tol)

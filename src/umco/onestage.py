@@ -77,7 +77,7 @@ DEFAULT_INNER_MAX_ITER = 100_000
 
 
 class StateSolution(NamedTuple):
-    """Optimum of a stack of states: policy (S, A), value (S,), iterations summed and gap maximized."""
+    """Optimum of a stack of states: read-only policy (S, A) and value (S,), iterations summed and gap maximized."""
 
     policy: np.ndarray
     value: np.ndarray
@@ -293,7 +293,10 @@ def maximize_stage_objective(
             if index is None and certified == len(finished):
                 # Every state certified together: no slots to fill.
                 gap = np.maximum(gap, 0.0)  # the value may round above the top score
-                return StateSolution(pi[:, 0], value + offset, iteration * n_states, float(gap.max()), iteration)
+                policy, values = pi[:, 0], value + offset
+                policy.setflags(write=False)  # a view of the work buffer pi
+                values.setflags(write=False)
+                return StateSolution(policy, values, iteration * n_states, float(gap.max()), iteration)
             if certified:
                 if index is None:
                     index = np.arange(n_states)
@@ -325,4 +328,6 @@ def maximize_stage_objective(
             f"(achieved gap {worst:.3e})",
             residual=worst,
         )
+    policy.setflags(write=False)
+    values.setflags(write=False)
     return StateSolution(policy, values, int(iterations.sum()), float(gaps.max()), int(iterations.max()))

@@ -10,6 +10,7 @@ import umco.bssc
 from conftest import random_channel
 from umco import (
     BSSCParams,
+    BSSCSolution,
     CostSpec,
     DimensionMismatchError,
     Distribution,
@@ -81,6 +82,21 @@ def test_closed_form_memoryless_branch():
     solution = bssc_closed_form(BSSCParams(0.9, 0.9))
     assert solution.lam == 0.5 and solution.nu == 0.5 and solution.bssc_exponent == 0.0
     assert abs(solution.capacity - (1.0 - binary_entropy(0.9))) < 1e-15
+
+
+def test_output_diagonal_is_derived_from_the_exponent_bit_for_bit():
+    # lam is not stored: it is 1 / (1 + 2^mu), the expression the closed form always used.
+    assert "lam" not in {field.name for field in dataclasses.fields(BSSCSolution)}
+    grid = np.round(np.arange(0.0, 1.0 + 1e-9, 0.01), 2).tolist()
+    off_the_singular_line = [(a, b) for a in grid for b in grid if abs(a + b - 1.0) > 1e-9]
+    assert len(off_the_singular_line) == 101 * 100
+    for a, b in off_the_singular_line:
+        params = BSSCParams(a, b)
+        solution = bssc_closed_form(params)
+        mu = 0.0 if a == b else (binary_entropy(b) - binary_entropy(a)) / (1.0 - a - b)
+        assert solution.bssc_exponent == mu and solution.lam == 1.0 / (1.0 + 2.0**mu)
+        for kappa in (0.2, solution.nu):  # 0.2 is slack where nu < 0.2; kappa = nu always binds
+            assert bssc_constrained_closed_form(params, kappa).lam == solution.lam
 
 
 def test_closed_form_singular_line_rejected():
@@ -341,6 +357,14 @@ def test_nofb_point_mass_initial_flags_skipped_states():
     markov = MarkovInput(np.eye(2), sigma=0.0)
     records = nofb_induction_deviations(channel, markov, target, Distribution.point_mass(2, 0), 3)
     assert any(skipped for _, _, skipped in records)
+
+
+def test_nofb_verifier_warns_about_the_skipped_stages():
+    params = BSSCParams(1.0, 0.0)
+    target = InputPolicy([[1.0, 0.0], [0.0, 1.0]])
+    markov = MarkovInput(np.eye(2), sigma=0.0)
+    with pytest.warns(UserWarning, match=r"^\d+ stages had zero-probability states; their conditionals were skipped$"):
+        assert verify_nofb_induces_fb(bssc_channel(params), markov, target, Distribution.point_mass(2, 0), 3, tol=1e-9)
 
 
 def test_nofb_induction_across_grid():

@@ -65,6 +65,7 @@ from umco import (
 from umco.bssc import bssc_grid_csv, bssc_kappa_csv
 from umco.channel import LOAD_ROW_TOL, resolve_cost
 from umco.exponent import exponent_csv, rate_sweep_csv
+from umco.onestage import StateSolution, maximize_stage_objective
 
 BSSC_105_DOC = json.dumps(
     {
@@ -227,11 +228,56 @@ def test_each_record_stores_only_independent_facts():
     derived = {
         InfiniteHorizonSolution: {"irreducible", "span_residual"},
         DPSolution: {"horizon"},
-        BSSCSolution: {"constrained"},
+        BSSCSolution: {"constrained", "lam"},
     }
     for record, names in derived.items():
         assert names.isdisjoint(field.name for field in dataclasses.fields(record))
         assert all(isinstance(getattr(record, name), property) for name in names)
+
+
+def _arrays(value):
+    """Every array reachable from a result: its fields, the records they hold and the items of its tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _arrays(getattr(value, field.name))
+    elif isinstance(value, tuple):  # StateSolution, DPSolution.policies, gain brackets
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_no_array_a_result_holds_is_writable():
+    channel, params = bibo_channel(), BSSCParams(1.0, 0.5)
+    rvi = relative_value_iteration(channel)
+    dp = solve_finite_horizon(channel, 3)
+    policy = bssc_optimal_policy(params)
+    results = {
+        "StateSolution, slots filled": maximize_stage_objective(channel.kernel),
+        "StateSolution, certified together": maximize_stage_objective(bssc(1.0, 0.5).kernel),
+        "InfiniteHorizonSolution, RVI": rvi,
+        "InfiniteHorizonSolution, PI": policy_iteration(channel, uniform_policy(2, 2)),
+        "DPSolution": dp,
+        "ConditionReport": verify_optimality_conditions(channel, dp, tol=1e-8),
+        "ConditionReport, Bellman": verify_bellman_conditions(channel, rvi, tol=1e-8),
+        "NestednessVerdict": classify_non_nested(dp, tol=1e-6),
+        "ConstrainedResult": constrained_capacity(bssc(1.0, 0.5), CostSpec(bssc_cost_function(), 0.3)),
+        "ExponentCurve": exponent_curve(bssc(1.0, 0.5), policy, [0.0, 0.5, 1.0]),
+        "LambdaMatrix": lambda_matrix(bssc(1.0, 0.5), policy, 0.5),
+        "BSSCSolution": bssc_constrained_closed_form(params, 0.3),
+        "MarkovInput": bssc_nofeedback_markov(params, bssc_closed_form(params).nu),
+    }
+    # The two exits of the stage solver: states certified apart fill slots, together they return the buffers.
+    slots, together = results["StateSolution, slots filled"], results["StateSolution, certified together"]
+    assert isinstance(slots, StateSolution) and slots.iterations != 2 * slots.slowest_iterations
+    assert together.iterations == 2 * together.slowest_iterations
+    for name, result in results.items():
+        arrays = list(_arrays(result))
+        assert arrays or name == "BSSCSolution", name
+        for array in arrays:
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0.0
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 3), (0, 1, 0), (2, 0, 2)], ids=str)
@@ -309,8 +355,9 @@ NON_FINITE_BUILDERS = {
     "MarkovInput.sigma": lambda v: MarkovInput([[1.0, 0.0], [0.5, 0.5]], sigma=v),
     "LambdaMatrix": lambda v: LambdaMatrix(0.5, _set_first([[1.0, 0.0], [0.5, 0.5]], v)),
     "LambdaMatrix.rho": lambda v: LambdaMatrix(v, [[1.0, 0.0], [0.5, 0.5]]),
-    "ExponentCurve.lambda_max": lambda v: ExponentCurve(((0.5, v, 0.5),), (1.0,)),
-    "ExponentCurve.F": lambda v: ExponentCurve(((0.5, 0.5, v),), (1.0,)),
+    "ExponentCurve.F": lambda v: ExponentCurve([0.5], [v], [1.0], [0.0]),
+    "ExponentCurve.eigen_ratio": lambda v: ExponentCurve([0.5], [0.5], [v], [0.0]),
+    "ExponentCurve.bracket_width": lambda v: ExponentCurve([0.5], [0.5], [1.0], [v]),
 }
 
 

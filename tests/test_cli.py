@@ -299,6 +299,19 @@ def test_nofb_verify_slack_budget_checks_the_unconstrained_target(capsys):
         (["bssc", "--alpha", "1", "--beta", "0.5", "--sweep", "kappa=0:1:-0.5"], "step must be positive"),
         (["error-exponent", "--channel", "{perm3_file}"], "--policy closed-form needs a binary channel"),
         (["error-exponent", "--channel", "{bssc_file}", "--policy", "{missing}"], "cannot read policy file"),
+        (
+            ["constrained", "--channel", "{bssc_file}", "--kappa", "0.3", "--sweep", "kappa=0.2:0.3:0.1"],
+            "constrained needs --kappa or --sweep kappa=start:stop:step, not both",
+        ),
+        (
+            ["error-exponent", "--channel", "{bssc_file}", "--rates", "0:0.2:0.1", "--rho-grid", "0:1:0.5"],
+            "argument --rho-grid: not allowed with argument --rates",
+        ),
+        (
+            ["bssc", "--alpha", "0.9", "--beta", "0.6", "--sweep", "kappa=0:0.2:0.1", "--kappa", "0.3"],
+            "bssc --kappa cannot be combined with --sweep kappa=start:stop:step",
+        ),
+        (["finite-horizon", "--channel", "{bssc_file}", "--horizon", "2", "--kappa", "0.3"], "--kappa needs --multiplier"),
     ],
     ids=[
         "bssc-sweep-gamma",
@@ -311,6 +324,10 @@ def test_nofb_verify_slack_budget_checks_the_unconstrained_target(capsys):
         "range-negative-step",
         "closed-form-three-states",
         "missing-policy-file",
+        "constrained-kappa-and-sweep",
+        "error-exponent-rates-and-rho-grid",
+        "bssc-kappa-and-kappa-sweep",
+        "finite-horizon-kappa-without-multiplier",
     ],
 )
 def test_cli_edge_branches_exit_one_with_their_message(bssc_file, tmp_path, capsys, argv, message):
@@ -321,6 +338,16 @@ def test_cli_edge_branches_exit_one_with_their_message(bssc_file, tmp_path, caps
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_error_exponent_defaults_to_the_rho_grid_0_1_0_01(bssc_file, capsys):
+    argv = ["error-exponent", "--channel", bssc_file, "--policy", "uniform"]
+    assert run_command(argv) == 0
+    default = capsys.readouterr().out
+    assert run_command([*argv, "--rho-grid", "0:1:0.01"]) == 0
+    assert capsys.readouterr().out == default
+    rows = default.splitlines()
+    assert len(rows) == 102 and rows[1].startswith("0.0,") and rows[-1].startswith("1.0,")
 
 
 def test_error_exponent_rate_sweep(bssc_file, tmp_path, capsys):

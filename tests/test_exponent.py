@@ -1,5 +1,7 @@
 """State-weight matrices, Perron exponents, random-coding bounds, path-sum oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -226,11 +228,57 @@ def test_frobenius_bracket_three_states(rng):
 
 def test_exponent_curve_records_samples():
     curve = exponent_curve(CHANNEL, POLICY, [0.0, 0.5, 1.0])
-    assert len(curve.samples) == 3
-    rho, lam_max, f_inf = curve.samples[1]
-    assert rho == 0.5
-    assert abs(-np.log2(lam_max) - f_inf) < 1e-12
-    assert curve.eigen_ratio == (1.0, 1.0, 1.0)
+    assert curve.rho.tolist() == [0.0, 0.5, 1.0]
+    assert abs(curve.f_infinity[1] - gallager_exponent_infinite(CHANNEL, POLICY, 0.5)[0]) < 1e-12
+    assert curve.eigen_ratio.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_exponent_curve_stores_four_read_only_arrays_and_no_perron_root():
+    fields = ["rho", "f_infinity", "eigen_ratio", "bracket_width"]
+    assert [field.name for field in dataclasses.fields(ExponentCurve)] == fields
+    rhos = [0.0, 0.5]
+    curve = exponent_curve(CHANNEL, POLICY, rhos)
+    for name in fields:
+        array = getattr(curve, name)
+        assert array.shape == (2,) and array.dtype == float and not array.flags.writeable
+    # The arrays are copies: a caller's list or array stays its own.
+    given_rho = np.array([0.25])
+    copy = ExponentCurve(given_rho, [0.5], [1.0], [0.0])
+    given_rho[0] = 0.75
+    assert copy.rho[0] == 0.25 and given_rho.flags.writeable
+    # lambda_max is derived in the CSV as 2^-F.
+    rows = [line.split(",") for line in exponent_csv(CHANNEL, POLICY, rhos).splitlines()[1:]]
+    assert [float(row[1]) for row in rows] == [2.0 ** -f for f in curve.f_infinity.tolist()]
+
+
+@pytest.mark.parametrize(
+    "rho, f_inf, ratio, width, message",
+    [
+        ([0.5], [0.7], [np.nan], [0.0], "eigen_ratio must be finite"),
+        ([0.5], [0.7], [0.5], [0.0], "eigen_ratio must be at least 1$"),
+        ([0.5, 0.6], [0.7, 0.8], [1.0, 1.0], [-1.0, 5, 7], "bracket_width must lie"),
+        ([0.5, 0.6], [0.7, 0.8], [1.0, 1.0], [0.0, 0.0, 0.0], "bracket_width has 3 entries but rho has 2"),
+        ([0.5, 0.6], [0.7, 0.8], [1.0], [0.0, 0.0], "eigen_ratio has 1 entries but rho has 2"),
+        ([1.5], [0.7], [1.0], [0.0], "rho must lie"),
+        ([0.0], [0.1], [1.0], [0.0], "the exponent at rho = 0"),
+        ([[0.5, 0.25, 0.7]], [0.7], [1.0], [0.0], "rho must be a 1-d grid"),
+        ([0.5], 0.7, [1.0], [0.0], "f_infinity must be a 1-d grid"),
+    ],
+    ids=[
+        "nan-ratio",
+        "ratio-below-one",
+        "negative-and-wide-bracket",
+        "three-widths-for-two-samples",
+        "one-ratio-for-two-samples",
+        "rho-above-one",
+        "nonzero-exponent-at-rho-zero",
+        "a-triple-with-lambda-max",
+        "scalar-exponent",
+    ],
+)
+def test_exponent_curve_rejects_each_contradictory_construction(rho, f_inf, ratio, width, message):
+    with pytest.raises(ValidationError, match=message):
+        ExponentCurve(rho, f_inf, ratio, width)
 
 
 def test_csv_emitters():
@@ -255,10 +303,6 @@ def test_exponent_input_errors_are_typed():
         LambdaMatrix(0.5, -np.eye(2))
     with pytest.raises(ValidationError):
         LambdaMatrix(0.0, np.full((2, 2), 0.6))
-    with pytest.raises(ValidationError):
-        ExponentCurve(samples=((0.5, 0.0, 1.0),), eigen_ratio=(1.0,))
-    with pytest.raises(ValidationError):
-        ExponentCurve(samples=((0.0, 0.5, 1.0),), eigen_ratio=(1.0,))
     for rho in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValidationError):
             lambda_matrix(CHANNEL, POLICY, rho)
@@ -277,7 +321,7 @@ def test_exponent_input_errors_are_typed():
 
 def test_empty_rho_grid_gives_empty_curve():
     curve = exponent_curve(CHANNEL, POLICY, [])
-    assert curve.samples == () and curve.eigen_ratio == ()
+    assert all(getattr(curve, name).shape == (0,) for name in ("rho", "f_infinity", "eigen_ratio", "bracket_width"))
     assert exponent_csv(CHANNEL, POLICY, []) == "rho,lambda_max,F_infinity_bits,eigen_ratio\n"
 
 
@@ -298,11 +342,11 @@ def test_stacked_exponents_match_scalar_solves(problem, rhos):
     channel, policy = problem
     rhos = [0.0, 1.0, *rhos]
     curve = exponent_curve(channel, policy, rhos)
-    for (rho, lam_max, f_inf), ratio in zip(curve.samples, curve.eigen_ratio):
+    assert curve.rho.tolist() == rhos
+    for rho, f_inf, ratio in zip(rhos, curve.f_infinity.tolist(), curve.eigen_ratio.tolist()):
         f_one, ratio_one = gallager_exponent_infinite(channel, policy, rho)
         assert abs(f_inf - f_one) <= 1e-12
         assert abs(ratio - ratio_one) <= 1e-12 * ratio_one
-        assert lam_max == 2.0 ** (-f_inf)
 
 
 @given(irreducible_problems(), st.floats(0.0, 1.0), st.integers(1, 6), st.data())
@@ -418,6 +462,6 @@ def test_exponent_curve_records_the_bracket_widths():
     curve = exponent_curve(bibo_channel(), _bibo_policy(), np.linspace(0.0, 1.0, 11))
     assert len(curve.bracket_width) == 11
     assert all(0.0 <= width <= 1e-12 for width in curve.bracket_width)
-    assert exponent_curve(CHANNEL, POLICY, []).bracket_width == ()
+    assert exponent_curve(CHANNEL, POLICY, []).bracket_width.shape == (0,)
     roots, vecs, widths = _perron_pair(np.empty((0, 3, 3)))
     assert roots.shape == (0,) and vecs.shape == (0, 3) and widths.shape == (0,)

@@ -95,3 +95,40 @@ def test_scalars_pass_the_scalar_rule():
     assert list(_scalar_conversions(ast.parse("x = float(_check_entries(v, 'x'))"))) == [1]
     found = [f"{path.name}:{line}" for path in SOURCES for line in _scalar_conversions(ast.parse(path.read_text()))]
     assert not found, "call channel._check_number instead:\n" + "\n".join(found)
+
+
+def _dataclasses(tree):
+    """(class name, frozen) of every class decorated with dataclass, frozen only for a literal frozen=True."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                call = isinstance(decorator, ast.Call)
+                target = decorator.func if call else decorator
+                if isinstance(target, ast.Name) and target.id == "dataclass":
+                    keywords = decorator.keywords if call else []
+                    yield node.name, any(
+                        k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                        for k in keywords
+                    )
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("@dataclass(frozen=True)\nclass A: pass", [("A", True)]),
+        ("@dataclass(frozen=True, eq=False)\nclass A: pass", [("A", True)]),
+        ("@dataclass\nclass A: pass", [("A", False)]),
+        ("@dataclass()\nclass A: pass", [("A", False)]),
+        ("@dataclass(frozen=False)\nclass A: pass", [("A", False)]),
+        ("class A(NamedTuple): pass", []),
+    ],
+)
+def test_the_dataclass_rule_sees_each_form(source, expected):
+    assert list(_dataclasses(ast.parse(source))) == expected
+
+
+def test_every_dataclass_is_frozen():
+    # Every record the package builds or returns is immutable after construction.
+    found = [(path.name, name, frozen) for path in SOURCES for name, frozen in _dataclasses(ast.parse(path.read_text()))]
+    assert len(found) >= 15
+    assert [f"{path}: {name}" for path, name, frozen in found if not frozen] == []
