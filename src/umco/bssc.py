@@ -38,6 +38,7 @@ from .channel import (
 from .errors import DimensionMismatchError, ValidationError
 
 _SINGULAR_EPS = 1e-12
+_CANCELLATION_DELTA = 1e-3  # nu's error grows like 4e-17 / (alpha + beta - 1)^2: 4e-11 here, 0.4 at 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,27 +118,21 @@ def bssc_closed_form(params: BSSCParams) -> BSSCSolution:
 
     alpha = beta reduces to a memoryless binary symmetric channel and is
     handled as an explicit branch (mu = 0, lam = nu = 1/2); alpha + beta = 1
-    makes the exponent denominator vanish and is rejected.
+    makes the exponent denominator vanish and the formula for nu cancels near
+    it, so the band |alpha + beta - 1| < 1e-3 is rejected.
     """
     a, b = params.alpha, params.beta
     if a == b:
         mu, scale, nu = 0.0, 2.0, 0.5
-    elif abs(a + b - 1.0) < _SINGULAR_EPS:
+    elif abs(a + b - 1.0) < _CANCELLATION_DELTA:
         raise ValidationError(
-            f"alpha + beta = {a + b:g}: the exponent denominator 1 - alpha - beta vanishes; "
-            "the closed form is undefined on this line"
+            f"alpha + beta - 1 = {a + b - 1.0:.3g} is on or so near the singular line alpha + beta = 1 (where the "
+            "exponent denominator 1 - alpha - beta vanishes) that the formula for nu cancels; solve numerically instead"
         )
     else:
         mu = (binary_entropy(b) - binary_entropy(a)) / (1.0 - a - b)
         scale = 1.0 + 2.0**mu
-        nu = (1.0 - (1.0 - b) * scale) / ((a + b - 1.0) * scale)
-    if not -1e-12 <= nu <= 1.0 + 1e-12:
-        raise ValidationError(
-            f"closed form leaves the probability range (lam={1.0 / scale:.6g}, nu={nu:.6g}) for "
-            f"alpha={a:g}, beta={b:g}: alpha + beta - 1 = {a + b - 1.0:.3g} is so near the singular "
-            "line alpha + beta = 1 that the formula for nu cancels; solve numerically instead"
-        )
-    nu = min(max(nu, 0.0), 1.0)
+        nu = min(max((1.0 - (1.0 - b) * scale) / ((a + b - 1.0) * scale), 0.0), 1.0)
     capacity = binary_entropy(1.0 / scale) - nu * binary_entropy(a) - (1.0 - nu) * binary_entropy(b)
     return BSSCSolution(nu=nu, bssc_exponent=mu, capacity=capacity)
 

@@ -84,11 +84,12 @@ def solution_report(solution) -> str:
         residual = f"span residual   = {solution.span_residual:.3e} bits"
     else:
         residual = f"bellman residual = {solution.bellman_residual:.3e} bits"
+    nu = solution.invariant_dist
     lines = [
         f"gain            = {solution.gain:.10f} bits/channel use",
         f"iterations      = {solution.iterations}",
         residual,
-        f"irreducible     = {solution.irreducible}",
+        f"irreducible     = {nu is not None}",
     ]
     for b, v in enumerate(solution.bias):
         lines.append(f"bias V({b})       = {v:.10f}")
@@ -96,8 +97,8 @@ def solution_report(solution) -> str:
         lines.append(f"policy pi(.|{b})  = {_row(row)}")
     for b, row in enumerate(solution.output_kernel.matrix):
         lines.append(f"output P(.|{b})   = {_row(row)}")
-    if solution.invariant_dist is not None:
-        lines.append(f"invariant dist  = {_row(solution.invariant_dist.weights)}")
+    if nu is not None:
+        lines.append(f"invariant dist  = {_row(nu.weights)}")
     return "\n".join(lines)
 
 
@@ -105,7 +106,7 @@ def solution_csv(solution) -> str:
     """Per-state CSV table of an InfiniteHorizonSolution (bias in bits, invariant mass, policy rows)."""
     policy = solution.policy
     header = ["state", "bias_bits", "invariant_mass"] + [f"policy_a{a}" for a in range(policy.n_inputs)]
-    mass = [None] * policy.n_states if solution.invariant_dist is None else solution.invariant_dist.weights
+    mass = [None] * policy.n_states if (nu := solution.invariant_dist) is None else nu.weights
     return _csv(header, ([str(b), solution.bias[b], mass[b], *policy.matrix[b]] for b in range(policy.n_states)))
 
 

@@ -76,13 +76,7 @@ def _solve_multiplier(channel, cost, s, solver_tol, warm=None):
     solution = relative_value_iteration(
         channel, cost=cost, multiplier=s, tol=solver_tol, initial_value=bias, initial_policy=policy
     )
-    # RVI already holds the invariant distribution of its policy's output
-    # chain; without one (a reducible chain) average_cost raises the error.
-    if solution.invariant_dist is None:
-        achieved = average_cost(channel, solution.policy, cost)
-    else:
-        achieved = _stationary_cost(solution.invariant_dist, solution.policy, cost)
-    return solution, achieved
+    return solution, _stationary_cost(stationary_distribution(solution.output_kernel), solution.policy, cost)
 
 
 def _warm_start(trace, s):

@@ -20,12 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    _FLOAT_MAX,
     CostSpec,
     Distribution,
     InputPolicy,
     UnitMemoryChannel,
+    _check_compatible,
+    _check_entries,
     _check_integer,
     _check_number,
+    _frozen_array,
     resolve_cost,
 )
 from .errors import DimensionMismatchError
@@ -55,6 +59,14 @@ class DPSolution:
     inner_iterations: tuple[int, ...]
     cost_gamma: np.ndarray | None = None
 
+    def __post_init__(self):
+        values = _check_entries(_frozen_array(self.values, "values"), "values entries", -_FLOAT_MAX)
+        shapes = {policy.matrix.shape for policy in self.policies}  # one stage policy shape, over the values' states
+        if values.ndim != 2 or not len(values) == len(self.policies) == len(self.inner_iterations) \
+                or len(shapes) != 1 or shapes.pop()[0] != values.shape[1]:
+            raise DimensionMismatchError(f"values {values.shape} do not match the stage policies and iteration counts")
+        object.__setattr__(self, "values", values)
+
     @property
     def horizon(self) -> int:
         return len(self.policies) - 1
@@ -69,6 +81,9 @@ class ConditionReport:
     violations: np.ndarray
     message: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "violations", _frozen_array(self.violations, "violations"))  # may hold +inf
+
 
 @dataclass(frozen=True, eq=False)
 class NestednessVerdict:
@@ -76,6 +91,9 @@ class NestednessVerdict:
 
     kind: str
     state_spread: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "state_spread", _frozen_array(self.state_spread, "state spread"))
 
 
 def solve_finite_horizon(
@@ -116,7 +134,6 @@ def solve_finite_horizon(
         inner_iterations[t] = sol.slowest_iterations
         continuation = values[t]
         warm = sol.policy
-    values.setflags(write=False)
     return DPSolution(
         values=values,
         policies=tuple(policies),
@@ -151,7 +168,6 @@ def _condition_report(channel, solution, policy, continuation, targets, tol, wor
     scores = letter_scores(channel.kernel, policy, continuation, solution.cost_gamma, solution.multiplier)
     excess = scores - targets[..., None]
     violations = np.where(policy > SUPPORT_EPS, np.abs(excess), np.maximum(excess, 0.0))
-    violations.setflags(write=False)
     if worst is None:
         worst = float(violations.max())
     return ConditionReport(passed=worst <= tol, worst_violation=worst, violations=violations, message=message)
@@ -166,6 +182,7 @@ def verify_optimality_conditions(
     letter score (divergence plus continuation, minus any cost penalty) on
     the support of the stage policy and dominate it off the support.
     """
+    _check_compatible(channel, solution.policies[0].matrix)  # every stage policy has its shape
     _check_number(tol, "tol")
     policy = np.stack([p.matrix for p in solution.policies])
     continuation = np.vstack((solution.values[1:], np.zeros(channel.n_states)))  # none after the last stage
@@ -180,7 +197,6 @@ def classify_non_nested(solution: DPSolution, tol: float) -> NestednessVerdict:
     """
     _check_number(tol, "tol")
     spread = solution.values.max(axis=1) - solution.values.min(axis=1)
-    spread.setflags(write=False)
     if np.all(spread <= tol):
         reference = solution.policies[0].matrix
         deviation = max(

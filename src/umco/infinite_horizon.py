@@ -29,8 +29,10 @@ from .channel import (
     UnitMemoryChannel,
     _check_compatible,
     _check_entries,
+    _check_integer,
     _check_number,
     _float_array,
+    _frozen_array,
     _policy_average,
     induced_output_kernel,
     resolve_cost,
@@ -50,8 +52,8 @@ DEFAULT_SPAN_TOL = 1e-9
 class InfiniteHorizonSolution:
     """Gain (bits per use), bias normalized to V(0) = 0, and the policy attaining them.
 
-    invariant_dist is None when the output chain is reducible (irreducible
-    reads False).  multiplier/cost_gamma record the cost penalty the solve
+    invariant_dist and irreducible are read from output_kernel (None and False
+    for a reducible chain).  multiplier/cost_gamma record the cost penalty the solve
     used (None when unconstrained) so verifiers can replay it; gain_trace keeps
     per-iteration gains (policy iteration); gain_bracket keeps the span bounds
     (min, max) of the last sweep of relative value iteration, which bracket
@@ -64,7 +66,6 @@ class InfiniteHorizonSolution:
     bias: np.ndarray
     policy: InputPolicy
     output_kernel: OutputKernel
-    invariant_dist: Distribution | None
     iterations: int
     multiplier: float | None = None
     cost_gamma: np.ndarray | None = None
@@ -72,9 +73,21 @@ class InfiniteHorizonSolution:
     gain_bracket: tuple[float, float] | None = None
     bellman_residual: float | None = None
 
+    def __post_init__(self):
+        bias = _check_entries(_frozen_array(self.bias, "bias"), "bias entries", -_FLOAT_MAX)
+        if not bias.shape == (self.policy.n_states,) == (self.output_kernel.n_states,):
+            raise DimensionMismatchError(f"bias {bias.shape}, policy and output kernel cover different states")
+        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "gain", _check_number(self.gain, "gain", -_FLOAT_MAX))
+        object.__setattr__(self, "iterations", _check_integer(self.iterations, "iterations", 0))
+
     @property
     def irreducible(self) -> bool:
-        return self.invariant_dist is not None
+        return is_irreducible(self.output_kernel)
+
+    @property
+    def invariant_dist(self) -> Distribution | None:
+        return stationary_distribution(self.output_kernel) if self.irreducible else None
 
     @property
     def span_residual(self) -> float | None:
@@ -209,15 +222,12 @@ def relative_value_iteration(
             f"(tol {tol:g}); the channel may violate the convergence assumptions",
             residual=span,
         )
-    value.setflags(write=False)
     policy = InputPolicy(warm)
-    output_kernel = induced_output_kernel(channel, policy)
     return InfiniteHorizonSolution(
         gain=0.5 * (lo + hi),
         bias=value,
         policy=policy,
-        output_kernel=output_kernel,
-        invariant_dist=stationary_distribution(output_kernel) if is_irreducible(output_kernel) else None,
+        output_kernel=induced_output_kernel(channel, policy),
         iterations=sweep,
         multiplier=s,
         cost_gamma=gamma,
@@ -285,7 +295,6 @@ def policy_iteration(
             residual=change,
         )
     gain, bias, output_kernel = _evaluate_policy(channel, matrix, gamma, s)
-    bias.setflags(write=False)
     trace.append(gain)
     # Residual of the Bellman equation at the returned pair.
     optimum = _sweep(channel, bias, gamma, s, tol)
@@ -295,7 +304,6 @@ def policy_iteration(
         bias=bias,
         policy=InputPolicy(matrix),
         output_kernel=output_kernel,
-        invariant_dist=stationary_distribution(output_kernel),
         iterations=iteration,
         multiplier=s,
         cost_gamma=gamma,
@@ -312,6 +320,7 @@ def verify_bellman_conditions(
     Equality must hold on the support of the policy and inequality (score at
     most J* + V(b)) off the support, all within ``tol``.
     """
+    _check_compatible(channel, solution.policy.matrix)
     _check_number(tol, "tol")
     policy, bias = solution.policy.matrix[None], solution.bias[None]
     return _condition_report(channel, solution, policy, bias, solution.gain + bias, tol)
@@ -335,6 +344,7 @@ def generalized_dp_check(
     of the two equations' residuals; violations holds the per-letter
     conditions of the solution's policy against J(b) + V(b).
     """
+    _check_compatible(channel, solution.policy.matrix)
     _check_number(tol, "tol")
     if gain_by_state is None:
         gains = np.full(channel.n_states, solution.gain)

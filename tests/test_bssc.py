@@ -112,6 +112,28 @@ def test_closed_form_range_guard_names_the_cancellation_near_the_singular_line()
     assert "relabel" not in str(exc_info.value)
 
 
+# nu of the closed form at |alpha + beta - 1| = 1.2e-3, just outside the refused band, evaluated from the
+# same formula in 60-digit arithmetic (mpmath).
+NEAR_LINE_NU = {
+    (0.48, 0.5212): 0.49999174598215095475,
+    (0.52, 0.4788): 0.49999174598215095475,
+    (0.3, 0.7012): 0.49990436660560207085,
+    (0.1, 0.9012): 0.49955249655874652403,
+    (0.9, 0.0988): 0.49955249655874653431,
+}
+
+
+def test_closed_form_refuses_the_band_where_nu_cancels():
+    # Inside |alpha + beta - 1| < 1e-3 the formula for nu lost up to 4e-9 at 1e-4, 4e-5 at 1e-6 and 0.44
+    # at 1e-8 (worst over alpha = 0.01..0.99) with nu still in [0, 1], so no range guard saw it; just
+    # outside the band it holds 1e-11.
+    for (a, b), nu in NEAR_LINE_NU.items():
+        assert abs(bssc_closed_form(BSSCParams(a, b)).nu - nu) <= 1e-11, (a, b)
+    for delta in (9.9e-4, 2e-4, 1e-6, 1e-8, -1e-4, -9.9e-4):
+        with pytest.raises(ValidationError, match="near the singular line alpha \\+ beta = 1 .* cancels"):
+            bssc_closed_form(BSSCParams(0.3, 0.7 + delta))
+
+
 def test_closed_form_matches_numerics():
     for a, b in [(0.95, 0.8), (0.1, 0.4), (0.85, 0.6)]:
         closed = bssc_closed_form(BSSCParams(a, b))

@@ -18,6 +18,7 @@ from umco import (
     BSSCParams,
     BSSCSolution,
     ChannelFormatError,
+    ConditionReport,
     CostSpec,
     DimensionMismatchError,
     DPSolution,
@@ -27,6 +28,7 @@ from umco import (
     InputPolicy,
     LambdaMatrix,
     MarkovInput,
+    NestednessVerdict,
     OutputKernel,
     UnitMemoryChannel,
     ValidationError,
@@ -226,7 +228,7 @@ def test_each_record_stores_only_independent_facts():
     assert [field.name for field in dataclasses.fields(InputPolicy)] == ["matrix"]
     assert [field.name for field in dataclasses.fields(UnitMemoryChannel)] == ["kernel", "name"]
     derived = {
-        InfiniteHorizonSolution: {"irreducible", "span_residual"},
+        InfiniteHorizonSolution: {"irreducible", "invariant_dist", "span_residual"},
         DPSolution: {"horizon"},
         BSSCSolution: {"constrained", "lam"},
     }
@@ -247,11 +249,27 @@ def _arrays(value):
             yield from _arrays(item)
 
 
+def _stationary_record(**changes):
+    """An InfiniteHorizonSolution built by a caller on two states, with ``changes`` to its fields."""
+    fields = dict(gain=0.5, bias=np.zeros(2), policy=uniform_policy(2, 2), iterations=0)
+    fields["output_kernel"] = OutputKernel(np.full((2, 2), 0.5))
+    return InfiniteHorizonSolution(**{**fields, **changes})
+
+
+def _dp_record(**changes):
+    """A DPSolution built by a caller with two stages on two states, with ``changes`` to its fields."""
+    policy = uniform_policy(2, 2)
+    fields = dict(values=np.zeros((2, 2)), policies=(policy, policy), multiplier=None, inner_iterations=(0, 0))
+    return DPSolution(**{**fields, **changes})
+
+
 def test_no_array_a_result_holds_is_writable():
     channel, params = bibo_channel(), BSSCParams(1.0, 0.5)
     rvi = relative_value_iteration(channel)
     dp = solve_finite_horizon(channel, 3)
     policy = bssc_optimal_policy(params)
+    given = {"bias": np.ones(2), "values": np.ones((2, 2)), "violations": np.ones((1, 2, 2)), "state_spread": np.zeros(2)}
+    given["violations"][0, 0, 1] = np.inf  # an off-support letter whose row reaches an output q misses
     results = {
         "StateSolution, slots filled": maximize_stage_objective(channel.kernel),
         "StateSolution, certified together": maximize_stage_objective(bssc(1.0, 0.5).kernel),
@@ -266,6 +284,10 @@ def test_no_array_a_result_holds_is_writable():
         "LambdaMatrix": lambda_matrix(bssc(1.0, 0.5), policy, 0.5),
         "BSSCSolution": bssc_constrained_closed_form(params, 0.3),
         "MarkovInput": bssc_nofeedback_markov(params, bssc_closed_form(params).nu),
+        "InfiniteHorizonSolution, built by a caller": _stationary_record(bias=given["bias"]),
+        "DPSolution, built by a caller": _dp_record(values=given["values"]),
+        "ConditionReport, built by a caller": ConditionReport(False, np.inf, given["violations"]),
+        "NestednessVerdict, built by a caller": NestednessVerdict("nested", given["state_spread"]),
     }
     # The two exits of the stage solver: states certified apart fill slots, together they return the buffers.
     slots, together = results["StateSolution, slots filled"], results["StateSolution, certified together"]
@@ -278,6 +300,56 @@ def test_no_array_a_result_holds_is_writable():
             assert not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0.0
+    # A record built by a caller holds its own frozen copy; the caller's array stays writable.
+    for name, array in given.items():
+        record = next(r for key, r in results.items() if "by a caller" in key and hasattr(r, name))
+        held = getattr(record, name)
+        assert array.flags.writeable and not np.shares_memory(held, array), name
+        assert held.tobytes() == array.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: _stationary_record(gain=np.nan, iterations=-3), ValidationError),
+        (lambda: _stationary_record(gain=[0.5]), ValidationError),
+        (lambda: _stationary_record(iterations=-3), ValidationError),
+        (lambda: _stationary_record(iterations=1.5), ValidationError),
+        (lambda: _stationary_record(bias=[0.0, np.nan]), ValidationError),
+        (lambda: _stationary_record(bias=np.zeros(3)), DimensionMismatchError),
+        (lambda: _stationary_record(policy=uniform_policy(3, 2)), DimensionMismatchError),
+        (lambda: _stationary_record(output_kernel=OutputKernel(np.eye(3))), DimensionMismatchError),
+        (lambda: _dp_record(policies=(uniform_policy(2, 2),), inner_iterations=(0,)), DimensionMismatchError),
+        (lambda: _dp_record(inner_iterations=(0,)), DimensionMismatchError),
+        (lambda: _dp_record(values=np.zeros(2)), DimensionMismatchError),
+        (lambda: _dp_record(values=np.zeros((2, 3))), DimensionMismatchError),
+        (lambda: _dp_record(policies=(uniform_policy(2, 2), uniform_policy(2, 3))), DimensionMismatchError),
+        (lambda: _dp_record(values=np.zeros((0, 2)), policies=(), inner_iterations=()), DimensionMismatchError),
+        (lambda: _dp_record(values=[[0.0, 1.0], [np.inf, 0.0]]), ValidationError),
+    ],
+    ids=[
+        "nan-gain-negative-iterations",
+        "gain-list-of-one",
+        "negative-iterations",
+        "fractional-iterations",
+        "nan-bias",
+        "bias-of-three",
+        "policy-of-three",
+        "kernel-of-three",
+        "horizon-0-values-of-two-stages",
+        "one-iteration-count",
+        "values-1d",
+        "values-of-three-states",
+        "policies-of-two-shapes",
+        "no-stage",
+        "infinite-value",
+    ],
+)
+def test_result_records_reject_each_contradictory_construction(build, error):
+    # The first and ninth rows were accepted before: a NaN gain with -3 iterations,
+    # and horizon 0 against two stages of values.
+    with pytest.raises(error):
+        build()
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 3), (0, 1, 0), (2, 0, 2)], ids=str)
@@ -358,6 +430,9 @@ NON_FINITE_BUILDERS = {
     "ExponentCurve.F": lambda v: ExponentCurve([0.5], [v], [1.0], [0.0]),
     "ExponentCurve.eigen_ratio": lambda v: ExponentCurve([0.5], [0.5], [v], [0.0]),
     "ExponentCurve.bracket_width": lambda v: ExponentCurve([0.5], [0.5], [1.0], [v]),
+    "InfiniteHorizonSolution.gain": lambda v: _stationary_record(gain=v),
+    "InfiniteHorizonSolution.bias": lambda v: _stationary_record(bias=[0.0, v]),
+    "DPSolution.values": lambda v: _dp_record(values=[[0.0, 0.0], [0.0, v]]),
 }
 
 

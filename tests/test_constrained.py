@@ -25,6 +25,7 @@ from umco import (
     capacity_cost_curve,
     constrained_capacity,
     deterministic_policy,
+    induced_output_kernel,
     minimum_average_cost,
 )
 from umco.constrained import curve_csv
@@ -266,10 +267,15 @@ def test_achieved_cost_without_invariant_distribution_raises_reducible(monkeypat
     # A = b_prev on the noiseless BSSC freezes the output chain.
     channel = bssc(1.0, 0.5)
     solution = umco.constrained.relative_value_iteration(channel, tol=1e-10)
-    frozen = dataclasses.replace(solution, policy=deterministic_policy([0, 1], 2), invariant_dist=None)
+    policy = deterministic_policy([0, 1], 2)
+    frozen = dataclasses.replace(solution, policy=policy, output_kernel=induced_output_kernel(channel, policy))
     monkeypatch.setattr(umco.constrained, "relative_value_iteration", lambda *args, **kwargs: frozen)
-    with pytest.raises(ReducibleChainError):
+    with pytest.raises(ReducibleChainError) as exc_info:
         umco.constrained._solve_multiplier(channel, CostSpec(GAMMA, 0.3), 0.5, 1e-10)
+    assert exc_info.value.closed_classes == ((0,), (1,))
+    with pytest.raises(ReducibleChainError) as direct:
+        average_cost(channel, policy, CostSpec(GAMMA, 0.3))
+    assert str(direct.value) == str(exc_info.value)
 
 
 STALLED_BSSC = BSSCParams(0.8275, 0.5769)

@@ -383,7 +383,6 @@ def test_stacked_checker_equals_per_state_scores(problem):
         bias=bias,
         policy=solution.policies[0],
         output_kernel=induced_output_kernel(channel, solution.policies[0]),
-        invariant_dist=None,
         iterations=0,
         multiplier=solution.multiplier,
         cost_gamma=solution.cost_gamma,
@@ -406,4 +405,9 @@ def test_stacked_checker_equals_per_state_scores(problem):
 def test_horizon_is_read_from_the_stage_policies():
     solution = solve_finite_horizon(bssc(0.9, 0.6), 4)
     assert solution.horizon == len(solution.policies) - 1 == 4
-    assert dataclasses.replace(solution, policies=solution.policies[1:]).horizon == 3
+    tail = dataclasses.replace(
+        solution, values=solution.values[1:], policies=solution.policies[1:], inner_iterations=solution.inner_iterations[1:]
+    )
+    assert tail.horizon == 3
+    with pytest.raises(DimensionMismatchError):  # four stage policies cannot go with five rows of values
+        dataclasses.replace(solution, policies=solution.policies[1:])

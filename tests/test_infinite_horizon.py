@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc
+import umco
 import umco.bssc
 import umco.finite_dp
 import umco.infinite_horizon
@@ -569,9 +570,9 @@ def test_generalized_check_per_class_gains():
         bias=np.zeros(4),
         policy=policy,
         output_kernel=induced_output_kernel(channel, policy),
-        invariant_dist=None,
         iterations=0,
     )
+    assert solution.invariant_dist is None  # two closed classes
     report = generalized_dp_check(
         channel, solution, tol=1e-9, gain_by_state=[gain_top, gain_top, gain_bottom, gain_bottom]
     )
@@ -598,9 +599,9 @@ def test_generalized_check_two_state_frozen_outputs():
         bias=np.zeros(2),
         policy=policy,
         output_kernel=induced_output_kernel(channel, policy),
-        invariant_dist=None,
         iterations=0,
     )
+    assert solution.invariant_dist is None
     report = generalized_dp_check(channel, solution, tol=1e-12, gain_by_state=[0.0, 0.0])
     assert report.passed
 
@@ -830,11 +831,40 @@ def test_channels_that_stalled_the_inner_solver_converge(solve):
     solve()
 
 
+def test_invariant_law_is_derived_from_the_output_kernel_bit_for_bit():
+    assert "invariant_dist" not in {field.name for field in dataclasses.fields(InfiniteHorizonSolution)}
+    for channel in (bssc(0.9, 0.6), bibo_channel()):
+        for solution in (relative_value_iteration(channel), policy_iteration(channel, uniform_policy(2, 2))):
+            law = stationary_distribution(solution.output_kernel)
+            assert solution.irreducible is True
+            assert solution.invariant_dist.weights.tobytes() == law.weights.tobytes()
+    # State 0 absorbs, so the optimal output chain is reducible.
+    absorbing = channel_from_kernel(np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.3, 0.7], [0.6, 0.4]]]))
+    reducible = relative_value_iteration(absorbing)
+    assert reducible.irreducible is False and reducible.invariant_dist is None
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (2, 3, 2)], ids=["three-states", "three-inputs"])
+@pytest.mark.parametrize(
+    "verifier", ["verify_bellman_conditions", "generalized_dp_check", "verify_optimality_conditions"]
+)
+def test_every_verifier_rejects_a_solution_of_another_channel_size(monkeypatch, shape, verifier):
+    # Each raised NumPy's bare ValueError: a matmul core-dimension, broadcast or concatenation mismatch.
+    solved = bssc(0.9, 0.6)
+    finite = verifier == "verify_optimality_conditions"
+    solution = solve_finite_horizon(solved, 2) if finite else relative_value_iteration(solved)
+    _no_stage_solve(monkeypatch)
+    verify = getattr(umco, verifier)
+    with pytest.raises(DimensionMismatchError, match="does not match channel"):
+        verify(channel_from_kernel(np.full(shape, 1.0 / shape[2])), solution, tol=1e-8)
+
+
 def test_irreducible_and_span_residual_are_read_from_the_fields_they_derive_from():
     channel = bssc(0.9, 0.6)
     rvi = relative_value_iteration(channel)
     lo, hi = rvi.gain_bracket
     assert rvi.irreducible and rvi.span_residual == hi - lo  # bit for bit
-    assert not dataclasses.replace(rvi, invariant_dist=None).irreducible
+    frozen = dataclasses.replace(rvi, output_kernel=OutputKernel(np.eye(2)))  # outputs frozen at the previous one
+    assert not frozen.irreducible and frozen.invariant_dist is None
     pi = policy_iteration(channel, uniform_policy(2, 2))
     assert pi.irreducible and pi.gain_bracket is None and pi.span_residual is None

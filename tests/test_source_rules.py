@@ -97,6 +97,40 @@ def test_scalars_pass_the_scalar_rule():
     assert not found, "call channel._check_number instead:\n" + "\n".join(found)
 
 
+def _freezes(tree):
+    """Enclosing function ('' at module level) of every array freeze: a setflags call or a write to .writeable."""
+    owner = {}
+    for node in ast.walk(tree):  # breadth first, so an inner function overrides the one it is nested in
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(node), node.name))
+    for node in ast.walk(tree):
+        call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags"
+        if call or isinstance(node, ast.Attribute) and node.attr == "writeable" and isinstance(node.ctx, ast.Store):
+            yield owner.get(node, "")
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(a):\n    a.setflags(write=False)", ["f"]),
+        ("def f(a):\n    def g():\n        a.setflags(write=False)", ["g"]),
+        ("a.flags.writeable = False", [""]),
+        ("x = a.flags.writeable", []),
+        ("def f(a):\n    return _frozen_array(a, 'a')", []),
+    ],
+)
+def test_the_freeze_rule_sees_each_form(source, expected):
+    assert list(_freezes(ast.parse(source))) == expected
+
+
+def test_one_function_freezes_arrays_outside_the_stage_solver():
+    # Records freeze what they are given through channel._frozen_array; only the stage solver's
+    # StateSolution, a NamedTuple on the hot path, freezes its own buffers.
+    found = [(path.name, owner) for path in SOURCES for owner in _freezes(ast.parse(path.read_text()))]
+    assert ("onestage.py", "maximize_stage_objective") in found
+    assert sorted({entry for entry in found if entry[0] != "onestage.py"}) == [("channel.py", "_frozen_array")]
+
+
 def _dataclasses(tree):
     """(class name, frozen) of every class decorated with dataclass, frozen only for a literal frozen=True."""
     for node in ast.walk(tree):
