@@ -32,7 +32,7 @@ from .channel import (
     _frozen_array,
     resolve_cost,
 )
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ValidationError
 from .onestage import DEFAULT_INNER_MAX_ITER, DEFAULT_INNER_TOL, letter_scores, maximize_stage_objective
 
 # Policy mass below this counts as an unsupported letter in condition checks.
@@ -43,14 +43,21 @@ NON_NESTED = "non_nested"
 NON_NESTED_TIME_INVARIANT = "non_nested_time_invariant"
 
 
+def _frozen_cost(multiplier, gamma):
+    """A result record's cost table as a frozen copy; ValidationError for a nonzero multiplier without one."""
+    if gamma is None and multiplier:
+        raise ValidationError(f"multiplier {multiplier!r} needs the cost table it penalizes")
+    return None if gamma is None else _frozen_array(gamma, "cost table")
+
+
 @dataclass(frozen=True, eq=False)
 class DPSolution:
     """Value functions and per-stage policies from the backward recursion.
 
     values[t][b] is V_t(b) in bits and policies[t] the policy of stage t,
     for t = 0..horizon; multiplier is the cost multiplier the recursion was
-    solved with (None when unconstrained), and cost_gamma the cost table,
-    kept so verifiers are self-contained.
+    solved with (None when unconstrained), and cost_gamma a frozen copy of the
+    cost table (required by a nonzero multiplier), kept for the verifiers.
     """
 
     values: np.ndarray
@@ -66,6 +73,7 @@ class DPSolution:
                 or len(shapes) != 1 or shapes.pop()[0] != values.shape[1]:
             raise DimensionMismatchError(f"values {values.shape} do not match the stage policies and iteration counts")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma))
 
     @property
     def horizon(self) -> int:

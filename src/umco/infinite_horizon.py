@@ -38,7 +38,7 @@ from .channel import (
     resolve_cost,
 )
 from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError
-from .finite_dp import ConditionReport, _condition_report
+from .finite_dp import ConditionReport, _condition_report, _frozen_cost
 from .onestage import letter_scores, maximize_stage_objective
 
 # Entries above this are edges of the output-chain graph; below is treated as
@@ -53,13 +53,14 @@ class InfiniteHorizonSolution:
     """Gain (bits per use), bias normalized to V(0) = 0, and the policy attaining them.
 
     invariant_dist and irreducible are read from output_kernel (None and False
-    for a reducible chain).  multiplier/cost_gamma record the cost penalty the solve
-    used (None when unconstrained) so verifiers can replay it; gain_trace keeps
-    per-iteration gains (policy iteration); gain_bracket keeps the span bounds
-    (min, max) of the last sweep of relative value iteration, which bracket
-    the optimal gain up to that solve's inner tolerance, and span_residual
-    reads its width; bellman_residual is the sup-norm residual of the Bellman
-    equation at the returned gain and bias (policy iteration only).
+    for a reducible chain).  multiplier/cost_gamma (a frozen copy, required by
+    a nonzero multiplier) record the cost penalty the solve used (None when
+    unconstrained) so verifiers can replay it; gain_trace keeps per-iteration
+    gains (policy iteration); gain_bracket keeps the span bounds (min, max) of
+    the last sweep of relative value iteration, which bracket the optimal gain
+    up to that solve's inner tolerance, and span_residual reads its width;
+    bellman_residual is the sup-norm residual of the Bellman equation at the
+    returned gain and bias (policy iteration only).
     """
 
     gain: float
@@ -78,6 +79,7 @@ class InfiniteHorizonSolution:
         if not bias.shape == (self.policy.n_states,) == (self.output_kernel.n_states,):
             raise DimensionMismatchError(f"bias {bias.shape}, policy and output kernel cover different states")
         object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma))
         object.__setattr__(self, "gain", _check_number(self.gain, "gain", -_FLOAT_MAX))
         object.__setattr__(self, "iterations", _check_integer(self.iterations, "iterations", 0))
 
@@ -87,7 +89,10 @@ class InfiniteHorizonSolution:
 
     @property
     def invariant_dist(self) -> Distribution | None:
-        return stationary_distribution(self.output_kernel) if self.irreducible else None
+        try:  # one reachability closure, not a second one for self.irreducible
+            return stationary_distribution(self.output_kernel)
+        except ReducibleChainError:
+            return None
 
     @property
     def span_residual(self) -> float | None:

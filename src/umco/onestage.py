@@ -28,12 +28,14 @@ run on Newton iterations and the last one.  The reported gap is clamped at 0,
 since the value can round above the top score.  The update
 reaches a face of the simplex only asymptotically, so every 256 iterations
 the states not yet certified try an active-set Newton ascent from their
-iterates in one batched pass: it puts exact zeros on dead letters, lets a
-letter at zero mass rejoin by its score, and a state keeps its result only
-once the same certificate holds.  A state tries at iteration 1 when its warm
-start holds an exact zero (a letter that would sit at the floor until
-iteration 256) or when the caller asks, as relative value iteration does
-from a caller's warm start: near the optimum Newton converges quadratically.
+iterates in one batched pass: it scores letters by the same identity,
+starting from the scores just computed when no letter leaves the support,
+puts exact zeros on dead letters, lets a letter at zero mass rejoin by its
+score, and a state keeps its result only once the same certificate holds.
+A state tries at iteration 1 when its warm start holds an exact zero (a
+letter that would sit at the floor until iteration 256) or when the caller
+asks, as relative value iteration does from a caller's warm start: near the
+optimum Newton converges quadratically.
 
 The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
@@ -117,56 +119,71 @@ def letter_scores(rows, policy, continuation=None, cost_row=None, multiplier=Non
     return letter_divergences(rows, output) + _letter_bias(rows, continuation, cost_row, multiplier)
 
 
-def _newton_pass(rows, rows_t, pi, bias, tol):
+def _newton_pass(rows, rows_t, pi, base, scores, tol):
     """Active-set Newton ascent of a stack of states' programs; return (certified, policy, value, gap).
 
-    Each state's support starts at the letters with at least 1% of its top
-    mass and those reaching an output the others miss.  Each step solves
-    [H_SS 1; 1^T 0] with H = R diag(1/q) R^T / ln 2 shifted by 1e-12 trace(H_SS),
-    so a flat direction (dependent rows) takes a long step.  A step leaving
-    the simplex stops at its blocking letter, which drops out at exactly 0,
-    unless that letter alone reaches some output (q would vanish there and
-    its score be infinite): then the step stops halfway to it.  Once the
-    support's scores are level, the best letter off it joins.  A state leaves
-    the batch once its gap certificate holds, or uncertified after a step
-    that is not finite or _NEWTON_STEPS steps; policy, value and gap hold one
-    row per certified state, in stack order.
+    Letters score base - log2(q) @ R^T as in the fixed point, or +inf on an
+    output no supported letter reaches.  The support starts at the letters
+    with 1% of the top mass and any reaching an output those miss; if every
+    letter is in, the first step takes the solver's scores at pi (no state
+    certified) as given.  Each step solves [H_SS 1; 1^T 0], H = R diag(1/q)
+    R^T / ln 2 shifted by 1e-12 trace(H_SS), so a flat direction (dependent
+    rows) takes a long step.  A step leaving the simplex drops its blocking
+    letter at exactly 0, or stops halfway to it if it alone reaches some
+    output.  Once the support's scores are level, the best letter off it
+    joins.  A state leaves once certified, or uncertified after a step that is
+    not finite or _NEWTON_STEPS steps; the results hold the certified rows.
     """
     n_states, n_inputs, _ = rows.shape
     support = pi >= 1e-2 * pi.max(axis=1, keepdims=True)
-    support |= np.matmul(np.matmul(support[:, None], rows) == 0.0, rows_t)[:, 0] > 0.0
-    pi = np.where(support, pi, 0.0)
-    pi /= pi.sum(axis=1, keepdims=True)
+    if not support.all():  # a full support leaves pi, and so the scores given, as they are
+        support |= np.matmul(np.matmul(support[:, None], rows) == 0.0, rows_t)[:, 0] > 0.0
+        pi = np.where(support, pi, 0.0)
+        pi /= pi.sum(axis=1, keepdims=True)
+        scores = None
     live = np.arange(n_states)  # stack index of each state still stepping
     certified = np.zeros(n_states, dtype=bool)
     policy, value, gap = np.empty((n_states, n_inputs)), np.empty(n_states), np.empty(n_states)
     identity = np.eye(n_inputs)
     for _ in range(_NEWTON_STEPS):
         output = np.matmul(pi[:, None], rows)
-        scores = letter_divergences(rows, output) + bias
-        values = _policy_average(pi, scores)
-        gaps = np.maximum(scores.max(axis=1) - values, 0.0)
-        done = gaps <= tol
-        if done.any():
-            won = live[done]
-            certified[won], policy[won], value[won], gap[won] = True, pi[done], values[done], gaps[done]
-            if done.all():
-                break
-        level = np.where(support, scores, -np.inf).max(axis=1) - np.where(support, scores, np.inf).min(axis=1) <= tol
-        support[level, np.where(support, -np.inf, scores).argmax(axis=1)[level]] = True
-        hessian = np.matmul(rows / np.where(output > 0.0, output, np.inf), rows_t) / np.log(2.0)
-        shift = 1e-12 * np.where(support, np.diagonal(hessian, axis1=1, axis2=2), 0.0).sum(axis=1)
+        dead = output == 0.0  # outputs no supported letter reaches
+        if scores is None:
+            scores = base - np.matmul(np.log2(np.where(dead, 1.0, output)), rows_t)[:, 0]
+            if dead.any():
+                scores[np.matmul(dead, rows_t)[:, 0] > 0.0] = np.inf
+            values = _policy_average(pi, scores)
+            gaps = np.maximum(scores.max(axis=1) - values, 0.0)
+            done = gaps <= tol
+            if done.any():
+                won = live[done]
+                certified[won], policy[won], value[won], gap[won] = True, pi[done], values[done], gaps[done]
+                if done.all():
+                    break
+                live, rows, rows_t, base, pi, support, output, dead, scores = (
+                    a[~done] for a in (live, rows, rows_t, base, pi, support, output, dead, scores)
+                )
         system = np.zeros((len(live), n_inputs + 1, n_inputs + 1))
-        pair = support[:, :, None] & support[:, None, :]  # identity rows off the support decouple the states
-        system[:, :-1, :-1] = np.where(pair, hessian + shift[:, None, None] * identity, identity)
-        system[:, :-1, -1] = system[:, -1, :-1] = support
         rhs = np.zeros((len(live), n_inputs + 1, 1))
-        rhs[:, :-1, 0] = np.where(support, scores, 0.0)
+        hessian = np.matmul(rows / np.where(dead, np.inf, output), rows_t) / np.log(2.0)
+        if support.all():
+            hessian += 1e-12 * np.trace(hessian, axis1=1, axis2=2)[:, None, None] * identity
+            system[:, :-1, :-1], rhs[:, :-1, 0] = hessian, scores
+        else:
+            spread = np.where(support, scores, -np.inf).max(axis=1) - np.where(support, scores, np.inf).min(axis=1)
+            level = spread <= tol
+            support[level, np.where(support, -np.inf, scores).argmax(axis=1)[level]] = True
+            shift = 1e-12 * np.where(support, np.diagonal(hessian, axis1=1, axis2=2), 0.0).sum(axis=1)
+            pair = support[:, :, None] & support[:, None, :]  # identity rows off the support decouple the states
+            system[:, :-1, :-1] = np.where(pair, hessian + shift[:, None, None] * identity, identity)
+            rhs[:, :-1, 0] = np.where(support, scores, 0.0)
+        system[:, :-1, -1] = system[:, -1, :-1] = support
         step = np.linalg.solve(system, rhs)[:, :-1, 0]
-        stepping = ~done & np.isfinite(step).all(axis=1)
-        if not stepping.all():
-            live, rows, rows_t, bias = live[stepping], rows[stepping], rows_t[stepping], bias[stepping]
-            pi, support, step = pi[stepping], support[stepping], step[stepping]
+        finite = np.isfinite(step).all(axis=1)
+        if not finite.all():
+            live, rows, rows_t, base, pi, support, step = (
+                a[finite] for a in (live, rows, rows_t, base, pi, support, step)
+            )
             if not len(live):
                 break
         falling = support & (step < 0.0)
@@ -182,7 +199,7 @@ def _newton_pass(rows, rows_t, pi, bias, tol):
         pi = np.maximum(pi + length[:, None] * step, 0.0)
         pi[states[dropped], blocking[dropped]] = 0.0
         pi /= pi.sum(axis=1, keepdims=True)
-        support = pi > 0.0
+        support, scores = pi > 0.0, None
     return certified, policy[certified], value[certified], gap[certified]
 
 
@@ -285,7 +302,9 @@ def maximize_stage_objective(
             if newton_due:
                 attempts = np.flatnonzero(~finished if iteration > 1 else ~finished & first_attempt)
                 if len(attempts):
-                    newton = _newton_pass(rows[attempts], rows_t[attempts], pi[attempts, 0], bias[attempts], tol)
+                    newton = _newton_pass(
+                        rows[attempts], rows_t[attempts], pi[attempts, 0], base[attempts, 0], scores[attempts, 0], tol
+                    )
                     won = attempts[newton[0]]
                     pi[won, 0], value[won], gap[won] = newton[1:]
                     finished[won] = True
@@ -313,8 +332,8 @@ def maximize_stage_objective(
                     break
                 # Freeze the certified states: the rest iterate on alone.
                 running = ~finished
-                rows, rows_t, base, bias, offset, index, pi, weights, total = (
-                    a[running] for a in (rows, rows_t, base, bias, offset, index, pi, weights, total)
+                rows, rows_t, base, offset, index, pi, weights, total = (
+                    a[running] for a in (rows, rows_t, base, offset, index, pi, weights, total)
                 )
                 if unreachable is not None:
                     unreachable = unreachable[running]

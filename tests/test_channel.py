@@ -270,6 +270,7 @@ def test_no_array_a_result_holds_is_writable():
     policy = bssc_optimal_policy(params)
     given = {"bias": np.ones(2), "values": np.ones((2, 2)), "violations": np.ones((1, 2, 2)), "state_spread": np.zeros(2)}
     given["violations"][0, 0, 1] = np.inf  # an off-support letter whose row reaches an output q misses
+    given["cost_gamma"] = np.array([[0.0, 1.0], [1.0, 0.0]])  # held by both solution records
     results = {
         "StateSolution, slots filled": maximize_stage_objective(channel.kernel),
         "StateSolution, certified together": maximize_stage_objective(bssc(1.0, 0.5).kernel),
@@ -284,8 +285,12 @@ def test_no_array_a_result_holds_is_writable():
         "LambdaMatrix": lambda_matrix(bssc(1.0, 0.5), policy, 0.5),
         "BSSCSolution": bssc_constrained_closed_form(params, 0.3),
         "MarkovInput": bssc_nofeedback_markov(params, bssc_closed_form(params).nu),
-        "InfiniteHorizonSolution, built by a caller": _stationary_record(bias=given["bias"]),
-        "DPSolution, built by a caller": _dp_record(values=given["values"]),
+        "InfiniteHorizonSolution, built by a caller": _stationary_record(
+            bias=given["bias"], multiplier=0.5, cost_gamma=given["cost_gamma"]
+        ),
+        "DPSolution, built by a caller": _dp_record(
+            values=given["values"], multiplier=0.5, cost_gamma=given["cost_gamma"]
+        ),
         "ConditionReport, built by a caller": ConditionReport(False, np.inf, given["violations"]),
         "NestednessVerdict, built by a caller": NestednessVerdict("nested", given["state_spread"]),
     }
@@ -302,10 +307,11 @@ def test_no_array_a_result_holds_is_writable():
                 array.flat[0] = 0.0
     # A record built by a caller holds its own frozen copy; the caller's array stays writable.
     for name, array in given.items():
-        record = next(r for key, r in results.items() if "by a caller" in key and hasattr(r, name))
-        held = getattr(record, name)
-        assert array.flags.writeable and not np.shares_memory(held, array), name
-        assert held.tobytes() == array.tobytes(), name
+        records = [r for key, r in results.items() if "by a caller" in key and hasattr(r, name)]
+        assert records, name
+        for held in (getattr(record, name) for record in records):
+            assert array.flags.writeable and not np.shares_memory(held, array), name
+            assert held.tobytes() == array.tobytes(), name
 
 
 @pytest.mark.parametrize(
@@ -326,6 +332,8 @@ def test_no_array_a_result_holds_is_writable():
         (lambda: _dp_record(policies=(uniform_policy(2, 2), uniform_policy(2, 3))), DimensionMismatchError),
         (lambda: _dp_record(values=np.zeros((0, 2)), policies=(), inner_iterations=()), DimensionMismatchError),
         (lambda: _dp_record(values=[[0.0, 1.0], [np.inf, 0.0]]), ValidationError),
+        (lambda: _stationary_record(multiplier=0.5), ValidationError),
+        (lambda: _dp_record(multiplier=0.5), ValidationError),
     ],
     ids=[
         "nan-gain-negative-iterations",
@@ -343,11 +351,14 @@ def test_no_array_a_result_holds_is_writable():
         "policies-of-two-shapes",
         "no-stage",
         "infinite-value",
+        "stationary-multiplier-without-cost-table",
+        "dp-multiplier-without-cost-table",
     ],
 )
 def test_result_records_reject_each_contradictory_construction(build, error):
     # The first and ninth rows were accepted before: a NaN gain with -3 iterations,
-    # and horizon 0 against two stages of values.
+    # and horizon 0 against two stages of values.  So were the last two, a
+    # multiplier without the cost table it penalizes, which the verifiers dropped.
     with pytest.raises(error):
         build()
 

@@ -116,8 +116,8 @@ GOLDEN = {
     ),
     "constrained-sweep-out": (
         "kappa,capacity_bits,multiplier,achieved_cost,binding\n"
-        "0.4,0.28129089923104933,0.38880268223893616,0.40000064459755785,true\n"
-        "0.5,0.31127812445978986,0.20752033940461684,0.4999991735435977,true\n"
+        "0.4,0.28129089923104933,0.3888026822389366,0.4000006445975577,true\n"
+        "0.5,0.31127812445978964,0.20752033940461712,0.49999917354359746,true\n"
     ),
     "curve_csv": (
         "kappa,capacity_bits,multiplier,achieved_cost,binding\n"

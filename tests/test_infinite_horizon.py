@@ -441,6 +441,24 @@ def test_is_irreducible():
     assert not is_irreducible(OutputKernel([[0.5, 0.5], [0.0, 1.0]]))  # state 1 absorbing
 
 
+@pytest.mark.parametrize(
+    "matrix", [[[0.9, 0.1], [0.3, 0.7]], [[0.5, 0.5], [0.0, 1.0]]], ids=["irreducible", "absorbing"]
+)
+def test_invariant_dist_builds_the_reachability_closure_once(monkeypatch, matrix):
+    kernel = OutputKernel(matrix)
+    solution = InfiniteHorizonSolution(
+        gain=0.0, bias=np.zeros(2), policy=uniform_policy(2, 2), output_kernel=kernel, iterations=0
+    )
+    real, closures = umco.infinite_horizon._reach, []
+    monkeypatch.setattr(umco.infinite_horizon, "_reach", lambda m: closures.append(m) or real(m))
+    law = solution.invariant_dist
+    assert len(closures) == 1
+    if is_irreducible(kernel):
+        assert law.weights.tobytes() == stationary_distribution(kernel).weights.tobytes()
+    else:
+        assert law is None
+
+
 @st.composite
 def sparse_chains(draw):
     """A stochastic matrix on 1-8 states.

@@ -186,7 +186,7 @@ def _newton_reference(rows, pi, bias, tol, steps=_NEWTON_STEPS):
 
 @st.composite
 def newton_problems(draw):
-    """A kernel stack, a centered letter bias, a start policy with a letter near 0 and a cap on the steps.
+    """A kernel stack, a centered letter bias, a start policy with a letter near or at 0 and a cap on the steps.
 
     A cap of one or three steps leaves many states uncertified, so both
     outcomes are compared.
@@ -195,22 +195,48 @@ def newton_problems(draw):
     n_states, n_inputs, _ = rows.shape
     bias = draw(hnp.arrays(float, (n_states, n_inputs), elements=st.floats(-3.0, 3.0)))
     pi = draw(hnp.arrays(float, (n_states, n_inputs), elements=st.floats(1e-3, 1.0)))
-    pi[:, 0] *= draw(st.sampled_from([1.0, 1e-4, 1e-9]))
+    pi[:, 0] *= draw(st.sampled_from([1.0, 1e-4, 1e-9, 0.0]))
     steps = draw(st.sampled_from([1, 3, _NEWTON_STEPS]))
     return rows, bias - bias.max(axis=1, keepdims=True), pi / pi.sum(axis=1, keepdims=True), steps
 
 
+def _newton_inputs(rows, bias, pi):
+    """The solver's arguments to a Newton pass: (rows, rows_t, pi, base, scores) with base = sum_b P log2 P + bias."""
+    rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    base = np.where(rows > 0.0, rows * np.log2(np.where(rows > 0.0, rows, 1.0)), 0.0).sum(axis=2) + bias
+    return rows, rows_t, pi, base, letter_scores(rows, pi, cost_row=-bias, multiplier=1.0)
+
+
+def _stage_gap(rows, bias, pi):
+    """max_a score - value at pi, scored by letter_divergences, independently of the pass's own formula."""
+    scores = letter_scores(rows, pi, cost_row=-bias, multiplier=1.0)
+    return scores.max(axis=-1) - _policy_average(pi, scores)
+
+
+# Letter 1 alone reaches output 1 and starts at exactly 0: the support takes it in at q(1) = 0.
+NEWTON_AT_AN_UNREACHED_OUTPUT = (np.array([[[1.0, 0.0], [0.5, 0.5]]]), np.zeros((1, 2)), np.array([[1.0, 0.0]]))
+# Every letter of both states holds over 1% of the top mass: the pass starts from the scores it is given.
+NEWTON_ON_A_FULL_SUPPORT = (
+    bssc(0.95, 0.8).kernel, np.array([[-1.0, 0.0], [0.0, -0.5]]), np.array([[0.3, 0.7], [0.6, 0.4]])
+)
+
+
 @given(newton_problems())
+@example((*NEWTON_AT_AN_UNREACHED_OUTPUT, _NEWTON_STEPS))
+@example((*NEWTON_ON_A_FULL_SUPPORT, _NEWTON_STEPS))
 def test_batched_newton_pass_matches_the_per_state_reference(problem):
     rows, bias, pi, steps = problem
-    rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    # The solver hands a pass only the states its own certificate rejects at pi.
+    attempted = _stage_gap(rows, bias, pi) > 1e-10
+    rows, bias, pi = rows[attempted], bias[attempted], pi[attempted]
     with mock.patch.object(onestage, "_NEWTON_STEPS", steps):
-        certified, policy, value, gap = _newton_pass(rows, rows_t, pi.copy(), bias, 1e-10)
+        certified, policy, value, gap = _newton_pass(*_newton_inputs(rows, bias, pi.copy()), 1e-10)
     references = [_newton_reference(rows[b], pi[b].copy(), bias[b], 1e-10, steps) for b in range(len(rows))]
     assert certified.tolist() == [r is not None for r in references]
     for b, (p, v, g), reference in zip(np.flatnonzero(certified), zip(policy, value, gap), filter(None, references)):
         assert ((p > 0.0) == (reference[0] > 0.0)).all()
         assert abs(v - reference[1]) <= 1e-12 and 0.0 <= g <= 1e-10
+        assert _stage_gap(rows[b], bias[b], p) <= 1e-10
         np.testing.assert_allclose(p @ rows[b], reference[0] @ rows[b], rtol=0.0, atol=1e-12)
         live = rows[b][p > 0.0]
         if np.linalg.matrix_rank(live) == len(live):
@@ -219,6 +245,32 @@ def test_batched_newton_pass_matches_the_per_state_reference(problem):
             # flat direction turns last-bit differences into a long step.
             np.testing.assert_allclose(p, reference[0], rtol=0.0, atol=1e-12)
     assert not np.shares_memory(policy, pi)
+
+
+def _first_newton_system(inputs):
+    """The pass's result and the right-hand side of its first bordered system: the support's scores, then 0."""
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        result = _newton_pass(*inputs, 1e-10)
+    return result, solve.call_args_list[0].args[1][:, :-1, 0]
+
+
+def test_newton_pass_scores_a_letter_on_an_unreached_output_plus_infinity():
+    # letter_divergences scores letter 1 +inf at q(1) = 0; taken as it
+    # stands, base - log2(q) @ R^T would give letter 0 a NaN (0 * -inf).
+    rows, bias, pi = NEWTON_AT_AN_UNREACHED_OUTPUT
+    (certified, *_), scores = _first_newton_system(_newton_inputs(rows, bias, pi.copy()))
+    assert scores[0, 1] == np.inf and np.isfinite(scores[0, 0])
+    assert certified.tolist() == [False] and _newton_reference(rows[0], pi[0].copy(), bias[0], 1e-10) is None
+
+
+def test_newton_pass_on_a_full_support_starts_from_the_given_scores():
+    # A common offset on every score moves no step (the border absorbs it),
+    # so scores given 1 bit high still certify, and the first system shows them.
+    rows, bias, pi = NEWTON_ON_A_FULL_SUPPORT
+    *inputs, given = _newton_inputs(rows, bias, pi.copy())
+    (certified, policy, _, gap), scores = _first_newton_system((*inputs, given + 1.0))
+    assert scores.tobytes() == (given + 1.0).tobytes()
+    assert certified.all() and (gap <= 1e-10).all() and (_stage_gap(rows, bias, policy) <= 1e-10).all()
 
 
 def _reference_state(rows, bias, initial, newton_start, tol=1e-10):
