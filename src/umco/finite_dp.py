@@ -43,11 +43,15 @@ NON_NESTED = "non_nested"
 NON_NESTED_TIME_INVARIANT = "non_nested_time_invariant"
 
 
-def _frozen_cost(multiplier, gamma):
-    """A result record's cost table as a frozen copy; ValidationError for a nonzero multiplier without one."""
+def _frozen_cost(multiplier, gamma, policy: InputPolicy):
+    """A record's cost table: a frozen copy with CostSpec's entries and the policy's shape; needed by a multiplier."""
     if gamma is None and multiplier:
         raise ValidationError(f"multiplier {multiplier!r} needs the cost table it penalizes")
-    return None if gamma is None else _frozen_array(gamma, "cost table")
+    if gamma is not None:
+        gamma = _check_entries(_frozen_array(gamma, "cost table"), "cost entries")
+        if gamma.shape != policy.matrix.shape:
+            raise DimensionMismatchError(f"cost table {gamma.shape} does not match the policy {policy.matrix.shape}")
+    return gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +77,7 @@ class DPSolution:
                 or len(shapes) != 1 or shapes.pop()[0] != values.shape[1]:
             raise DimensionMismatchError(f"values {values.shape} do not match the stage policies and iteration counts")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma))
+        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, self.policies[0]))
 
     @property
     def horizon(self) -> int:

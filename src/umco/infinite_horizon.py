@@ -53,14 +53,13 @@ class InfiniteHorizonSolution:
     """Gain (bits per use), bias normalized to V(0) = 0, and the policy attaining them.
 
     invariant_dist and irreducible are read from output_kernel (None and False
-    for a reducible chain).  multiplier/cost_gamma (a frozen copy, required by
-    a nonzero multiplier) record the cost penalty the solve used (None when
-    unconstrained) so verifiers can replay it; gain_trace keeps per-iteration
-    gains (policy iteration); gain_bracket keeps the span bounds (min, max) of
-    the last sweep of relative value iteration, which bracket the optimal gain
-    up to that solve's inner tolerance, and span_residual reads its width;
-    bellman_residual is the sup-norm residual of the Bellman equation at the
-    returned gain and bias (policy iteration only).
+    for a reducible chain).  multiplier/cost_gamma record the cost penalty the solve
+    used (None when unconstrained) so verifiers can replay it; gain_trace keeps
+    per-iteration gains (policy iteration); gain_bracket keeps the span bounds
+    (min, max) of the last sweep of relative value iteration, which bracket
+    the optimal gain up to that solve's inner tolerance, and span_residual
+    reads its width; bellman_residual is the sup-norm residual of the Bellman
+    equation at the returned gain and bias (policy iteration only).
     """
 
     gain: float
@@ -79,7 +78,7 @@ class InfiniteHorizonSolution:
         if not bias.shape == (self.policy.n_states,) == (self.output_kernel.n_states,):
             raise DimensionMismatchError(f"bias {bias.shape}, policy and output kernel cover different states")
         object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma))
+        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, self.policy))
         object.__setattr__(self, "gain", _check_number(self.gain, "gain", -_FLOAT_MAX))
         object.__setattr__(self, "iterations", _check_integer(self.iterations, "iterations", 0))
 

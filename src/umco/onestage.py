@@ -25,17 +25,16 @@ sum_a pi(a) 2^(score_a - top) is at least 2^-gap (Blahut's lower bound), so
 while every state's normaliser is below 2^-(tol + 1e-13) no state can
 certify, and the iteration skips the value and gap reductions; they still
 run on Newton iterations and the last one.  The reported gap is clamped at 0,
-since the value can round above the top score.  The update
-reaches a face of the simplex only asymptotically, so every 256 iterations
-the states not yet certified try an active-set Newton ascent from their
-iterates in one batched pass: it scores letters by the same identity,
-starting from the scores just computed when no letter leaves the support,
-puts exact zeros on dead letters, lets a letter at zero mass rejoin by its
-score, and a state keeps its result only once the same certificate holds.
-A state tries at iteration 1 when its warm start holds an exact zero (a
-letter that would sit at the floor until iteration 256) or when the caller
-asks, as relative value iteration does from a caller's warm start: near the
-optimum Newton converges quadratically.
+since the value can round above the top score.  The update reaches a face of
+the simplex only asymptotically, so every 256 iterations the states not yet
+certified try an active-set Newton ascent from their iterates in one batched
+pass, scoring letters by the same identity: it puts exact zeros on dead
+letters, lets a letter at zero mass rejoin by its score, and a state keeps
+its result only once the same certificate holds.  A state tries at iteration
+1 when its warm start holds an exact zero (a letter that would sit at the
+floor until iteration 256) or when the caller asks, as relative value
+iteration does from a caller's warm start: near the optimum Newton converges
+quadratically.
 
 The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
@@ -142,7 +141,7 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
         pi /= pi.sum(axis=1, keepdims=True)
         scores = None
     live = np.arange(n_states)  # stack index of each state still stepping
-    certified = np.zeros(n_states, dtype=bool)
+    certified, done = np.zeros(n_states, dtype=bool), np.zeros(n_states, dtype=bool)
     policy, value, gap = np.empty((n_states, n_inputs)), np.empty(n_states), np.empty(n_states)
     identity = np.eye(n_inputs)
     for _ in range(_NEWTON_STEPS):
@@ -160,30 +159,23 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
                 certified[won], policy[won], value[won], gap[won] = True, pi[done], values[done], gaps[done]
                 if done.all():
                     break
-                live, rows, rows_t, base, pi, support, output, dead, scores = (
-                    a[~done] for a in (live, rows, rows_t, base, pi, support, output, dead, scores)
-                )
-        system = np.zeros((len(live), n_inputs + 1, n_inputs + 1))
-        rhs = np.zeros((len(live), n_inputs + 1, 1))
-        hessian = np.matmul(rows / np.where(dead, np.inf, output), rows_t) / np.log(2.0)
-        if support.all():
-            hessian += 1e-12 * np.trace(hessian, axis1=1, axis2=2)[:, None, None] * identity
-            system[:, :-1, :-1], rhs[:, :-1, 0] = hessian, scores
-        else:
+        if not support.all():  # no letter can join a full support
             spread = np.where(support, scores, -np.inf).max(axis=1) - np.where(support, scores, np.inf).min(axis=1)
             level = spread <= tol
             support[level, np.where(support, -np.inf, scores).argmax(axis=1)[level]] = True
-            shift = 1e-12 * np.where(support, np.diagonal(hessian, axis1=1, axis2=2), 0.0).sum(axis=1)
-            pair = support[:, :, None] & support[:, None, :]  # identity rows off the support decouple the states
-            system[:, :-1, :-1] = np.where(pair, hessian + shift[:, None, None] * identity, identity)
-            rhs[:, :-1, 0] = np.where(support, scores, 0.0)
+        hessian = np.matmul(rows / np.where(dead, np.inf, output), rows_t) / np.log(2.0)
+        shift = 1e-12 * np.where(support, np.diagonal(hessian, axis1=1, axis2=2), 0.0).sum(axis=1)
+        system = np.zeros((len(live), n_inputs + 1, n_inputs + 1))
+        pair = support[:, :, None] & support[:, None, :]  # identity rows off the support decouple the states
+        system[:, :-1, :-1] = np.where(pair, hessian + shift[:, None, None] * identity, identity)
         system[:, :-1, -1] = system[:, -1, :-1] = support
+        rhs = np.zeros((len(live), n_inputs + 1, 1))
+        rhs[:, :-1, 0] = np.where(support, scores, 0.0)
         step = np.linalg.solve(system, rhs)[:, :-1, 0]
-        finite = np.isfinite(step).all(axis=1)
-        if not finite.all():
-            live, rows, rows_t, base, pi, support, step = (
-                a[finite] for a in (live, rows, rows_t, base, pi, support, step)
-            )
+        stepping = ~done & np.isfinite(step).all(axis=1)
+        if not stepping.all():
+            live, rows, rows_t, base = live[stepping], rows[stepping], rows_t[stepping], base[stepping]
+            pi, support, step = pi[stepping], support[stepping], step[stepping]
             if not len(live):
                 break
         falling = support & (step < 0.0)

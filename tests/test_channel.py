@@ -334,6 +334,10 @@ def test_no_array_a_result_holds_is_writable():
         (lambda: _dp_record(values=[[0.0, 1.0], [np.inf, 0.0]]), ValidationError),
         (lambda: _stationary_record(multiplier=0.5), ValidationError),
         (lambda: _dp_record(multiplier=0.5), ValidationError),
+        (lambda: _stationary_record(multiplier=0.5, cost_gamma=[[np.nan, 0.0], [0.0, 0.0]]), ValidationError),
+        (lambda: _dp_record(multiplier=0.5, cost_gamma=[[-1.0, 0.0], [0.0, 0.0]]), ValidationError),
+        (lambda: _stationary_record(multiplier=0.5, cost_gamma=np.zeros((3, 3))), DimensionMismatchError),
+        (lambda: _dp_record(multiplier=0.5, cost_gamma=np.zeros(2)), DimensionMismatchError),
     ],
     ids=[
         "nan-gain-negative-iterations",
@@ -353,12 +357,17 @@ def test_no_array_a_result_holds_is_writable():
         "infinite-value",
         "stationary-multiplier-without-cost-table",
         "dp-multiplier-without-cost-table",
+        "stationary-nan-cost-table",
+        "dp-negative-cost-table",
+        "stationary-cost-table-of-three",
+        "dp-cost-table-1d",
     ],
 )
 def test_result_records_reject_each_contradictory_construction(build, error):
     # The first and ninth rows were accepted before: a NaN gain with -3 iterations,
-    # and horizon 0 against two stages of values.  So were the last two, a
-    # multiplier without the cost table it penalizes, which the verifiers dropped.
+    # and horizon 0 against two stages of values.  So were the last six: a
+    # multiplier without the cost table it penalizes, which the verifiers dropped,
+    # and a NaN, negative or misshapen table, which they replayed.
     with pytest.raises(error):
         build()
 
