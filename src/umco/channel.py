@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +145,12 @@ class UnitMemoryChannel:
     @property
     def n_states(self) -> int:
         return self.kernel.shape[0]
+
+    @cached_property
+    def _prepared_kernel(self):
+        """The stage solver's read-only loop invariants of the kernel, built on first use."""
+        from . import onestage  # onestage imports this module
+        return onestage._prepare_kernel(self.kernel)
 
 
 def channel_from_kernel(kernel, name: str | None = None) -> UnitMemoryChannel:
@@ -281,8 +288,7 @@ def letter_divergences(rows: np.ndarray, output_row: np.ndarray) -> np.ndarray:
 
 def _policy_average(policy, scores):
     """sum_a pi(a) * score(a) over the last axis; a letter without mass counts 0, even where it scores +inf."""
-    with np.errstate(invalid="ignore"):
-        return np.where(policy > 0.0, policy * scores, 0.0).sum(-1)
+    return (policy * np.where(policy > 0.0, scores, 0.0)).sum(-1)
 
 
 def stage_reward(channel: UnitMemoryChannel, policy: InputPolicy, b_prev: int) -> float:

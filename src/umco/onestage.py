@@ -39,6 +39,10 @@ quadratically.
 The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
 single slice ``(A, B)`` is a stack of one and gets stack-shaped results.
+A channel builds the kernel's invariants (sum_b P log2 P, the transposed
+stack, the outputs a state cannot reach) once and the solvers pass them in; a
+raw stack gets them built on the spot.  A call builds only the letter bias,
+the warm start and its work buffers.
 Each state stops at its own certificate, so it follows exactly the
 trajectory (and returns exactly the policy, value, iteration count and gap)
 it would follow if solved alone.  ``iterations`` is the sum of the
@@ -62,8 +66,10 @@ from .channel import _policy_average, letter_divergences
 from .errors import ConvergenceError
 
 # Keep every letter strictly positive so induced outputs never lose support;
-# mass at the floor is far below any tolerance in use.
-_POLICY_FLOOR = 1e-280
+# mass at the floor is far below any tolerance in use.  A 0-d array, as a
+# Python float would be converted on every update.
+_POLICY_FLOOR = np.array(1e-280)
+_POLICY_FLOOR.setflags(write=False)
 
 # Iterations between the Newton attempts of an uncertified state, and steps per attempt.
 _NEWTON_PERIOD = 256
@@ -87,6 +93,32 @@ class StateSolution(NamedTuple):
     slowest_iterations: int
 
 
+class _PreparedKernel(NamedTuple):
+    """The read-only loop invariants of a kernel stack (S, A, B)."""
+
+    rows: np.ndarray
+    rows_t: np.ndarray  # contiguous (S, B, A)
+    self_information: np.ndarray  # sum_b P log2 P of each letter (S, A), with log2 P taken as 0 where P = 0
+    unreachable: np.ndarray | None  # (S, 1, B): the outputs no letter of a state reaches, None if there are none
+
+
+def _prepare_kernel(rows) -> _PreparedKernel:
+    """The loop invariants of a stack (S, A, B), or of a slice (A, B) as a stack of one."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, *np.shape(rows)[-2:])
+    support = rows > 0.0
+    unreachable = ~support.any(axis=1, keepdims=True)
+    kernel = _PreparedKernel(
+        rows,
+        np.ascontiguousarray(rows.transpose(0, 2, 1)),
+        np.add.reduce(rows * np.log2(np.where(support, rows, 1.0)), axis=2),
+        unreachable if unreachable.any() else None,
+    )
+    for array in kernel:
+        if array is not None:
+            array.setflags(write=False)
+    return kernel
+
+
 def _letter_bias(rows, continuation, cost_row, multiplier):
     """E[continuation | b_prev, a] - multiplier * cost_row(b_prev, a) over a stack (S, A, B).
 
@@ -94,10 +126,12 @@ def _letter_bias(rows, continuation, cost_row, multiplier):
     states, giving a bias of shape (..., S, A); the cost term is skipped when
     the multiplier is None or 0.
     """
-    bias = np.zeros(rows.shape[:-1])
-    if continuation is not None:
-        continuation = np.asarray(continuation, dtype=float)
-        bias = bias + np.matmul(rows, continuation[..., None, :, None])[..., 0]
+    if continuation is None:
+        bias = np.zeros(rows.shape[:-1])
+    elif np.ndim(continuation) == 1:  # one matrix-vector product, with the bits of the stacked form
+        bias = rows @ np.asarray(continuation, dtype=float)
+    else:
+        bias = np.matmul(rows, np.asarray(continuation, dtype=float)[..., None, :, None])[..., 0]
     if cost_row is not None and multiplier:
         bias = bias - multiplier * np.asarray(cost_row, dtype=float)
     return bias
@@ -209,8 +243,9 @@ def maximize_stage_objective(
     """Solve every state's concave program of a kernel stack over the input simplex.
 
     rows: the kernel stack P(b | b_prev, a) only, shape (n_states, n_inputs,
-    n_outputs); a single slice (n_inputs, n_outputs) is a stack of one and
-    gets a policy (1, n_inputs) and a value (1,).
+    n_outputs), or its prepared loop invariants (a channel's
+    ``_prepared_kernel``); a single slice (n_inputs, n_outputs) is a stack of
+    one and gets a policy (1, n_inputs) and a value (1,).
     continuation: optional next-stage value vector W(b), shared by all states.
     cost_row, multiplier: optional linear penalty s * cost(a) of shape
     (n_states, n_inputs); skipped when the multiplier is None or 0.
@@ -221,40 +256,34 @@ def maximize_stage_objective(
     Raises ConvergenceError with the worst achieved gap if ``max_iter`` is
     hit before every state is certified.
     """
-    rows = np.asarray(rows, dtype=float).reshape(-1, *np.shape(rows)[-2:])  # a slice is a stack of one
+    kernel = rows if isinstance(rows, _PreparedKernel) else _prepare_kernel(rows)
+    rows, rows_t, unreachable = kernel.rows, kernel.rows_t, kernel.unreachable
     n_states, n_inputs, _ = rows.shape
     bias = _letter_bias(rows, continuation, cost_row, multiplier)
     # Work with a centered bias: a common offset shifts every score and the
     # value alike, and removing it avoids cancellation when the offset is
     # large (e.g. a big cost multiplier).
     offset = bias.max(axis=1)
-    bias = bias - offset[:, None]
+    bias -= offset[:, None]
+    # Vectors are kept as (S, 1, n) rows so each product is one batched matmul.
     if initial is None:
-        pi = np.full((n_states, n_inputs), 1.0 / n_inputs)
+        pi = np.full((n_states, 1, n_inputs), 1.0 / n_inputs)
         first_attempt = None
     else:
-        pi = np.asarray(initial, dtype=float).reshape(n_states, n_inputs)
+        pi = np.asarray(initial, dtype=float).reshape(n_states, 1, n_inputs)
         # A letter warm-started at exactly 0 would sit at the floor until the
         # first periodic Newton attempt; such a state tries one at once.
-        first_attempt = (pi == 0.0).any(axis=1)
+        first_attempt = (pi == 0.0).any(axis=(1, 2))
         first_attempt = first_attempt if first_attempt.any() else None
         pi = np.maximum(pi, _POLICY_FLOOR)
-        pi = pi / pi.sum(axis=1, keepdims=True)
+        pi /= pi.sum(axis=2, keepdims=True)
     if _newton_start:
         first_attempt = np.ones(n_states, dtype=bool)
-    # Loop invariants.  By Blahut's identity a letter's score is base_a -
-    # (log2 q @ R^T)_a with base = sum_b P log2 P + bias.  log2 P is taken as 0
-    # where P = 0, so those terms vanish as long as q is finite and positive;
-    # q > 0 wherever some letter reaches the output (the policy never drops
-    # below the floor), and outputs no letter of a state reaches get q = 1
-    # instead of 0.  Vectors are kept as (S, 1, n) rows so each product is one
-    # batched matmul.
-    support = rows > 0.0
-    base = (np.add.reduce(rows * np.log2(np.where(support, rows, 1.0)), axis=2) + bias)[:, None]
-    rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
-    unreachable = ~support.any(axis=1, keepdims=True)
-    unreachable = unreachable if unreachable.any() else None
-    pi = pi[:, None]
+    # By Blahut's identity a letter's score is base_a - (log2 q @ R^T)_a with
+    # base = sum_b P log2 P + bias; the terms with P = 0 vanish as q > 0 wherever
+    # some letter reaches the output (the policy never drops below the floor),
+    # and outputs no letter of a state reaches get q = 1 instead of 0.
+    base = (kernel.self_information + bias)[:, None]
     # Work buffers, written in place by every update; after a freeze the
     # first rows hold the states still iterating.
     output = np.empty((n_states, 1, rows.shape[2]))
@@ -262,10 +291,9 @@ def maximize_stage_objective(
     weights = np.empty((n_states, 1, n_inputs))
     top = np.empty((n_states, 1, 1))
     total = np.empty((n_states, 1, 1))
-    floor = np.array(_POLICY_FLOOR)  # a Python float would be converted on every update
 
     index = None  # output slot of each state still iterating, from the first partial freeze on
-    gap = np.full(n_states, np.inf)
+    gap = np.inf
     # By Jensen's inequality the update's normaliser, sum_a pi_a 2^(score_a -
     # top), is at least 2^-gap, so no state can certify while every
     # normaliser stays below this.
@@ -331,9 +359,9 @@ def maximize_stage_objective(
                     unreachable = unreachable[running]
                 output, scores, top = output[: len(index)], scores[: len(index)], top[: len(index)]
         np.divide(weights, total, out=pi)
-        np.maximum(pi, floor, out=pi)
+        np.maximum(pi, _POLICY_FLOOR, out=pi)
     else:
-        worst = float(gap.max())
+        worst = float(np.max(gap))
         raise ConvergenceError(
             f"stage fixed point did not reach tol={tol:g} within {max_iter} iterations "
             f"(achieved gap {worst:.3e})",

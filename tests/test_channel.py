@@ -293,7 +293,10 @@ def test_no_array_a_result_holds_is_writable():
         ),
         "ConditionReport, built by a caller": ConditionReport(False, np.inf, given["violations"]),
         "NestednessVerdict, built by a caller": NestednessVerdict("nested", given["state_spread"]),
+        # State 0 never reaches output 1, so the unreachable mask is an array too.
+        "prepared kernel": channel_from_kernel([[[1.0, 0.0], [1.0, 0.0]], [[0.5, 0.5], [0.2, 0.8]]])._prepared_kernel,
     }
+    assert len(list(_arrays(results["prepared kernel"]))) == 4
     # The two exits of the stage solver: states certified apart fill slots, together they return the buffers.
     slots, together = results["StateSolution, slots filled"], results["StateSolution, certified together"]
     assert isinstance(slots, StateSolution) and slots.iterations != 2 * slots.slowest_iterations

@@ -118,6 +118,29 @@ def test_a_zero_tolerance_stays_legal(solve):
     solve(bssc(0.9, 0.6), 0.0)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda channel, cap: relative_value_iteration(channel, max_iter=cap),
+        lambda channel, cap: policy_iteration(channel, uniform_policy(2, 2), max_iter=cap),
+        lambda channel, cap: minimum_average_cost(channel, bssc_cost_function(), max_iter=cap),
+        lambda channel, cap: solve_finite_horizon(channel, 3, inner_max_iter=cap),
+    ],
+    ids=["rvi", "policy-iteration", "minimum-cost", "finite-horizon"],
+)
+@pytest.mark.parametrize("cap", [2.5, 0, -3, None], ids=["fraction", "zero", "negative", "none"])
+def test_every_solver_rejects_a_bad_iteration_cap_before_any_stage_solve(monkeypatch, solve, cap):
+    # A fraction or None raised a bare TypeError; zero or a negative cap did no
+    # work and then raised ConvergenceError ("span stalled at inf after -3 sweeps").
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage was solved")
+
+    for module in (umco.infinite_horizon, umco.finite_dp):
+        monkeypatch.setattr(module, "maximize_stage_objective", stage)
+    with pytest.raises(ValidationError, match="max_iter must be an integer >= 1"):
+        solve(bssc(0.9, 0.6), cap)
+
+
 NOFB_PARAMS = BSSCParams(0.9, 0.6)
 
 # Each entry solves what its checker needs and returns the checker as a

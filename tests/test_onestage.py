@@ -11,9 +11,16 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bssc
 from sparse_stress import sparse_random_channel
-from umco import ConvergenceError, onestage
+from umco import (
+    ConvergenceError,
+    onestage,
+    policy_iteration,
+    relative_value_iteration,
+    solve_finite_horizon,
+    uniform_policy,
+)
 from umco.channel import _policy_average, letter_divergences
-from umco.onestage import _NEWTON_STEPS, _newton_pass, letter_scores, maximize_stage_objective
+from umco.onestage import _NEWTON_STEPS, _newton_pass, _prepare_kernel, letter_scores, maximize_stage_objective
 
 # Small enough that every generated stack runs in milliseconds; states that
 # need longer stall, which the property covers as well.
@@ -77,6 +84,14 @@ def _solve(rows, continuation, cost, multiplier, initial, newton_start):
 def test_stacked_call_equals_per_state_calls(problem):
     rows, continuation, cost, multiplier, initial, newton_start = problem
     stacked = _solve(*problem)
+    # The prepared loop invariants a channel keeps give what the raw stack gives, bit for bit.
+    prepared = _solve(_prepare_kernel(rows), *problem[1:])
+    assert type(prepared) is type(stacked)
+    if isinstance(stacked, ConvergenceError):
+        assert prepared.residual == stacked.residual
+    else:
+        assert [a.tobytes() for a in prepared[:2]] == [a.tobytes() for a in stacked[:2]]
+        assert prepared[2:] == stacked[2:]
     singles = [
         _solve(
             rows[b],
@@ -390,3 +405,19 @@ def test_stall_in_one_state_carries_that_states_gap():
     with pytest.raises(ConvergenceError) as stacked:
         maximize_stage_objective(kernel, max_iter=budget)
     assert stacked.value.residual == alone.value.residual > 1e-10
+
+
+def test_a_channel_builds_its_prepared_kernel_once(monkeypatch):
+    # RVI, PI and a 30-stage recursion on one channel share the invariants the first solve builds.
+    real, built = onestage._prepare_kernel, []
+
+    def counted(rows):
+        built.append(rows.shape)
+        return real(rows)
+
+    monkeypatch.setattr(onestage, "_prepare_kernel", counted)
+    channel = bssc(0.9, 0.6)
+    relative_value_iteration(channel)
+    policy_iteration(channel, uniform_policy(2, 2))
+    solve_finite_horizon(channel, 30)
+    assert built == [(2, 2, 2)]
