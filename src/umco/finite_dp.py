@@ -124,7 +124,7 @@ def solve_finite_horizon(
     """
     horizon = _check_integer(horizon, "horizon", 0)
     _check_number(inner_tol, "inner_tol")
-    _check_integer(inner_max_iter, "inner_max_iter", 1)
+    inner_max_iter = _check_integer(inner_max_iter, "inner_max_iter", 1)
     s, gamma = resolve_cost(channel, cost, multiplier)
 
     values = np.zeros((horizon + 1, channel.n_states))

@@ -202,7 +202,7 @@ def relative_value_iteration(
     DimensionMismatchError, and a value that is not all finite numbers ValidationError.
     """
     _check_number(tol, "tol")
-    _check_integer(max_iter, "max_iter", 1)
+    max_iter = _check_integer(max_iter, "max_iter", 1)
     s, gamma = resolve_cost(channel, cost, multiplier)
     if initial_policy is not None:
         _check_compatible(channel, initial_policy.matrix)
@@ -282,7 +282,7 @@ def policy_iteration(
     """
     _check_compatible(channel, initial_policy.matrix)
     _check_number(tol, "tol")
-    _check_integer(max_iter, "max_iter", 1)
+    max_iter = _check_integer(max_iter, "max_iter", 1)
     s, gamma = resolve_cost(channel, cost, multiplier)
     matrix = np.array(initial_policy.matrix)
     trace: list[float] = []
@@ -387,7 +387,7 @@ def minimum_average_cost(
     the last bracket width) when max_iter sweeps do not close it to tol.
     """
     _check_number(tol, "tol")
-    _check_integer(max_iter, "max_iter", 1)
+    max_iter = _check_integer(max_iter, "max_iter", 1)
     _, gamma = resolve_cost(channel, CostSpec(gamma, 0.0), None)
     value = np.zeros(channel.n_states)
     span = np.inf

@@ -40,9 +40,8 @@ The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
 single slice ``(A, B)`` is a stack of one and gets stack-shaped results.
 A channel builds the kernel's invariants (sum_b P log2 P, the transposed
-stack, the outputs a state cannot reach) once and the solvers pass them in; a
-raw stack gets them built on the spot.  A call builds only the letter bias,
-the warm start and its work buffers.
+stack, the unreached outputs) once for the solvers to pass in, a raw stack on
+the spot; a call builds only its letter bias, warm start and work buffers.
 Each state stops at its own certificate, so it follows exactly the
 trajectory (and returns exactly the policy, value, iteration count and gap)
 it would follow if solved alone.  ``iterations`` is the sum of the
@@ -66,10 +65,8 @@ from .channel import _policy_average, letter_divergences
 from .errors import ConvergenceError
 
 # Keep every letter strictly positive so induced outputs never lose support;
-# mass at the floor is far below any tolerance in use.  A 0-d array, as a
-# Python float would be converted on every update.
-_POLICY_FLOOR = np.array(1e-280)
-_POLICY_FLOOR.setflags(write=False)
+# mass at the floor is far below any tolerance in use.
+_POLICY_FLOOR = 1e-280
 
 # Iterations between the Newton attempts of an uncertified state, and steps per attempt.
 _NEWTON_PERIOD = 256
@@ -107,12 +104,9 @@ def _prepare_kernel(rows) -> _PreparedKernel:
     rows = np.asarray(rows, dtype=float).reshape(-1, *np.shape(rows)[-2:])
     support = rows > 0.0
     unreachable = ~support.any(axis=1, keepdims=True)
-    kernel = _PreparedKernel(
-        rows,
-        np.ascontiguousarray(rows.transpose(0, 2, 1)),
-        np.add.reduce(rows * np.log2(np.where(support, rows, 1.0)), axis=2),
-        unreachable if unreachable.any() else None,
-    )
+    information = np.add.reduce(rows * np.log2(np.where(support, rows, 1.0)), axis=2)
+    rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    kernel = _PreparedKernel(rows, rows_t, information, unreachable if unreachable.any() else None)
     for array in kernel:
         if array is not None:
             array.setflags(write=False)
@@ -128,8 +122,6 @@ def _letter_bias(rows, continuation, cost_row, multiplier):
     """
     if continuation is None:
         bias = np.zeros(rows.shape[:-1])
-    elif np.ndim(continuation) == 1:  # one matrix-vector product, with the bits of the stacked form
-        bias = rows @ np.asarray(continuation, dtype=float)
     else:
         bias = np.matmul(rows, np.asarray(continuation, dtype=float)[..., None, :, None])[..., 0]
     if cost_row is not None and multiplier:
@@ -243,9 +235,8 @@ def maximize_stage_objective(
     """Solve every state's concave program of a kernel stack over the input simplex.
 
     rows: the kernel stack P(b | b_prev, a) only, shape (n_states, n_inputs,
-    n_outputs), or its prepared loop invariants (a channel's
-    ``_prepared_kernel``); a single slice (n_inputs, n_outputs) is a stack of
-    one and gets a policy (1, n_inputs) and a value (1,).
+    n_outputs), or a channel's ``_prepared_kernel``; a single slice (n_inputs,
+    n_outputs) is a stack of one and gets a policy (1, n_inputs) and a value (1,).
     continuation: optional next-stage value vector W(b), shared by all states.
     cost_row, multiplier: optional linear penalty s * cost(a) of shape
     (n_states, n_inputs); skipped when the multiplier is None or 0.
@@ -279,10 +270,9 @@ def maximize_stage_objective(
         pi /= pi.sum(axis=2, keepdims=True)
     if _newton_start:
         first_attempt = np.ones(n_states, dtype=bool)
-    # By Blahut's identity a letter's score is base_a - (log2 q @ R^T)_a with
-    # base = sum_b P log2 P + bias; the terms with P = 0 vanish as q > 0 wherever
-    # some letter reaches the output (the policy never drops below the floor),
-    # and outputs no letter of a state reaches get q = 1 instead of 0.
+    # By Blahut's identity a score is base_a - (log2 q @ R^T)_a, base = sum_b P log2 P
+    # + bias: the P = 0 terms vanish as q > 0 wherever a letter reaches the output
+    # (pi stays above the floor), and unreached outputs get q = 1 instead of 0.
     base = (kernel.self_information + bias)[:, None]
     # Work buffers, written in place by every update; after a freeze the
     # first rows hold the states still iterating.
@@ -291,6 +281,7 @@ def maximize_stage_objective(
     weights = np.empty((n_states, 1, n_inputs))
     top = np.empty((n_states, 1, 1))
     total = np.empty((n_states, 1, 1))
+    floor = np.array(_POLICY_FLOOR)  # a Python float would be converted on every update
 
     index = None  # output slot of each state still iterating, from the first partial freeze on
     gap = np.inf
@@ -359,7 +350,7 @@ def maximize_stage_objective(
                     unreachable = unreachable[running]
                 output, scores, top = output[: len(index)], scores[: len(index)], top[: len(index)]
         np.divide(weights, total, out=pi)
-        np.maximum(pi, _POLICY_FLOOR, out=pi)
+        np.maximum(pi, floor, out=pi)
     else:
         worst = float(np.max(gap))
         raise ConvergenceError(

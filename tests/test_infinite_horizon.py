@@ -118,7 +118,7 @@ def test_a_zero_tolerance_stays_legal(solve):
     solve(bssc(0.9, 0.6), 0.0)
 
 
-@pytest.mark.parametrize(
+CAP_SOLVERS = pytest.mark.parametrize(
     "solve",
     [
         lambda channel, cap: relative_value_iteration(channel, max_iter=cap),
@@ -128,6 +128,9 @@ def test_a_zero_tolerance_stays_legal(solve):
     ],
     ids=["rvi", "policy-iteration", "minimum-cost", "finite-horizon"],
 )
+
+
+@CAP_SOLVERS
 @pytest.mark.parametrize("cap", [2.5, 0, -3, None], ids=["fraction", "zero", "negative", "none"])
 def test_every_solver_rejects_a_bad_iteration_cap_before_any_stage_solve(monkeypatch, solve, cap):
     # A fraction or None raised a bare TypeError; zero or a negative cap did no
@@ -139,6 +142,21 @@ def test_every_solver_rejects_a_bad_iteration_cap_before_any_stage_solve(monkeyp
         monkeypatch.setattr(module, "maximize_stage_objective", stage)
     with pytest.raises(ValidationError, match="max_iter must be an integer >= 1"):
         solve(bssc(0.9, 0.6), cap)
+
+
+@CAP_SOLVERS
+@pytest.mark.parametrize("cap", [3.0, np.float64(3)], ids=["float", "numpy-float"])
+def test_a_whole_number_iteration_cap_runs_as_its_int(solve, cap):
+    # The cap reaches range() as the int the check returns, not as the float
+    # given: a bare TypeError before.  A cap of 3 ends in a result for RVI, PI
+    # and the minimum cost, and in a stalled stage for the finite horizon.
+    def outcome(cap):
+        try:
+            return repr(solve(bssc(0.9, 0.6), cap))
+        except ConvergenceError as err:
+            return str(err)
+
+    assert outcome(cap) == outcome(3)
 
 
 NOFB_PARAMS = BSSCParams(0.9, 0.6)

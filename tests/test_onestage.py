@@ -1,6 +1,7 @@
 """The per-state concave program: a stacked call is the per-state calls, bit for bit,
 and it agrees with a plain per-letter reference of the fixed point."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -78,6 +79,25 @@ def _solve(rows, continuation, cost, multiplier, initial, newton_start):
         )
     except ConvergenceError as exc:
         return exc
+
+
+@given(kernel_stacks())
+@example(np.array([[[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]], [[0.2, 0.3, 0.5], [0.0, 1.0, 0.0]]]))  # state 0 misses output 1
+def test_prepared_kernel_holds_the_invariants_of_its_stack(rows):
+    # Computed here apart from _prepare_kernel, which both sides of the
+    # prepared-against-raw comparison below share.
+    kernel = _prepare_kernel(rows)
+    information = [[sum(p * math.log2(p) for p in letter if p > 0.0) for letter in state] for state in rows]
+    np.testing.assert_allclose(kernel.self_information, information, rtol=1e-13, atol=1e-15)
+    assert kernel.rows_t.flags.c_contiguous
+    np.testing.assert_array_equal(kernel.rows_t, np.swapaxes(rows, 1, 2))
+    missed = [[[not any(letter[b] > 0.0 for letter in state) for b in range(rows.shape[2])]] for state in rows]
+    if np.any(missed):
+        np.testing.assert_array_equal(kernel.unreachable, missed)
+    else:
+        assert kernel.unreachable is None
+    # A slice is a stack of one.
+    assert all(np.array_equal(a, b) for a, b in zip(_prepare_kernel(rows[0]), _prepare_kernel(rows[:1])))
 
 
 @given(stage_problems())
