@@ -10,12 +10,13 @@ F_inf(rho) = -log2 lambda_max.  The roots of a whole rho grid come from one
 stacked repeated squaring, each certified by a Collatz-Wielandt bracket at
 most 1e-12 wide relative to lambda_max.  The random-coding exponent
 E_r(R) = max_{0 <= rho <= 1} F_inf(rho) - rho R is taken on a 0.01 grid in
-rho refined by batched grids to a 1e-6 bracket; the block-error bound
+rho refined by batched grids to a 1e-6 bracket, and a rate sweep solves
+each distinct grid once for all its calls; the block-error bound
 
     P_err <= 4 * |B| * (v_max / v_min) * 2^(-n E_r(R))
 
 with the eigenvector ratio taken from the Perron vector certifying the
-finite-n bracket |E_n + log2 lambda_max| <= (1/n) log2(v_max / v_min).
+finite-n bracket |E_n + log2 lambda_max| <= (1/n) log2(v_max / v_min) at rho*.
 """
 
 from __future__ import annotations
@@ -144,9 +145,17 @@ def _perron_pair(matrices: np.ndarray, tol: float = 1e-12, max_squarings: int = 
 
 
 def _gallager_exponents(
-    channel: UnitMemoryChannel, policy: InputPolicy, rhos
+    channel: UnitMemoryChannel, policy: InputPolicy, rhos, memo: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F_inf, the eigenvector ratio and the relative Perron bracket width at every rho, from one stacked solve."""
+    """F_inf, the eigenvector ratio and the relative Perron bracket width at every rho, from one stacked solve.
+
+    memo, a dict owned by one rate sweep, keys each result by the grid's bytes.
+    """
+    if memo is not None:
+        key = np.asarray(rhos, dtype=float).tobytes()
+        if key not in memo:
+            memo[key] = _gallager_exponents(channel, policy, rhos)
+        return memo[key]
     stack = _transposed_weights(channel, policy, rhos)
     if not _reach(stack).all():
         raise ReducibleChainError("state-weight matrix is reducible at this policy; the bound is not certified")
@@ -155,7 +164,7 @@ def _gallager_exponents(
 
 
 def gallager_exponent_infinite(
-    channel: UnitMemoryChannel, policy: InputPolicy, rho: float
+    channel: UnitMemoryChannel, policy: InputPolicy, rho: float, *, _memo: dict | None = None
 ) -> tuple[float, float]:
     """Asymptotic exponent F_inf(rho) = -log2 lambda_max and the eigenvector ratio.
 
@@ -164,7 +173,7 @@ def gallager_exponent_infinite(
     started from a known state.  A reducible matrix is rejected: the
     nonnegative-matrix theorem behind the bound needs irreducibility.
     """
-    f_inf, ratio, _ = _gallager_exponents(channel, policy, [_check_number(rho, "rho", 0.0, 1.0)])
+    f_inf, ratio, _ = _gallager_exponents(channel, policy, [_check_number(rho, "rho", 0.0, 1.0)], _memo)
     return float(f_inf[0]), float(ratio[0])
 
 
@@ -175,7 +184,7 @@ def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) ->
 
 
 def random_coding_exponent(
-    channel: UnitMemoryChannel, policy: InputPolicy, rate: float
+    channel: UnitMemoryChannel, policy: InputPolicy, rate: float, *, _memo: dict | None = None
 ) -> tuple[float, float]:
     """Maximize F_inf(rho) - rho * rate over rho in [0, 1].
 
@@ -188,7 +197,7 @@ def random_coding_exponent(
     rate = _check_number(rate, "rate")
     rhos = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
     while True:
-        values = _gallager_exponents(channel, policy, rhos)[0] - rhos * rate
+        values = _gallager_exponents(channel, policy, rhos, _memo)[0] - rhos * rate
         i = int(np.argmax(values))
         lo, hi = rhos[max(i - 1, 0)], rhos[min(i + 1, len(rhos) - 1)]
         if hi - lo <= _RHO_TOL:
@@ -202,14 +211,18 @@ def error_probability_bound(
     rate: float,
     n: int,
     state_known: bool = False,
+    *,
+    _memo: dict | None = None,
 ) -> float:
     """Block-error upper bound 4 |B| (v_max/v_min) 2^(-n E_r(rate)), capped at 1.
 
-    With the initial state known at both ends the |B| factor drops.
+    With the initial state known at both ends the |B| factor drops.  The ratio
+    at rho* comes from a stack of one of its own (in a sweep, memoised under
+    that one-point grid), never from a refinement grid: the bound keeps its bits.
     """
     n = _check_integer(n, "block length n", 1)
-    exponent, rho_star = random_coding_exponent(channel, policy, rate)
-    _, ratio = gallager_exponent_infinite(channel, policy, rho_star)
+    exponent, rho_star = random_coding_exponent(channel, policy, rate, _memo=_memo)
+    _, ratio = gallager_exponent_infinite(channel, policy, rho_star, _memo=_memo)
     coefficient = 4.0 * (1 if state_known else channel.n_states) * ratio
     return float(min(1.0, coefficient * 2.0 ** (-n * exponent)))
 
@@ -271,9 +284,15 @@ def rate_sweep_csv(
     n: int,
     state_known: bool = False,
 ) -> str:
-    """CSV of (rate in bits, E_r in bits, maximizing rho, error bound at block length n)."""
-    rows = []
+    """CSV of (rate in bits, E_r in bits, maximizing rho, error bound at block length n).
+
+    Both public calls per rate share one memo of solved rho grids, dropped with
+    the sweep, so each distinct grid is solved once and the table is byte for
+    byte the one the calls give alone.
+    """
+    rows, memo = [], {}
     for rate in _float_grid(rates, "rate grid").tolist():
-        exponent, rho_star = random_coding_exponent(channel, policy, rate)
-        rows.append([rate, exponent, rho_star, error_probability_bound(channel, policy, rate, n, state_known)])
+        exponent, rho_star = random_coding_exponent(channel, policy, rate, _memo=memo)
+        bound = error_probability_bound(channel, policy, rate, n, state_known, _memo=memo)
+        rows.append([rate, exponent, rho_star, bound])
     return _csv(["rate_bits", "E_r_bits", "rho_star", "bound_at_n"], rows)

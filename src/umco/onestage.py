@@ -42,17 +42,22 @@ single slice ``(A, B)`` is a stack of one and gets stack-shaped results.
 A channel builds the kernel's invariants (sum_b P log2 P, the transposed
 stack, the unreached outputs) once for the solvers to pass in, a raw stack on
 the spot; a call builds only its letter bias, warm start and work buffers.
-Each state stops at its own certificate, so it follows exactly the
-trajectory (and returns exactly the policy, value, iteration count and gap)
-it would follow if solved alone.  ``iterations`` is the sum of the
-per-state counts (the work done, as if the states were solved one by one),
+Each state stops at its own certificate and every fixed-point update treats
+the states apart, so up to its first Newton pass a state follows exactly the
+trajectory it would follow if solved alone.  A batched pass couples its states:
+when any of them starts from a support that is not full, the pass renormalises
+and rescores all of them, so a full-support state may round differently than
+alone.  It still returns only a certified result, with the same value up to
+rounding, but where its optimum is not unique (dependent rows) its policy may
+sit elsewhere on the optimal face.  ``iterations`` is the sum of the per-state
+counts (the work done, as if the states were solved one by one),
 ``slowest_iterations`` the count of the slowest state (the number of
 vectorised updates run) and ``gap`` the worst state's gap.  At a few dozen
 entries per array an update's cost is NumPy call overhead, so each update
-writes into work buffers allocated once per call, reads its largest
-normaliser for the pass test from a Python list, and a call whose states all
-certify on the same iteration returns its arrays directly, without the
-per-state slots a partial freeze needs.
+writes into work buffers allocated once per call, reads its largest normaliser
+for the pass test from a Python list, and a call whose states all certify on
+the same iteration returns its arrays directly, without the per-state slots a
+partial freeze needs.
 """
 
 from __future__ import annotations
@@ -148,14 +153,15 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
     """Active-set Newton ascent of a stack of states' programs; return (certified, policy, value, gap).
 
     Letters score base - log2(q) @ R^T as in the fixed point, or +inf on an
-    output no supported letter reaches.  The support starts at the letters
-    with 1% of the top mass and any reaching an output those miss; if every
-    letter is in, the first step takes the solver's scores at pi (no state
-    certified) as given.  Each step solves [H_SS 1; 1^T 0], H = R diag(1/q)
-    R^T / ln 2 shifted by 1e-12 trace(H_SS), so a flat direction (dependent
-    rows) takes a long step.  A step leaving the simplex drops its blocking
-    letter at exactly 0, or stops halfway to it if it alone reaches some
-    output.  Once the support's scores are level, the best letter off it
+    output no supported letter reaches.  The support starts at the letters with
+    1% of the top mass and any reaching an output those miss; if every letter
+    of every state in the pass is in, the first step takes the solver's scores
+    at pi (no state certified) as given; otherwise every state of the pass is
+    renormalised and rescored.  Each step solves [H_SS 1; 1^T 0], H = R
+    diag(1/q) R^T / ln 2 shifted by 1e-12 trace(H_SS), so a flat direction
+    (dependent rows) takes a long step.  A step leaving the simplex drops its
+    blocking letter at exactly 0, or stops halfway to it if it alone reaches
+    some output.  Once the support's scores are level, the best letter off it
     joins.  A state leaves once certified, or uncertified after a step that is
     not finite or _NEWTON_STEPS steps; the results hold the certified rows.
     """

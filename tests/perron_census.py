@@ -6,9 +6,12 @@ uniform policy or a random positive one, and solves F(rho) on the grid
 0:1:0.01 with one stacked ``_gallager_exponents`` call.  Each stack is
 compared with a LAPACK ``np.linalg.eig`` reference.  Prints one JSON line:
 max |dF| in bits, max relative deviation of the eigenvector ratio, max
-relative Collatz-Wielandt bracket width and max squarings per stack.
-Exits 1 when |dF| exceeds 1e-12 anywhere or a solve raises
-ConvergenceError:
+relative Collatz-Wielandt bracket width and max squarings per stack.  It
+also prints a 4-rate sweep (``rate_sweep_csv``, which shares its solved rho
+grids between rates) against the CSV of its per-rate public calls, solved
+afresh, and counts the channels where the two differ in any byte.  Exits 1
+when |dF| exceeds 1e-12 anywhere, a solve raises ConvergenceError or a
+sweep mismatches:
 
     PYTHONPATH=src python tests/perron_census.py --channels 1000
 """
@@ -21,10 +24,14 @@ import sys
 import numpy as np
 
 import umco
-from umco.exponent import _gallager_exponents, _perron_pair, _transposed_weights
+from umco.channel import _csv
+from umco.exponent import _gallager_exponents, _perron_pair, _transposed_weights, rate_sweep_csv
 
 F_TOL = 1e-12
 RHOS = np.linspace(0.0, 1.0, 101)
+# Rate 0, an interior rate, a repeat and one above capacity (at most log2(6) bits here).
+SWEEP_RATES = [0.0, 0.3, 0.3, 3.0]
+SWEEP_N = 100
 
 
 def noisy_permutation_channel(rng, size):
@@ -51,10 +58,21 @@ def _squarings(stack):
             pass
 
 
+def _sweep_mismatches(channel, policy):
+    """1 when the sweep's CSV differs in any byte from the per-rate calls', else 0."""
+    rows = [
+        [rate, *umco.random_coding_exponent(channel, policy, rate),
+         umco.error_probability_bound(channel, policy, rate, SWEEP_N)]
+        for rate in SWEEP_RATES
+    ]
+    alone = _csv(["rate_bits", "E_r_bits", "rho_star", "bound_at_n"], rows)
+    return int(rate_sweep_csv(channel, policy, SWEEP_RATES, SWEEP_N) != alone)
+
+
 def census(n_channels, seed=2024):
     rng = np.random.default_rng(seed)
     df = ratio_dev = width = 0.0
-    squarings, failures = 0, []
+    squarings, failures, mismatches = 0, [], 0
     for i in range(n_channels):
         size = int(rng.integers(2, 7))
         channel = noisy_permutation_channel(rng, size) if i % 2 == 0 else random_channel(rng, size)
@@ -78,6 +96,7 @@ def census(n_channels, seed=2024):
         ratio_dev = max(ratio_dev, float((np.abs(ratio - ref_ratio) / ref_ratio).max()))
         width = max(width, float(widths.max()))
         squarings = max(squarings, _squarings(stack))
+        mismatches += _sweep_mismatches(channel, policy)
     return {
         "channels": n_channels,
         "max_abs_dF": df,
@@ -85,6 +104,7 @@ def census(n_channels, seed=2024):
         "max_bracket_width": width,
         "max_squarings": squarings,
         "convergence_errors": failures,
+        "sweep_mismatches": mismatches,
     }
 
 
@@ -95,4 +115,4 @@ if __name__ == "__main__":
     args = parser.parse_args()
     result = census(args.channels, args.seed)
     print(json.dumps(result))
-    sys.exit(1 if result["max_abs_dF"] > F_TOL or result["convergence_errors"] else 0)
+    sys.exit(1 if result["max_abs_dF"] > F_TOL or result["convergence_errors"] or result["sweep_mismatches"] else 0)

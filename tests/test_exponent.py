@@ -30,6 +30,8 @@ from umco import (
     random_coding_exponent,
     uniform_policy,
 )
+from umco import exponent
+from umco.channel import _csv
 from umco.exponent import _RHO_GRID_STEP, _gallager_exponents, _perron_pair, exponent_csv, rate_sweep_csv
 
 PARAMS = BSSCParams(0.95, 0.8)
@@ -380,6 +382,57 @@ def test_random_coding_exponent_beats_the_scalar_grid(problem, x, interior):
     for offset in (-1e-2, -1e-3, 1e-3, 1e-2):
         if 0.0 <= rho_star + offset <= 1.0:
             assert objective(rho_star + offset, rate) <= exponent + 1e-12
+
+
+@given(
+    irreducible_problems(),
+    st.booleans(),
+    st.lists(st.floats(0.0, 2.5), min_size=1, max_size=3),
+    st.integers(1, 500),
+    st.booleans(),
+)
+def test_a_rate_sweep_prints_what_the_per_rate_calls_give(problem, uniform, rates, n, known):
+    channel, policy = problem
+    if uniform:
+        policy = uniform_policy(channel.n_states, channel.n_inputs)
+    # Rate 0, a repeated rate and one above capacity, which is at most log2(4) = 2 bits here.
+    rates = [0.0, *rates, rates[-1], 3.0]
+    rows = [
+        [rate, *random_coding_exponent(channel, policy, rate), error_probability_bound(channel, policy, rate, n, known)]
+        for rate in rates
+    ]
+    alone = _csv(["rate_bits", "E_r_bits", "rho_star", "bound_at_n"], rows)
+    assert rate_sweep_csv(channel, policy, rates, n, known) == alone
+
+
+def _count_perron_stacks(monkeypatch):
+    """Record the stack size of every _perron_pair call made from here on."""
+    sizes, solve = [], exponent._perron_pair
+
+    def counting(matrices, *args, **kwargs):
+        sizes.append(len(matrices))
+        return solve(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(exponent, "_perron_pair", counting)
+    return sizes
+
+
+def test_a_rate_sweep_solves_each_grid_once(monkeypatch):
+    stacks = _count_perron_stacks(monkeypatch)
+    rate_sweep_csv(CHANNEL, POLICY, [0.0, 0.1, 0.2, 0.3], n=100)
+    # The coarse grid once, then per rate at most three refinements and the stack of one at rho*;
+    # solving every call afresh takes 36.
+    assert len(stacks) <= 1 + 4 * 4
+    assert stacks.count(1) <= 4
+
+
+def test_no_memo_outlives_its_sweep(monkeypatch):
+    stacks = _count_perron_stacks(monkeypatch)
+    with pytest.raises(ValidationError):
+        rate_sweep_csv(CHANNEL, POLICY, [0.1], n=0)  # the bound rejects n after E_r has solved its grids
+    assert len(stacks) == 4
+    random_coding_exponent(CHANNEL, POLICY, 0.1)
+    assert len(stacks) == 8  # the coarse grid and the three refinements again
 
 
 # The transposed state-weight matrix of a noisy 4-permutation channel under

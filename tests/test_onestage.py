@@ -1,5 +1,6 @@
 """The per-state concave program: a stacked call is the per-state calls, bit for bit,
-and it agrees with a plain per-letter reference of the fixed point."""
+up to a batched Newton pass's coupling, and it agrees with a plain per-letter
+reference of the fixed point."""
 
 import math
 from unittest import mock
@@ -162,6 +163,23 @@ def test_solver_neither_writes_into_nor_aliases_its_inputs(problem):
     if initial is not None and not isinstance(solved, ConvergenceError):
         assert not np.shares_memory(solved.policy, initial)
         assert not np.shares_memory(solved.value, initial)
+
+
+def test_a_batched_newton_pass_may_move_a_full_support_state_along_its_optimal_face():
+    # State 1's warm start holds exact zeros, so the pass at iteration 1 starts
+    # it on a partial support and renormalises and rescores the whole batch;
+    # state 0 keeps a full support over three identical letters.
+    rows = np.array([[[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]] * 2)
+    initial = np.array([[0.2, 0.4, 0.3, 0.1], [1.0, 0.0, 0.0, 0.0]])
+    stacked = maximize_stage_objective(rows, initial=initial, _newton_start=True)
+    singles = [maximize_stage_objective(rows[b], initial=initial[b], _newton_start=True) for b in range(2)]
+    assert stacked.policy[1].tobytes() == singles[1].policy[0].tobytes()
+    assert stacked.value[1].tobytes() == singles[1].value[0].tobytes()
+    # State 0 is certified with the same value, on the face pi(0) = 1/2.
+    assert stacked.gap <= onestage.DEFAULT_INNER_TOL
+    assert abs(stacked.value[0] - singles[0].value[0]) <= 1e-15
+    assert abs(stacked.policy[0, 0] - 0.5) <= 1e-12
+    assert abs(stacked.policy[0, 1:].sum() - 0.5) <= 1e-12
 
 
 def test_warm_start_at_the_optimum_certifies_every_state_at_once():
