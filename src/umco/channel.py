@@ -160,7 +160,7 @@ def channel_from_kernel(kernel, name: str | None = None) -> UnitMemoryChannel:
 
 @dataclass(frozen=True, eq=False)
 class InputPolicy:
-    """Conditional input distribution pi(a | b_prev); a stage policy's stage is its index in DPSolution.policies."""
+    """Conditional input distribution pi(a | b_prev); InputPolicy(dp.policies[t]) wraps stage t of a DPSolution."""
 
     matrix: np.ndarray
 

@@ -118,7 +118,7 @@ def dp_report(solution) -> str:
     for t in range(solution.horizon + 1):
         vals = "  ".join(f"V_{t}({b})={v:.9f}" for b, v in enumerate(solution.values[t]))
         lines.append(f"stage {t}: {vals}")
-        for b, row in enumerate(solution.policies[t].matrix):
+        for b, row in enumerate(solution.policies[t]):
             lines.append(f"  pi_{t}(.|{b}) = {_row(row)}")
     return "\n".join(lines)
 
@@ -175,7 +175,7 @@ def _cmd_finite_horizon(args) -> int:
     if args.out:
         header = ["stage", "state", "value_bits"] + [f"policy_a{a}" for a in range(channel.n_inputs)]
         stage_states = [(t, b) for t in range(solution.horizon + 1) for b in range(channel.n_states)]
-        rows = ([str(t), str(b), solution.values[t, b], *solution.policies[t].matrix[b]] for t, b in stage_states)
+        rows = ([str(t), str(b), solution.values[t, b], *solution.policies[t, b]] for t, b in stage_states)
         _write_out(args, _csv(header, rows))
     return 0
 

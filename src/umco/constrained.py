@@ -146,6 +146,8 @@ def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> lis
         _check_number(value, what)
     if dual_tol == 0.0:
         raise ValidationError("dual_tol must be positive")
+    if not kappas:
+        return []
     try:
         unconstrained, kappa_max = _solve_multiplier(channel, cost, 0.0, solver_tol)
     except UmcoError as exc:

@@ -290,7 +290,7 @@ def rate_sweep_csv(
     the sweep, so each distinct grid is solved once and the table is byte for
     byte the one the calls give alone.
     """
-    rows, memo = [], {}
+    n, rows, memo = _check_integer(n, "block length n", 1), [], {}
     for rate in _float_grid(rates, "rate grid").tolist():
         exponent, rho_star = random_coding_exponent(channel, policy, rate, _memo=memo)
         bound = error_probability_bound(channel, policy, rate, n, state_known, _memo=memo)

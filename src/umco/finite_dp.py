@@ -8,9 +8,10 @@ Solves the per-stage recursions
 for all previous-output states at once, with an optional transmission cost
 s * gamma(a, b_prev) subtracted from the reward.  The terminal stage starts
 cold from uniform; stage t is warm-started from stage t+1's policy as is: a
-letter zeroed at t+1 rejoins at t through the solver's active set.  Also
-provides the per-letter optimality-condition checker and the classifier
-that decides whether the solved problem decomposes stage by stage.
+letter zeroed at t+1 rejoins at t through the solver's active set.  The stage
+policies are one (horizon + 1, S, A) stack.  Also provides the per-letter
+optimality-condition checker and the classifier that decides whether the
+solved problem decomposes stage by stage.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ from .channel import (
     _FLOAT_MAX,
     CostSpec,
     Distribution,
-    InputPolicy,
     UnitMemoryChannel,
     _check_compatible,
     _check_entries,
     _check_integer,
     _check_number,
     _frozen_array,
+    _stochastic_array,
     resolve_cost,
 )
 from .errors import DimensionMismatchError, ValidationError
@@ -43,14 +44,14 @@ NON_NESTED = "non_nested"
 NON_NESTED_TIME_INVARIANT = "non_nested_time_invariant"
 
 
-def _frozen_cost(multiplier, gamma, policy: InputPolicy):
-    """A record's cost table: a frozen copy with CostSpec's entries and the policy's shape; needed by a multiplier."""
+def _frozen_cost(multiplier, gamma, shape):
+    """A record's cost table: a frozen copy with CostSpec's entries and the policy ``shape``; needed by a multiplier."""
     if gamma is None and multiplier:
         raise ValidationError(f"multiplier {multiplier!r} needs the cost table it penalizes")
     if gamma is not None:
         gamma = _check_entries(_frozen_array(gamma, "cost table"), "cost entries")
-        if gamma.shape != policy.matrix.shape:
-            raise DimensionMismatchError(f"cost table {gamma.shape} does not match the policy {policy.matrix.shape}")
+        if gamma.shape != shape:
+            raise DimensionMismatchError(f"cost table {gamma.shape} does not match the policy {shape}")
     return gamma
 
 
@@ -58,26 +59,27 @@ def _frozen_cost(multiplier, gamma, policy: InputPolicy):
 class DPSolution:
     """Value functions and per-stage policies from the backward recursion.
 
-    values[t][b] is V_t(b) in bits and policies[t] the policy of stage t,
-    for t = 0..horizon; multiplier is the cost multiplier the recursion was
+    values[t][b] is V_t(b) in bits and policies[t, b, a] = pi_t(a | b), one
+    read-only (horizon + 1, S, A) stack (InputPolicy(policies[t]) wraps stage
+    t), for t = 0..horizon; multiplier is the cost multiplier the recursion was
     solved with (None when unconstrained), and cost_gamma a frozen copy of the
     cost table (required by a nonzero multiplier), kept for the verifiers.
     """
 
     values: np.ndarray
-    policies: tuple[InputPolicy, ...]
+    policies: np.ndarray
     multiplier: float | None
     inner_iterations: tuple[int, ...]
     cost_gamma: np.ndarray | None = None
 
     def __post_init__(self):
         values = _check_entries(_frozen_array(self.values, "values"), "values entries", -_FLOAT_MAX)
-        shapes = {policy.matrix.shape for policy in self.policies}  # one stage policy shape, over the values' states
-        if values.ndim != 2 or not len(values) == len(self.policies) == len(self.inner_iterations) \
-                or len(shapes) != 1 or shapes.pop()[0] != values.shape[1]:
+        policies = _stochastic_array(self.policies, "stage policies", 3)
+        if values.shape != policies.shape[:2] or not 0 < len(values) == len(self.inner_iterations):
             raise DimensionMismatchError(f"values {values.shape} do not match the stage policies and iteration counts")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, self.policies[0]))
+        object.__setattr__(self, "policies", policies)
+        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, policies.shape[1:]))
 
     @property
     def horizon(self) -> int:
@@ -128,7 +130,7 @@ def solve_finite_horizon(
     s, gamma = resolve_cost(channel, cost, multiplier)
 
     values = np.zeros((horizon + 1, channel.n_states))
-    policies: list[InputPolicy | None] = [None] * (horizon + 1)
+    policies = np.zeros((horizon + 1, channel.n_states, channel.n_inputs))
     inner_iterations = [0] * (horizon + 1)
     continuation = None
     warm = None
@@ -143,13 +145,13 @@ def solve_finite_horizon(
             initial=warm,
         )
         values[t] = sol.value
-        policies[t] = InputPolicy(sol.policy)
+        policies[t] = sol.policy
         inner_iterations[t] = sol.slowest_iterations
         continuation = values[t]
         warm = sol.policy
     return DPSolution(
         values=values,
-        policies=tuple(policies),
+        policies=policies,
         multiplier=s,
         inner_iterations=tuple(inner_iterations),
         cost_gamma=gamma,
@@ -195,11 +197,10 @@ def verify_optimality_conditions(
     letter score (divergence plus continuation, minus any cost penalty) on
     the support of the stage policy and dominate it off the support.
     """
-    _check_compatible(channel, solution.policies[0].matrix)  # every stage policy has its shape
+    _check_compatible(channel, solution.policies[0])  # every stage policy has its shape
     _check_number(tol, "tol")
-    policy = np.stack([p.matrix for p in solution.policies])
     continuation = np.vstack((solution.values[1:], np.zeros(channel.n_states)))  # none after the last stage
-    return _condition_report(channel, solution, policy, continuation, solution.values, tol)
+    return _condition_report(channel, solution, solution.policies, continuation, solution.values, tol)
 
 
 def classify_non_nested(solution: DPSolution, tol: float) -> NestednessVerdict:
@@ -211,11 +212,7 @@ def classify_non_nested(solution: DPSolution, tol: float) -> NestednessVerdict:
     _check_number(tol, "tol")
     spread = solution.values.max(axis=1) - solution.values.min(axis=1)
     if np.all(spread <= tol):
-        reference = solution.policies[0].matrix
-        deviation = max(
-            float(np.abs(p.matrix - reference).max()) for p in solution.policies
-        )
-        if deviation <= tol:
+        if np.abs(solution.policies - solution.policies[0]).max() <= tol:
             return NestednessVerdict(NON_NESTED_TIME_INVARIANT, spread)
         return NestednessVerdict(NON_NESTED, spread)
     return NestednessVerdict(NESTED, spread)

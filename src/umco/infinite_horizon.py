@@ -78,7 +78,7 @@ class InfiniteHorizonSolution:
         if not bias.shape == (self.policy.n_states,) == (self.output_kernel.n_states,):
             raise DimensionMismatchError(f"bias {bias.shape}, policy and output kernel cover different states")
         object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, self.policy))
+        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, self.policy.matrix.shape))
         object.__setattr__(self, "gain", _check_number(self.gain, "gain", -_FLOAT_MAX))
         object.__setattr__(self, "iterations", _check_integer(self.iterations, "iterations", 0))
 

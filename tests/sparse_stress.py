@@ -73,7 +73,7 @@ def census(n_channels, seed=2024, horizon=20, tol=1e-8):
                     "state": int(state),
                     "letter": int(letter),
                     "violation": report.worst_violation,
-                    "mass": float(solution.policies[stage].matrix[state, letter]),
+                    "mass": float(solution.policies[stage, state, letter]),
                 })
     finally:
         umco.onestage._newton_pass = real

@@ -146,11 +146,11 @@ def test_criterion_6_condition_verifier_grid():
             stationary = relative_value_iteration(channel, tol=1e-9)
             assert verify_bellman_conditions(channel, stationary, tol=1e-8).passed, (a, b)
 
-            perturbed_policies = list(dp.policies)
-            perturbed_policies[0] = InputPolicy(_perturb_policy(dp.policies[0].matrix))
+            perturbed_policies = dp.policies.copy()
+            perturbed_policies[0] = _perturb_policy(dp.policies[0])
             broken_dp = DPSolution(
                 values=dp.values,
-                policies=tuple(perturbed_policies),
+                policies=perturbed_policies,
                 multiplier=dp.multiplier,
                 inner_iterations=dp.inner_iterations,
                 cost_gamma=dp.cost_gamma,

@@ -244,7 +244,7 @@ def _arrays(value):
     elif dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
             yield from _arrays(getattr(value, field.name))
-    elif isinstance(value, tuple):  # StateSolution, DPSolution.policies, gain brackets
+    elif isinstance(value, tuple):  # StateSolution, gain brackets
         for item in value:
             yield from _arrays(item)
 
@@ -258,8 +258,7 @@ def _stationary_record(**changes):
 
 def _dp_record(**changes):
     """A DPSolution built by a caller with two stages on two states, with ``changes`` to its fields."""
-    policy = uniform_policy(2, 2)
-    fields = dict(values=np.zeros((2, 2)), policies=(policy, policy), multiplier=None, inner_iterations=(0, 0))
+    fields = dict(values=np.zeros((2, 2)), policies=np.full((2, 2, 2), 0.5), multiplier=None, inner_iterations=(0, 0))
     return DPSolution(**{**fields, **changes})
 
 
@@ -269,6 +268,7 @@ def test_no_array_a_result_holds_is_writable():
     dp = solve_finite_horizon(channel, 3)
     policy = bssc_optimal_policy(params)
     given = {"bias": np.ones(2), "values": np.ones((2, 2)), "violations": np.ones((1, 2, 2)), "state_spread": np.zeros(2)}
+    given["policies"] = np.array([[[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.0, 1.0]]])  # stage t, state b, letter a
     given["violations"][0, 0, 1] = np.inf  # an off-support letter whose row reaches an output q misses
     given["cost_gamma"] = np.array([[0.0, 1.0], [1.0, 0.0]])  # held by both solution records
     results = {
@@ -289,7 +289,7 @@ def test_no_array_a_result_holds_is_writable():
             bias=given["bias"], multiplier=0.5, cost_gamma=given["cost_gamma"]
         ),
         "DPSolution, built by a caller": _dp_record(
-            values=given["values"], multiplier=0.5, cost_gamma=given["cost_gamma"]
+            values=given["values"], policies=given["policies"], multiplier=0.5, cost_gamma=given["cost_gamma"]
         ),
         "ConditionReport, built by a caller": ConditionReport(False, np.inf, given["violations"]),
         "NestednessVerdict, built by a caller": NestednessVerdict("nested", given["state_spread"]),
@@ -328,13 +328,21 @@ def test_no_array_a_result_holds_is_writable():
         (lambda: _stationary_record(bias=np.zeros(3)), DimensionMismatchError),
         (lambda: _stationary_record(policy=uniform_policy(3, 2)), DimensionMismatchError),
         (lambda: _stationary_record(output_kernel=OutputKernel(np.eye(3))), DimensionMismatchError),
-        (lambda: _dp_record(policies=(uniform_policy(2, 2),), inner_iterations=(0,)), DimensionMismatchError),
+        (lambda: _dp_record(policies=np.full((1, 2, 2), 0.5), inner_iterations=(0,)), DimensionMismatchError),
         (lambda: _dp_record(inner_iterations=(0,)), DimensionMismatchError),
         (lambda: _dp_record(values=np.zeros(2)), DimensionMismatchError),
         (lambda: _dp_record(values=np.zeros((2, 3))), DimensionMismatchError),
-        (lambda: _dp_record(policies=(uniform_policy(2, 2), uniform_policy(2, 3))), DimensionMismatchError),
-        (lambda: _dp_record(values=np.zeros((0, 2)), policies=(), inner_iterations=()), DimensionMismatchError),
+        (lambda: _dp_record(policies=np.full((2, 3, 2), 0.5)), DimensionMismatchError),
+        (
+            lambda: _dp_record(values=np.zeros((0, 2)), policies=np.zeros((0, 2, 2)), inner_iterations=()),
+            DimensionMismatchError,
+        ),
+        (lambda: _dp_record(policies=np.full((2, 2), 0.5)), ValidationError),
+        (lambda: _dp_record(policies=[uniform_policy(2, 2).matrix, uniform_policy(2, 3).matrix]), ValidationError),
+        (lambda: _dp_record(policies=np.full((2, 2, 2), 0.5 + 1e-9)), ValidationError),
+        (lambda: _dp_record(policies=[[[0.5, 0.5], [1.5, -0.5]]] * 2), ValidationError),
         (lambda: _dp_record(values=[[0.0, 1.0], [np.inf, 0.0]]), ValidationError),
+        (lambda: _dp_record(multiplier=0.5, cost_gamma=np.zeros((2, 3))), DimensionMismatchError),
         (lambda: _stationary_record(multiplier=0.5), ValidationError),
         (lambda: _dp_record(multiplier=0.5), ValidationError),
         (lambda: _stationary_record(multiplier=0.5, cost_gamma=[[np.nan, 0.0], [0.0, 0.0]]), ValidationError),
@@ -355,9 +363,14 @@ def test_no_array_a_result_holds_is_writable():
         "one-iteration-count",
         "values-1d",
         "values-of-three-states",
-        "policies-of-two-shapes",
+        "policies-of-three-states",
         "no-stage",
+        "policies-2d",
+        "policies-of-two-shapes",
+        "policy-rows-off-one",
+        "negative-policy-entry",
         "infinite-value",
+        "dp-cost-table-of-three-inputs",
         "stationary-multiplier-without-cost-table",
         "dp-multiplier-without-cost-table",
         "stationary-nan-cost-table",
@@ -456,6 +469,7 @@ NON_FINITE_BUILDERS = {
     "InfiniteHorizonSolution.gain": lambda v: _stationary_record(gain=v),
     "InfiniteHorizonSolution.bias": lambda v: _stationary_record(bias=[0.0, v]),
     "DPSolution.values": lambda v: _dp_record(values=[[0.0, 0.0], [0.0, v]]),
+    "DPSolution.policies": lambda v: _dp_record(policies=_set_first([[[1.0, 0.0], [0.5, 0.5]]] * 2, v)),
 }
 
 

@@ -224,6 +224,18 @@ def test_constrained_sweep_csv(bssc_file, tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_constrained_sweep_over_an_empty_range_does_no_solve(bssc_file, tmp_path, capsys, monkeypatch):
+    # An empty kappa range wrote its header only after one wasted s = 0 solve.
+    def solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(umco.constrained, "_solve_multiplier", solve)
+    out = tmp_path / "curve.csv"
+    code = run_command(["constrained", "--channel", bssc_file, "--sweep", "kappa=0.5:0.4:0.1", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines() == ["kappa,capacity_bits,multiplier,achieved_cost,binding"]
+
+
 def test_bssc_command_reports_closed_form(capsys):
     assert run_command(["bssc", "--alpha", "1.0", "--beta", "0.5", "--kappa", "0.5"]) == 0
     out = capsys.readouterr().out

@@ -376,6 +376,13 @@ def test_bad_tolerances_are_rejected_before_any_solve(monkeypatch, tolerances, m
     assert multipliers == [] and floors == []
 
 
+def test_an_empty_budget_grid_does_no_solve(monkeypatch):
+    # It returned [] only after one wasted s = 0 solve.
+    multipliers, floors = _counting(monkeypatch)
+    assert capacity_cost_curve(bssc(0.9, 0.7), CostSpec(GAMMA, 0.0), []) == []
+    assert multipliers == [] and floors == []
+
+
 def _counting(monkeypatch):
     """Count the solves of the constrained module by multiplier, and its floor calls."""
     real_solve, real_floor = umco.constrained._solve_multiplier, umco.constrained.minimum_average_cost

@@ -429,10 +429,19 @@ def test_a_rate_sweep_solves_each_grid_once(monkeypatch):
 def test_no_memo_outlives_its_sweep(monkeypatch):
     stacks = _count_perron_stacks(monkeypatch)
     with pytest.raises(ValidationError):
-        rate_sweep_csv(CHANNEL, POLICY, [0.1], n=0)  # the bound rejects n after E_r has solved its grids
-    assert len(stacks) == 4
+        rate_sweep_csv(CHANNEL, POLICY, [0.1, np.nan], n=100)  # the second rate fails after the first has solved
+    assert len(stacks) == 5  # the coarse grid, the three refinements and the stack of one at rho*
     random_coding_exponent(CHANNEL, POLICY, 0.1)
-    assert len(stacks) == 8  # the coarse grid and the three refinements again
+    assert len(stacks) == 9  # the coarse grid and the three refinements again
+
+
+@pytest.mark.parametrize("n", [0, 2.5, None], ids=repr)
+def test_a_rate_sweep_checks_the_block_length_before_any_solve(monkeypatch, n):
+    # The bound checked n only after the first rate's E_r had solved 4 grids.
+    stacks = _count_perron_stacks(monkeypatch)
+    with pytest.raises(ValidationError, match="block length n"):
+        rate_sweep_csv(CHANNEL, POLICY, [0.1], n=n)
+    assert stacks == []
 
 
 # The transposed state-weight matrix of a noisy 4-permutation channel under

@@ -56,7 +56,7 @@ def test_bssc_horizon_four():
     expected = np.array([[0.6, 0.4], [0.4, 0.6]])
     for t in range(5):
         assert np.allclose(solution.values[t], (5 - t) * CAP_105, atol=1e-3)
-        assert np.abs(solution.policies[t].matrix - expected).max() < 1e-4
+        assert np.abs(solution.policies[t] - expected).max() < 1e-4
     assert abs(solution.values[0, 0] - 1.6095) < 1e-3
 
 
@@ -75,8 +75,8 @@ def test_embedded_dmc_matches_grid_search():
     # independent grid-search oracle for the per-stage optimum
     assert abs(dmc_capacity_grid(bsc_rows(0.1), step=0.001) - per_stage) < 1e-9
     assert np.allclose(solution.values[0], 3 * per_stage, atol=1e-3)
-    for policy in solution.policies:
-        assert np.abs(policy.matrix - 0.5).max() < 1e-5
+    assert solution.policies.shape == (3, 2, 2)
+    assert np.abs(solution.policies - 0.5).max() < 1e-5
 
 
 def test_ftfi_capacity_initial_distributions():
@@ -125,11 +125,11 @@ def test_conditions_pass_on_emitted_solutions():
 def test_conditions_fail_on_perturbed_policy():
     channel = bssc(1.0, 0.5)
     solution = solve_finite_horizon(channel, 4)
-    perturbed = list(solution.policies)
-    perturbed[0] = InputPolicy([[0.8, 0.2], [0.2, 0.8]])
+    perturbed = solution.policies.copy()
+    perturbed[0] = [[0.8, 0.2], [0.2, 0.8]]
     broken = DPSolution(
         values=solution.values,
-        policies=tuple(perturbed),
+        policies=perturbed,
         multiplier=solution.multiplier,
         inner_iterations=solution.inner_iterations,
         cost_gamma=solution.cost_gamma,
@@ -187,7 +187,7 @@ def test_classify_stage_dependent_policies_non_nested():
     # Every V_t is constant across states, but the stage policies differ.
     solution = DPSolution(
         values=np.array([[2.0, 2.0], [1.0, 1.0]]),
-        policies=(InputPolicy([[0.5, 0.5], [0.5, 0.5]]), InputPolicy([[0.9, 0.1], [0.1, 0.9]])),
+        policies=[[[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.1, 0.9]]],
         multiplier=None,
         inner_iterations=(1, 1),
     )
@@ -243,8 +243,7 @@ def test_zero_multiplier_equals_unconstrained_exactly():
     plain = solve_finite_horizon(channel, 3)
     with_cost = solve_finite_horizon(channel, 3, cost=cost, multiplier=0.0)
     assert np.array_equal(plain.values, with_cost.values)
-    for a, b in zip(plain.policies, with_cost.policies):
-        assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(plain.policies, with_cost.policies)
     assert with_cost.multiplier == 0.0
 
 
@@ -264,15 +263,15 @@ def test_raw_warm_start_revives_a_letter_zeroed_at_the_next_stage():
     # exactly, and carries 4% of the mass at stage 0.
     channel = channel_from_kernel([[[0.46, 0.54], [0.63, 0.37]], [[0.26, 0.74], [1.0, 0.0]]])
     solution = solve_finite_horizon(channel, 2)
-    assert solution.policies[1].matrix[0, 1] == 0.0
-    assert solution.policies[0].matrix[0, 1] > 0.04
+    assert solution.policies[1, 0, 1] == 0.0
+    assert solution.policies[0, 0, 1] > 0.04
     assert verify_optimality_conditions(channel, solution, tol=1e-9).passed
     cold = maximize_stage_objective(channel.kernel, continuation=solution.values[1])
     assert np.abs(cold.value - solution.values[0]).max() < 1e-12
     # Passed on raw, the exact-zero letter starts at the policy floor and
     # rejoins by its score: the solve reaches the cold value.
     raw = maximize_stage_objective(
-        channel.kernel, continuation=solution.values[1], initial=solution.policies[1].matrix
+        channel.kernel, continuation=solution.values[1], initial=solution.policies[1]
     )
     assert np.abs(raw.value - cold.value).max() < 1e-12
     assert raw.policy[0, 1] > 0.04
@@ -295,13 +294,13 @@ def sparse_channels(draw, max_states=3, max_inputs=4):
 def _cold_recursion(channel, horizon):
     """The backward recursion with every stage started cold from uniform."""
     values = np.zeros((horizon + 1, channel.n_states))
-    policies = [None] * (horizon + 1)
+    policies = np.zeros((horizon + 1, channel.n_states, channel.n_inputs))
     continuation = None
     for t in range(horizon, -1, -1):
         stage = maximize_stage_objective(channel.kernel, continuation=continuation)
-        values[t], policies[t] = stage.value, InputPolicy(stage.policy)
+        values[t], policies[t] = stage.value, stage.policy
         continuation = values[t]
-    return DPSolution(values, tuple(policies), None, (0,) * (horizon + 1))
+    return DPSolution(values, policies, None, (0,) * (horizon + 1))
 
 
 @given(sparse_channels(), st.integers(0, 6))
@@ -358,7 +357,7 @@ def test_stacked_checker_equals_per_state_scores(problem):
         solution = solve_finite_horizon(channel, horizon, cost=cost, multiplier=multiplier, inner_max_iter=20_000)
     except ConvergenceError:
         return  # slow to certify: the checker is on trial here, not the solver
-    policy = [p.matrix for p in solution.policies]
+    policy = solution.policies
     continuations = [*solution.values[1:], None]
     rows, worst = _per_state_conditions(
         channel, policy, continuations, solution.values, solution.cost_gamma, solution.multiplier
@@ -381,8 +380,8 @@ def test_stacked_checker_equals_per_state_scores(problem):
     stationary = InfiniteHorizonSolution(
         gain=float(solution.values[0].mean()),
         bias=bias,
-        policy=solution.policies[0],
-        output_kernel=induced_output_kernel(channel, solution.policies[0]),
+        policy=InputPolicy(solution.policies[0]),
+        output_kernel=induced_output_kernel(channel, InputPolicy(solution.policies[0])),
         iterations=0,
         multiplier=solution.multiplier,
         cost_gamma=solution.cost_gamma,
