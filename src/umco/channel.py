@@ -95,13 +95,15 @@ def _frozen_array(values, what: str) -> np.ndarray:
 def _stochastic_array(values, what: str, ndim: int, tol: float = STRICT_ROW_TOL, high: float = 1.0) -> np.ndarray:
     """``values`` as a frozen float array of ``ndim`` axes whose rows are probability vectors.
 
-    Every entry must be finite and in [0, high], and the sums along the last
-    axis must equal 1 within tol.  Constructed objects use the defaults; the
-    load path passes its looser tolerance before it renormalizes.
+    The last two axes must not be empty, every entry must be finite and in [0, high],
+    and the sums along the last axis must equal 1 within tol.  Constructed objects use
+    the defaults; the load path passes its looser tolerance before it renormalizes.
     """
     array = _frozen_array(values, what)
     if array.ndim != ndim:
         raise ValidationError(f"{what} must be {ndim}-d, got shape {array.shape}")
+    if 0 in array.shape[-2:]:
+        raise ValidationError(f"{what} must have shape with at least one row of at least one entry, got {array.shape}")
     _check_entries(array, f"{what} entries", 0.0, high)
     worst = np.maximum.reduce(abs(np.add.reduce(array, axis=-1) - 1.0), axis=None, initial=0.0)
     if worst > tol:
@@ -134,7 +136,7 @@ class UnitMemoryChannel:
 
     def __post_init__(self):
         kernel = _stochastic_array(self.kernel, "kernel", 3)
-        if kernel.shape[0] != kernel.shape[2] or 0 in kernel.shape:
+        if kernel.shape[0] != kernel.shape[2]:
             raise ValidationError(f"kernel must have shape (S, A, S) with S, A >= 1, got {kernel.shape}")
         object.__setattr__(self, "kernel", kernel)
 

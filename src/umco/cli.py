@@ -29,7 +29,8 @@ from .channel import (
 )
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .finite_dp import classify_non_nested, ftfi_capacity, solve_finite_horizon, verify_optimality_conditions
-from .infinite_horizon import policy_iteration, relative_value_iteration, verify_bellman_conditions
+from .infinite_horizon import DEFAULT_SPAN_TOL, policy_iteration, relative_value_iteration, verify_bellman_conditions
+from .onestage import DEFAULT_INNER_TOL
 
 # A range is built point by point; one with more points than this is a typo
 # (a step off by orders of magnitude) and is refused before the loop starts.
@@ -80,15 +81,11 @@ def _row(values) -> str:
 
 def solution_report(solution) -> str:
     """Plain-text report of an InfiniteHorizonSolution."""
-    if solution.span_residual is not None:
-        residual = f"span residual   = {solution.span_residual:.3e} bits"
-    else:
-        residual = f"bellman residual = {solution.bellman_residual:.3e} bits"
     nu = solution.invariant_dist
     lines = [
         f"gain            = {solution.gain:.10f} bits/channel use",
         f"iterations      = {solution.iterations}",
-        residual,
+        f"span residual   = {solution.span_residual:.3e} bits",
         f"irreducible     = {nu is not None}",
     ]
     for b, v in enumerate(solution.bias):
@@ -327,7 +324,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fb-capacity", help="feedback capacity of a channel file")
     p.add_argument("--channel", required=True)
-    p.add_argument("--tol", type=float, default=1e-9, help="span tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_SPAN_TOL, help="span tolerance (default 1e-9)")
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--method", choices=["rvi", "policy-iteration"], default="rvi")
     p.add_argument("--out", help="write the per-state solution CSV here")
@@ -338,7 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--kappa", type=float)
     p.add_argument("--multiplier", type=float, help="cost multiplier (requires a cost table)")
-    p.add_argument("--tol", type=float, default=1e-10, help="inner solver tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_INNER_TOL, help="inner solver tolerance")
     p.add_argument("--out", help="write the per-stage CSV here")
     p.set_defaults(func=_cmd_finite_horizon)
 

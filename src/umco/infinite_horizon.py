@@ -32,12 +32,13 @@ from .channel import (
     _check_integer,
     _check_number,
     _float_array,
+    _float_grid,
     _frozen_array,
     _policy_average,
     induced_output_kernel,
     resolve_cost,
 )
-from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError
+from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError, ValidationError
 from .finite_dp import ConditionReport, _condition_report, _frozen_cost
 from .onestage import letter_scores, maximize_stage_objective
 
@@ -55,11 +56,10 @@ class InfiniteHorizonSolution:
     invariant_dist and irreducible are read from output_kernel (None and False
     for a reducible chain).  multiplier/cost_gamma record the cost penalty the solve
     used (None when unconstrained) so verifiers can replay it; gain_trace keeps
-    per-iteration gains (policy iteration); gain_bracket keeps the span bounds
-    (min, max) of the last sweep of relative value iteration, which bracket
-    the optimal gain up to that solve's inner tolerance, and span_residual
-    reads its width; bellman_residual is the sup-norm residual of the Bellman
-    equation at the returned gain and bias (policy iteration only).
+    per-iteration gains (policy iteration).  gain_bracket, both solvers' certificate,
+    is (min, max) of TV - V for one Bellman sweep T of a bias V (RVI: its last sweep;
+    PI: a sweep of the returned bias), which brackets the optimal gain up to that
+    sweep's inner tolerance (Odoni 1969); span_residual reads its width.
     """
 
     gain: float
@@ -71,7 +71,6 @@ class InfiniteHorizonSolution:
     cost_gamma: np.ndarray | None = None
     gain_trace: tuple[float, ...] = ()
     gain_bracket: tuple[float, float] | None = None
-    bellman_residual: float | None = None
 
     def __post_init__(self):
         bias = _check_entries(_frozen_array(self.bias, "bias"), "bias entries", -_FLOAT_MAX)
@@ -81,6 +80,13 @@ class InfiniteHorizonSolution:
         object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, self.policy.matrix.shape))
         object.__setattr__(self, "gain", _check_number(self.gain, "gain", -_FLOAT_MAX))
         object.__setattr__(self, "iterations", _check_integer(self.iterations, "iterations", 0))
+        trace = _check_entries(_float_grid(self.gain_trace, "gain trace"), "gain trace entries", -_FLOAT_MAX)
+        object.__setattr__(self, "gain_trace", tuple(trace.tolist()))
+        if self.gain_bracket is not None:
+            bracket = _check_entries(_float_grid(self.gain_bracket, "gain bracket"), "gain bracket", -_FLOAT_MAX)
+            if len(bracket) != 2 or bracket[0] > bracket[1]:
+                raise ValidationError(f"gain bracket must be two numbers lo <= hi, got {bracket.tolist()}")
+            object.__setattr__(self, "gain_bracket", tuple(bracket.tolist()))
 
     @property
     def irreducible(self) -> bool:
@@ -276,9 +282,9 @@ def policy_iteration(
 ) -> InfiniteHorizonSolution:
     """Alternate exact policy evaluation with per-state concave improvement.
 
-    Terminates when the improved policy moves by at most ``tol`` in sup norm.
-    Every iterate's induced output chain must be irreducible; a reducible
-    chain or singular evaluation system aborts with a diagnostic.
+    Terminates when the improved policy moves by at most ``tol`` in sup norm; a last
+    sweep of the returned bias gives the gain bracket.  A reducible induced output
+    chain or a singular evaluation system at any iterate aborts with a diagnostic.
     """
     _check_compatible(channel, initial_policy.matrix)
     _check_number(tol, "tol")
@@ -302,9 +308,7 @@ def policy_iteration(
         )
     gain, bias, output_kernel = _evaluate_policy(channel, matrix, gamma, s)
     trace.append(gain)
-    # Residual of the Bellman equation at the returned pair.
-    optimum = _sweep(channel, bias, gamma, s, tol)
-    residual = np.abs(optimum.value - gain - bias).max()
+    diff = _sweep(channel, bias, gamma, s, tol).value - bias
     return InfiniteHorizonSolution(
         gain=gain,
         bias=bias,
@@ -314,7 +318,7 @@ def policy_iteration(
         multiplier=s,
         cost_gamma=gamma,
         gain_trace=tuple(trace),
-        bellman_residual=float(residual),
+        gain_bracket=(float(diff.min()), float(diff.max())),
     )
 
 

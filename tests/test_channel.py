@@ -349,6 +349,15 @@ def test_no_array_a_result_holds_is_writable():
         (lambda: _dp_record(multiplier=0.5, cost_gamma=[[-1.0, 0.0], [0.0, 0.0]]), ValidationError),
         (lambda: _stationary_record(multiplier=0.5, cost_gamma=np.zeros((3, 3))), DimensionMismatchError),
         (lambda: _dp_record(multiplier=0.5, cost_gamma=np.zeros(2)), DimensionMismatchError),
+        (lambda: _stationary_record(gain_bracket=(np.nan, 1.0)), ValidationError),
+        (lambda: _stationary_record(gain_bracket=(0.0, np.inf)), ValidationError),
+        (lambda: _stationary_record(gain_bracket=(-np.inf, 1.0)), ValidationError),
+        (lambda: _stationary_record(gain_bracket=(2.0, 1.0)), ValidationError),
+        (lambda: _stationary_record(gain_bracket=(0.0, 0.5, 1.0)), ValidationError),
+        (lambda: _stationary_record(gain_trace=(0.5, np.inf)), ValidationError),
+        (lambda: InputPolicy(np.zeros((0, 3))), ValidationError),
+        (lambda: OutputKernel(np.zeros((0, 0))), ValidationError),
+        (lambda: _dp_record(values=np.zeros((2, 0)), policies=np.zeros((2, 0, 3))), ValidationError),
     ],
     ids=[
         "nan-gain-negative-iterations",
@@ -377,13 +386,24 @@ def test_no_array_a_result_holds_is_writable():
         "dp-negative-cost-table",
         "stationary-cost-table-of-three",
         "dp-cost-table-1d",
+        "nan-gain-bracket",
+        "infinite-gain-bracket",
+        "minus-infinite-gain-bracket",
+        "inverted-gain-bracket",
+        "gain-bracket-of-three",
+        "infinite-gain-trace",
+        "policy-of-no-state",
+        "output-kernel-of-no-state",
+        "dp-of-no-state",
     ],
 )
 def test_result_records_reject_each_contradictory_construction(build, error):
     # The first and ninth rows were accepted before: a NaN gain with -3 iterations,
-    # and horizon 0 against two stages of values.  So were the last six: a
+    # and horizon 0 against two stages of values.  So were the six cost-table rows: a
     # multiplier without the cost table it penalizes, which the verifiers dropped,
-    # and a NaN, negative or misshapen table, which they replayed.
+    # and a NaN, negative or misshapen table, which they replayed.  So were the
+    # gain brackets and trace after them (an inverted bracket read a negative
+    # span residual) and the records over zero states.
     with pytest.raises(error):
         build()
 

@@ -314,9 +314,12 @@ def test_three_state_channel_solvers_agree(rng):
     assert abs(rvi.gain - pi.gain) < 1e-6
     assert verify_bellman_conditions(channel, rvi, tol=1e-8).passed
     assert verify_bellman_conditions(channel, pi, tol=1e-8).passed
-    # Each solver reports its own certificate under its own name.
-    assert rvi.bellman_residual is None and 0.0 <= rvi.span_residual <= 1e-10
-    assert pi.span_residual is None and 0.0 <= pi.bellman_residual <= 1e-8
+    # Both solvers report one certificate, the gain bracket of one Bellman sweep.
+    assert "bellman_residual" not in {field.name for field in dataclasses.fields(InfiniteHorizonSolution)}
+    assert 0.0 <= rvi.span_residual <= 1e-10 and 0.0 <= pi.span_residual <= 1e-10
+    # PI's Bellman residual at its gain, read from its bracket, is as small as the field that held it.
+    lo, hi = pi.gain_bracket
+    assert 0.0 <= max(hi - pi.gain, pi.gain - lo) <= 1e-8
 
 
 def test_larger_alphabets_stay_consistent(rng):
@@ -361,7 +364,10 @@ def test_policy_iteration_gain_lies_in_the_rvi_gain_bracket(channel):
     # The sweep's values are within RVI's inner tolerance of the exact operator.
     inner_tol = max(tol * 1e-2, 1e-12)
     assert lo - inner_tol <= pi.gain <= hi + inner_tol
-    assert pi.gain_bracket is None
+    # PI's own bracket holds its gain and overlaps RVI's within the inner tolerance.
+    pi_lo, pi_hi = pi.gain_bracket
+    assert pi_lo - 1e-12 <= pi.gain <= pi_hi + 1e-12
+    assert pi_lo - inner_tol <= hi and lo - inner_tol <= pi_hi
 
 
 @settings(max_examples=15)
@@ -926,4 +932,5 @@ def test_irreducible_and_span_residual_are_read_from_the_fields_they_derive_from
     frozen = dataclasses.replace(rvi, output_kernel=OutputKernel(np.eye(2)))  # outputs frozen at the previous one
     assert not frozen.irreducible and frozen.invariant_dist is None
     pi = policy_iteration(channel, uniform_policy(2, 2))
-    assert pi.irreducible and pi.gain_bracket is None and pi.span_residual is None
+    lo, hi = pi.gain_bracket
+    assert pi.irreducible and pi.span_residual == hi - lo  # bit for bit
