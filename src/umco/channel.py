@@ -247,23 +247,34 @@ def deterministic_policy(choices, n_inputs: int) -> InputPolicy:
     return InputPolicy(matrix)
 
 
-def _check_compatible(channel: UnitMemoryChannel, table: np.ndarray, what: str = "policy"):
-    """DimensionMismatchError unless a [b_prev][a] table (a policy or cost matrix) fits the channel."""
+def _check_compatible(channel: UnitMemoryChannel, table: np.ndarray):
+    """DimensionMismatchError unless a [b_prev][a] policy matrix fits the channel (cost tables: ``_cost_penalty``)."""
     if table.shape != (channel.n_states, channel.n_inputs):
         raise DimensionMismatchError(
-            f"{what} shape {table.shape} does not match channel ({channel.n_states} states, {channel.n_inputs} inputs)"
+            f"policy shape {table.shape} does not match channel ({channel.n_states} states, {channel.n_inputs} inputs)"
         )
 
 
+def _cost_penalty(multiplier, table, shape):
+    """The one cost rule: (s, frozen cost table, penalty s * table or None at s = 0), all None without a cost.
+
+    s must be one finite number >= 0 and the table finite entries >= 0 of ``shape``; neither comes without the other.
+    """
+    if (multiplier is None) != (table is None):
+        raise ValidationError("a multiplier requires a cost table, and a cost table a multiplier")
+    if table is None:
+        return None, None, None
+    s = _check_number(multiplier, "multiplier")
+    table = _check_entries(_frozen_array(table, "cost table"), "cost entries")
+    if table.shape != shape:
+        raise DimensionMismatchError(f"cost table shape {table.shape} does not match {shape} (states, inputs)")
+    return s, table, s * table if s else None
+
+
 def resolve_cost(channel: UnitMemoryChannel, cost: CostSpec | None, multiplier: float | None):
-    """(multiplier, cost table) of a solve: (None, None) without a cost, multiplier 0 by default."""
-    if multiplier is not None and cost is None:
-        raise ValidationError("a multiplier requires a cost specification")
-    if cost is None:
-        return None, None
-    s = 0.0 if multiplier is None else _check_number(multiplier, "multiplier")
-    _check_compatible(channel, cost.gamma, "cost")
-    return s, cost.gamma
+    """(multiplier, cost table, penalty) of a solve by ``_cost_penalty``; with a cost the multiplier defaults to 0."""
+    multiplier = 0.0 if multiplier is None and cost is not None else multiplier
+    return _cost_penalty(multiplier, None if cost is None else cost.gamma, (channel.n_states, channel.n_inputs))
 
 
 def induced_output_kernel(channel: UnitMemoryChannel, policy: InputPolicy) -> OutputKernel:

@@ -5,10 +5,11 @@ Solves the per-stage recursions
     V_n(b) = sup_pi { stage reward }                       (terminal)
     V_t(b) = sup_pi { stage reward + E[V_{t+1}(B) | b, pi] }
 
-for all previous-output states at once, with an optional transmission cost
-s * gamma(a, b_prev) subtracted from the reward.  The terminal stage starts
-cold from uniform; stage t is warm-started from stage t+1's policy as is: a
-letter zeroed at t+1 rejoins at t through the solver's active set.  The stage
+for all previous-output states at once, with an optional cost penalty
+s * gamma(a, b_prev), one array built once by ``channel._cost_penalty``,
+subtracted from every stage's reward.  The terminal stage starts cold from
+uniform; stage t is warm-started from stage t+1's policy as is: a letter
+zeroed at t+1 rejoins at t through the solver's active set.  The stage
 policies are one (horizon + 1, S, A) stack.  Also provides the per-letter
 optimality-condition checker and the classifier that decides whether the
 solved problem decomposes stage by stage.
@@ -29,11 +30,13 @@ from .channel import (
     _check_entries,
     _check_integer,
     _check_number,
+    _cost_penalty,
+    _float_grid,
     _frozen_array,
     _stochastic_array,
     resolve_cost,
 )
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError
 from .onestage import DEFAULT_INNER_MAX_ITER, DEFAULT_INNER_TOL, letter_scores, maximize_stage_objective
 
 # Policy mass below this counts as an unsupported letter in condition checks.
@@ -44,26 +47,15 @@ NON_NESTED = "non_nested"
 NON_NESTED_TIME_INVARIANT = "non_nested_time_invariant"
 
 
-def _frozen_cost(multiplier, gamma, shape):
-    """A record's cost table: a frozen copy with CostSpec's entries and the policy ``shape``; needed by a multiplier."""
-    if gamma is None and multiplier:
-        raise ValidationError(f"multiplier {multiplier!r} needs the cost table it penalizes")
-    if gamma is not None:
-        gamma = _check_entries(_frozen_array(gamma, "cost table"), "cost entries")
-        if gamma.shape != shape:
-            raise DimensionMismatchError(f"cost table {gamma.shape} does not match the policy {shape}")
-    return gamma
-
-
 @dataclass(frozen=True, eq=False)
 class DPSolution:
     """Value functions and per-stage policies from the backward recursion.
 
     values[t][b] is V_t(b) in bits and policies[t, b, a] = pi_t(a | b), one
     read-only (horizon + 1, S, A) stack (InputPolicy(policies[t]) wraps stage
-    t), for t = 0..horizon; multiplier is the cost multiplier the recursion was
-    solved with (None when unconstrained), and cost_gamma a frozen copy of the
-    cost table (required by a nonzero multiplier), kept for the verifiers.
+    t), for t = 0..horizon, and inner_iterations[t] >= 0 counts stage t's slowest
+    state.  multiplier and cost_gamma (s and a frozen copy of the cost table) are
+    both None or both pass ``channel._cost_penalty``, the verifiers' penalty rule.
     """
 
     values: np.ndarray
@@ -75,11 +67,15 @@ class DPSolution:
     def __post_init__(self):
         values = _check_entries(_frozen_array(self.values, "values"), "values entries", -_FLOAT_MAX)
         policies = _stochastic_array(self.policies, "stage policies", 3)
-        if values.shape != policies.shape[:2] or not 0 < len(values) == len(self.inner_iterations):
+        counts = _float_grid(self.inner_iterations, "inner iterations")
+        if values.shape != policies.shape[:2] or not 0 < len(values) == len(counts):
             raise DimensionMismatchError(f"values {values.shape} do not match the stage policies and iteration counts")
+        s, gamma, _ = _cost_penalty(self.multiplier, self.cost_gamma, policies.shape[1:])
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "policies", policies)
-        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, policies.shape[1:]))
+        object.__setattr__(self, "multiplier", s)
+        object.__setattr__(self, "inner_iterations", tuple(_check_integer(n, "inner iterations", 0) for n in counts))
+        object.__setattr__(self, "cost_gamma", gamma)
 
     @property
     def horizon(self) -> int:
@@ -127,35 +123,23 @@ def solve_finite_horizon(
     horizon = _check_integer(horizon, "horizon", 0)
     _check_number(inner_tol, "inner_tol")
     inner_max_iter = _check_integer(inner_max_iter, "inner_max_iter", 1)
-    s, gamma = resolve_cost(channel, cost, multiplier)
+    s, gamma, penalty = resolve_cost(channel, cost, multiplier)
 
     values = np.zeros((horizon + 1, channel.n_states))
     policies = np.zeros((horizon + 1, channel.n_states, channel.n_inputs))
-    inner_iterations = [0] * (horizon + 1)
+    counts = [0] * (horizon + 1)
     continuation = None
     warm = None
     for t in range(horizon, -1, -1):
         sol = maximize_stage_objective(
-            channel._prepared_kernel,
-            continuation=continuation,
-            cost_row=gamma,
-            multiplier=s,
-            tol=inner_tol,
-            max_iter=inner_max_iter,
-            initial=warm,
+            channel._prepared_kernel, continuation, penalty, tol=inner_tol, max_iter=inner_max_iter, initial=warm
         )
         values[t] = sol.value
         policies[t] = sol.policy
-        inner_iterations[t] = sol.slowest_iterations
+        counts[t] = sol.slowest_iterations
         continuation = values[t]
         warm = sol.policy
-    return DPSolution(
-        values=values,
-        policies=policies,
-        multiplier=s,
-        inner_iterations=tuple(inner_iterations),
-        cost_gamma=gamma,
-    )
+    return DPSolution(values=values, policies=policies, multiplier=s, inner_iterations=counts, cost_gamma=gamma)
 
 
 def ftfi_capacity(solution: DPSolution, initial: Distribution) -> float:
@@ -176,11 +160,12 @@ def _condition_report(channel, solution, policy, continuation, targets, tol, wor
     """Check the per-letter conditions at every (stage, state) pair in one pass.
 
     policy (T, S, A), continuation (T, B) and targets (T, S) stack the
-    stages; the cost penalty is the solution's.  Letter scores must equal the
-    target on the policy's support and not exceed it off the support;
-    ``worst`` overrides that worst violation when given.
+    stages; the cost penalty is the solution's, by ``channel._cost_penalty``.
+    Letter scores must equal the target on the policy's support and not
+    exceed it off the support; ``worst`` overrides that worst violation when given.
     """
-    scores = letter_scores(channel.kernel, policy, continuation, solution.cost_gamma, solution.multiplier)
+    penalty = _cost_penalty(solution.multiplier, solution.cost_gamma, policy.shape[-2:])[2]
+    scores = letter_scores(channel.kernel, policy, continuation, penalty)
     excess = scores - targets[..., None]
     violations = np.where(policy > SUPPORT_EPS, np.abs(excess), np.maximum(excess, 0.0))
     if worst is None:

@@ -31,6 +31,7 @@ from .channel import (
     _check_entries,
     _check_integer,
     _check_number,
+    _cost_penalty,
     _float_array,
     _float_grid,
     _frozen_array,
@@ -39,7 +40,7 @@ from .channel import (
     resolve_cost,
 )
 from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError, ValidationError
-from .finite_dp import ConditionReport, _condition_report, _frozen_cost
+from .finite_dp import ConditionReport, _condition_report
 from .onestage import letter_scores, maximize_stage_objective
 
 # Entries above this are edges of the output-chain graph; below is treated as
@@ -54,12 +55,13 @@ class InfiniteHorizonSolution:
     """Gain (bits per use), bias normalized to V(0) = 0, and the policy attaining them.
 
     invariant_dist and irreducible are read from output_kernel (None and False
-    for a reducible chain).  multiplier/cost_gamma record the cost penalty the solve
-    used (None when unconstrained) so verifiers can replay it; gain_trace keeps
-    per-iteration gains (policy iteration).  gain_bracket, both solvers' certificate,
+    for a reducible chain).  gain_bracket, both solvers' certificate and required,
     is (min, max) of TV - V for one Bellman sweep T of a bias V (RVI: its last sweep;
     PI: a sweep of the returned bias), which brackets the optimal gain up to that
-    sweep's inner tolerance (Odoni 1969); span_residual reads its width.
+    sweep's inner tolerance (Odoni 1969); span_residual reads its width.  multiplier
+    and cost_gamma (s and a frozen copy of the cost table) are both None or both pass
+    ``channel._cost_penalty``, the verifiers' penalty rule; gain_trace keeps
+    per-iteration gains (policy iteration).
     """
 
     gain: float
@@ -67,26 +69,27 @@ class InfiniteHorizonSolution:
     policy: InputPolicy
     output_kernel: OutputKernel
     iterations: int
+    gain_bracket: tuple[float, float]
     multiplier: float | None = None
     cost_gamma: np.ndarray | None = None
     gain_trace: tuple[float, ...] = ()
-    gain_bracket: tuple[float, float] | None = None
 
     def __post_init__(self):
         bias = _check_entries(_frozen_array(self.bias, "bias"), "bias entries", -_FLOAT_MAX)
         if not bias.shape == (self.policy.n_states,) == (self.output_kernel.n_states,):
             raise DimensionMismatchError(f"bias {bias.shape}, policy and output kernel cover different states")
-        object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "cost_gamma", _frozen_cost(self.multiplier, self.cost_gamma, self.policy.matrix.shape))
-        object.__setattr__(self, "gain", _check_number(self.gain, "gain", -_FLOAT_MAX))
-        object.__setattr__(self, "iterations", _check_integer(self.iterations, "iterations", 0))
+        bracket = _check_entries(_float_grid(self.gain_bracket, "gain bracket"), "gain bracket", -_FLOAT_MAX).tolist()
+        if len(bracket) != 2 or bracket[0] > bracket[1]:
+            raise ValidationError(f"gain bracket must be two numbers lo <= hi, got {bracket}")
         trace = _check_entries(_float_grid(self.gain_trace, "gain trace"), "gain trace entries", -_FLOAT_MAX)
+        s, gamma, _ = _cost_penalty(self.multiplier, self.cost_gamma, self.policy.matrix.shape)
+        object.__setattr__(self, "gain", _check_number(self.gain, "gain", -_FLOAT_MAX))
+        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "iterations", _check_integer(self.iterations, "iterations", 0))
+        object.__setattr__(self, "gain_bracket", tuple(bracket))
+        object.__setattr__(self, "multiplier", s)
+        object.__setattr__(self, "cost_gamma", gamma)
         object.__setattr__(self, "gain_trace", tuple(trace.tolist()))
-        if self.gain_bracket is not None:
-            bracket = _check_entries(_float_grid(self.gain_bracket, "gain bracket"), "gain bracket", -_FLOAT_MAX)
-            if len(bracket) != 2 or bracket[0] > bracket[1]:
-                raise ValidationError(f"gain bracket must be two numbers lo <= hi, got {bracket.tolist()}")
-            object.__setattr__(self, "gain_bracket", tuple(bracket.tolist()))
 
     @property
     def irreducible(self) -> bool:
@@ -100,8 +103,8 @@ class InfiniteHorizonSolution:
             return None
 
     @property
-    def span_residual(self) -> float | None:
-        return None if self.gain_bracket is None else self.gain_bracket[1] - self.gain_bracket[0]
+    def span_residual(self) -> float:
+        return self.gain_bracket[1] - self.gain_bracket[0]
 
 
 def _reach(matrix) -> np.ndarray:
@@ -168,16 +171,11 @@ def stationary_distribution(kernel: OutputKernel) -> Distribution:
     return Distribution(nu)
 
 
-def _sweep(channel, continuation, gamma, s, tol, initial=None, newton_start=False):
+def _sweep(channel, continuation, penalty, tol, initial=None, newton_start=False):
     """One Bellman sweep: every state's stage problem solved to max(tol * 1e-2, 1e-14)."""
     return maximize_stage_objective(
-        channel._prepared_kernel,
-        continuation=continuation,
-        cost_row=gamma,
-        multiplier=s,
-        tol=max(tol * 1e-2, 1e-14),
-        initial=initial,
-        _newton_start=newton_start,
+        channel._prepared_kernel, continuation, penalty, tol=max(tol * 1e-2, 1e-14),
+        initial=initial, _newton_start=newton_start,
     )
 
 
@@ -209,7 +207,7 @@ def relative_value_iteration(
     """
     _check_number(tol, "tol")
     max_iter = _check_integer(max_iter, "max_iter", 1)
-    s, gamma = resolve_cost(channel, cost, multiplier)
+    s, gamma, penalty = resolve_cost(channel, cost, multiplier)
     if initial_policy is not None:
         _check_compatible(channel, initial_policy.matrix)
     value = np.zeros(channel.n_states) if initial_value is None else _float_array(initial_value, "initial value")
@@ -219,7 +217,7 @@ def relative_value_iteration(
     warm = None if initial_policy is None else initial_policy.matrix
     span = np.inf
     for sweep in range(1, max_iter + 1):
-        sol = _sweep(channel, value, gamma, s, tol, warm, newton_start=sweep == 1 and initial_policy is not None)
+        sol = _sweep(channel, value, penalty, tol, warm, newton_start=sweep == 1 and initial_policy is not None)
         swept, warm = sol.value, sol.policy
         diff = swept - value
         lo, hi = float(diff.min()), float(diff.max())
@@ -240,18 +238,18 @@ def relative_value_iteration(
         policy=policy,
         output_kernel=induced_output_kernel(channel, policy),
         iterations=sweep,
+        gain_bracket=(lo, hi),
         multiplier=s,
         cost_gamma=gamma,
-        gain_bracket=(lo, hi),
     )
 
 
-def _policy_rewards(channel, matrix, gamma, s):
-    """Per-state reward l(b, pi) - s * E[gamma | b] at a fixed policy (letters without mass count 0)."""
-    return _policy_average(matrix, letter_scores(channel.kernel, matrix, cost_row=gamma, multiplier=s))
+def _policy_rewards(channel, matrix, penalty):
+    """Per-state reward l(b, pi) - E[penalty | b] at a fixed policy (letters without mass count 0)."""
+    return _policy_average(matrix, letter_scores(channel.kernel, matrix, penalty=penalty))
 
 
-def _evaluate_policy(channel, matrix, gamma, s):
+def _evaluate_policy(channel, matrix, penalty):
     """Solve J + V(b) - sum_b' K(b,b') V(b') = l(b) with V(0) pinned to 0; (J, V, the output kernel K)."""
     kernel = induced_output_kernel(channel, InputPolicy(matrix))
     _require_irreducible(
@@ -261,7 +259,7 @@ def _evaluate_policy(channel, matrix, gamma, s):
     system = np.eye(channel.n_states) - kernel.matrix
     system[:, 0] = 1.0
     try:
-        x = np.linalg.solve(system, _policy_rewards(channel, matrix, gamma, s))
+        x = np.linalg.solve(system, _policy_rewards(channel, matrix, penalty))
     except np.linalg.LinAlgError as exc:
         raise ReducibleChainError(
             "policy evaluation system is singular; use relative_value_iteration "
@@ -289,14 +287,14 @@ def policy_iteration(
     _check_compatible(channel, initial_policy.matrix)
     _check_number(tol, "tol")
     max_iter = _check_integer(max_iter, "max_iter", 1)
-    s, gamma = resolve_cost(channel, cost, multiplier)
+    s, gamma, penalty = resolve_cost(channel, cost, multiplier)
     matrix = np.array(initial_policy.matrix)
     trace: list[float] = []
     change = np.inf
     for iteration in range(1, max_iter + 1):
-        gain, bias, _ = _evaluate_policy(channel, matrix, gamma, s)
+        gain, bias, _ = _evaluate_policy(channel, matrix, penalty)
         trace.append(gain)
-        improved = _sweep(channel, bias, gamma, s, tol).policy
+        improved = _sweep(channel, bias, penalty, tol).policy
         change = float(np.abs(improved - matrix).max())
         matrix = improved
         if change <= tol:
@@ -306,19 +304,19 @@ def policy_iteration(
             f"policy iteration still moving by {change:.3e} after {max_iter} iterations",
             residual=change,
         )
-    gain, bias, output_kernel = _evaluate_policy(channel, matrix, gamma, s)
+    gain, bias, output_kernel = _evaluate_policy(channel, matrix, penalty)
     trace.append(gain)
-    diff = _sweep(channel, bias, gamma, s, tol).value - bias
+    diff = _sweep(channel, bias, penalty, tol).value - bias
     return InfiniteHorizonSolution(
         gain=gain,
         bias=bias,
         policy=InputPolicy(matrix),
         output_kernel=output_kernel,
         iterations=iteration,
+        gain_bracket=(float(diff.min()), float(diff.max())),
         multiplier=s,
         cost_gamma=gamma,
         gain_trace=tuple(trace),
-        gain_bracket=(float(diff.min()), float(diff.max())),
     )
 
 
@@ -371,7 +369,8 @@ def generalized_dp_check(
         worst_drift = float(np.abs((channel.kernel @ gains).max(axis=1) - gains).max())
         message = f"state-dependent gain: worst drift-equation violation {worst_drift:.3e}"
     # A checker solves ten times tighter than the solver it checks.
-    optimum = _sweep(channel, solution.bias, solution.cost_gamma, solution.multiplier, 0.1 * tol)
+    penalty = _cost_penalty(solution.multiplier, solution.cost_gamma, solution.policy.matrix.shape)[2]
+    optimum = _sweep(channel, solution.bias, penalty, 0.1 * tol)
     targets = gains + solution.bias
     worst = max(worst_drift, float(np.abs(optimum.value - targets).max()))
     policy, bias = solution.policy.matrix[None], solution.bias[None]
@@ -392,7 +391,7 @@ def minimum_average_cost(
     """
     _check_number(tol, "tol")
     max_iter = _check_integer(max_iter, "max_iter", 1)
-    _, gamma = resolve_cost(channel, CostSpec(gamma, 0.0), None)
+    gamma = _cost_penalty(0.0, gamma, (channel.n_states, channel.n_inputs))[1]
     value = np.zeros(channel.n_states)
     span = np.inf
     for _ in range(max_iter):

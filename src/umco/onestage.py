@@ -3,11 +3,12 @@
 Each dynamic-programming stage asks, for one fixed previous output, for the
 input distribution maximizing
 
-    sum_a pi(a) * [ D_a(pi) + sum_b W(b) P(b|a) - s * cost(a) ]
+    sum_a pi(a) * [ D_a(pi) + sum_b W(b) P(b|a) - penalty(a) ]
 
 where D_a(pi) is the divergence of the letter's output row against the
-pi-induced output.  This is a channel-capacity problem with a per-letter
-bias, solved by the multiplicative fixed point
+pi-induced output and penalty(a) = s * cost(a) the solve's cost penalty (by
+``channel._cost_penalty``).  This is a channel-capacity problem with a
+per-letter bias, solved by the multiplicative fixed point
 
     pi'(a)  proportional to  pi(a) * 2^(D_a + bias_a)
 
@@ -118,35 +119,32 @@ def _prepare_kernel(rows) -> _PreparedKernel:
     return kernel
 
 
-def _letter_bias(rows, continuation, cost_row, multiplier):
-    """E[continuation | b_prev, a] - multiplier * cost_row(b_prev, a) over a stack (S, A, B).
+def _letter_bias(rows, continuation, penalty):
+    """E[continuation | b_prev, a] - penalty(b_prev, a) over a stack (S, A, B).
 
     continuation (..., B) broadcasts its leading axes (stages, say) over the
-    states, giving a bias of shape (..., S, A); the cost term is skipped when
-    the multiplier is None or 0.
+    states, giving a bias of shape (..., S, A); a penalty of None is no cost.
     """
     if continuation is None:
         bias = np.zeros(rows.shape[:-1])
     else:
         bias = np.matmul(rows, np.asarray(continuation, dtype=float)[..., None, :, None])[..., 0]
-    if cost_row is not None and multiplier:
-        bias = bias - multiplier * np.asarray(cost_row, dtype=float)
-    return bias
+    return bias if penalty is None else bias - penalty
 
 
-def letter_scores(rows, policy, continuation=None, cost_row=None, multiplier=None) -> np.ndarray:
-    """Per-letter score D_a + E[continuation | a] - s*cost(a) at a given policy.
+def letter_scores(rows, policy, continuation=None, penalty=None) -> np.ndarray:
+    """Per-letter score D_a + E[continuation | a] - penalty(a) at a given policy.
 
     On the support of an optimal policy these scores all equal the stage
     value; off the support they cannot exceed it.
 
     rows is the kernel stack (S, A, B) only (a slice (A, B) is a stack of
-    one), with policy (..., S, A), continuation (..., B) and cost_row (S, A);
-    the leading axes (stages, say) broadcast and the scores are (..., S, A).
+    one), with policy (..., S, A), continuation (..., B) and penalty (S, A) or
+    None; the leading axes (stages, say) broadcast and the scores are (..., S, A).
     """
     rows = np.asarray(rows, dtype=float).reshape(-1, *np.shape(rows)[-2:])  # a slice is a stack of one
     output = np.matmul(np.asarray(policy, dtype=float)[..., None, :], rows)
-    return letter_divergences(rows, output) + _letter_bias(rows, continuation, cost_row, multiplier)
+    return letter_divergences(rows, output) + _letter_bias(rows, continuation, penalty)
 
 
 def _newton_pass(rows, rows_t, pi, base, scores, tol):
@@ -230,8 +228,7 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
 def maximize_stage_objective(
     rows,
     continuation=None,
-    cost_row=None,
-    multiplier: float | None = None,
+    penalty=None,
     tol: float = DEFAULT_INNER_TOL,
     max_iter: int = DEFAULT_INNER_MAX_ITER,
     initial=None,
@@ -244,9 +241,9 @@ def maximize_stage_objective(
     n_outputs), or a channel's ``_prepared_kernel``; a single slice (n_inputs,
     n_outputs) is a stack of one and gets a policy (1, n_inputs) and a value (1,).
     continuation: optional next-stage value vector W(b), shared by all states.
-    cost_row, multiplier: optional linear penalty s * cost(a) of shape
-    (n_states, n_inputs); skipped when the multiplier is None or 0.
-    initial: optional warm-start policy, shaped like cost_row; default is
+    penalty: optional cost penalty s * cost(b_prev, a) of shape (n_states,
+    n_inputs), subtracted from the letter bias; None is no cost.
+    initial: optional warm-start policy, shaped like penalty; default is
     uniform, which is also the tie-breaker among optimal policies.
     _newton_start: internal; every state not certified at iteration 1 tries Newton there.
 
@@ -256,7 +253,7 @@ def maximize_stage_objective(
     kernel = rows if isinstance(rows, _PreparedKernel) else _prepare_kernel(rows)
     rows, rows_t, unreachable = kernel.rows, kernel.rows_t, kernel.unreachable
     n_states, n_inputs, _ = rows.shape
-    bias = _letter_bias(rows, continuation, cost_row, multiplier)
+    bias = _letter_bias(rows, continuation, penalty)
     # Work with a centered bias: a common offset shifts every score and the
     # value alike, and removing it avoids cancellation when the offset is
     # large (e.g. a big cost multiplier).

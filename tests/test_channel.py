@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import bibo_channel, bssc, embedded_dmc, random_channel
 import umco.bssc
+import umco.cli
 import umco.exponent
 import umco.finite_dp
 import umco.infinite_horizon
@@ -251,7 +252,7 @@ def _arrays(value):
 
 def _stationary_record(**changes):
     """An InfiniteHorizonSolution built by a caller on two states, with ``changes`` to its fields."""
-    fields = dict(gain=0.5, bias=np.zeros(2), policy=uniform_policy(2, 2), iterations=0)
+    fields = dict(gain=0.5, bias=np.zeros(2), policy=uniform_policy(2, 2), iterations=0, gain_bracket=(0.5, 0.5))
     fields["output_kernel"] = OutputKernel(np.full((2, 2), 0.5))
     return InfiniteHorizonSolution(**{**fields, **changes})
 
@@ -349,6 +350,16 @@ def test_no_array_a_result_holds_is_writable():
         (lambda: _dp_record(multiplier=0.5, cost_gamma=[[-1.0, 0.0], [0.0, 0.0]]), ValidationError),
         (lambda: _stationary_record(multiplier=0.5, cost_gamma=np.zeros((3, 3))), DimensionMismatchError),
         (lambda: _dp_record(multiplier=0.5, cost_gamma=np.zeros(2)), DimensionMismatchError),
+        *[
+            (lambda record=record, bad=bad: record(multiplier=bad, cost_gamma=np.ones((2, 2))), ValidationError)
+            for record in (_stationary_record, _dp_record)
+            for bad in (np.nan, np.inf, -1.0, "x")
+        ],
+        (lambda: _stationary_record(cost_gamma=np.ones((2, 2))), ValidationError),
+        (lambda: _dp_record(cost_gamma=np.ones((2, 2))), ValidationError),
+        (lambda: _dp_record(inner_iterations=(0, "a")), ValidationError),
+        (lambda: _dp_record(inner_iterations=(-5, 0)), ValidationError),
+        (lambda: _dp_record(inner_iterations=(1.5, 1)), ValidationError),
         (lambda: _stationary_record(gain_bracket=(np.nan, 1.0)), ValidationError),
         (lambda: _stationary_record(gain_bracket=(0.0, np.inf)), ValidationError),
         (lambda: _stationary_record(gain_bracket=(-np.inf, 1.0)), ValidationError),
@@ -386,6 +397,12 @@ def test_no_array_a_result_holds_is_writable():
         "dp-negative-cost-table",
         "stationary-cost-table-of-three",
         "dp-cost-table-1d",
+        *[f"{record}-multiplier-{bad}" for record in ("stationary", "dp") for bad in ("nan", "inf", "minus-1", "text")],
+        "stationary-cost-table-without-multiplier",
+        "dp-cost-table-without-multiplier",
+        "dp-text-inner-iterations",
+        "dp-negative-inner-iterations",
+        "dp-fractional-inner-iterations",
         "nan-gain-bracket",
         "infinite-gain-bracket",
         "minus-infinite-gain-bracket",
@@ -403,9 +420,28 @@ def test_result_records_reject_each_contradictory_construction(build, error):
     # multiplier without the cost table it penalizes, which the verifiers dropped,
     # and a NaN, negative or misshapen table, which they replayed.  So were the
     # gain brackets and trace after them (an inverted bracket read a negative
-    # span residual) and the records over zero states.
+    # span residual) and the records over zero states.  A multiplier of NaN,
+    # inf, -1 or text, a cost table without a multiplier and inner-iteration
+    # counts that are not whole numbers >= 0 were accepted too.
     with pytest.raises(error):
         build()
+
+
+def test_result_records_store_the_cost_rule_values_and_whole_counts():
+    # The multiplier and counts are kept as Python numbers, as gain_trace is.
+    gamma = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for record in (_stationary_record, _dp_record):
+        stored = record(multiplier=np.int64(1), cost_gamma=gamma).multiplier
+        assert type(stored) is float and stored == 1.0
+    dp = _dp_record(inner_iterations=[np.int64(3), 2.0])
+    assert dp.inner_iterations == (3, 2) and all(type(n) is int for n in dp.inner_iterations)
+    # The gain bracket is a required field after iterations, so every record has a span residual.
+    names = [field.name for field in dataclasses.fields(InfiniteHorizonSolution)]
+    assert names[names.index("iterations") + 1] == "gain_bracket"
+    assert dataclasses.fields(InfiniteHorizonSolution)[names.index("gain_bracket")].default is dataclasses.MISSING
+    with pytest.raises(TypeError, match="gain_bracket"):
+        InfiniteHorizonSolution(0.5, np.zeros(2), uniform_policy(2, 2), OutputKernel(np.full((2, 2), 0.5)), 0)
+    assert "span residual   = 0.000e+00 bits" in umco.cli.solution_report(_stationary_record())
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 3), (0, 1, 0), (2, 0, 2)], ids=str)

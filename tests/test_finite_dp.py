@@ -323,8 +323,7 @@ def _per_state_conditions(channel, policy, continuations, targets, gamma, multip
                 channel.kernel[b : b + 1],
                 policy[t][b : b + 1],
                 continuation=continuation,
-                cost_row=None if gamma is None else gamma[b : b + 1],
-                multiplier=multiplier,
+                penalty=None if gamma is None else multiplier * gamma[b : b + 1],
             )[0]
             excess = row - targets[t][b]
             violation = np.where(policy[t][b] > SUPPORT_EPS, np.abs(excess), np.maximum(excess, 0.0))
@@ -383,6 +382,7 @@ def test_stacked_checker_equals_per_state_scores(problem):
         policy=InputPolicy(solution.policies[0]),
         output_kernel=induced_output_kernel(channel, InputPolicy(solution.policies[0])),
         iterations=0,
+        gain_bracket=(float(solution.values[0].mean()),) * 2,
         multiplier=solution.multiplier,
         cost_gamma=solution.cost_gamma,
     )

@@ -494,7 +494,8 @@ def test_is_irreducible():
 def test_invariant_dist_builds_the_reachability_closure_once(monkeypatch, matrix):
     kernel = OutputKernel(matrix)
     solution = InfiniteHorizonSolution(
-        gain=0.0, bias=np.zeros(2), policy=uniform_policy(2, 2), output_kernel=kernel, iterations=0
+        gain=0.0, bias=np.zeros(2), policy=uniform_policy(2, 2), output_kernel=kernel, iterations=0,
+        gain_bracket=(0.0, 0.0),
     )
     real, closures = umco.infinite_horizon._reach, []
     monkeypatch.setattr(umco.infinite_horizon, "_reach", lambda m: closures.append(m) or real(m))
@@ -582,7 +583,7 @@ def sparse_policy_problems(draw):
 def test_policy_rewards_match_per_state_stage_rewards(problem):
     kernel, matrix, gamma, s = problem
     channel = channel_from_kernel(kernel)
-    rewards = _policy_rewards(channel, matrix, gamma, s)
+    rewards = _policy_rewards(channel, matrix, None if s is None else s * gamma)
     for b in range(channel.n_states):
         expected = stage_reward(channel, InputPolicy(matrix), b) - (s or 0.0) * (matrix[b] @ gamma[b])
         assert abs(rewards[b] - expected) <= 1e-14
@@ -636,6 +637,7 @@ def test_generalized_check_per_class_gains():
         policy=policy,
         output_kernel=induced_output_kernel(channel, policy),
         iterations=0,
+        gain_bracket=(gain_top, gain_top),
     )
     assert solution.invariant_dist is None  # two closed classes
     report = generalized_dp_check(
@@ -665,6 +667,7 @@ def test_generalized_check_two_state_frozen_outputs():
         policy=policy,
         output_kernel=induced_output_kernel(channel, policy),
         iterations=0,
+        gain_bracket=(0.0, 0.0),
     )
     assert solution.invariant_dist is None
     report = generalized_dp_check(channel, solution, tol=1e-12, gain_by_state=[0.0, 0.0])

@@ -59,7 +59,7 @@ def kernel_stacks(draw, max_states=6):
 
 @st.composite
 def stage_problems(draw):
-    """A kernel stack (S, A, B), optional continuation, cost and warm start, and the first-attempt flag."""
+    """A kernel stack (S, A, B), optional continuation, penalty (multiplier * cost), warm start and Newton flag."""
     rows = draw(kernel_stacks())
     n_states, n_inputs, n_outputs = rows.shape
     continuation = draw(st.none() | hnp.arrays(float, n_outputs, elements=st.floats(-5.0, 5.0)))
@@ -69,13 +69,14 @@ def stage_problems(draw):
     if initial is not None:
         initial[:, 0] += initial.sum(axis=1) == 0.0
         initial /= initial.sum(axis=1, keepdims=True)
-    return rows, continuation, cost, multiplier, initial, draw(st.booleans())
+    penalty = None if cost is None else multiplier * cost
+    return rows, continuation, penalty, initial, draw(st.booleans())
 
 
-def _solve(rows, continuation, cost, multiplier, initial, newton_start):
+def _solve(rows, continuation, penalty, initial, newton_start):
     try:
         return maximize_stage_objective(
-            rows, continuation, cost, multiplier, tol=1e-10, max_iter=MAX_ITER, initial=initial,
+            rows, continuation, penalty, tol=1e-10, max_iter=MAX_ITER, initial=initial,
             _newton_start=newton_start,
         )
     except ConvergenceError as exc:
@@ -103,7 +104,7 @@ def test_prepared_kernel_holds_the_invariants_of_its_stack(rows):
 
 @given(stage_problems())
 def test_stacked_call_equals_per_state_calls(problem):
-    rows, continuation, cost, multiplier, initial, newton_start = problem
+    rows, continuation, penalty, initial, newton_start = problem
     stacked = _solve(*problem)
     # The prepared loop invariants a channel keeps give what the raw stack gives, bit for bit.
     prepared = _solve(_prepare_kernel(rows), *problem[1:])
@@ -117,8 +118,7 @@ def test_stacked_call_equals_per_state_calls(problem):
         _solve(
             rows[b],
             continuation,
-            None if cost is None else cost[b],
-            multiplier,
+            None if penalty is None else penalty[b],
             None if initial is None else initial[b],
             newton_start,
         )
@@ -156,10 +156,10 @@ def test_skipping_the_certificate_on_the_jensen_bound_changes_nothing(problem):
 def test_solver_neither_writes_into_nor_aliases_its_inputs(problem):
     # The update works in buffers of its own; the returned arrays must not be
     # views of the caller's warm start either.
-    rows, continuation, cost, multiplier, initial, _ = problem
-    before = [None if a is None else a.tobytes() for a in (rows, continuation, cost, initial)]
+    rows, continuation, penalty, initial, _ = problem
+    before = [None if a is None else a.tobytes() for a in (rows, continuation, penalty, initial)]
     solved = _solve(*problem)
-    assert [None if a is None else a.tobytes() for a in (rows, continuation, cost, initial)] == before
+    assert [None if a is None else a.tobytes() for a in (rows, continuation, penalty, initial)] == before
     if initial is not None and not isinstance(solved, ConvergenceError):
         assert not np.shares_memory(solved.policy, initial)
         assert not np.shares_memory(solved.value, initial)
@@ -257,12 +257,12 @@ def _newton_inputs(rows, bias, pi):
     """The solver's arguments to a Newton pass: (rows, rows_t, pi, base, scores) with base = sum_b P log2 P + bias."""
     rows_t = np.ascontiguousarray(rows.transpose(0, 2, 1))
     base = np.where(rows > 0.0, rows * np.log2(np.where(rows > 0.0, rows, 1.0)), 0.0).sum(axis=2) + bias
-    return rows, rows_t, pi, base, letter_scores(rows, pi, cost_row=-bias, multiplier=1.0)
+    return rows, rows_t, pi, base, letter_scores(rows, pi, penalty=-bias)
 
 
 def _stage_gap(rows, bias, pi):
     """max_a score - value at pi, scored by letter_divergences, independently of the pass's own formula."""
-    scores = letter_scores(rows, pi, cost_row=-bias, multiplier=1.0)
+    scores = letter_scores(rows, pi, penalty=-bias)
     return scores.max(axis=-1) - _policy_average(pi, scores)
 
 
@@ -354,14 +354,14 @@ def _reference_state(rows, bias, initial, newton_start, tol=1e-10):
 
 @given(stage_problems())
 # One letter alone reaches output 1; the value rounds 2.2e-16 above the top score.
-@example((np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]]), None, None, 0.0, None, False))
+@example((np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]]), None, None, None, False))
 def test_solver_matches_the_plain_fixed_point(problem):
-    rows, continuation, cost, multiplier, initial, newton_start = problem
+    rows, continuation, penalty, initial, newton_start = problem
     bias = np.zeros(rows.shape[:2])
     if continuation is not None:
         bias += rows @ continuation
-    if cost is not None:
-        bias -= multiplier * cost
+    if penalty is not None:
+        bias -= penalty
     references = [
         _reference_state(rows[b], bias[b], None if initial is None else initial[b], newton_start)
         for b in range(rows.shape[0])
@@ -383,11 +383,11 @@ def test_state_certified_by_the_newton_step_is_frozen_in_a_stack():
     # certificate early and is frozen before either.
     rows = bssc(0.95, 0.8).kernel[[0, 1, 1]]
     cost = np.array([[1.0, 0.0], [0.0, 0.95], [0.0, 0.5]])
-    singles = [maximize_stage_objective(rows[b], cost_row=cost[b], multiplier=2.0) for b in range(3)]
+    singles = [maximize_stage_objective(rows[b], penalty=2.0 * cost[b]) for b in range(3)]
     assert [s.iterations for s in singles[:2]] == [256, 256] and singles[2].iterations < 256
     assert singles[0].policy.tolist() == [[0.0, 1.0]] and singles[0].gap == 0.0
     assert 0.0 < singles[1].policy[0, 1] < 0.01 and singles[1].gap <= 1e-10
-    stacked = maximize_stage_objective(rows, cost_row=cost, multiplier=2.0)
+    stacked = maximize_stage_objective(rows, penalty=2.0 * cost)
     assert stacked.policy.tobytes() == np.concatenate([s.policy for s in singles]).tobytes()
     assert stacked.value.tobytes() == np.concatenate([s.value for s in singles]).tobytes()
     assert stacked.iterations == 512 + singles[2].iterations
@@ -418,17 +418,17 @@ def test_single_slice_is_a_stack_of_one():
     kernel = bibo_channel().kernel
     cost = np.array([[1.0, 0.0], [0.0, 0.5]])
     for b in range(2):
-        kwargs = dict(continuation=[0.3, -0.2], multiplier=0.7, initial=[[0.2, 0.8]])
-        solution = maximize_stage_objective(kernel[b], cost_row=cost[b], **kwargs)
-        stack = maximize_stage_objective(kernel[b : b + 1], cost_row=cost[b : b + 1], **kwargs)
+        kwargs = dict(continuation=[0.3, -0.2], initial=[[0.2, 0.8]])
+        solution = maximize_stage_objective(kernel[b], penalty=0.7 * cost[b], **kwargs)
+        stack = maximize_stage_objective(kernel[b : b + 1], penalty=0.7 * cost[b : b + 1], **kwargs)
         assert solution.policy.shape == (1, 2) and solution.value.shape == (1,)
         assert solution.policy.tobytes() == stack.policy.tobytes()
         assert solution.value.tobytes() == stack.value.tobytes()
         assert solution[2:] == stack[2:]
         assert solution.iterations == solution.slowest_iterations
         assert 0.0 <= solution.gap <= 1e-10
-        scores = letter_scores(kernel[b], [0.2, 0.8], [0.3, -0.2], cost[b], 0.7)
-        stack_scores = letter_scores(kernel[b : b + 1], [[0.2, 0.8]], [0.3, -0.2], cost[b : b + 1], 0.7)
+        scores = letter_scores(kernel[b], [0.2, 0.8], [0.3, -0.2], 0.7 * cost[b])
+        stack_scores = letter_scores(kernel[b : b + 1], [[0.2, 0.8]], [0.3, -0.2], 0.7 * cost[b : b + 1])
         assert scores.shape == (1, 2) and scores.tobytes() == stack_scores.tobytes()
 
 

@@ -97,12 +97,18 @@ def test_scalars_pass_the_scalar_rule():
     assert not found, "call channel._check_number instead:\n" + "\n".join(found)
 
 
-def _freezes(tree):
-    """Enclosing function ('' at module level) of every array freeze: a setflags call or a write to .writeable."""
+def _owners(tree):
+    """Innermost enclosing function name ('' at module level) of every node."""
     owner = {}
     for node in ast.walk(tree):  # breadth first, so an inner function overrides the one it is nested in
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update(dict.fromkeys(ast.walk(node), node.name))
+    return owner
+
+
+def _freezes(tree):
+    """Enclosing function ('' at module level) of every array freeze: a setflags call or a write to .writeable."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
         call = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "setflags"
         if call or isinstance(node, ast.Attribute) and node.attr == "writeable" and isinstance(node.ctx, ast.Store):
@@ -166,3 +172,46 @@ def test_every_dataclass_is_frozen():
     found = [(path.name, name, frozen) for path in SOURCES for name, frozen in _dataclasses(ast.parse(path.read_text()))]
     assert len(found) >= 15
     assert [f"{path}: {name}" for path, name, frozen in found if not frozen] == []
+
+
+def test_one_function_holds_the_cost_rule():
+    # channel._cost_penalty checks the multiplier and the cost table, and builds
+    # the penalty, for the solves, both records, the verifiers and the cost floor.
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        owner = _owners(tree)
+        callers += [
+            (path.name, owner.get(node, ""))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_cost_penalty"
+        ]
+    assert sorted(callers) == [
+        ("channel.py", "resolve_cost"),
+        ("finite_dp.py", "__post_init__"),
+        ("finite_dp.py", "_condition_report"),
+        ("infinite_horizon.py", "__post_init__"),
+        ("infinite_horizon.py", "generalized_dp_check"),
+        ("infinite_horizon.py", "minimum_average_cost"),
+    ]
+
+
+STAGE_LAYER = {
+    "onestage.py": {"maximize_stage_objective", "letter_scores", "_letter_bias"},
+    "infinite_horizon.py": {"_sweep", "_policy_rewards", "_evaluate_policy"},
+}
+
+
+def test_the_stage_layer_takes_one_penalty_array():
+    # A solve builds the penalty s * cost once; below it no function takes the multiplier or the table.
+    # Every function of onestage.py is checked, and the named ones must take the penalty.
+    params = {}
+    for path in SOURCES:
+        checked = STAGE_LAYER.get(path.name, ())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and (path.name == "onestage.py" or node.name in checked):
+                params[path.name, node.name] = {arg.arg for arg in [*node.args.args, *node.args.kwonlyargs]}
+    assert [key for key, names in params.items() if names & {"cost_row", "multiplier", "gamma", "s"}] == []
+    for path, functions in STAGE_LAYER.items():
+        for name in functions:
+            assert "penalty" in params.get((path, name), ()), f"{path}: {name}"
