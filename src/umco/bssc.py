@@ -30,12 +30,13 @@ from .channel import (
     _check_integer,
     _check_number,
     _csv,
+    _fit,
     _float_grid,
     _stochastic_array,
     binary_entropy,
     channel_from_kernel,
 )
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 
 _SINGULAR_EPS = 1e-12
 _CANCELLATION_DELTA = 1e-3  # nu's error grows like 4e-17 / (alpha + beta - 1)^2: 4e-11 here, 0.4 at 1e-8
@@ -192,13 +193,9 @@ def nofb_induction_deviations(
     from the target, states skipped for zero probability) per stage.
     """
     horizon = _check_integer(horizon, "horizon", 0)
-    n_inputs, n_states = channel.n_inputs, channel.n_states
-    if markov_input.matrix.shape != (n_inputs, n_inputs):
-        raise DimensionMismatchError(f"Markov input shape {markov_input.matrix.shape} does not match {n_inputs} inputs")
-    if initial.weights.shape != (n_states,):
-        raise DimensionMismatchError(f"initial law over {initial.weights.size} states does not match {n_states} states")
-    _check_compatible(channel, target_policy.matrix)
-    target = target_policy.matrix
+    _fit(markov_input.matrix, "Markov input", (channel.n_inputs, channel.n_inputs), "inputs, inputs")
+    _fit(initial.weights, "initial distribution", (channel.n_states,), "states")
+    target = _check_compatible(channel, target_policy.matrix)
     records = [(0, 0.0, ())]
     # joint[a, b] = P(A_i = a, B_i = b)
     joint = np.einsum("m,ma,mab->ab", initial.weights, target, channel.kernel)

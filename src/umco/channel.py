@@ -6,7 +6,9 @@ solver consumes -- input policies pi(a | b_prev), induced output kernels
 P(b | b_prev), distributions over states, cost tables -- lives in this module
 together with its validation (one rule, ``_check_entries``, for every number
 a caller passes, ``_check_number`` on it for every scalar, ``_stochastic_array``
-for every probability array) and ``_csv``, the one writer of the package's CSV
+for every probability array, ``_fit`` for every array that goes with a channel
+or solution: ValidationError for a wrong number of axes, DimensionMismatchError
+for sizes that disagree) and ``_csv``, the one writer of the package's CSV
 tables.  All objects are immutable after construction (arrays are frozen), so
 they are thread-safe.
 
@@ -51,18 +53,19 @@ def _float_array(values, what: str) -> np.ndarray:
         raise ValidationError(f"{what} must be numbers: {exc}") from None
 
 
-def _check_entries(values, what: str, low: float = 0.0, high: float | None = None) -> np.ndarray:
+def _check_entries(values, what: str, low: float | None = 0.0, high: float | None = None) -> np.ndarray:
     """``values`` as a float array; ValidationError unless every entry is a finite number in [low, high].
 
-    None (read as NaN), text and a ragged nest fail too.  The range test is
-    written so that NaN (which fails every comparison, and which minimum and
-    maximum propagate) and +-inf fail it; a test for values *outside* the
-    range would let NaN through.  The initial values let an empty array pass.
+    A bound of None is no bound: low=None is any finite number.  None (read
+    as NaN), text and a ragged nest fail too.  The range test is written so
+    that NaN (which fails every comparison, and which minimum and maximum
+    propagate) and +-inf fail it; a test for values *outside* the range
+    would let NaN through.  The initial values let an empty array pass.
     """
     values = _float_array(values, what)
-    upper = _FLOAT_MAX if high is None else high
+    lower, upper = -_FLOAT_MAX if low is None else low, _FLOAT_MAX if high is None else high
     lowest = np.minimum.reduce(values, axis=None, initial=np.inf)
-    if not (lowest >= low and np.maximum.reduce(values, axis=None, initial=-np.inf) <= upper):
+    if not (lowest >= lower and np.maximum.reduce(values, axis=None, initial=-np.inf) <= upper):
         if not np.isfinite(values).all():
             raise ValidationError(f"{what} must be finite")
         bound = f"lie in [{low:g}, {high:g}]" if high is not None else f"be at least {low:g}" if low else "be nonnegative"
@@ -70,7 +73,7 @@ def _check_entries(values, what: str, low: float = 0.0, high: float | None = Non
     return values
 
 
-def _check_number(value, what: str, low: float = 0.0, high: float | None = None) -> float:
+def _check_number(value, what: str, low: float | None = 0.0, high: float | None = None) -> float:
     """``value`` as a float; ValidationError unless it is one finite number in [low, high], not a list of one."""
     value = _check_entries(value, what, low, high)
     if value.ndim:
@@ -84,6 +87,21 @@ def _float_grid(values, what: str) -> np.ndarray:
     if grid.ndim != 1:
         raise ValidationError(f"{what} must be a 1-d grid, got shape {grid.shape}")
     return grid
+
+
+def _fit(values, what: str, shape: tuple, axes: str) -> np.ndarray:
+    """The one fit rule: ``values`` as a float array of ``shape`` (a size of None fits any), axes named by ``axes``.
+
+    A wrong number of axes raises ValidationError, a size that disagrees with
+    the channel or solution the array goes with DimensionMismatchError.
+    """
+    array = _float_array(values, what)
+    if array.ndim != len(shape):
+        raise ValidationError(f"{what} must be {len(shape)}-d, got shape {array.shape}")
+    expected = tuple(n if size is None else size for size, n in zip(shape, array.shape))
+    if array.shape != expected:
+        raise DimensionMismatchError(f"{what} shape {array.shape} does not match {expected} ({axes})")
+    return array
 
 
 def _frozen_array(values, what: str) -> np.ndarray:
@@ -225,11 +243,7 @@ class CostSpec:
     kappa: float
 
     def __post_init__(self):
-        gamma = _frozen_array(self.gamma, "cost table")
-        if gamma.ndim != 2:
-            raise ValidationError("cost table must be 2-d, indexed [b_prev][a]")
-        _check_entries(gamma, "cost entries")
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", _cost_table(self.gamma, (None, None)))  # no channel: axes only
         object.__setattr__(self, "kappa", _check_number(self.kappa, "budget kappa"))
 
 
@@ -247,27 +261,28 @@ def deterministic_policy(choices, n_inputs: int) -> InputPolicy:
     return InputPolicy(matrix)
 
 
-def _check_compatible(channel: UnitMemoryChannel, table: np.ndarray):
-    """DimensionMismatchError unless a [b_prev][a] policy matrix fits the channel (cost tables: ``_cost_penalty``)."""
-    if table.shape != (channel.n_states, channel.n_inputs):
-        raise DimensionMismatchError(
-            f"policy shape {table.shape} does not match channel ({channel.n_states} states, {channel.n_inputs} inputs)"
-        )
+def _check_compatible(channel: UnitMemoryChannel, table: np.ndarray) -> np.ndarray:
+    """A [b_prev][a] policy matrix that ``_fit`` takes for the channel (cost tables: ``_cost_table``)."""
+    return _fit(table, "policy", (channel.n_states, channel.n_inputs), "states, inputs")
+
+
+def _cost_table(table, shape) -> np.ndarray:
+    """A frozen copy of a [b_prev][a] cost table that ``_fit`` takes for ``shape``, its entries finite and >= 0."""
+    table = _fit(_frozen_array(table, "cost table"), "cost table", shape, "states, inputs")
+    return _check_entries(table, "cost entries")
 
 
 def _cost_penalty(multiplier, table, shape):
     """The one cost rule: (s, frozen cost table, penalty s * table or None at s = 0), all None without a cost.
 
-    s must be one finite number >= 0 and the table finite entries >= 0 of ``shape``; neither comes without the other.
+    s must be one finite number >= 0 and the table pass ``_cost_table`` for ``shape``; neither comes without the other.
     """
     if (multiplier is None) != (table is None):
         raise ValidationError("a multiplier requires a cost table, and a cost table a multiplier")
     if table is None:
         return None, None, None
     s = _check_number(multiplier, "multiplier")
-    table = _check_entries(_frozen_array(table, "cost table"), "cost entries")
-    if table.shape != shape:
-        raise DimensionMismatchError(f"cost table shape {table.shape} does not match {shape} (states, inputs)")
+    table = _cost_table(table, shape)
     return s, table, s * table if s else None
 
 
@@ -348,12 +363,7 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
     if name is not None and not isinstance(name, str):
         raise ChannelFormatError("'name' must be a string")
     channel = UnitMemoryChannel(kernel, name)
-    cost = None
-    if doc.get("cost") is not None:
-        cost = _float_array(doc["cost"], "cost table")
-        if cost.shape != (outputs, inputs):
-            raise ValidationError(f"cost shape {cost.shape} must be (output_size, input_size)")
-        _check_entries(cost, "cost entries")
+    cost = None if doc.get("cost") is None else _cost_table(doc["cost"], (outputs, inputs))
     return channel, cost
 
 

@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 from .channel import (
-    CostSpec, Distribution, InputPolicy, UnitMemoryChannel, _check_number, _csv, _float_grid, induced_output_kernel
+    CostSpec, InputPolicy, UnitMemoryChannel, _check_number, _cost_table, _csv, _float_grid, induced_output_kernel
 )
 from .errors import ConvergenceError, InfeasibleBudgetError, UmcoError, ValidationError
 from .infinite_horizon import (
@@ -47,6 +47,7 @@ class ConstrainedResult:
 
     binding is True when the achieved cost sits on the budget; kappa_max is
     the cost of the unconstrained optimum (the saturation point of the curve).
+    Every number must be finite and the multiplier >= 0 (ValidationError).
     """
 
     kappa: float
@@ -57,17 +58,25 @@ class ConstrainedResult:
     binding: bool
     kappa_max: float | None = None
 
+    def __post_init__(self):
+        for name in ("kappa", "capacity", "achieved_cost") + (() if self.kappa_max is None else ("kappa_max",)):
+            object.__setattr__(self, name, _check_number(getattr(self, name), name, None))
+        object.__setattr__(self, "multiplier", _check_number(self.multiplier, "multiplier"))
+        if not isinstance(self.policy, InputPolicy):
+            raise ValidationError(f"policy must be an InputPolicy, got {type(self.policy).__name__}")
+        if not isinstance(self.binding, bool):
+            raise ValidationError(f"binding must be a bool, got {self.binding!r}")
+
 
 def average_cost(channel: UnitMemoryChannel, policy: InputPolicy, cost: CostSpec) -> float:
-    """Stationary average cost sum_b nu(b) sum_a pi(a|b) gamma(b, a)."""
-    kernel = induced_output_kernel(channel, policy)
-    nu = stationary_distribution(kernel)  # raises ReducibleChainError when not unique
-    return _stationary_cost(nu, policy, cost)
+    """Stationary average cost sum_b nu(b) sum_a pi(a|b) gamma(b, a); the table must fit the channel."""
+    gamma = _cost_table(cost.gamma, (channel.n_states, channel.n_inputs))
+    nu = stationary_distribution(induced_output_kernel(channel, policy))  # raises ReducibleChainError when not unique
+    return _stationary_cost(nu, policy, gamma)
 
 
-def _stationary_cost(nu: Distribution, policy: InputPolicy, cost: CostSpec) -> float:
-    per_state = (policy.matrix * cost.gamma).sum(axis=1)
-    return float(nu.weights @ per_state)
+def _stationary_cost(nu, policy: InputPolicy, gamma) -> float:
+    return float(nu.weights @ (policy.matrix * gamma).sum(axis=1))
 
 
 def _solve_multiplier(channel, cost, s, solver_tol, warm=None):
@@ -76,7 +85,7 @@ def _solve_multiplier(channel, cost, s, solver_tol, warm=None):
     solution = relative_value_iteration(
         channel, cost=cost, multiplier=s, tol=solver_tol, initial_value=bias, initial_policy=policy
     )
-    return solution, _stationary_cost(stationary_distribution(solution.output_kernel), solution.policy, cost)
+    return solution, _stationary_cost(stationary_distribution(solution.output_kernel), solution.policy, cost.gamma)
 
 
 def _warm_start(trace, s):
@@ -124,12 +133,12 @@ def _inverse_interpolation(trace, kappa, cost_tol):
 
 def _result(kappa, s, solution: InfiniteHorizonSolution, achieved, cost_tol, kappa_max):
     return ConstrainedResult(
-        kappa=float(kappa),
-        capacity=float(solution.gain + s * kappa),
-        multiplier=float(s),
-        achieved_cost=float(achieved),
+        kappa=kappa,  # the record stores each number as a float
+        capacity=solution.gain + s * kappa,
+        multiplier=s,
+        achieved_cost=achieved,
         policy=solution.policy,
-        binding=abs(achieved - kappa) <= cost_tol,
+        binding=bool(abs(achieved - kappa) <= cost_tol),
         kappa_max=kappa_max,
     )
 
@@ -138,14 +147,15 @@ def _solve_budgets(channel, cost, kappas, dual_tol, cost_tol, solver_tol) -> lis
     """Solve the budgets on one dual trace s -> (achieved cost, solution).
 
     Returns a ConstrainedResult or the UmcoError it failed with per budget;
-    a tolerance that is not finite and nonnegative, or a dual_tol of 0 (the
-    bracket of a jump in the achieved cost would never close), raises
-    ValidationError for all of them.
+    a tolerance that is not finite and nonnegative, a dual_tol of 0 (the
+    bracket of a jump in the achieved cost would never close) or a cost table
+    that does not fit the channel raises for all of them, before any solve.
     """
     for value, what in ((dual_tol, "dual_tol"), (cost_tol, "cost_tol"), (solver_tol, "solver_tol")):
         _check_number(value, what)
     if dual_tol == 0.0:
         raise ValidationError("dual_tol must be positive")
+    _cost_table(cost.gamma, (channel.n_states, channel.n_inputs))
     if not kappas:
         return []
     try:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    _FLOAT_MAX, InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _check_integer, _check_number, _csv,
+    InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _check_integer, _check_number, _csv,
     _float_grid, _frozen_array,
 )
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
@@ -77,7 +77,7 @@ class ExponentCurve:
     bracket_width: np.ndarray
 
     def __post_init__(self):
-        ranges = (0.0, 1.0), (-_FLOAT_MAX, None), (1.0, None), (0.0, 1.0)  # F may round just below 0
+        ranges = (0.0, 1.0), (None, None), (1.0, None), (0.0, 1.0)  # F may round just below 0
         for name, (low, high) in zip(("rho", "f_infinity", "eigen_ratio", "bracket_width"), ranges):
             array = _check_entries(_frozen_array(_float_grid(getattr(self, name), name), name), name, low, high)
             if len(array) != len(self.rho):

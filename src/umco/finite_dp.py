@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    _FLOAT_MAX,
     CostSpec,
     Distribution,
     UnitMemoryChannel,
@@ -31,6 +30,7 @@ from .channel import (
     _check_integer,
     _check_number,
     _cost_penalty,
+    _fit,
     _float_grid,
     _frozen_array,
     _stochastic_array,
@@ -65,7 +65,7 @@ class DPSolution:
     cost_gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        values = _check_entries(_frozen_array(self.values, "values"), "values entries", -_FLOAT_MAX)
+        values = _check_entries(_frozen_array(self.values, "values"), "values entries", None)
         policies = _stochastic_array(self.policies, "stage policies", 3)
         counts = _float_grid(self.inner_iterations, "inner iterations")
         if values.shape != policies.shape[:2] or not 0 < len(values) == len(counts):
@@ -148,11 +148,7 @@ def ftfi_capacity(solution: DPSolution, initial: Distribution) -> float:
     When the solution carries a multiplier s, this is the penalized value;
     add s * (horizon + 1) * kappa to recover the Lagrangian of a budget kappa.
     """
-    if initial.weights.shape[0] != solution.values.shape[1]:
-        raise DimensionMismatchError(
-            f"initial distribution has {initial.weights.shape[0]} states, "
-            f"solution has {solution.values.shape[1]}"
-        )
+    _fit(initial.weights, "initial distribution", solution.values.shape[1:], "states")
     return float(solution.values[0] @ initial.weights)
 
 

@@ -21,25 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    _FLOAT_MAX,
-    CostSpec,
-    Distribution,
-    InputPolicy,
-    OutputKernel,
-    UnitMemoryChannel,
-    _check_compatible,
-    _check_entries,
-    _check_integer,
-    _check_number,
-    _cost_penalty,
-    _float_array,
-    _float_grid,
-    _frozen_array,
-    _policy_average,
-    induced_output_kernel,
-    resolve_cost,
+    CostSpec, Distribution, InputPolicy, OutputKernel, UnitMemoryChannel, _check_compatible, _check_entries,
+    _check_integer, _check_number, _cost_penalty, _cost_table, _fit, _float_grid, _frozen_array, _policy_average,
+    induced_output_kernel, resolve_cost,
 )
-from .errors import ConvergenceError, DimensionMismatchError, ReducibleChainError, ValidationError
+from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .finite_dp import ConditionReport, _condition_report
 from .onestage import letter_scores, maximize_stage_objective
 
@@ -75,15 +61,15 @@ class InfiniteHorizonSolution:
     gain_trace: tuple[float, ...] = ()
 
     def __post_init__(self):
-        bias = _check_entries(_frozen_array(self.bias, "bias"), "bias entries", -_FLOAT_MAX)
-        if not bias.shape == (self.policy.n_states,) == (self.output_kernel.n_states,):
-            raise DimensionMismatchError(f"bias {bias.shape}, policy and output kernel cover different states")
-        bracket = _check_entries(_float_grid(self.gain_bracket, "gain bracket"), "gain bracket", -_FLOAT_MAX).tolist()
+        states = self.output_kernel.n_states
+        _fit(self.policy.matrix, "policy", (states, None), "states, inputs")
+        bias = _check_entries(_fit(_frozen_array(self.bias, "bias"), "bias", (states,), "states"), "bias entries", None)
+        bracket = _check_entries(_float_grid(self.gain_bracket, "gain bracket"), "gain bracket", None).tolist()
         if len(bracket) != 2 or bracket[0] > bracket[1]:
             raise ValidationError(f"gain bracket must be two numbers lo <= hi, got {bracket}")
-        trace = _check_entries(_float_grid(self.gain_trace, "gain trace"), "gain trace entries", -_FLOAT_MAX)
+        trace = _check_entries(_float_grid(self.gain_trace, "gain trace"), "gain trace entries", None)
         s, gamma, _ = _cost_penalty(self.multiplier, self.cost_gamma, self.policy.matrix.shape)
-        object.__setattr__(self, "gain", _check_number(self.gain, "gain", -_FLOAT_MAX))
+        object.__setattr__(self, "gain", _check_number(self.gain, "gain", None))
         object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "iterations", _check_integer(self.iterations, "iterations", 0))
         object.__setattr__(self, "gain_bracket", tuple(bracket))
@@ -202,19 +188,15 @@ def relative_value_iteration(
     to zero rejoins through the solver's active set.  Both defaults reproduce
     the cold uniform start.  From an ``initial_policy``, each state it does
     not certify tries the active-set Newton ascent at the first sweep's first
-    inner iteration, not its 256th.  A warm start of the wrong shape raises
-    DimensionMismatchError, and a value that is not all finite numbers ValidationError.
+    inner iteration, not its 256th.  A warm start must fit the channel by
+    ``channel._fit``, and a value must be all finite numbers (ValidationError).
     """
     _check_number(tol, "tol")
     max_iter = _check_integer(max_iter, "max_iter", 1)
     s, gamma, penalty = resolve_cost(channel, cost, multiplier)
-    if initial_policy is not None:
-        _check_compatible(channel, initial_policy.matrix)
-    value = np.zeros(channel.n_states) if initial_value is None else _float_array(initial_value, "initial value")
-    if value.shape != (channel.n_states,):
-        raise DimensionMismatchError(f"initial value shape {value.shape} does not match {channel.n_states} states")
-    _check_entries(value, "initial value entries", -_FLOAT_MAX)
-    warm = None if initial_policy is None else initial_policy.matrix
+    warm = None if initial_policy is None else _check_compatible(channel, initial_policy.matrix)
+    value = np.zeros(channel.n_states) if initial_value is None else initial_value
+    value = _check_entries(_fit(value, "initial value", (channel.n_states,), "states"), "initial value entries", None)
     span = np.inf
     for sweep in range(1, max_iter + 1):
         sol = _sweep(channel, value, penalty, tol, warm, newton_start=sweep == 1 and initial_policy is not None)
@@ -284,11 +266,10 @@ def policy_iteration(
     sweep of the returned bias gives the gain bracket.  A reducible induced output
     chain or a singular evaluation system at any iterate aborts with a diagnostic.
     """
-    _check_compatible(channel, initial_policy.matrix)
+    matrix = np.array(_check_compatible(channel, initial_policy.matrix))
     _check_number(tol, "tol")
     max_iter = _check_integer(max_iter, "max_iter", 1)
     s, gamma, penalty = resolve_cost(channel, cost, multiplier)
-    matrix = np.array(initial_policy.matrix)
     trace: list[float] = []
     change = np.inf
     for iteration in range(1, max_iter + 1):
@@ -354,14 +335,9 @@ def generalized_dp_check(
     """
     _check_compatible(channel, solution.policy.matrix)
     _check_number(tol, "tol")
-    if gain_by_state is None:
-        gains = np.full(channel.n_states, solution.gain)
-        constant_gain = True
-    else:
-        gains = _check_entries(gain_by_state, "gain_by_state entries", -_FLOAT_MAX)
-        if gains.shape != (channel.n_states,):
-            raise DimensionMismatchError(f"gain_by_state shape {gains.shape} does not match {channel.n_states} states")
-        constant_gain = bool(np.ptp(gains) == 0.0)
+    gains = np.full(channel.n_states, solution.gain) if gain_by_state is None else gain_by_state
+    gains = _check_entries(_fit(gains, "gain_by_state", (channel.n_states,), "states"), "gain_by_state entries", None)
+    constant_gain = bool(np.ptp(gains) == 0.0)
     worst_drift = 0.0
     if constant_gain:
         message = "constant gain: the drift equation holds for every policy"
@@ -391,7 +367,7 @@ def minimum_average_cost(
     """
     _check_number(tol, "tol")
     max_iter = _check_integer(max_iter, "max_iter", 1)
-    gamma = _cost_penalty(0.0, gamma, (channel.n_states, channel.n_inputs))[1]
+    gamma = _cost_table(gamma, (channel.n_states, channel.n_inputs))
     value = np.zeros(channel.n_states)
     span = np.inf
     for _ in range(max_iter):

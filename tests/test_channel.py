@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from umco import (
     OutputKernel,
     UnitMemoryChannel,
     ValidationError,
+    average_cost,
     binary_entropy,
     bssc_closed_form,
     bssc_constrained_closed_form,
@@ -47,12 +49,14 @@ from umco import (
     error_probability_bound,
     exponent_curve,
     finite_horizon_exponent_oracle,
+    ftfi_capacity,
     gallager_exponent_infinite,
     generalized_dp_check,
     induced_output_kernel,
     lambda_matrix,
     load_channel,
     minimum_average_cost,
+    nofb_induction_deviations,
     parse_channel_document,
     policy_iteration,
     random_coding_exponent,
@@ -349,7 +353,7 @@ def test_no_array_a_result_holds_is_writable():
         (lambda: _stationary_record(multiplier=0.5, cost_gamma=[[np.nan, 0.0], [0.0, 0.0]]), ValidationError),
         (lambda: _dp_record(multiplier=0.5, cost_gamma=[[-1.0, 0.0], [0.0, 0.0]]), ValidationError),
         (lambda: _stationary_record(multiplier=0.5, cost_gamma=np.zeros((3, 3))), DimensionMismatchError),
-        (lambda: _dp_record(multiplier=0.5, cost_gamma=np.zeros(2)), DimensionMismatchError),
+        (lambda: _dp_record(multiplier=0.5, cost_gamma=np.zeros(2)), ValidationError),
         *[
             (lambda record=record, bad=bad: record(multiplier=bad, cost_gamma=np.ones((2, 2))), ValidationError)
             for record in (_stationary_record, _dp_record)
@@ -474,7 +478,11 @@ def test_load_size_message_names_the_field(field):
     [
         (lambda doc: doc["kernel"][0].append([1.0]), ChannelFormatError, "malformed channel document"),
         (lambda doc: doc.update(name=3), ChannelFormatError, "'name' must be a string"),
-        (lambda doc: doc.update(cost=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), ValidationError, "cost shape (2, 3) must be"),
+        (
+            lambda doc: doc.update(cost=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            DimensionMismatchError,
+            "cost table shape (2, 3) does not match (2, 2) (states, inputs)",
+        ),
     ],
     ids=["ragged-kernel", "name-not-a-string", "cost-wrong-shape"],
 )
@@ -822,6 +830,77 @@ def test_every_scalar_given_as_an_array_raises_a_validation_error_before_any_sol
     monkeypatch.setattr(umco.exponent, "_perron_pair", solve)
     with pytest.raises(ValidationError, match="must be a single number"):
         SCALAR_SITES[site](wrap, rvi, dp)
+
+
+# The fit rule's defects on the 2x2 channel BSSC_09_06, each built as
+# np.full(shape, 1 / shape[-1]) so that its rows are probability vectors:
+# shape, the one error type and the one message form every entry point gives.
+FIT_DEFECTS = {
+    "table-1d": ((2,), ValidationError, r"must be 2-d, got shape \(2,\)$"),
+    "table-of-three-states": (
+        (3, 2),
+        DimensionMismatchError,
+        r"shape \(3, 2\) does not match \(2, 2\) \((states|inputs), inputs\)$",
+    ),
+    "vector-short": ((1,), DimensionMismatchError, r"shape \(1,\) does not match \(2,\) \(states\)$"),
+    "vector-long": ((3,), DimensionMismatchError, r"shape \(3,\) does not match \(2,\) \(states\)$"),
+    "vector-2d": ((1, 2), ValidationError, r"must be 1-d, got shape \(1, 2\)$"),
+}
+# Entry points that take a [b_prev][a] (or, for the Markov input, [a_prev][a]) table.
+TABLE_SITES = {
+    "load-cost": lambda bad: parse_channel_document(json.dumps({**json.loads(BSSC_105_DOC), "cost": bad.tolist()})),
+    "CostSpec": lambda bad: CostSpec(bad, 0.5),
+    "induced-kernel-policy": lambda bad: induced_output_kernel(BSSC_09_06, InputPolicy(bad)),
+    "rvi-initial-policy": lambda bad: relative_value_iteration(BSSC_09_06, initial_policy=InputPolicy(bad)),
+    "pi-initial-policy": lambda bad: policy_iteration(BSSC_09_06, InputPolicy(bad)),
+    "rvi-cost": lambda bad: relative_value_iteration(BSSC_09_06, cost=CostSpec(bad, 0.5), multiplier=0.5),
+    "pi-cost": lambda bad: policy_iteration(BSSC_09_06, uniform_policy(2, 2), cost=CostSpec(bad, 0.5), multiplier=0.5),
+    "dp-cost": lambda bad: solve_finite_horizon(BSSC_09_06, 2, cost=CostSpec(bad, 0.5), multiplier=0.5),
+    "stationary-record-cost": lambda bad: _stationary_record(multiplier=0.5, cost_gamma=bad),
+    "dp-record-cost": lambda bad: _dp_record(multiplier=0.5, cost_gamma=bad),
+    "minimum_average_cost": lambda bad: minimum_average_cost(BSSC_09_06, bad),
+    "average_cost": lambda bad: average_cost(BSSC_09_06, uniform_policy(2, 2), CostSpec(bad, 0.5)),
+    "constrained_capacity": lambda bad: constrained_capacity(BSSC_09_06, CostSpec(bad, 0.5)),
+    "capacity_cost_curve": lambda bad: capacity_cost_curve(BSSC_09_06, CostSpec(bad, 0.0), [0.3]),
+    "nofb-markov-input": lambda bad: nofb_induction_deviations(
+        BSSC_09_06, MarkovInput(bad, 0.5), uniform_policy(2, 2), Distribution.uniform(2), 3
+    ),
+}
+# Entry points that take a vector over the states.
+VECTOR_SITES = {
+    "rvi-initial-value": lambda bad: relative_value_iteration(BSSC_09_06, initial_value=bad),
+    "gain_by_state": lambda bad: generalized_dp_check(BSSC_09_06, _stationary_record(), 1e-9, gain_by_state=bad),
+    "stationary-record-bias": lambda bad: _stationary_record(bias=bad),
+    "ftfi-initial": lambda bad: ftfi_capacity(_dp_record(), Distribution(bad)),
+    "nofb-initial": lambda bad: nofb_induction_deviations(
+        BSSC_09_06, MarkovInput(np.full((2, 2), 0.5), 0.5), uniform_policy(2, 2), Distribution(bad), 3
+    ),
+}
+FIT_CASES = [
+    *[(site, defect) for site in TABLE_SITES for defect in ("table-1d", "table-of-three-states")],
+    *[(site, defect) for site in VECTOR_SITES for defect in ("vector-short", "vector-long", "vector-2d")],
+]
+
+
+@pytest.mark.parametrize(
+    "site, defect",
+    [case for case in FIT_CASES if case != ("CostSpec", "table-of-three-states")],  # no channel: axes only
+    ids=lambda value: value,
+)
+def test_every_array_that_must_fit_the_channel_fails_one_rule_before_any_solve(monkeypatch, site, defect):
+    # These gave three error types, one of them NumPy's bare ValueError, and a
+    # message form per site; a mis-shaped table returned a number from
+    # average_cost and was warned about and skipped by capacity_cost_curve.
+    def solve(*args, **kwargs):
+        raise AssertionError("a solver ran")
+
+    for module in (umco.infinite_horizon, umco.finite_dp):
+        monkeypatch.setattr(module, "maximize_stage_objective", solve)
+    shape, error, message = FIT_DEFECTS[defect]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            {**TABLE_SITES, **VECTOR_SITES}[site](np.full(shape, 1.0 / shape[-1]))
 
 
 # Each entry runs one sweep over the given grid.

@@ -13,8 +13,10 @@ from conftest import bssc, random_channel
 import umco.constrained
 from umco import (
     BSSCParams,
+    ConstrainedResult,
     ConvergenceError,
     CostSpec,
+    DimensionMismatchError,
     InfeasibleBudgetError,
     InputPolicy,
     ReducibleChainError,
@@ -22,11 +24,13 @@ from umco import (
     average_cost,
     bssc_constrained_closed_form,
     bssc_cost_function,
+    bssc_optimal_policy,
     capacity_cost_curve,
     constrained_capacity,
     deterministic_policy,
     induced_output_kernel,
     minimum_average_cost,
+    uniform_policy,
 )
 from umco.constrained import curve_csv
 
@@ -381,6 +385,60 @@ def test_an_empty_budget_grid_does_no_solve(monkeypatch):
     multipliers, floors = _counting(monkeypatch)
     assert capacity_cost_curve(bssc(0.9, 0.7), CostSpec(GAMMA, 0.0), []) == []
     assert multipliers == [] and floors == []
+
+
+@pytest.mark.parametrize("table", [[[1.0, 0.0]], [[1.0]]], ids=["one-row", "one-entry"])
+def test_average_cost_refuses_a_table_that_does_not_fit_the_channel(table):
+    # At BSSC(0.9, 0.6)'s optimum these broadcast to the costs 0.5 and 1.0.
+    channel, policy = bssc(0.9, 0.6), bssc_optimal_policy(BSSCParams(0.9, 0.6))
+    assert average_cost(channel, policy, CostSpec(GAMMA, 0.0)) == pytest.approx(0.5345373250522675, abs=1e-12)
+    with pytest.raises(DimensionMismatchError, match=r"^cost table shape \(1, \d\) does not match \(2, 2\)"):
+        average_cost(channel, policy, CostSpec(table, 0.0))
+
+
+@pytest.mark.parametrize("kappas", [[0.2, 0.3], []], ids=["two-budgets", "no-budget"])
+def test_the_curve_raises_for_a_table_that_does_not_fit_before_any_solve(monkeypatch, kappas):
+    # It warned once per budget, with the s = 0 solve's error, and returned [].
+    multipliers, floors = _counting(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match=r"^cost table shape \(1, 2\) does not match \(2, 2\)"):
+            capacity_cost_curve(bssc(0.9, 0.6), CostSpec([[1.0, 0.0]], 0.0), kappas)
+    assert multipliers == [] and floors == []
+
+
+RESULT_FIELDS = dict(
+    kappa=0.5, capacity=0.25, multiplier=0.125, achieved_cost=0.5, policy=uniform_policy(2, 2), binding=True
+)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"kappa": float("nan")}, "kappa must be finite"),
+        ({"kappa": [0.5]}, "kappa must be a single number"),
+        ({"capacity": float("inf")}, "capacity must be finite"),
+        ({"multiplier": -1.0}, "multiplier must be nonnegative"),
+        ({"multiplier": None}, "multiplier must be finite"),
+        ({"achieved_cost": "x"}, "achieved_cost must be numbers"),
+        ({"policy": [[0.5, 0.5], [0.5, 0.5]]}, "policy must be an InputPolicy, got list"),
+        ({"binding": 3}, "binding must be a bool, got 3"),
+        ({"binding": "yes"}, "binding must be a bool"),
+        ({"kappa_max": float("nan")}, "kappa_max must be finite"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_constrained_result_rejects_each_malformed_field(changes, message):
+    # Each was stored as given.
+    with pytest.raises(ValidationError, match=message):
+        ConstrainedResult(**{**RESULT_FIELDS, **changes})
+
+
+def test_constrained_result_stores_floats_and_keeps_a_missing_kappa_max():
+    result = ConstrainedResult(**{**RESULT_FIELDS, "kappa": 1, "multiplier": np.float64(0.0), "kappa_max": 2})
+    assert [type(value) for value in (result.kappa, result.multiplier, result.kappa_max)] == [float] * 3
+    assert (result.kappa, result.multiplier, result.kappa_max) == (1.0, 0.0, 2.0)
+    assert ConstrainedResult(**RESULT_FIELDS).kappa_max is None
 
 
 def _counting(monkeypatch):

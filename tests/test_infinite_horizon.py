@@ -257,8 +257,11 @@ def test_policy_iteration_symmetric_dmc_fixed_after_one_improvement():
     assert np.abs(solution.policy.matrix - 0.5).max() < 1e-9
 
 
+THREE_STATE_POLICY = r"^policy shape \(3, 2\) does not match \(2, 2\) \(states, inputs\)$"
+
+
 def test_policy_iteration_rejects_an_initial_policy_of_another_shape():
-    with pytest.raises(DimensionMismatchError, match="does not match channel"):
+    with pytest.raises(DimensionMismatchError, match=THREE_STATE_POLICY):
         policy_iteration(bssc(1.0, 0.5), uniform_policy(3, 2))
 
 
@@ -277,16 +280,24 @@ def test_rvi_rejects_a_non_finite_initial_value_before_any_sweep(monkeypatch, ba
         relative_value_iteration(bssc(0.9, 0.6), initial_value=[bad, 0.0])
 
 
-@pytest.mark.parametrize("value", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]], ids=["short", "long", "matrix"])
-def test_rvi_rejects_an_initial_value_of_another_shape_before_any_sweep(monkeypatch, value):
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        ([0.0], DimensionMismatchError, r"shape \(1,\) does not match \(2,\) \(states\)$"),
+        ([0.0, 0.0, 0.0], DimensionMismatchError, r"shape \(3,\) does not match \(2,\) \(states\)$"),
+        ([[0.0, 0.0]], ValidationError, r"must be 1-d, got shape \(1, 2\)$"),
+    ],
+    ids=["short", "long", "matrix"],
+)
+def test_rvi_rejects_an_initial_value_of_another_shape_before_any_sweep(monkeypatch, value, error, message):
     _no_stage_solve(monkeypatch)
-    with pytest.raises(DimensionMismatchError, match="does not match 2 states"):
+    with pytest.raises(error, match=f"^initial value {message}"):
         relative_value_iteration(bssc(0.9, 0.6), initial_value=value)
 
 
 def test_rvi_rejects_an_initial_policy_of_another_shape_before_any_sweep(monkeypatch):
     _no_stage_solve(monkeypatch)
-    with pytest.raises(DimensionMismatchError, match="does not match channel"):
+    with pytest.raises(DimensionMismatchError, match=THREE_STATE_POLICY):
         relative_value_iteration(bssc(0.9, 0.6), initial_policy=uniform_policy(3, 2))
 
 
@@ -923,7 +934,8 @@ def test_every_verifier_rejects_a_solution_of_another_channel_size(monkeypatch, 
     solution = solve_finite_horizon(solved, 2) if finite else relative_value_iteration(solved)
     _no_stage_solve(monkeypatch)
     verify = getattr(umco, verifier)
-    with pytest.raises(DimensionMismatchError, match="does not match channel"):
+    expected = rf"^policy shape \(2, 2\) does not match \({shape[0]}, {shape[1]}\) \(states, inputs\)$"
+    with pytest.raises(DimensionMismatchError, match=expected):
         verify(channel_from_kernel(np.full(shape, 1.0 / shape[2])), solution, tol=1e-8)
 
 

@@ -174,9 +174,8 @@ def test_every_dataclass_is_frozen():
     assert [f"{path}: {name}" for path, name, frozen in found if not frozen] == []
 
 
-def test_one_function_holds_the_cost_rule():
-    # channel._cost_penalty checks the multiplier and the cost table, and builds
-    # the penalty, for the solves, both records, the verifiers and the cost floor.
+def _callers(name):
+    """Sorted (file, enclosing function) of every call of the package function ``name``."""
     callers = []
     for path in SOURCES:
         tree = ast.parse(path.read_text())
@@ -184,16 +183,62 @@ def test_one_function_holds_the_cost_rule():
         callers += [
             (path.name, owner.get(node, ""))
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_cost_penalty"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
         ]
-    assert sorted(callers) == [
+    return sorted(callers)
+
+
+def test_one_function_holds_the_cost_rule():
+    # channel._cost_penalty checks the multiplier and the cost table, and builds
+    # the penalty, for the solves, both records and the verifiers; the table
+    # alone goes through channel._cost_table, the cost rule's own table check.
+    assert _callers("_cost_penalty") == [
         ("channel.py", "resolve_cost"),
         ("finite_dp.py", "__post_init__"),
         ("finite_dp.py", "_condition_report"),
         ("infinite_horizon.py", "__post_init__"),
         ("infinite_horizon.py", "generalized_dp_check"),
+    ]
+    assert _callers("_cost_table") == [
+        ("channel.py", "__post_init__"),  # CostSpec: the axes only, it has no channel
+        ("channel.py", "_cost_penalty"),
+        ("channel.py", "parse_channel_document"),
+        ("constrained.py", "_solve_budgets"),
+        ("constrained.py", "average_cost"),
         ("infinite_horizon.py", "minimum_average_cost"),
     ]
+
+
+def _mismatch_raisers(tree):
+    """Enclosing function ('' at module level) of every raise of DimensionMismatchError."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "DimensionMismatchError":
+                yield owner.get(node, "")
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(a):\n    raise DimensionMismatchError('x')", ["f"]),
+        ("def f(a):\n    if a:\n        raise DimensionMismatchError", ["f"]),
+        ("raise DimensionMismatchError('x')", [""]),
+        ("def f(a):\n    raise ValidationError('x')", []),
+        ("def f(a):\n    return _fit(a, 'a', (2,), 'states')", []),
+    ],
+)
+def test_the_mismatch_rule_sees_each_form(source, expected):
+    assert list(_mismatch_raisers(ast.parse(source))) == expected
+
+
+def test_one_function_holds_the_fit_rule():
+    # channel._fit decides whether an array a caller passes fits the channel or
+    # solution it goes with; the only other DimensionMismatchError is DPSolution's
+    # check that its own fields (values, stage policies, counts) agree.
+    found = [(path.name, owner) for path in SOURCES for owner in _mismatch_raisers(ast.parse(path.read_text()))]
+    assert sorted(found) == [("channel.py", "_fit"), ("finite_dp.py", "__post_init__")]
 
 
 STAGE_LAYER = {
