@@ -6,11 +6,13 @@ solver consumes -- input policies pi(a | b_prev), induced output kernels
 P(b | b_prev), distributions over states, cost tables -- lives in this module
 together with its validation (one rule, ``_check_entries``, for every number
 a caller passes, ``_check_number`` on it for every scalar, ``_stochastic_array``
-for every probability array, ``_fit`` for every array that goes with a channel
-or solution: ValidationError for a wrong number of axes, DimensionMismatchError
-for sizes that disagree) and ``_csv``, the one writer of the package's CSV
-tables.  All objects are immutable after construction (arrays are frozen), so
-they are thread-safe.
+for every probability array, ``_fit`` for every shape -- the loader's kernel
+against the declared sizes, a channel's and an output kernel's own, a record's
+fields, grids and every array that goes with a channel or solution:
+ValidationError for a wrong number of axes, DimensionMismatchError for sizes
+that disagree) and ``_csv``, the one writer of the package's CSV tables.
+All objects are immutable after construction (arrays are frozen), so they
+are thread-safe.
 
 Conventions: all logarithms are base 2 and every information quantity is in
 bits; 0 * log 0 = 0 throughout.
@@ -81,27 +83,26 @@ def _check_number(value, what: str, low: float | None = 0.0, high: float | None 
     return float(value)
 
 
-def _float_grid(values, what: str) -> np.ndarray:
-    """``values`` as a 1-d float array, None read as NaN; ValidationError for text, a scalar or a nested grid."""
-    grid = _float_array(values, what)
-    if grid.ndim != 1:
-        raise ValidationError(f"{what} must be a 1-d grid, got shape {grid.shape}")
-    return grid
-
-
 def _fit(values, what: str, shape: tuple, axes: str) -> np.ndarray:
     """The one fit rule: ``values`` as a float array of ``shape`` (a size of None fits any), axes named by ``axes``.
 
     A wrong number of axes raises ValidationError, a size that disagrees with
-    the channel or solution the array goes with DimensionMismatchError.
+    the channel, solution or record the array goes with DimensionMismatchError;
+    only that message reads ``axes``, so it is empty where every size is None.
     """
     array = _float_array(values, what)
     if array.ndim != len(shape):
         raise ValidationError(f"{what} must be {len(shape)}-d, got shape {array.shape}")
-    expected = tuple(n if size is None else size for size, n in zip(shape, array.shape))
-    if array.shape != expected:
-        raise DimensionMismatchError(f"{what} shape {array.shape} does not match {expected} ({axes})")
+    for size, n in zip(shape, array.shape):  # a loop, not a built tuple: this runs on every record a solve builds
+        if size is not None and size != n:
+            expected = tuple(n if size is None else size for size, n in zip(shape, array.shape))
+            raise DimensionMismatchError(f"{what} shape {array.shape} does not match {expected} ({axes})")
     return array
+
+
+def _float_grid(values, what: str) -> np.ndarray:
+    """``values`` as a 1-d float array by ``_fit``, None read as NaN."""
+    return _fit(values, what, (None,), "")
 
 
 def _frozen_array(values, what: str) -> np.ndarray:
@@ -111,16 +112,14 @@ def _frozen_array(values, what: str) -> np.ndarray:
 
 
 def _stochastic_array(values, what: str, ndim: int, tol: float = STRICT_ROW_TOL, high: float = 1.0) -> np.ndarray:
-    """``values`` as a frozen float array of ``ndim`` axes whose rows are probability vectors.
+    """``values`` as a frozen float array of ``ndim`` axes (``_fit``) whose rows are probability vectors.
 
-    The last two axes must not be empty, every entry must be finite and in [0, high],
-    and the sums along the last axis must equal 1 within tol.  Constructed objects use
+    No axis may be empty, every entry must be finite and in [0, high], and the
+    sums along the last axis must equal 1 within tol.  Constructed objects use
     the defaults; the load path passes its looser tolerance before it renormalizes.
     """
-    array = _frozen_array(values, what)
-    if array.ndim != ndim:
-        raise ValidationError(f"{what} must be {ndim}-d, got shape {array.shape}")
-    if 0 in array.shape[-2:]:
+    array = _fit(_frozen_array(values, what), what, (None,) * ndim, "")
+    if 0 in array.shape:
         raise ValidationError(f"{what} must have shape with at least one row of at least one entry, got {array.shape}")
     _check_entries(array, f"{what} entries", 0.0, high)
     worst = np.maximum.reduce(abs(np.add.reduce(array, axis=-1) - 1.0), axis=None, initial=0.0)
@@ -154,9 +153,7 @@ class UnitMemoryChannel:
 
     def __post_init__(self):
         kernel = _stochastic_array(self.kernel, "kernel", 3)
-        if kernel.shape[0] != kernel.shape[2]:
-            raise ValidationError(f"kernel must have shape (S, A, S) with S, A >= 1, got {kernel.shape}")
-        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "kernel", _fit(kernel, "kernel", (None, None, len(kernel)), "states, inputs, states"))
 
     @property
     def n_inputs(self) -> int:
@@ -204,9 +201,7 @@ class OutputKernel:
 
     def __post_init__(self):
         matrix = _stochastic_array(self.matrix, "output kernel", 2)
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValidationError(f"output kernel must be square, got shape {matrix.shape}")
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _fit(matrix, "output kernel", (None, len(matrix)), "states, states"))
 
     @property
     def n_states(self) -> int:
@@ -351,8 +346,7 @@ def parse_channel_document(document: str) -> tuple[UnitMemoryChannel, np.ndarray
         _check_integer(doc[field], f"'{field}' (alphabet size)", 1) for field in ("input_size", "output_size")
     )
     kernel = _stochastic_array(kernel, "kernel", 3, LOAD_ROW_TOL, 1.0 + LOAD_ROW_TOL)
-    if kernel.shape != (outputs, inputs, outputs):
-        raise ValidationError(f"kernel shape {kernel.shape} does not match alphabet sizes {outputs, inputs, outputs}")
+    _fit(kernel, "kernel", (outputs, inputs, outputs), "outputs, inputs, outputs: the declared alphabet sizes")
     # Renormalize textual rows to exact sums, but leave already-clean rows
     # untouched so serialize -> load is the identity.  The sums are taken
     # after the clip, so an entry just above 1 cannot leave its row short.
@@ -380,7 +374,7 @@ def serialize_channel(channel: UnitMemoryChannel, cost: np.ndarray | None = None
         "kernel": channel.kernel.tolist(),
     }
     if cost is not None:
-        doc["cost"] = np.asarray(cost, dtype=float).tolist()
+        doc["cost"] = _cost_table(cost, (channel.n_states, channel.n_inputs)).tolist()
     if channel.name is not None:
         doc["name"] = channel.name
     return json.dumps(doc, indent=2)

@@ -324,7 +324,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fb-capacity", help="feedback capacity of a channel file")
     p.add_argument("--channel", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_SPAN_TOL, help="span tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_SPAN_TOL, help="span tolerance (default %(default)g)")
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--method", choices=["rvi", "policy-iteration"], default="rvi")
     p.add_argument("--out", help="write the per-state solution CSV here")

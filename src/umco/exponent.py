@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import (
     InputPolicy, UnitMemoryChannel, _check_compatible, _check_entries, _check_integer, _check_number, _csv,
-    _float_grid, _frozen_array,
+    _fit, _float_grid, _frozen_array,
 )
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .infinite_horizon import _reach
@@ -78,11 +78,11 @@ class ExponentCurve:
 
     def __post_init__(self):
         ranges = (0.0, 1.0), (None, None), (1.0, None), (0.0, 1.0)  # F may round just below 0
+        samples = (None,)  # then rho's length, once rho is fitted
         for name, (low, high) in zip(("rho", "f_infinity", "eigen_ratio", "bracket_width"), ranges):
-            array = _check_entries(_frozen_array(_float_grid(getattr(self, name), name), name), name, low, high)
-            if len(array) != len(self.rho):
-                raise ValidationError(f"{name} has {len(array)} entries but rho has {len(self.rho)}")
-            object.__setattr__(self, name, array)
+            array = _check_entries(_frozen_array(getattr(self, name), name), name, low, high)
+            object.__setattr__(self, name, _fit(array, name, samples, "rho samples"))
+            samples = self.rho.shape
         _check_entries(self.f_infinity[self.rho == 0.0], "the exponent at rho = 0", -1e-10, 1e-10)
 
 

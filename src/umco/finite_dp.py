@@ -31,12 +31,10 @@ from .channel import (
     _check_number,
     _cost_penalty,
     _fit,
-    _float_grid,
     _frozen_array,
     _stochastic_array,
     resolve_cost,
 )
-from .errors import DimensionMismatchError
 from .onestage import DEFAULT_INNER_MAX_ITER, DEFAULT_INNER_TOL, letter_scores, maximize_stage_objective
 
 # Policy mass below this counts as an unsupported letter in condition checks.
@@ -65,11 +63,10 @@ class DPSolution:
     cost_gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        values = _check_entries(_frozen_array(self.values, "values"), "values entries", None)
         policies = _stochastic_array(self.policies, "stage policies", 3)
-        counts = _float_grid(self.inner_iterations, "inner iterations")
-        if values.shape != policies.shape[:2] or not 0 < len(values) == len(counts):
-            raise DimensionMismatchError(f"values {values.shape} do not match the stage policies and iteration counts")
+        values = _fit(_frozen_array(self.values, "values"), "values", policies.shape[:2], "stages, states")
+        values = _check_entries(values, "values entries", None)
+        counts = _fit(self.inner_iterations, "inner iterations", policies.shape[:1], "stages")
         s, gamma, _ = _cost_penalty(self.multiplier, self.cost_gamma, policies.shape[1:])
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "policies", policies)

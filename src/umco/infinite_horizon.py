@@ -64,9 +64,9 @@ class InfiniteHorizonSolution:
         states = self.output_kernel.n_states
         _fit(self.policy.matrix, "policy", (states, None), "states, inputs")
         bias = _check_entries(_fit(_frozen_array(self.bias, "bias"), "bias", (states,), "states"), "bias entries", None)
-        bracket = _check_entries(_float_grid(self.gain_bracket, "gain bracket"), "gain bracket", None).tolist()
-        if len(bracket) != 2 or bracket[0] > bracket[1]:
-            raise ValidationError(f"gain bracket must be two numbers lo <= hi, got {bracket}")
+        bracket = _check_entries(_fit(self.gain_bracket, "gain bracket", (2,), "lo, hi"), "gain bracket", None).tolist()
+        if bracket[0] > bracket[1]:
+            raise ValidationError(f"gain bracket must be lo <= hi, got {bracket}")
         trace = _check_entries(_float_grid(self.gain_trace, "gain trace"), "gain trace entries", None)
         s, gamma, _ = _cost_penalty(self.multiplier, self.cost_gamma, self.policy.matrix.shape)
         object.__setattr__(self, "gain", _check_number(self.gain, "gain", None))

@@ -199,26 +199,30 @@ def test_load_rejects_negative_entry():
 def test_load_rejects_shape_mismatch():
     doc = json.loads(BSSC_105_DOC)
     doc["input_size"] = 3
-    with pytest.raises(ValidationError):
+    message = "kernel shape (2, 2, 2) does not match (2, 3, 2) (outputs, inputs, outputs: the declared alphabet sizes)"
+    with pytest.raises(DimensionMismatchError) as exc_info:
         load_channel(json.dumps(doc))
+    assert str(exc_info.value) == message
 
 
 @pytest.mark.parametrize(
-    "field, size",
+    "field, size, error",
     [
-        ("input_size", 3),
-        ("output_size", 3),
-        ("input_size", 1),
-        ("input_size", "2"),
-        ("output_size", -3),
-        ("input_size", np.nan),
+        ("input_size", 3, DimensionMismatchError),
+        ("output_size", 3, DimensionMismatchError),
+        ("input_size", 1, DimensionMismatchError),
+        ("input_size", "2", ValidationError),
+        ("output_size", -3, ValidationError),
+        ("input_size", np.nan, ValidationError),
     ],
+    ids=["input_size-3", "output_size-3", "input_size-1", "input_size-2", "output_size--3", "input_size-nan"],
 )
-def test_load_checks_each_declared_size_against_the_kernel(field, size):
-    # The sizes are the kernel's shape; a declared size is a whole number >= 1 that agrees with it.
+def test_load_checks_each_declared_size_against_the_kernel(field, size, error):
+    # The sizes are the kernel's shape; a declared size is a whole number >= 1 (the integer
+    # rule) that agrees with it (the fit rule, as for a cost table in the same file).
     doc = json.loads(BSSC_105_DOC)
     doc[field] = size
-    with pytest.raises(ValidationError, match="alphabet size"):
+    with pytest.raises(error, match="alphabet size"):
         load_channel(json.dumps(doc))
 
 
@@ -335,12 +339,12 @@ def test_no_array_a_result_holds_is_writable():
         (lambda: _stationary_record(output_kernel=OutputKernel(np.eye(3))), DimensionMismatchError),
         (lambda: _dp_record(policies=np.full((1, 2, 2), 0.5), inner_iterations=(0,)), DimensionMismatchError),
         (lambda: _dp_record(inner_iterations=(0,)), DimensionMismatchError),
-        (lambda: _dp_record(values=np.zeros(2)), DimensionMismatchError),
+        (lambda: _dp_record(values=np.zeros(2)), ValidationError),
         (lambda: _dp_record(values=np.zeros((2, 3))), DimensionMismatchError),
         (lambda: _dp_record(policies=np.full((2, 3, 2), 0.5)), DimensionMismatchError),
         (
             lambda: _dp_record(values=np.zeros((0, 2)), policies=np.zeros((0, 2, 2)), inner_iterations=()),
-            DimensionMismatchError,
+            ValidationError,
         ),
         (lambda: _dp_record(policies=np.full((2, 2), 0.5)), ValidationError),
         (lambda: _dp_record(policies=[uniform_policy(2, 2).matrix, uniform_policy(2, 3).matrix]), ValidationError),
@@ -368,7 +372,7 @@ def test_no_array_a_result_holds_is_writable():
         (lambda: _stationary_record(gain_bracket=(0.0, np.inf)), ValidationError),
         (lambda: _stationary_record(gain_bracket=(-np.inf, 1.0)), ValidationError),
         (lambda: _stationary_record(gain_bracket=(2.0, 1.0)), ValidationError),
-        (lambda: _stationary_record(gain_bracket=(0.0, 0.5, 1.0)), ValidationError),
+        (lambda: _stationary_record(gain_bracket=(0.0, 0.5, 1.0)), DimensionMismatchError),
         (lambda: _stationary_record(gain_trace=(0.5, np.inf)), ValidationError),
         (lambda: InputPolicy(np.zeros((0, 3))), ValidationError),
         (lambda: OutputKernel(np.zeros((0, 0))), ValidationError),
@@ -448,10 +452,19 @@ def test_result_records_store_the_cost_rule_values_and_whole_counts():
     assert "span residual   = 0.000e+00 bits" in umco.cli.solution_report(_stationary_record())
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 3), (0, 1, 0), (2, 0, 2)], ids=str)
-def test_channel_sizes_are_the_kernel_shape(shape):
-    with pytest.raises(ValidationError, match="kernel must have shape"):
+@pytest.mark.parametrize(
+    "shape, error, message",
+    [
+        ((2, 2, 3), DimensionMismatchError, "kernel shape (2, 2, 3) does not match (2, 2, 2) (states, inputs, states)"),
+        ((0, 1, 0), ValidationError, "kernel must have shape with at least one row of at least one entry, got (0, 1, 0)"),
+        ((2, 0, 2), ValidationError, "kernel must have shape with at least one row of at least one entry, got (2, 0, 2)"),
+    ],
+    ids=["(2, 2, 3)", "(0, 1, 0)", "(2, 0, 2)"],
+)
+def test_channel_sizes_are_the_kernel_shape(shape, error, message):
+    with pytest.raises(error) as exc_info:
         UnitMemoryChannel(np.full(shape, 1.0 / shape[2] if shape[2] else 0.0))
+    assert str(exc_info.value) == message
     channel = UnitMemoryChannel(np.full((3, 2, 3), 1.0 / 3))
     assert (channel.n_states, channel.n_inputs) == (3, 2)
 
@@ -495,8 +508,9 @@ def test_load_rejects_each_malformed_field(edit, error, message):
 
 
 def test_output_kernel_must_be_square():
-    with pytest.raises(ValidationError, match="output kernel must be square, got shape \\(2, 3\\)"):
+    with pytest.raises(DimensionMismatchError) as exc_info:
         OutputKernel(np.full((2, 3), 1.0 / 3))
+    assert str(exc_info.value) == "output kernel shape (2, 3) does not match (2, 2) (states, states)"
 
 
 def _document_with(kernel_row=(1.0, 0.0), cost_entry=1.0):
@@ -567,6 +581,23 @@ def test_serialize_load_round_trip_is_identity(rng):
     text = serialize_channel(channel, cost=bssc_cost_function())
     reloaded = load_channel(text)
     assert np.array_equal(reloaded.kernel, channel.kernel)
+
+
+@pytest.mark.parametrize(
+    "cost, error, message",
+    [
+        (np.ones((3, 3)), DimensionMismatchError, "cost table shape (3, 3) does not match (2, 2) (states, inputs)"),
+        (np.ones(2), ValidationError, "cost table must be 2-d, got shape (2,)"),
+        ([[np.nan, 0.0], [0.0, 1.0]], ValidationError, "cost entries must be finite"),
+        ([[-1.0, 0.0], [0.0, 1.0]], ValidationError, "cost entries must be nonnegative"),
+    ],
+    ids=["3x3", "1-d", "nan-entry", "negative-entry"],
+)
+def test_serialize_refuses_a_cost_table_that_load_refuses(cost, error, message):
+    # Each of these tables was written, NaN as a bare token that is not JSON, and refused on load.
+    with pytest.raises(error) as exc_info:
+        serialize_channel(bssc(0.9, 0.2), cost)
+    assert str(exc_info.value) == message
 
 
 def test_loose_row_sums_are_renormalized():

@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, exit codes, CSV output, determinism."""
 
+import argparse
 import json
 
 import numpy as np
@@ -21,6 +22,9 @@ from umco import (
     serialize_channel,
 )
 from umco.cli import _UsageError, build_parser, parse_range, run_command
+from umco.infinite_horizon import DEFAULT_SPAN_TOL
+
+SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 @pytest.fixture
@@ -114,6 +118,21 @@ def test_parser_is_built_once_and_reused(bssc_file, capsys):
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("command", ["", *SUBCOMMANDS])
+def test_every_help_text_prints_and_exits_zero(command, capsys):
+    # argparse fills help strings by %-formatting, so a stray % in one fails here.
+    with pytest.raises(SystemExit) as exc_info:
+        run_command([command, "--help"] if command else ["--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: umco")
+
+
+def test_fb_capacity_help_shows_the_default_span_tolerance(capsys):
+    with pytest.raises(SystemExit):
+        run_command(["fb-capacity", "--help"])
+    assert f"(default {DEFAULT_SPAN_TOL:g})" in " ".join(capsys.readouterr().out.split())
+
+
 def test_unknown_command_exits_one(capsys):
     assert run_command(["no-such-command"]) == 1
     assert "usage" in capsys.readouterr().err
@@ -128,6 +147,16 @@ def test_invalid_channel_exits_one(tmp_path, capsys):
     path.write_text(json.dumps({"input_size": 2, "output_size": 2, "kernel": [[[0.5, 0.4], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]}))
     assert run_command(["fb-capacity", "--channel", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_a_kernel_that_disagrees_with_a_declared_size_exits_one(tmp_path, capsys):
+    doc = json.loads(serialize_channel(bssc_channel(BSSCParams(0.9, 0.6))))
+    doc["input_size"] = 3
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["fb-capacity", "--channel", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel shape (2, 2, 2) does not match (2, 3, 2)") and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc, random_channel
 from umco import (
     BSSCParams,
     ConvergenceError,
+    DimensionMismatchError,
     ExponentCurve,
     InputPolicy,
     LambdaMatrix,
@@ -254,17 +255,23 @@ def test_exponent_curve_stores_four_read_only_arrays_and_no_perron_root():
 
 
 @pytest.mark.parametrize(
-    "rho, f_inf, ratio, width, message",
+    "rho, f_inf, ratio, width, error, message",
     [
-        ([0.5], [0.7], [np.nan], [0.0], "eigen_ratio must be finite"),
-        ([0.5], [0.7], [0.5], [0.0], "eigen_ratio must be at least 1$"),
-        ([0.5, 0.6], [0.7, 0.8], [1.0, 1.0], [-1.0, 5, 7], "bracket_width must lie"),
-        ([0.5, 0.6], [0.7, 0.8], [1.0, 1.0], [0.0, 0.0, 0.0], "bracket_width has 3 entries but rho has 2"),
-        ([0.5, 0.6], [0.7, 0.8], [1.0], [0.0, 0.0], "eigen_ratio has 1 entries but rho has 2"),
-        ([1.5], [0.7], [1.0], [0.0], "rho must lie"),
-        ([0.0], [0.1], [1.0], [0.0], "the exponent at rho = 0"),
-        ([[0.5, 0.25, 0.7]], [0.7], [1.0], [0.0], "rho must be a 1-d grid"),
-        ([0.5], 0.7, [1.0], [0.0], "f_infinity must be a 1-d grid"),
+        ([0.5], [0.7], [np.nan], [0.0], ValidationError, "eigen_ratio must be finite"),
+        ([0.5], [0.7], [0.5], [0.0], ValidationError, "eigen_ratio must be at least 1$"),
+        ([0.5, 0.6], [0.7, 0.8], [1.0, 1.0], [-1.0, 5, 7], ValidationError, "bracket_width must lie"),
+        (
+            [0.5, 0.6], [0.7, 0.8], [1.0, 1.0], [0.0, 0.0, 0.0], DimensionMismatchError,
+            r"^bracket_width shape \(3,\) does not match \(2,\) \(rho samples\)$",
+        ),
+        (
+            [0.5, 0.6], [0.7, 0.8], [1.0], [0.0, 0.0], DimensionMismatchError,
+            r"^eigen_ratio shape \(1,\) does not match \(2,\) \(rho samples\)$",
+        ),
+        ([1.5], [0.7], [1.0], [0.0], ValidationError, "rho must lie"),
+        ([0.0], [0.1], [1.0], [0.0], ValidationError, "the exponent at rho = 0"),
+        ([[0.5, 0.25, 0.7]], [0.7], [1.0], [0.0], ValidationError, r"^rho must be 1-d, got shape \(1, 3\)$"),
+        ([0.5], 0.7, [1.0], [0.0], ValidationError, r"^f_infinity must be 1-d, got shape \(\)$"),
     ],
     ids=[
         "nan-ratio",
@@ -278,8 +285,8 @@ def test_exponent_curve_stores_four_read_only_arrays_and_no_perron_root():
         "scalar-exponent",
     ],
 )
-def test_exponent_curve_rejects_each_contradictory_construction(rho, f_inf, ratio, width, message):
-    with pytest.raises(ValidationError, match=message):
+def test_exponent_curve_rejects_each_contradictory_construction(rho, f_inf, ratio, width, error, message):
+    with pytest.raises(error, match=message):
         ExponentCurve(rho, f_inf, ratio, width)
 
 

@@ -308,6 +308,17 @@ def test_policy_iteration_rejects_reducible_start():
     assert "relative_value_iteration" in str(exc_info.value)
 
 
+def test_policy_iteration_reports_a_singular_evaluation_system_as_a_reducible_chain(monkeypatch):
+    # An irreducible chain keeps the system nonsingular, so the solve is made to fail.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(umco.infinite_horizon.np.linalg, "solve", singular)
+    with pytest.raises(ReducibleChainError, match="^policy evaluation system is singular") as exc_info:
+        policy_iteration(bibo_channel(), uniform_policy(2, 2))
+    assert isinstance(exc_info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_rvi_and_policy_iteration_agree():
     channels = [bssc(1.0, 0.5), bssc(0.95, 0.8), bibo_channel()]
     for channel in channels:

@@ -203,6 +203,7 @@ def test_one_function_holds_the_cost_rule():
         ("channel.py", "__post_init__"),  # CostSpec: the axes only, it has no channel
         ("channel.py", "_cost_penalty"),
         ("channel.py", "parse_channel_document"),
+        ("channel.py", "serialize_channel"),
         ("constrained.py", "_solve_budgets"),
         ("constrained.py", "average_cost"),
         ("infinite_horizon.py", "minimum_average_cost"),
@@ -234,11 +235,40 @@ def test_the_mismatch_rule_sees_each_form(source, expected):
 
 
 def test_one_function_holds_the_fit_rule():
-    # channel._fit decides whether an array a caller passes fits the channel or
-    # solution it goes with; the only other DimensionMismatchError is DPSolution's
-    # check that its own fields (values, stage policies, counts) agree.
+    # channel._fit decides whether an array fits the channel, solution or record it
+    # goes with: the loader's kernel, a channel's and an output kernel's own shape,
+    # a record's fields against each other and every array a caller passes.
     found = [(path.name, owner) for path in SOURCES for owner in _mismatch_raisers(ast.parse(path.read_text()))]
-    assert sorted(found) == [("channel.py", "_fit"), ("finite_dp.py", "__post_init__")]
+    assert found == [("channel.py", "_fit")]
+
+
+def _axes_readers(tree):
+    """Enclosing function ('' at module level) of every read of an ``ndim`` attribute (``a.ndim``, ``np.ndim``)."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "ndim":
+            yield owner.get(node, "")
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(a):\n    return a.ndim", ["f"]),
+        ("def f(a):\n    if np.ndim(a) != 2:\n        raise ValidationError('x')", ["f"]),
+        ("n = a.ndim", [""]),
+        ("def f(a):\n    return a.shape", []),
+        ("def f(a):\n    return _fit(a, 'a', (None,), '')", []),
+    ],
+)
+def test_the_axes_rule_sees_each_form(source, expected):
+    assert list(_axes_readers(ast.parse(source))) == expected
+
+
+def test_one_function_counts_axes():
+    # channel._fit decides whether an array has the right number of axes, and
+    # channel._check_number that a single number has none; no other code reads ndim.
+    found = [(path.name, owner) for path in SOURCES for owner in _axes_readers(ast.parse(path.read_text()))]
+    assert sorted(set(found)) == [("channel.py", "_check_number"), ("channel.py", "_fit")]
 
 
 STAGE_LAYER = {
