@@ -321,10 +321,11 @@ def build_parser() -> _Parser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="umco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    tolerance = "tolerance (default %(default)g)"  # every tolerance option shows its default
 
     p = sub.add_parser("fb-capacity", help="feedback capacity of a channel file")
     p.add_argument("--channel", required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_SPAN_TOL, help="span tolerance (default %(default)g)")
+    p.add_argument("--tol", type=float, default=DEFAULT_SPAN_TOL, help=f"span {tolerance}")
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--method", choices=["rvi", "policy-iteration"], default="rvi")
     p.add_argument("--out", help="write the per-state solution CSV here")
@@ -335,7 +336,7 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--kappa", type=float)
     p.add_argument("--multiplier", type=float, help="cost multiplier (requires a cost table)")
-    p.add_argument("--tol", type=float, default=DEFAULT_INNER_TOL, help="inner solver tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_INNER_TOL, help=f"inner solver {tolerance}")
     p.add_argument("--out", help="write the per-stage CSV here")
     p.set_defaults(func=_cmd_finite_horizon)
 
@@ -343,8 +344,8 @@ def build_parser() -> _Parser:
     p.add_argument("--channel", required=True)
     p.add_argument("--kappa", type=float)
     p.add_argument("--sweep", help="kappa=start:stop:step")
-    p.add_argument("--dual-tol", type=float, default=constrained_mod.DEFAULT_DUAL_TOL)
-    p.add_argument("--cost-tol", type=float, default=constrained_mod.DEFAULT_COST_TOL)
+    p.add_argument("--dual-tol", type=float, default=constrained_mod.DEFAULT_DUAL_TOL, help=f"multiplier {tolerance}")
+    p.add_argument("--cost-tol", type=float, default=constrained_mod.DEFAULT_COST_TOL, help=f"budget {tolerance}")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_constrained)
 
@@ -361,7 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--kappa", type=float)
     p.add_argument("--horizon", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help=f"stage deviation {tolerance}")
     p.set_defaults(func=_cmd_nofb_verify)
 
     p = sub.add_parser("error-exponent", help="exponent curves and error-probability bounds")
@@ -379,7 +380,7 @@ def build_parser() -> _Parser:
     p.add_argument("--channel", required=True)
     p.add_argument("--horizon", type=int, help="check the finite-horizon recursion (default: infinite)")
     p.add_argument("--multiplier", type=float)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8, help=f"condition {tolerance}")
     p.set_defaults(func=_cmd_check_conditions)
     return parser
 

@@ -9,10 +9,12 @@ for all previous-output states at once, with an optional cost penalty
 s * gamma(a, b_prev), one array built once by ``channel._cost_penalty``,
 subtracted from every stage's reward.  The terminal stage starts cold from
 uniform; stage t is warm-started from stage t+1's policy as is: a letter
-zeroed at t+1 rejoins at t through the solver's active set.  The stage
-policies are one (horizon + 1, S, A) stack.  Also provides the per-letter
-optimality-condition checker and the classifier that decides whether the
-solved problem decomposes stage by stage.
+zeroed at t+1 rejoins at t through the solver's active set.  Once the step
+V_t - V_{t+1} is flat across states, the earlier stages form a stationary
+tail: they are filled from stage t, not solved (``solve_finite_horizon``
+gives the bound).  The stage policies are one (horizon + 1, S, A) stack.
+Also provides the per-letter optimality-condition checker and the classifier
+that decides whether the solved problem decomposes stage by stage.
 """
 
 from __future__ import annotations
@@ -52,8 +54,10 @@ class DPSolution:
     values[t][b] is V_t(b) in bits and policies[t, b, a] = pi_t(a | b), one
     read-only (horizon + 1, S, A) stack (InputPolicy(policies[t]) wraps stage
     t), for t = 0..horizon, and inner_iterations[t] >= 0 counts stage t's slowest
-    state.  multiplier and cost_gamma (s and a frozen copy of the cost table) are
-    both None or both pass ``channel._cost_penalty``, the verifiers' penalty rule.
+    state; a count of 0 marks a stage filled by the stationary tail, not solved
+    (``stationary_tail`` reads its certificate).  multiplier and cost_gamma (s
+    and a frozen copy of the cost table) are both None or both pass
+    ``channel._cost_penalty``, the verifiers' penalty rule.
     """
 
     values: np.ndarray
@@ -77,6 +81,15 @@ class DPSolution:
     @property
     def horizon(self) -> int:
         return len(self.policies) - 1
+
+    @property
+    def stationary_tail(self) -> tuple[int, float] | None:
+        """(k, delta): stages k, k - 1, ..., 0 were filled from solved stage k + 1, and delta is
+        the span of V_{k+1} - V_{k+2} that certified them; None when no stage was filled."""
+        t = next((t for t, n in enumerate(self.inner_iterations) if n), 0)  # the first solved stage
+        if not 0 < t < self.horizon:
+            return None
+        return t - 1, float(np.ptp(self.values[t] - self.values[t + 1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +129,21 @@ def solve_finite_horizon(
     With ``cost`` given, the per-stage reward is penalized by
     s * gamma(a, b_prev) for the multiplier s, which defaults to 0 and then
     reproduces the unconstrained recursion exactly.
+
+    Stationary tail.  The stage operator T (V_t = T V_{t+1}) is monotone and
+    commutes with adding a constant, T(W + c) = T(W) + c, so it does not expand
+    the sup norm.  If d = V_t - V_{t+1} lies in [lo, hi], then V_t lies in
+    V_{t+1} + [lo, hi], and applying T gives V_{t-1} - V_t in [lo, hi] too, and
+    so on down to stage 0.  Once the span delta = hi - lo of a solved step is at
+    most inner_tol / (horizon + 1), every earlier stage k is filled with
+    V_k = V_{k+1} + (lo + hi) / 2, stage t's policy and a count of 0 in
+    ``inner_iterations``, and the recursion stops.  Each filled step is off by
+    at most delta / 2, so stage t - j is off from the recursion continued
+    exactly from V_t by at most j * delta / 2 <= inner_tol / 2, and a filled
+    stage's letter scores miss their targets by at most stage t's miss plus
+    delta / 2 (Puterman, Markov Decision Processes, 1994, section 8.5, on span
+    bounds for undiscounted value iteration; Odoni 1969).
+    ``DPSolution.stationary_tail`` reports the first filled stage and delta.
     """
     horizon = _check_integer(horizon, "horizon", 0)
     _check_number(inner_tol, "inner_tol")
@@ -134,6 +162,10 @@ def solve_finite_horizon(
         values[t] = sol.value
         policies[t] = sol.policy
         counts[t] = sol.slowest_iterations
+        if t < horizon and np.ptp(step := values[t] - values[t + 1]) <= inner_tol / (horizon + 1):  # the tail
+            values[:t] = values[t] + np.arange(t, 0, -1)[:, None] * ((step.min() + step.max()) / 2)
+            policies[:t] = sol.policy
+            break
         continuation = values[t]
         warm = sol.policy
     return DPSolution(values=values, policies=policies, multiplier=s, inner_iterations=counts, cost_gamma=gamma)

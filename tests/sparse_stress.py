@@ -5,7 +5,8 @@ with probability 0.4, solves the horizon-20 recursion and checks the
 per-letter conditions at tol 1e-8.  Prints one JSON line: solver stalls
 (ConvergenceError), channels the checker flags with the stage, state and
 letter of each one's worst violation (and that letter's policy mass), the
-summed slowest-state inner iterations, and the inner solver's per-state
+summed slowest-state inner iterations, the number of stages the stationary
+tail filled instead of solving (a count of 0), and the inner solver's per-state
 Newton attempts, read from each batched Newton pass's result, with the
 channel of every state one left uncertified.  Exits nonzero on any stall,
 any such state, a census that counts no Newton attempt at all (the counter
@@ -41,7 +42,7 @@ def sparse_random_channel(rng, n_states, n_inputs, density=0.6):
 
 def census(n_channels, seed=2024, horizon=20, tol=1e-8):
     rng = np.random.default_rng(seed)
-    stalls, flagged, worst, iterations = [], [], [], 0
+    stalls, flagged, worst, iterations, filled = [], [], [], 0, 0
     newton_attempts, uncertified = 0, []
     real = umco.onestage._newton_pass
 
@@ -63,6 +64,7 @@ def census(n_channels, seed=2024, horizon=20, tol=1e-8):
                 stalls.append(i)
                 continue
             iterations += sum(solution.inner_iterations)
+            filled += solution.inner_iterations.count(0)
             report = umco.verify_optimality_conditions(channel, solution, tol=tol)
             if not report.passed:
                 flagged.append(i)
@@ -83,6 +85,7 @@ def census(n_channels, seed=2024, horizon=20, tol=1e-8):
         "flagged": flagged,
         "flagged_worst": worst,
         "slowest_state_iterations": iterations,
+        "filled_stages": filled,
         "newton_attempts": newton_attempts,
         "newton_uncertified": uncertified,
     }

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from umco import (
     serialize_channel,
 )
 from umco.cli import _UsageError, build_parser, parse_range, run_command
+from umco.constrained import DEFAULT_COST_TOL, DEFAULT_DUAL_TOL
 from umco.infinite_horizon import DEFAULT_SPAN_TOL
+from umco.onestage import DEFAULT_INNER_TOL
 
 SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
@@ -127,10 +130,34 @@ def test_every_help_text_prints_and_exits_zero(command, capsys):
     assert capsys.readouterr().out.startswith("usage: umco")
 
 
-def test_fb_capacity_help_shows_the_default_span_tolerance(capsys):
+TOLERANCE_DEFAULTS = {
+    ("fb-capacity", "--tol"): DEFAULT_SPAN_TOL,
+    ("finite-horizon", "--tol"): DEFAULT_INNER_TOL,
+    ("nofb-verify", "--tol"): 1e-9,
+    ("check-conditions", "--tol"): 1e-8,
+    ("constrained", "--dual-tol"): DEFAULT_DUAL_TOL,
+    ("constrained", "--cost-tol"): DEFAULT_COST_TOL,
+}
+
+
+def test_every_tolerance_option_is_listed():
+    options = {
+        (command, action.option_strings[0])
+        for command, sub in SUBCOMMANDS.items()
+        for action in sub._actions
+        if action.dest.endswith("tol")
+    }
+    assert options == set(TOLERANCE_DEFAULTS)
+
+
+@pytest.mark.parametrize("command, option", list(TOLERANCE_DEFAULTS), ids=[" ".join(key) for key in TOLERANCE_DEFAULTS])
+def test_help_shows_the_default_tolerance(command, option, capsys):
     with pytest.raises(SystemExit):
-        run_command(["fb-capacity", "--help"])
-    assert f"(default {DEFAULT_SPAN_TOL:g})" in " ".join(capsys.readouterr().out.split())
+        run_command([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    default = TOLERANCE_DEFAULTS[command, option]
+    # the option's own help, up to the next option, ends with its default
+    assert re.search(rf"{option} \S+ (?:(?!--)[^()])*\(default {re.escape(f'{default:g}')}\)", text), text
 
 
 def test_unknown_command_exits_one(capsys):

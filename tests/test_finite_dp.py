@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from bruteforce import dmc_capacity_grid, dp_grid_oracle
 from conftest import bibo_channel, bsc_rows, bssc, embedded_dmc, random_channel
+from perron_census import noisy_permutation_channel
 from umco import (
     ConvergenceError,
     CostSpec,
@@ -35,7 +36,7 @@ from umco import (
 )
 from umco.cli import dp_report
 from umco.finite_dp import NESTED, NON_NESTED, NON_NESTED_TIME_INVARIANT, SUPPORT_EPS
-from umco.onestage import letter_scores, maximize_stage_objective
+from umco.onestage import DEFAULT_INNER_TOL, letter_scores, maximize_stage_objective
 
 CAP_105 = bssc_closed_form(BSSCParams(1.0, 0.5)).capacity  # = H(0.2) - 0.4
 
@@ -291,22 +292,25 @@ def sparse_channels(draw, max_states=3, max_inputs=4):
     return channel_from_kernel(kernel)
 
 
-def _cold_recursion(channel, horizon):
-    """The backward recursion with every stage started cold from uniform."""
+def _full_recursion(channel, horizon, cost=None, multiplier=None, warm_start=True):
+    """The backward recursion with every stage solved, each warm-started from the stage after it or cold."""
+    gamma = None if cost is None else np.asarray(cost.gamma, dtype=float)
+    penalty = None if gamma is None or not multiplier else multiplier * gamma
     values = np.zeros((horizon + 1, channel.n_states))
     policies = np.zeros((horizon + 1, channel.n_states, channel.n_inputs))
-    continuation = None
+    counts = [0] * (horizon + 1)
+    continuation = warm = None
     for t in range(horizon, -1, -1):
-        stage = maximize_stage_objective(channel.kernel, continuation=continuation)
-        values[t], policies[t] = stage.value, stage.policy
-        continuation = values[t]
-    return DPSolution(values, policies, None, (0,) * (horizon + 1))
+        stage = maximize_stage_objective(channel.kernel, continuation, penalty, initial=warm)
+        values[t], policies[t], counts[t] = stage.value, stage.policy, stage.slowest_iterations
+        continuation, warm = values[t], stage.policy if warm_start else None
+    return DPSolution(values, policies, multiplier, counts, gamma)
 
 
 @given(sparse_channels(), st.integers(0, 6))
 def test_warm_started_dp_equals_cold_recursion(channel, horizon):
     try:
-        cold = _cold_recursion(channel, horizon)
+        cold = _full_recursion(channel, horizon, warm_start=False)
     except ConvergenceError:
         return  # the cold start stalls: nothing to compare against
     warm = solve_finite_horizon(channel, horizon)
@@ -410,3 +414,95 @@ def test_horizon_is_read_from_the_stage_policies():
     assert tail.horizon == 3
     with pytest.raises(DimensionMismatchError):  # four stage policies cannot go with five rows of values
         dataclasses.replace(solution, policies=solution.policies[1:])
+
+
+def _assert_tail_certificate(solution):
+    """stationary_tail is None, or (k, delta) with stages 0..k filled, the rest solved and delta in the bound."""
+    tail = solution.stationary_tail
+    counts = np.array(solution.inner_iterations)
+    if tail is None:
+        assert np.all(counts > 0)
+        return
+    first_filled, delta = tail
+    assert np.all(counts[: first_filled + 1] == 0) and np.all(counts[first_filled + 1 :] > 0)
+    assert 0.0 <= delta <= DEFAULT_INNER_TOL / (solution.horizon + 1)
+    assert delta == np.ptp(solution.values[first_filled + 1] - solution.values[first_filled + 2])
+
+
+@pytest.mark.parametrize("with_cost", [False, True], ids=["no-cost", "cost"])
+@pytest.mark.parametrize("kind", ["noisy-permutation", "full-support"])
+def test_stationary_tail_matches_the_full_recursion(kind, with_cost):
+    rng = np.random.default_rng(32)
+    fired = 0
+    for _ in range(6):
+        n_states = int(rng.integers(2, 5))
+        if kind == "noisy-permutation":
+            channel = noisy_permutation_channel(rng, n_states)
+        else:
+            channel = random_channel(rng, n_states, int(rng.integers(2, 5)))
+        horizon = int(rng.integers(10, 31))
+        cost = multiplier = None
+        if with_cost:
+            cost = CostSpec(rng.random((channel.n_states, channel.n_inputs)), 0.0)
+            multiplier = float(rng.uniform(0.1, 2.0))
+        tail = solve_finite_horizon(channel, horizon, cost=cost, multiplier=multiplier)
+        full = _full_recursion(channel, horizon, cost, multiplier)
+        _assert_tail_certificate(tail)
+        fired += tail.stationary_tail is not None
+        assert np.abs(tail.values - full.values).max() <= (horizon + 1) * DEFAULT_INNER_TOL
+        reference = verify_optimality_conditions(channel, full, tol=1e-8)
+        report = verify_optimality_conditions(channel, tail, tol=1e-8)
+        assert reference.passed and report.passed
+        # A filled stage misses its targets by at most the last solved stage's miss plus delta / 2.
+        assert report.worst_violation <= reference.worst_violation + DEFAULT_INNER_TOL
+        assert classify_non_nested(tail, tol=1e-6).kind == classify_non_nested(full, tol=1e-6).kind
+    assert fired  # the tail was exercised, not only the full recursion
+
+
+@pytest.mark.parametrize("multiplier", [None, 0.5])
+@pytest.mark.parametrize("horizon", [2, 10, 30])
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.9, 0.6), (0.95, 0.8)])
+def test_bssc_solves_only_the_last_two_stages(alpha, beta, horizon, multiplier):
+    params = BSSCParams(alpha, beta)
+    cost = None if multiplier is None else CostSpec(bssc_cost_function(), 0.0)
+    solution = solve_finite_horizon(bssc(alpha, beta), horizon, cost=cost, multiplier=multiplier)
+    counts = solution.inner_iterations
+    assert all(n == 0 for n in counts[:-2]) and all(n > 0 for n in counts[-2:])
+    _assert_tail_certificate(solution)
+    assert solution.stationary_tail[0] == horizon - 2
+    if multiplier is None:
+        stages = horizon + 1
+        assert np.abs(solution.values[0] - stages * bssc_closed_form(params).capacity).max() <= 1e-9 * stages
+    else:
+        full = _full_recursion(bssc(alpha, beta), horizon, cost, multiplier)
+        assert np.abs(solution.values - full.values).max() <= (horizon + 1) * DEFAULT_INNER_TOL
+
+
+@pytest.mark.parametrize("horizon", [0, 1])
+@pytest.mark.parametrize("channel", [bssc(1.0, 0.5), bibo_channel()], ids=["bssc", "bibo"])
+def test_short_horizons_solve_every_stage(channel, horizon):
+    solution = solve_finite_horizon(channel, horizon)
+    assert len(solution.inner_iterations) == horizon + 1
+    assert all(n > 0 for n in solution.inner_iterations)
+    assert solution.stationary_tail is None
+
+
+def test_a_step_that_never_flattens_solves_every_stage_as_the_full_recursion():
+    # State 0 is absorbing and earns nothing; state 1 earns a positive amount
+    # each stage, so V_t(1) - V_{t+1}(1) stays positive while state 0's step is 0.
+    channel = channel_from_kernel([[[1.0, 0.0], [1.0, 0.0]], [[0.9, 0.1], [0.1, 0.9]]])
+    solution = solve_finite_horizon(channel, 20)
+    full = _full_recursion(channel, 20)
+    assert solution.stationary_tail is None
+    assert solution.values.tobytes() == full.values.tobytes()
+    assert solution.policies.tobytes() == full.policies.tobytes()
+    assert solution.inner_iterations == full.inner_iterations
+
+
+def test_stationary_tail_reads_none_on_records_without_a_solved_step():
+    policies = np.full((3, 2, 2), 0.5)
+    for counts in [(0, 0, 0), (4, 4, 4), (0, 0, 4)]:
+        record = DPSolution(np.zeros((3, 2)), policies, None, counts)
+        assert record.stationary_tail is None
+    record = DPSolution(np.array([[3.0, 3.5], [2.0, 2.25], [1.0, 1.0]]), policies, None, (0, 4, 4))
+    assert record.stationary_tail == (0, 0.25)
