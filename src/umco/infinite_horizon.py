@@ -158,9 +158,9 @@ def stationary_distribution(kernel: OutputKernel) -> Distribution:
 
 
 def _sweep(channel, continuation, penalty, tol, initial=None, newton_start=False):
-    """One Bellman sweep: every state's stage problem solved to max(tol * 1e-2, 1e-14)."""
+    """One Bellman sweep: every state's stage problem solved to tol * 1e-2 (the stage solver floors it at 1e-14)."""
     return maximize_stage_objective(
-        channel._prepared_kernel, continuation, penalty, tol=max(tol * 1e-2, 1e-14),
+        channel._prepared_kernel, continuation, penalty, tol=tol * 1e-2,
         initial=initial, _newton_start=newton_start,
     )
 

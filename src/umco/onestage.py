@@ -33,9 +33,10 @@ pass, scoring letters by the same identity: it puts exact zeros on dead
 letters, lets a letter at zero mass rejoin by its score, and a state keeps
 its result only once the same certificate holds.  A state tries at iteration
 1 when its warm start holds an exact zero (a letter that would sit at the
-floor until iteration 256) or when the caller asks, as relative value
-iteration does from a caller's warm start: near the optimum Newton converges
-quadratically.
+floor until iteration 256) or when the caller asks, as every finite-horizon
+stage does and relative value iteration does from a caller's warm start:
+near the optimum Newton converges quadratically.  ``tol`` is floored at
+1e-14, the rounding of a centred value.
 
 The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
@@ -156,12 +157,15 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
     of every state in the pass is in, the first step takes the solver's scores
     at pi (no state certified) as given; otherwise every state of the pass is
     renormalised and rescored.  Each step solves [H_SS 1; 1^T 0], H = R
-    diag(1/q) R^T / ln 2 shifted by 1e-12 trace(H_SS), so a flat direction
-    (dependent rows) takes a long step.  A step leaving the simplex drops its
-    blocking letter at exactly 0, or stops halfway to it if it alone reaches
-    some output.  Once the support's scores are level, the best letter off it
-    joins.  A state leaves once certified, or uncertified after a step that is
-    not finite or _NEWTON_STEPS steps; the results hold the certified rows.
+    diag(1/q) R^T / ln 2 with each letter's diagonal entry raised by 1e-12 of
+    itself, so a flat direction (dependent rows) takes a long step and a
+    near-dead letter's H_aa ~ 1/q damps no other letter.  A step leaving the
+    simplex drops its blocking letter at exactly 0; a letter alone on some
+    output of the support never blocks but keeps at least half its mass, and
+    the step length comes from the other falling letters.  Once the support's
+    scores are level, the best letter off it joins.  A state leaves once
+    certified, or uncertified after a step that is not finite or
+    _NEWTON_STEPS steps; the results hold the certified rows.
     """
     n_states, n_inputs, _ = rows.shape
     support = pi >= 1e-2 * pi.max(axis=1, keepdims=True)
@@ -194,10 +198,9 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
             level = spread <= tol
             support[level, np.where(support, -np.inf, scores).argmax(axis=1)[level]] = True
         hessian = np.matmul(rows / np.where(dead, np.inf, output), rows_t) / np.log(2.0)
-        shift = 1e-12 * np.where(support, np.diagonal(hessian, axis1=1, axis2=2), 0.0).sum(axis=1)
         system = np.zeros((len(live), n_inputs + 1, n_inputs + 1))
         pair = support[:, :, None] & support[:, None, :]  # identity rows off the support decouple the states
-        system[:, :-1, :-1] = np.where(pair, hessian + shift[:, None, None] * identity, identity)
+        system[:, :-1, :-1] = np.where(pair, hessian + 1e-12 * hessian * identity, identity)
         system[:, :-1, -1] = system[:, -1, :-1] = support
         rhs = np.zeros((len(live), n_inputs + 1, 1))
         rhs[:, :-1, 0] = np.where(support, scores, 0.0)
@@ -210,15 +213,16 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
                 break
         falling = support & (step < 0.0)
         ratios = np.where(falling, pi / np.where(falling, -step, 1.0), np.inf)
+        floor = 0.0
+        if ratios.min(initial=np.inf) < 2.0:  # some letter loses half its mass: one alone on an output keeps it
+            reach = (rows > 0.0) & support[:, :, None]
+            sole = (reach & (reach.sum(axis=1, keepdims=True) == 1)).any(axis=2)
+            ratios[sole], floor = np.inf, np.where(sole, 0.5 * pi, 0.0)
         blocking = ratios.argmin(axis=1)
         states = np.arange(len(live))
         ratio = ratios[states, blocking]
         length, dropped = np.minimum(1.0, ratio), ratio <= 1.0
-        if dropped.any():  # a blocking letter alone on some output halves the step instead
-            reach = (rows > 0.0) & support[:, :, None]
-            halved = dropped & (reach[states, blocking] & (reach.sum(axis=1) == 1)).any(axis=1)
-            length, dropped = np.where(halved, 0.5 * ratio, length), dropped & ~halved
-        pi = np.maximum(pi + length[:, None] * step, 0.0)
+        pi = np.maximum(pi + length[:, None] * step, floor)
         pi[states[dropped], blocking[dropped]] = 0.0
         pi /= pi.sum(axis=1, keepdims=True)
         support, scores = pi > 0.0, None
@@ -250,6 +254,7 @@ def maximize_stage_objective(
     Raises ConvergenceError with the worst achieved gap if ``max_iter`` is
     hit before every state is certified.
     """
+    tol = max(tol, 1e-14)  # the rounding of a centred value: no state certifies below it
     kernel = rows if isinstance(rows, _PreparedKernel) else _prepare_kernel(rows)
     rows, rows_t, unreachable = kernel.rows, kernel.rows_t, kernel.unreachable
     n_states, n_inputs, _ = rows.shape

@@ -538,7 +538,7 @@ policy pi(.|1) = [0.500000826, 0.499999174]
 """,
     ('check-conditions', '--horizon', '10'): """\
 finite horizon n=10: conditions PASS
-worst violation = 1.498e-10 bits (tol 1e-08)
+worst violation = 4.441e-16 bits (tol 1e-08)
 """,
 }
 

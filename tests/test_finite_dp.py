@@ -106,9 +106,11 @@ def test_argument_validation():
         solve_finite_horizon(bssc(0.9, 0.2), 2, multiplier=0.5)  # multiplier without cost
 
 
-def test_inner_nonconvergence_reports_achieved_gap():
+def test_inner_nonconvergence_reports_achieved_gap(monkeypatch):
     from umco import ConvergenceError
 
+    # A Newton attempt without steps cannot certify the first update.
+    monkeypatch.setattr("umco.onestage._NEWTON_STEPS", 0)
     with pytest.raises(ConvergenceError) as exc_info:
         solve_finite_horizon(bssc(1.0, 0.5), 1, inner_max_iter=1)
     assert exc_info.value.residual is not None
@@ -293,7 +295,11 @@ def sparse_channels(draw, max_states=3, max_inputs=4):
 
 
 def _full_recursion(channel, horizon, cost=None, multiplier=None, warm_start=True):
-    """The backward recursion with every stage solved, each warm-started from the stage after it or cold."""
+    """The backward recursion with every stage solved, each warm-started from the stage after it or cold.
+
+    Warm, each stage tries Newton at its first update, as ``solve_finite_horizon`` does; cold, each
+    stage runs the fixed point alone from uniform, the tie-breaker among optimal policies.
+    """
     gamma = None if cost is None else np.asarray(cost.gamma, dtype=float)
     penalty = None if gamma is None or not multiplier else multiplier * gamma
     values = np.zeros((horizon + 1, channel.n_states))
@@ -301,7 +307,7 @@ def _full_recursion(channel, horizon, cost=None, multiplier=None, warm_start=Tru
     counts = [0] * (horizon + 1)
     continuation = warm = None
     for t in range(horizon, -1, -1):
-        stage = maximize_stage_objective(channel.kernel, continuation, penalty, initial=warm)
+        stage = maximize_stage_objective(channel.kernel, continuation, penalty, initial=warm, _newton_start=warm_start)
         values[t], policies[t], counts[t] = stage.value, stage.policy, stage.slowest_iterations
         continuation, warm = values[t], stage.policy if warm_start else None
     return DPSolution(values, policies, multiplier, counts, gamma)
@@ -485,6 +491,16 @@ def test_short_horizons_solve_every_stage(channel, horizon):
     assert len(solution.inner_iterations) == horizon + 1
     assert all(n > 0 for n in solution.inner_iterations)
     assert solution.stationary_tail is None
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 4, 5])
+def test_every_solved_stage_of_a_noisy_permutation_dp_takes_one_update(n_states):
+    # Each stage's Newton attempt at update 1 certifies every state: the
+    # terminal stage from uniform, each earlier one from the stage after it.
+    channel = noisy_permutation_channel(np.random.default_rng(n_states), n_states)
+    for horizon in (10, 30):
+        counts = solve_finite_horizon(channel, horizon).inner_iterations
+        assert counts[-1] == 1 and {n for n in counts if n} == {1}
 
 
 def test_a_step_that_never_flattens_solves_every_stage_as_the_full_recursion():

@@ -116,8 +116,8 @@ GOLDEN = {
     ),
     "constrained-sweep-out": (
         "kappa,capacity_bits,multiplier,achieved_cost,binding\n"
-        "0.4,0.28129089923104933,0.3888026822389366,0.4000006445975577,true\n"
-        "0.5,0.31127812445978964,0.20752033940461712,0.49999917354359746,true\n"
+        "0.4,0.28129089923104933,0.38880268223893655,0.4000006445975577,true\n"
+        "0.5,0.31127812445978975,0.20752033940461706,0.4999991735435976,true\n"
     ),
     "curve_csv": (
         "kappa,capacity_bits,multiplier,achieved_cost,binding\n"
@@ -149,12 +149,12 @@ GOLDEN = {
     ),
     "finite-horizon-out": (
         "stage,state,value_bits,policy_a0,policy_a1\n"
-        "0,0,0.9657842846620872,0.5999999998892351,0.4000000001107648\n"
-        "0,1,0.9657842846620872,0.4000000001107648,0.5999999998892351\n"
-        "1,0,0.6438561897747248,0.5999999998892351,0.4000000001107648\n"
-        "1,1,0.6438561897747248,0.4000000001107648,0.5999999998892351\n"
-        "2,0,0.3219280948873624,0.5999999998892351,0.4000000001107648\n"
-        "2,1,0.3219280948873624,0.4000000001107648,0.5999999998892351\n"
+        "0,0,0.965784284662087,0.6000000000000001,0.3999999999999999\n"
+        "0,1,0.965784284662087,0.39999999999999997,0.6000000000000001\n"
+        "1,0,0.6438561897747247,0.6000000000000001,0.3999999999999999\n"
+        "1,1,0.6438561897747247,0.39999999999999997,0.6000000000000001\n"
+        "2,0,0.32192809488736235,0.6000000000000001,0.3999999999999999\n"
+        "2,1,0.32192809488736235,0.39999999999999997,0.6000000000000001\n"
     ),
     "rate_sweep_csv-integer": (
         "rate_bits,E_r_bits,rho_star,bound_at_n\n"

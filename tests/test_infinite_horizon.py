@@ -818,23 +818,26 @@ def _newton_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "solve",
+    "solve, early",
     [
-        lambda: relative_value_iteration(bibo_channel(), tol=1e-10),
-        lambda: relative_value_iteration(bssc(1.0, 0.5), tol=1e-10),
-        lambda: policy_iteration(bibo_channel(), uniform_policy(2, 2)),
-        lambda: solve_finite_horizon(bssc(0.9, 0.6), 20),
+        (lambda: relative_value_iteration(bibo_channel(), tol=1e-10), []),
+        (lambda: relative_value_iteration(bssc(1.0, 0.5), tol=1e-10), []),
+        (lambda: policy_iteration(bibo_channel(), uniform_policy(2, 2)), []),
+        # The terminal stage tries Newton at update 1 from uniform and
+        # certifies both states; stage 19, warm-started there, certifies at
+        # update 1 before any attempt, and the stationary tail fills the rest.
+        (lambda: solve_finite_horizon(bssc(0.9, 0.6), 20), [(2, 2)]),
     ],
     ids=["rvi-bibo", "rvi-bssc", "policy-iteration", "finite-horizon"],
 )
-def test_only_a_callers_warm_start_brings_the_first_newton_attempt_forward(monkeypatch, solve):
+def test_only_a_callers_warm_start_brings_the_first_newton_attempt_forward(monkeypatch, solve, early):
     # With the periodic attempts out of reach, any attempt is an early one:
-    # RVI without an initial policy, PI and the finite-horizon recursion make
-    # none before iteration 256.
+    # RVI without an initial policy and PI make none before iteration 256;
+    # the finite-horizon recursion asks for one at every stage's update 1.
     monkeypatch.setattr(umco.onestage, "_NEWTON_PERIOD", 10**9)
     calls = _newton_calls(monkeypatch)
     solve()
-    assert calls == []
+    assert calls == early
 
 
 def test_rvi_from_a_neighbouring_multiplier_certifies_its_first_sweep_by_newton(monkeypatch):

@@ -48,8 +48,8 @@ def kernel_stacks(draw, max_states=6):
     if n_inputs > 2 and draw(st.booleans()):
         rows[:, -2] = rows[:, -3]  # dependent rows: the optimal policy is not unique
     if draw(st.booleans()):
-        # Letter 0 alone reaches output 0: a Newton step that blocks at it
-        # stops halfway instead of zeroing it.
+        # Letter 0 alone reaches output 0: a Newton step keeps at least half
+        # its mass and takes its length from the other falling letters.
         rows[:, 0, 0] += 0.5
         rows[:, 1:, 0] = 0.0
         rows[..., -1] += rows.sum(axis=2) == 0.0
@@ -218,19 +218,19 @@ def _newton_reference(rows, pi, bias, tol, steps=_NEWTON_STEPS):
             support[np.argmax(np.where(support, -np.inf, scores))] = True
         live = rows[support]
         hessian = (live / np.where(output > 0.0, output, np.inf)) @ live.T / np.log(2.0)
-        system = np.pad(hessian + 1e-12 * np.trace(hessian) * np.eye(len(live)), (0, 1), constant_values=1.0)
+        system = np.pad(hessian + 1e-12 * np.diag(np.diag(hessian)), (0, 1), constant_values=1.0)
         system[-1, -1] = 0.0
         step = np.linalg.solve(system, np.append(scores[support], 0.0))[:-1]
         if not np.all(np.isfinite(step)):
             return None
-        ratios = np.where(step < 0.0, pi[support] / np.where(step < 0.0, -step, 1.0), np.inf)
-        blocking = np.argmin(ratios)
-        blocked = ratios[blocking] <= 1.0
         reach = live > 0.0
-        halved = blocked and bool(np.any(reach[blocking] & (reach.sum(axis=0) == 1)))
-        length = 0.5 * ratios[blocking] if halved else min(1.0, ratios[blocking])
-        pi[support] = np.maximum(pi[support] + length * step, 0.0)
-        if blocked and not halved:
+        sole = (reach & (reach.sum(axis=0) == 1)).any(axis=1)  # alone on some output of the support
+        falling = (step < 0.0) & ~sole
+        ratios = np.where(falling, pi[support] / np.where(falling, -step, 1.0), np.inf)
+        blocking = np.argmin(ratios)
+        floor = np.where(sole, 0.5 * pi[support], 0.0)
+        pi[support] = np.maximum(pi[support] + min(1.0, ratios[blocking]) * step, floor)
+        if ratios[blocking] <= 1.0:
             pi[np.flatnonzero(support)[blocking]] = 0.0
         pi /= pi.sum()
         support = pi > 0.0
@@ -324,6 +324,78 @@ def test_newton_pass_on_a_full_support_starts_from_the_given_scores():
     (certified, policy, _, gap), scores = _first_newton_system((*inputs, given + 1.0))
     assert scores.tobytes() == (given + 1.0).tobytes()
     assert certified.all() and (gap <= 1e-10).all() and (_stage_gap(rows, bias, policy) <= 1e-10).all()
+
+
+def test_newton_shifts_each_letter_by_its_own_diagonal_entry():
+    # Letter 1 holds 1e-12 of the mass and alone reaches output 1, so its
+    # diagonal entry is about 7e11; a shift by 1e-12 of the trace would raise
+    # letter 0's entry (about 1.4) by half and damp every step on it.
+    rows, bias, pi = np.array([[[1.0, 0.0], [0.5, 0.5]]]), np.zeros((1, 2)), np.array([[1.0 - 1e-12, 1e-12]])
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        certified, *_ = _newton_pass(*_newton_inputs(rows, bias, pi.copy()), 1e-10)
+    system = solve.call_args_list[0].args[0][0, :-1, :-1]
+    hessian = (rows[0] / (pi[0] @ rows[0])) @ rows[0].T / np.log(2.0)
+    np.testing.assert_allclose(np.diag(system) / np.diag(hessian) - 1.0, 1e-12, rtol=1e-3)
+    np.testing.assert_allclose(system[[0, 1], [1, 0]], hessian[[0, 1], [1, 0]], rtol=1e-14)
+    assert certified.tolist() == [True]
+
+
+def test_a_letter_alone_on_an_output_keeps_half_its_mass_and_sets_no_step_length():
+    # Letter 1 alone reaches output 1, and the first step from (1/2, 1/2)
+    # would take it below 0.  It keeps half its mass instead, and with no
+    # other letter falling the step is taken in full; scaling the whole step
+    # to stop halfway to 0 made it crawl.
+    rows, bias, pi = np.array([[[1.0, 0.0], [0.5, 0.5]]]), np.array([[0.0, -2.0]]), np.array([[0.5, 0.5]])
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        certified, *_ = _newton_pass(*_newton_inputs(rows, bias, pi.copy()), 1e-10)
+    (system, rhs), (_, second) = [call.args for call in solve.call_args_list[:2]]
+    step = np.linalg.solve(system, rhs)[0, :-1, 0]
+    assert step[1] < -pi[0, 1]
+    expected = np.array([pi[0, 0] + step[0], 0.5 * pi[0, 1]])
+    expected /= expected.sum()
+    # The second system's right-hand side holds the scores at the second iterate.
+    scores = letter_scores(rows, expected, penalty=-bias)[0]
+    np.testing.assert_allclose(second[0, :-1, 0], scores, rtol=0.0, atol=1e-12)
+    assert certified.tolist() == [True]
+
+
+# Channel 375 of tests/sparse_stress.py at seed 2024.  In state 0 letter 0
+# alone reaches output 1, and its optimal mass is tiny: the fixed point
+# leaves it at 6.1e-13 in the terminal stage.
+SPARSE_375 = np.array([
+    [[0.19555120040888255, 0.014088957507210694, 0.38082462835884473, 0.4095352137250621],
+     [0.4675358929685804, 0.0, 0.5324641070314197, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
+    [[0.3730859568905793, 0.30715065750869264, 0.08048909343163174, 0.23927429216909643],
+     [0.5145222838928937, 0.4854777161071064, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+     [0.45741885783557784, 0.13371851648392147, 0.14911522077495046, 0.25974740490555026]],
+    [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.5911899601336351, 0.4088100398663649, 0.0, 0.0],
+     [0.0, 0.3113608506263698, 0.4662940307910433, 0.22234511858258688]],
+    [[0.7913743735779613, 0.0, 0.08599930517319421, 0.12262632124884448], [0.0, 0.0, 1.0, 0.0],
+     [0.0, 1.0, 0.0, 0.0], [0.0, 0.23128036391088605, 0.20065461330268056, 0.5680650227864334]],
+])
+
+
+@pytest.mark.parametrize("start", ["uniform", "warm"])
+def test_sparse_census_channel_375_state_0_certifies_by_newton_at_update_1(start):
+    # These are the first updates of the terminal stage and of stage 19 of
+    # the census's horizon-20 recursion.  From uniform, a step halved at
+    # letter 0 crawled for all 50 steps; from the fixed point's terminal
+    # policy (letter 0 at 6.1e-13), a shift by 1e-12 of the trace, which
+    # letter 0's entry swamps, stalled the gap.
+    continuation = initial = None
+    if start == "warm":
+        terminal = maximize_stage_objective(SPARSE_375)  # the fixed point: no Newton attempt before update 256
+        continuation, initial = terminal.value, terminal.policy[0]
+        assert 0.0 < initial[0] < 1e-12
+    solution = maximize_stage_objective(SPARSE_375[0], continuation, initial=initial, _newton_start=True)
+    assert solution.iterations == 1 and solution.gap <= 1e-10
+    # The per-letter conditions hold as the verifier reads them: letters
+    # above 1e-9 of mass are level with the value, the rest lie below it.
+    policy, value = solution.policy[0], solution.value[0]
+    scores = letter_scores(SPARSE_375[0], policy, continuation)[0]
+    supported = policy > 1e-9
+    assert np.abs(scores[supported] - value).max() <= 1e-9
+    assert scores[~supported].max() < value
 
 
 def _reference_state(rows, bias, initial, newton_start, tol=1e-10):
