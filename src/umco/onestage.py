@@ -59,7 +59,13 @@ entries per array an update's cost is NumPy call overhead, so each update
 writes into work buffers allocated once per call, reads its largest normaliser
 for the pass test from a Python list, and a call whose states all certify on
 the same iteration returns its arrays directly, without the per-state slots a
-partial freeze needs.
+partial freeze needs.  An iteration with a Newton attempt computes the
+update's weights only after the attempt, as a call whose states all certify
+there never uses them.  The Newton pass, too, does only the work its case
+needs: while every letter holds mass, a step solves the Hessian bordered by
+ones against the scores, with no masks, and a step under which no letter
+loses half its mass is taken in full; the ratio test and the mask of letters
+alone on an output run only when some letter would lose half.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ _POLICY_FLOOR = 1e-280
 # Iterations between the Newton attempts of an uncertified state, and steps per attempt.
 _NEWTON_PERIOD = 256
 _NEWTON_STEPS = 50
+_LN2 = np.log(2.0)
 
 # Slack on the Jensen bound that lets an iteration skip the certificate, for
 # the rounding of the normaliser (its measured excess stays below 1e-15).
@@ -159,17 +166,26 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
     renormalised and rescored.  Each step solves [H_SS 1; 1^T 0], H = R
     diag(1/q) R^T / ln 2 with each letter's diagonal entry raised by 1e-12 of
     itself, so a flat direction (dependent rows) takes a long step and a
-    near-dead letter's H_aa ~ 1/q damps no other letter.  A step leaving the
-    simplex drops its blocking letter at exactly 0; a letter alone on some
-    output of the support never blocks but keeps at least half its mass, and
-    the step length comes from the other falling letters.  Once the support's
-    scores are level, the best letter off it joins.  A state leaves once
-    certified, or uncertified after a step that is not finite or
+    near-dead letter's H_aa ~ 1/q damps no other letter.  While every letter
+    of every state in the pass holds mass, that is H bordered by ones with the
+    scores as right-hand side, and the value is sum_a pi_a score_a, with no
+    mask; otherwise identity rows and zero scores stand for the letters off
+    the support, which decouples them.  A step under which no letter loses
+    half its mass is taken in full.  Otherwise the ratio test runs: a step
+    leaving the simplex drops its blocking letter at exactly 0, and a letter
+    alone on some output of the support never blocks but keeps at least half
+    its mass, the step length coming from the other falling letters.  Once
+    the support's scores are level, the best letter off it joins.  A state
+    leaves once certified, or uncertified after a step that is not finite or
     _NEWTON_STEPS steps; the results hold the certified rows.
     """
     n_states, n_inputs, _ = rows.shape
     support = pi >= 1e-2 * pi.max(axis=1, keepdims=True)
-    if not support.all():  # a full support leaves pi, and so the scores given, as they are
+    # Every letter of every live state holds mass: the systems need no
+    # identity rows and the value no mask.  False is always safe, as the
+    # general path gives the same bytes on a full support.
+    full = support.all()
+    if not full:  # a full support leaves pi, and so the scores given, as they are
         support |= np.matmul(np.matmul(support[:, None], rows) == 0.0, rows_t)[:, 0] > 0.0
         pi = np.where(support, pi, 0.0)
         pi /= pi.sum(axis=1, keepdims=True)
@@ -177,15 +193,14 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
     live = np.arange(n_states)  # stack index of each state still stepping
     certified, done = np.zeros(n_states, dtype=bool), np.zeros(n_states, dtype=bool)
     policy, value, gap = np.empty((n_states, n_inputs)), np.empty(n_states), np.empty(n_states)
-    identity = np.eye(n_inputs)
     for _ in range(_NEWTON_STEPS):
         output = np.matmul(pi[:, None], rows)
-        dead = output == 0.0  # outputs no supported letter reaches
+        dead = None if output.all() else output == 0.0  # outputs no supported letter reaches
         if scores is None:
-            scores = base - np.matmul(np.log2(np.where(dead, 1.0, output)), rows_t)[:, 0]
-            if dead.any():
+            scores = base - np.matmul(np.log2(output if dead is None else np.where(dead, 1.0, output)), rows_t)[:, 0]
+            if dead is not None:
                 scores[np.matmul(dead, rows_t)[:, 0] > 0.0] = np.inf
-            values = _policy_average(pi, scores)
+            values = (pi * scores).sum(axis=1) if full else _policy_average(pi, scores)
             gaps = np.maximum(scores.max(axis=1) - values, 0.0)
             done = gaps <= tol
             if done.any():
@@ -193,17 +208,22 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
                 certified[won], policy[won], value[won], gap[won] = True, pi[done], values[done], gaps[done]
                 if done.all():
                     break
-        if not support.all():  # no letter can join a full support
+        if not full:  # no letter can join a full support
             spread = np.where(support, scores, -np.inf).max(axis=1) - np.where(support, scores, np.inf).min(axis=1)
             level = spread <= tol
             support[level, np.where(support, -np.inf, scores).argmax(axis=1)[level]] = True
-        hessian = np.matmul(rows / np.where(dead, np.inf, output), rows_t) / np.log(2.0)
-        system = np.zeros((len(live), n_inputs + 1, n_inputs + 1))
-        pair = support[:, :, None] & support[:, None, :]  # identity rows off the support decouple the states
-        system[:, :-1, :-1] = np.where(pair, hessian + 1e-12 * hessian * identity, identity)
-        system[:, :-1, -1] = system[:, -1, :-1] = support
+        hessian = np.matmul(rows / (output if dead is None else np.where(dead, np.inf, output)), rows_t) / _LN2
+        diagonal = hessian.reshape(len(live), n_inputs * n_inputs)[:, :: n_inputs + 1]  # a view
+        diagonal += 1e-12 * diagonal
+        system = np.ones((len(live), n_inputs + 1, n_inputs + 1))
+        system[:, -1, -1] = 0.0
         rhs = np.zeros((len(live), n_inputs + 1, 1))
-        rhs[:, :-1, 0] = np.where(support, scores, 0.0)
+        if full:
+            system[:, :-1, :-1], rhs[:, :-1, 0] = hessian, scores
+        else:  # identity rows off the support decouple the states
+            system[:, :-1, :-1] = np.where(support[:, :, None] & support[:, None, :], hessian, np.eye(n_inputs))
+            system[:, :-1, -1] = system[:, -1, :-1] = support
+            rhs[:, :-1, 0] = np.where(support, scores, 0.0)
         step = np.linalg.solve(system, rhs)[:, :-1, 0]
         stepping = ~done & np.isfinite(step).all(axis=1)
         if not stepping.all():
@@ -211,21 +231,27 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
             pi, support, step = pi[stepping], support[stepping], step[stepping]
             if not len(live):
                 break
-        falling = support & (step < 0.0)
-        ratios = np.where(falling, pi / np.where(falling, -step, 1.0), np.inf)
-        floor = 0.0
-        if ratios.min(initial=np.inf) < 2.0:  # some letter loses half its mass: one alone on an output keeps it
-            reach = (rows > 0.0) & support[:, :, None]
-            sole = (reach & (reach.sum(axis=1, keepdims=True) == 1)).any(axis=2)
-            ratios[sole], floor = np.inf, np.where(sole, 0.5 * pi, 0.0)
-        blocking = ratios.argmin(axis=1)
-        states = np.arange(len(live))
-        ratio = ratios[states, blocking]
-        length, dropped = np.minimum(1.0, ratio), ratio <= 1.0
-        pi = np.maximum(pi + length[:, None] * step, floor)
-        pi[states[dropped], blocking[dropped]] = 0.0
+        if (pi + 2.0 * step).min(initial=0.0) >= 0.0:
+            # No letter loses half its mass: the ratio test, the sole-reach
+            # mask and the floor below all leave the full step.
+            pi = pi + step
+        else:
+            falling = support & (step < 0.0)
+            ratios = np.where(falling, pi / np.where(falling, -step, 1.0), np.inf)
+            floor = 0.0
+            if ratios.min(initial=np.inf) < 2.0:  # some letter loses half its mass: one alone on an output keeps it
+                reach = (rows > 0.0) & support[:, :, None]
+                sole = (reach & (reach.sum(axis=1, keepdims=True) == 1)).any(axis=2)
+                ratios[sole], floor = np.inf, np.where(sole, 0.5 * pi, 0.0)
+            blocking = ratios.argmin(axis=1)
+            states = np.arange(len(live))
+            ratio = ratios[states, blocking]
+            length, dropped = np.minimum(1.0, ratio), ratio <= 1.0
+            pi = np.maximum(pi + length[:, None] * step, floor)
+            pi[states[dropped], blocking[dropped]] = 0.0
         pi /= pi.sum(axis=1, keepdims=True)
         support, scores = pi > 0.0, None
+        full = support.all()
     return certified, policy[certified], value[certified], gap[certified]
 
 
@@ -265,19 +291,18 @@ def maximize_stage_objective(
     offset = bias.max(axis=1)
     bias -= offset[:, None]
     # Vectors are kept as (S, 1, n) rows so each product is one batched matmul.
+    first_attempt = np.ones(n_states, dtype=bool) if _newton_start else None
     if initial is None:
         pi = np.full((n_states, 1, n_inputs), 1.0 / n_inputs)
-        first_attempt = None
     else:
         pi = np.asarray(initial, dtype=float).reshape(n_states, 1, n_inputs)
-        # A letter warm-started at exactly 0 would sit at the floor until the
-        # first periodic Newton attempt; such a state tries one at once.
-        first_attempt = (pi == 0.0).any(axis=(1, 2))
-        first_attempt = first_attempt if first_attempt.any() else None
+        if first_attempt is None:
+            # A letter warm-started at exactly 0 would sit at the floor until
+            # the first periodic Newton attempt; such a state tries one at once.
+            zero = (pi == 0.0).any(axis=(1, 2))
+            first_attempt = zero if zero.any() else None
         pi = np.maximum(pi, _POLICY_FLOOR)
         pi /= pi.sum(axis=2, keepdims=True)
-    if _newton_start:
-        first_attempt = np.ones(n_states, dtype=bool)
     # By Blahut's identity a score is base_a - (log2 q @ R^T)_a, base = sum_b P log2 P
     # + bias: the P = 0 terms vanish as q > 0 wherever a letter reaches the output
     # (pi stays above the floor), and unreached outputs get q = 1 instead of 0.
@@ -305,11 +330,12 @@ def maximize_stage_objective(
         np.matmul(output, rows_t, out=scores)
         np.subtract(base, scores, out=scores)
         np.maximum.reduce(scores, axis=2, keepdims=True, out=top)
-        np.subtract(scores, top, out=weights)
-        np.exp2(weights, out=weights)
-        np.multiply(pi, weights, out=weights)
-        np.add.reduce(weights, axis=2, keepdims=True, out=total)
         newton_due = iteration % _NEWTON_PERIOD == 0 or (iteration == 1 and first_attempt is not None)
+        if not newton_due:  # an attempt defers the update's weights until its states may all have certified
+            np.subtract(scores, top, out=weights)
+            np.exp2(weights, out=weights)
+            np.multiply(pi, weights, out=weights)
+            np.add.reduce(weights, axis=2, keepdims=True, out=total)
         # The largest normaliser is read from a list: on a few states that
         # costs a fraction of total.max(), and the test runs on every update.
         if newton_due or iteration == max_iter or max(total.ravel().tolist()) >= certifiable:
@@ -335,6 +361,9 @@ def maximize_stage_objective(
                 policy.setflags(write=False)  # a view of the work buffer pi
                 values.setflags(write=False)
                 return StateSolution(policy, values, iteration * n_states, float(gap.max()), iteration)
+            if newton_due:  # the deferred weights: a won state's row is dropped by the freeze below
+                np.multiply(pi, np.exp2(scores - top), out=weights)
+                np.add.reduce(weights, axis=2, keepdims=True, out=total)
             if certified:
                 if index is None:
                     index = np.arange(n_states)

@@ -153,6 +153,26 @@ def test_skipping_the_certificate_on_the_jensen_bound_changes_nothing(problem):
 
 
 @given(stage_problems())
+def test_deferring_the_update_weights_at_an_attempt_changes_nothing(problem):
+    # With no step allowed a Newton attempt certifies no state, so asking for
+    # one at iteration 1 must leave the iterates as they are without it; only
+    # the update's weights move past the attempt.  A warm start without exact
+    # zeros makes no attempt unless asked.
+    rows, continuation, penalty, initial, _ = problem
+    warm = np.ones(rows.shape[:2]) if initial is None else initial + 1e-3
+    warm /= warm.sum(axis=1, keepdims=True)
+    with mock.patch.object(onestage, "_NEWTON_STEPS", 0):
+        attempted, plain = (_solve(rows, continuation, penalty, warm, asked) for asked in (True, False))
+    assert type(attempted) is type(plain)
+    if isinstance(plain, ConvergenceError):
+        assert attempted.residual == plain.residual
+        return
+    assert attempted.policy.tobytes() == plain.policy.tobytes()
+    assert attempted.value.tobytes() == plain.value.tobytes()
+    assert attempted[2:] == plain[2:]
+
+
+@given(stage_problems())
 def test_solver_neither_writes_into_nor_aliases_its_inputs(problem):
     # The update works in buffers of its own; the returned arrays must not be
     # views of the caller's warm start either.
@@ -357,6 +377,28 @@ def test_a_letter_alone_on_an_output_keeps_half_its_mass_and_sets_no_step_length
     scores = letter_scores(rows, expected, penalty=-bias)[0]
     np.testing.assert_allclose(second[0, :-1, 0], scores, rtol=0.0, atol=1e-12)
     assert certified.tolist() == [True]
+
+
+def test_the_full_step_equals_the_ratio_test_where_no_letter_loses_half_its_mass():
+    # Both states start on a full support.  State 0's first step moves each
+    # letter by 3.5% of the mass; state 1's would take letter 1, alone on
+    # output 1, below 0.  The batch takes the ratio test with the sole-reach
+    # mask, state 0 alone the full step: the same bytes, in the scores at the
+    # first iterate (the second system's right-hand side) and in the result.
+    rows = np.array([[[0.9, 0.1], [0.2, 0.8]], [[1.0, 0.0], [0.5, 0.5]]])
+    bias, pi = np.array([[0.0, 0.0], [0.0, -2.0]]), np.full((2, 2), 0.5)
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+        batched = _newton_pass(*_newton_inputs(rows, bias, pi.copy()), 1e-10)
+    (system, rhs), (_, second) = [call.args for call in solve.call_args_list[:2]]
+    step = np.linalg.solve(system, rhs)[:, :-1, 0]
+    assert (pi[0] + 2.0 * step[0]).min() > 0.0 and pi[1, 1] + step[1, 1] < 0.0
+    assert batched[0].tolist() == [True, True]
+    for b in range(2):
+        with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solve:
+            alone = _newton_pass(*_newton_inputs(rows[b : b + 1], bias[b : b + 1], pi[b : b + 1].copy()), 1e-10)
+        assert solve.call_args_list[1].args[1].tobytes() == second[b : b + 1].tobytes()
+        assert alone[0].tolist() == [True]
+        assert [a.tobytes() for a in alone[1:]] == [a[b : b + 1].tobytes() for a in batched[1:]]
 
 
 # Channel 375 of tests/sparse_stress.py at seed 2024.  In state 0 letter 0
