@@ -10,8 +10,9 @@ F_inf(rho) = -log2 lambda_max.  The roots of a whole rho grid come from one
 stacked repeated squaring, each certified by a Collatz-Wielandt bracket at
 most 1e-12 wide relative to lambda_max.  The random-coding exponent
 E_r(R) = max_{0 <= rho <= 1} F_inf(rho) - rho R is taken on a 0.01 grid in
-rho refined by batched grids to a 1e-6 bracket, and a rate sweep solves
-each distinct grid once for all its calls; the block-error bound
+rho refined by batched grids to a 1e-6 bracket.  A rate sweep runs one rho
+search for all its rates, each refinement level one stacked solve over
+every rate's grid; the block-error bound
 
     P_err <= 4 * |B| * (v_max / v_min) * 2^(-n E_r(R))
 
@@ -149,7 +150,7 @@ def _gallager_exponents(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F_inf, the eigenvector ratio and the relative Perron bracket width at every rho, from one stacked solve.
 
-    memo, a dict owned by one rate sweep, keys each result by the grid's bytes.
+    memo, a dict owned by one rho search or rate sweep, keys each grid's result by the grid's bytes.
     """
     if memo is not None:
         key = np.asarray(rhos, dtype=float).tobytes()
@@ -183,6 +184,37 @@ def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) ->
     return ExponentCurve(rhos, *_gallager_exponents(channel, policy, rhos))
 
 
+def _rho_search(channel: UnitMemoryChannel, policy: InputPolicy, rates, memo: dict) -> list[tuple[float, float]]:
+    """(E_r, rho*) at every rate of rates, each already checked, with one stacked solve per level.
+
+    Every rate starts on the 0.01 grid; at each level the grids that memo
+    lacks go to one _gallager_exponents call on their concatenation, and each
+    grid's slice is stored under that grid's bytes.  A finished rate's result
+    is stored under ("rate", its bytes): bytes, not value, so 0.0 and -0.0
+    keep their own clamped E_r.
+    """
+    keys = [("rate", np.float64(rate).tobytes()) for rate in rates]
+    coarse = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
+    pending = {key: (rate, coarse) for key, rate in zip(keys, rates) if key not in memo}
+    while pending:
+        grids = {rhos.tobytes(): rhos for _, rhos in pending.values() if rhos.tobytes() not in memo}
+        if grids:
+            solved = _gallager_exponents(channel, policy, np.concatenate(list(grids.values())))
+            stops = np.cumsum([len(rhos) for rhos in grids.values()])
+            for (key, rhos), stop in zip(grids.items(), stops):
+                memo[key] = tuple(array[stop - len(rhos) : stop] for array in solved)
+        for key, (rate, rhos) in list(pending.items()):
+            values = memo[rhos.tobytes()][0] - rhos * rate
+            i = int(np.argmax(values))
+            lo, hi = rhos[max(i - 1, 0)], rhos[min(i + 1, len(rhos) - 1)]
+            if hi - lo <= _RHO_TOL:
+                memo[key] = max(float(values[i]), 0.0), float(rhos[i])
+                del pending[key]
+            else:
+                pending[key] = rate, np.linspace(lo, hi, _REFINE_POINTS)
+    return [memo[key] for key in keys]
+
+
 def random_coding_exponent(
     channel: UnitMemoryChannel, policy: InputPolicy, rate: float, *, _memo: dict | None = None
 ) -> tuple[float, float]:
@@ -195,14 +227,7 @@ def random_coding_exponent(
     rho = 0 endpoint always achieves 0).
     """
     rate = _check_number(rate, "rate")
-    rhos = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
-    while True:
-        values = _gallager_exponents(channel, policy, rhos, _memo)[0] - rhos * rate
-        i = int(np.argmax(values))
-        lo, hi = rhos[max(i - 1, 0)], rhos[min(i + 1, len(rhos) - 1)]
-        if hi - lo <= _RHO_TOL:
-            return max(float(values[i]), 0.0), float(rhos[i])
-        rhos = np.linspace(lo, hi, _REFINE_POINTS)
+    return _rho_search(channel, policy, [rate], {} if _memo is None else _memo)[0]
 
 
 def error_probability_bound(
@@ -286,12 +311,15 @@ def rate_sweep_csv(
 ) -> str:
     """CSV of (rate in bits, E_r in bits, maximizing rho, error bound at block length n).
 
-    Both public calls per rate share one memo of solved rho grids, dropped with
-    the sweep, so each distinct grid is solved once and the table is byte for
-    byte the one the calls give alone.
+    Every rate is checked before any solve.  One rho search then serves the
+    whole sweep: each refinement level is one stacked solve over every rate's
+    grid, kept in a memo dropped with the sweep.  The two public calls per
+    rate read the memo, so the table is byte for byte the one they give alone.
     """
     n, rows, memo = _check_integer(n, "block length n", 1), [], {}
-    for rate in _float_grid(rates, "rate grid").tolist():
+    rates = [_check_number(rate, "rate") for rate in _float_grid(rates, "rate grid").tolist()]
+    _rho_search(channel, policy, rates, memo)
+    for rate in rates:
         exponent, rho_star = random_coding_exponent(channel, policy, rate, _memo=memo)
         bound = error_probability_bound(channel, policy, rate, n, state_known, _memo=memo)
         rows.append([rate, exponent, rho_star, bound])

@@ -7,11 +7,14 @@ uniform policy or a random positive one, and solves F(rho) on the grid
 compared with a LAPACK ``np.linalg.eig`` reference.  Prints one JSON line:
 max |dF| in bits, max relative deviation of the eigenvector ratio, max
 relative Collatz-Wielandt bracket width and max squarings per stack.  It
-also prints a 4-rate sweep (``rate_sweep_csv``, which shares its solved rho
-grids between rates) against the CSV of its per-rate public calls, solved
-afresh, and counts the channels where the two differ in any byte.  Exits 1
-when |dF| exceeds 1e-12 anywhere, a solve raises ConvergenceError or a
-sweep mismatches:
+also checks a 7-rate sweep (``rate_sweep_csv``, one rho search whose every
+refinement level is one stacked solve over all its rates' grids) against the
+CSV of its per-rate public calls, solved afresh, and counts the channels
+where the two differ in any byte (``sweep_mismatches``).  Three of the rates
+are slopes of the channel's own F, so their maximizers lie inside (0, 1) and
+a refinement level stacks several distinct grids (5 or more at seed 2024).
+Exits 1 when |dF| exceeds 1e-12 anywhere, a solve raises ConvergenceError or
+a sweep mismatches:
 
     PYTHONPATH=src python tests/perron_census.py --channels 1000
 """
@@ -29,8 +32,10 @@ from umco.exponent import _gallager_exponents, _perron_pair, _transposed_weights
 
 F_TOL = 1e-12
 RHOS = np.linspace(0.0, 1.0, 101)
-# Rate 0, an interior rate, a repeat and one above capacity (at most log2(6) bits here).
-SWEEP_RATES = [0.0, 0.3, 0.3, 3.0]
+# Rate 0, a fixed rate, one above capacity (at most log2(6) bits here), then the slopes of F
+# at these rhos, whose maximizers lie near them, and a repeat of the first slope.
+SWEEP_RATES = [0.0, 0.3, 3.0]
+SLOPE_RHOS = (0.2, 0.5, 0.8)
 SWEEP_N = 100
 
 
@@ -58,15 +63,22 @@ def _squarings(stack):
             pass
 
 
-def _sweep_mismatches(channel, policy):
+def _sweep_rates(f_inf):
+    """SWEEP_RATES, then the slope of F on RHOS at each of SLOPE_RHOS and that of the first again."""
+    step = RHOS[1] - RHOS[0]
+    slopes = [max(float(f_inf[i + 1] - f_inf[i]) / step, 0.0) for i in np.searchsorted(RHOS, SLOPE_RHOS)]
+    return [*SWEEP_RATES, *slopes, slopes[0]]
+
+
+def _sweep_mismatches(channel, policy, rates):
     """1 when the sweep's CSV differs in any byte from the per-rate calls', else 0."""
     rows = [
         [rate, *umco.random_coding_exponent(channel, policy, rate),
          umco.error_probability_bound(channel, policy, rate, SWEEP_N)]
-        for rate in SWEEP_RATES
+        for rate in rates
     ]
     alone = _csv(["rate_bits", "E_r_bits", "rho_star", "bound_at_n"], rows)
-    return int(rate_sweep_csv(channel, policy, SWEEP_RATES, SWEEP_N) != alone)
+    return int(rate_sweep_csv(channel, policy, rates, SWEEP_N) != alone)
 
 
 def census(n_channels, seed=2024):
@@ -96,7 +108,7 @@ def census(n_channels, seed=2024):
         ratio_dev = max(ratio_dev, float((np.abs(ratio - ref_ratio) / ref_ratio).max()))
         width = max(width, float(widths.max()))
         squarings = max(squarings, _squarings(stack))
-        mismatches += _sweep_mismatches(channel, policy)
+        mismatches += _sweep_mismatches(channel, policy, _sweep_rates(f_inf))
     return {
         "channels": n_channels,
         "max_abs_dF": df,

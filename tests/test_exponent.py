@@ -402,8 +402,8 @@ def test_a_rate_sweep_prints_what_the_per_rate_calls_give(problem, uniform, rate
     channel, policy = problem
     if uniform:
         policy = uniform_policy(channel.n_states, channel.n_inputs)
-    # Rate 0, a repeated rate and one above capacity, which is at most log2(4) = 2 bits here.
-    rates = [0.0, *rates, rates[-1], 3.0]
+    # Rate 0 beside -0.0, a repeated rate and one above capacity, which is at most log2(4) = 2 bits here.
+    rates = [0.0, -0.0, *rates, rates[-1], 3.0]
     rows = [
         [rate, *random_coding_exponent(channel, policy, rate), error_probability_bound(channel, policy, rate, n, known)]
         for rate in rates
@@ -427,19 +427,55 @@ def _count_perron_stacks(monkeypatch):
 def test_a_rate_sweep_solves_each_grid_once(monkeypatch):
     stacks = _count_perron_stacks(monkeypatch)
     rate_sweep_csv(CHANNEL, POLICY, [0.0, 0.1, 0.2, 0.3], n=100)
-    # The coarse grid once, then per rate at most three refinements and the stack of one at rho*;
-    # solving every call afresh takes 36.
-    assert len(stacks) <= 1 + 4 * 4
-    assert stacks.count(1) <= 4
+    # The coarse grid once, one stacked solve per refinement level over every rate's grid, then
+    # at most one stack of one per rate for the ratio at rho*; one search per rate took up to 17,
+    # solving every call afresh 36.
+    coarse, levels, ratios = stacks[0], stacks[1:4], stacks[4:]
+    assert coarse == 101
+    assert len(levels) == 3 and all(size % 57 == 0 and size > 57 for size in levels)
+    assert len(ratios) <= 4 and set(ratios) == {1}
 
 
 def test_no_memo_outlives_its_sweep(monkeypatch):
     stacks = _count_perron_stacks(monkeypatch)
     with pytest.raises(ValidationError):
-        rate_sweep_csv(CHANNEL, POLICY, [0.1, np.nan], n=100)  # the second rate fails after the first has solved
+        rate_sweep_csv(CHANNEL, POLICY, [0.1, np.nan], n=100)
+    assert stacks == []  # every rate is checked before any solve
+    rate_sweep_csv(CHANNEL, POLICY, [0.1], n=100)
     assert len(stacks) == 5  # the coarse grid, the three refinements and the stack of one at rho*
     random_coding_exponent(CHANNEL, POLICY, 0.1)
     assert len(stacks) == 9  # the coarse grid and the three refinements again
+
+
+def test_a_sweep_keys_each_rate_by_its_bytes():
+    # Output b_prev -> 1 - b_prev whatever the input: capacity 0, every Perron root exactly 1 and
+    # F = -0.0 at every rho, so E_r(0.0) is -0.0 and E_r(-0.0), equal to it as a float, is 0.0.
+    channel, policy = channel_from_kernel(np.array([[[0.0, 1.0]] * 2, [[1.0, 0.0]] * 2])), uniform_policy(2, 2)
+    rates = [0.0, -0.0, 0.2, 0.2, -0.0, 0.0, 3.0]
+    rows = [
+        [rate, *random_coding_exponent(channel, policy, rate), error_probability_bound(channel, policy, rate, 50)]
+        for rate in rates
+    ]
+    assert [repr(row[1]) for row in rows] == ["-0.0", "0.0", "-0.0", "-0.0", "0.0", "-0.0", "-0.0"]
+    assert rate_sweep_csv(channel, policy, rates, 50) == _csv(["rate_bits", "E_r_bits", "rho_star", "bound_at_n"], rows)
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 4, 5, 6])
+def test_a_stacked_level_gives_each_grid_the_bytes_it_gets_alone(n_states):
+    """A refinement level's stacked solve matches each of its 57-point grids solved alone, bit for bit.
+
+    A stack of one is not covered: it can differ in the last bit (seen at
+    rho = 1), which is why the bound's ratio at rho* keeps a stack of its own.
+    """
+    rng = np.random.default_rng(n_states)
+    channel, weights = random_channel(rng, n_states, 3), rng.random((n_states, 3)) + 0.01
+    for policy in (uniform_policy(n_states, 3), InputPolicy(weights / weights.sum(axis=1, keepdims=True))):
+        grids = [np.linspace(lo, hi, 57) for lo, hi in ((0.98, 1.0), (0.0, 0.01), (0.41, 0.43), (1.0 - 5e-7, 1.0))]
+        stacked = _gallager_exponents(channel, policy, np.concatenate(grids))
+        for k, grid in enumerate(grids):
+            alone = _gallager_exponents(channel, policy, grid)
+            for part, whole in zip(alone, stacked):
+                assert part.tobytes() == whole[57 * k : 57 * (k + 1)].tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 2.5, None], ids=repr)
