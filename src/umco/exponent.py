@@ -16,8 +16,8 @@ every rate's grid; the block-error bound
 
     P_err <= 4 * |B| * (v_max / v_min) * 2^(-n E_r(R))
 
-with the eigenvector ratio taken from the Perron vector certifying the
-finite-n bracket |E_n + log2 lambda_max| <= (1/n) log2(v_max / v_min) at rho*.
+with the eigenvector ratio of the Perron vector certifying the finite-n bracket
+|E_n + log2 lambda_max| <= (1/n) log2(v_max / v_min), from the grid that picked rho*.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ _RHO_TOL = 1e-6
 # refinements are cheaper than two large ones; three take a 0.02-wide bracket
 # below _RHO_TOL: 0.02 * (2 / 56)^3 < 1e-6.
 _REFINE_POINTS = 57
+_MAX_BLOCK_LENGTH = int(np.finfo(float).max)  # the bound takes -n * E_r as a float
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +89,11 @@ class ExponentCurve:
 
 
 def _transposed_weights(channel: UnitMemoryChannel, policy: InputPolicy, rhos) -> np.ndarray:
-    """State-weight matrices transposed, [k][s_prev][s_next], for every rho at once."""
+    """State-weight matrices transposed, [k][s_prev][s_next], for every rho at once.
+
+    At rho = 1 a grid of one or two points may differ in the last bit from a
+    longer grid: NumPy's power then takes its sqrt or square shortcut.
+    """
     rhos = _check_entries(rhos, "rho", 0.0, 1.0)
     _check_compatible(channel, policy.matrix)
     power = (1.0 + rhos)[:, None, None]
@@ -146,17 +151,9 @@ def _perron_pair(matrices: np.ndarray, tol: float = 1e-12, max_squarings: int = 
 
 
 def _gallager_exponents(
-    channel: UnitMemoryChannel, policy: InputPolicy, rhos, memo: dict | None = None
+    channel: UnitMemoryChannel, policy: InputPolicy, rhos
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F_inf, the eigenvector ratio and the relative Perron bracket width at every rho, from one stacked solve.
-
-    memo, a dict owned by one rho search or rate sweep, keys each grid's result by the grid's bytes.
-    """
-    if memo is not None:
-        key = np.asarray(rhos, dtype=float).tobytes()
-        if key not in memo:
-            memo[key] = _gallager_exponents(channel, policy, rhos)
-        return memo[key]
+    """F_inf, the eigenvector ratio and the relative Perron bracket width at every rho, from one stacked solve."""
     stack = _transposed_weights(channel, policy, rhos)
     if not _reach(stack).all():
         raise ReducibleChainError("state-weight matrix is reducible at this policy; the bound is not certified")
@@ -164,9 +161,7 @@ def _gallager_exponents(
     return -np.log2(roots), vecs.max(axis=1) / vecs.min(axis=1), widths
 
 
-def gallager_exponent_infinite(
-    channel: UnitMemoryChannel, policy: InputPolicy, rho: float, *, _memo: dict | None = None
-) -> tuple[float, float]:
+def gallager_exponent_infinite(channel: UnitMemoryChannel, policy: InputPolicy, rho: float) -> tuple[float, float]:
     """Asymptotic exponent F_inf(rho) = -log2 lambda_max and the eigenvector ratio.
 
     The ratio comes from the Perron vector of the transposed state-weight
@@ -174,7 +169,7 @@ def gallager_exponent_infinite(
     started from a known state.  A reducible matrix is rejected: the
     nonnegative-matrix theorem behind the bound needs irreducibility.
     """
-    f_inf, ratio, _ = _gallager_exponents(channel, policy, [_check_number(rho, "rho", 0.0, 1.0)], _memo)
+    f_inf, ratio, _ = _gallager_exponents(channel, policy, [_check_number(rho, "rho", 0.0, 1.0)])
     return float(f_inf[0]), float(ratio[0])
 
 
@@ -184,14 +179,14 @@ def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) ->
     return ExponentCurve(rhos, *_gallager_exponents(channel, policy, rhos))
 
 
-def _rho_search(channel: UnitMemoryChannel, policy: InputPolicy, rates, memo: dict) -> list[tuple[float, float]]:
-    """(E_r, rho*) at every rate of rates, each already checked, with one stacked solve per level.
+def _rho_search(channel: UnitMemoryChannel, policy: InputPolicy, rates, memo: dict) -> list[tuple[float, float, float]]:
+    """(E_r, rho*, the eigenvector ratio at rho*) at every checked rate, with one stacked solve per level.
 
     Every rate starts on the 0.01 grid; at each level the grids that memo
     lacks go to one _gallager_exponents call on their concatenation, and each
-    grid's slice is stored under that grid's bytes.  A finished rate's result
-    is stored under ("rate", its bytes): bytes, not value, so 0.0 and -0.0
-    keep their own clamped E_r.
+    grid's slice is stored under that grid's bytes.  A finished rate's result,
+    its ratio read off the grid that picked rho*, is stored under ("rate", its
+    bytes): bytes, not value, so 0.0 and -0.0 keep their own clamped E_r.
     """
     keys = [("rate", np.float64(rate).tobytes()) for rate in rates]
     coarse = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
@@ -204,11 +199,12 @@ def _rho_search(channel: UnitMemoryChannel, policy: InputPolicy, rates, memo: di
             for (key, rhos), stop in zip(grids.items(), stops):
                 memo[key] = tuple(array[stop - len(rhos) : stop] for array in solved)
         for key, (rate, rhos) in list(pending.items()):
-            values = memo[rhos.tobytes()][0] - rhos * rate
+            f_inf, ratios, _ = memo[rhos.tobytes()]
+            values = f_inf - rhos * rate
             i = int(np.argmax(values))
             lo, hi = rhos[max(i - 1, 0)], rhos[min(i + 1, len(rhos) - 1)]
             if hi - lo <= _RHO_TOL:
-                memo[key] = max(float(values[i]), 0.0), float(rhos[i])
+                memo[key] = max(float(values[i]), 0.0), float(rhos[i]), float(ratios[i])
                 del pending[key]
             else:
                 pending[key] = rate, np.linspace(lo, hi, _REFINE_POINTS)
@@ -227,7 +223,7 @@ def random_coding_exponent(
     rho = 0 endpoint always achieves 0).
     """
     rate = _check_number(rate, "rate")
-    return _rho_search(channel, policy, [rate], {} if _memo is None else _memo)[0]
+    return _rho_search(channel, policy, [rate], {} if _memo is None else _memo)[0][:2]
 
 
 def error_probability_bound(
@@ -242,12 +238,14 @@ def error_probability_bound(
     """Block-error upper bound 4 |B| (v_max/v_min) 2^(-n E_r(rate)), capped at 1.
 
     With the initial state known at both ends the |B| factor drops.  The ratio
-    at rho* comes from a stack of one of its own (in a sweep, memoised under
-    that one-point grid), never from a refinement grid: the bound keeps its bits.
+    at rho* is the one the rho search solved on the grid that picked rho*, read
+    back from the search's memo: no Perron solve beyond the search's own.
     """
-    n = _check_integer(n, "block length n", 1)
-    exponent, rho_star = random_coding_exponent(channel, policy, rate, _memo=_memo)
-    _, ratio = gallager_exponent_infinite(channel, policy, rho_star, _memo=_memo)
+    n = _check_integer(n, "block length n", 1, _MAX_BLOCK_LENGTH)
+    rate, memo = _check_number(rate, "rate"), {} if _memo is None else _memo
+    # E_r through the public call: a sweep's pinned benchmark counter reads two such calls a rate.
+    exponent, _ = random_coding_exponent(channel, policy, rate, _memo=memo)
+    ratio = _rho_search(channel, policy, [rate], memo)[0][2]
     coefficient = 4.0 * (1 if state_known else channel.n_states) * ratio
     return float(min(1.0, coefficient * 2.0 ** (-n * exponent)))
 
@@ -314,9 +312,10 @@ def rate_sweep_csv(
     Every rate is checked before any solve.  One rho search then serves the
     whole sweep: each refinement level is one stacked solve over every rate's
     grid, kept in a memo dropped with the sweep.  The two public calls per
-    rate read the memo, so the table is byte for byte the one they give alone.
+    rate, the bound's ratio at rho* included, read the memo and solve nothing,
+    so the table is byte for byte the one they give alone.
     """
-    n, rows, memo = _check_integer(n, "block length n", 1), [], {}
+    n, rows, memo = _check_integer(n, "block length n", 1, _MAX_BLOCK_LENGTH), [], {}
     rates = [_check_number(rate, "rate") for rate in _float_grid(rates, "rate grid").tolist()]
     _rho_search(channel, policy, rates, memo)
     for rate in rates:

@@ -69,6 +69,13 @@ def test_error_exponent_non_finite_rates_exit_one(bssc_file, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_error_exponent_block_length_beyond_float_range_exits_one(bssc_file, capsys):
+    # Such an n overflowed -n * E_r and left through a traceback.
+    assert run_command(["error-exponent", "--channel", bssc_file, "--rates", "0:0.2:0.1", "--n", "1" + "0" * 400]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "block length n" in err and "Traceback" not in err
+
+
 def test_parse_range_rejects_oversized_grids():
     # 1e12 points would take hours to list before any solve; refused up front.
     with pytest.raises(_UsageError, match="more than 1000000 points"):

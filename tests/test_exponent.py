@@ -427,13 +427,11 @@ def _count_perron_stacks(monkeypatch):
 def test_a_rate_sweep_solves_each_grid_once(monkeypatch):
     stacks = _count_perron_stacks(monkeypatch)
     rate_sweep_csv(CHANNEL, POLICY, [0.0, 0.1, 0.2, 0.3], n=100)
-    # The coarse grid once, one stacked solve per refinement level over every rate's grid, then
-    # at most one stack of one per rate for the ratio at rho*; one search per rate took up to 17,
-    # solving every call afresh 36.
-    coarse, levels, ratios = stacks[0], stacks[1:4], stacks[4:]
-    assert coarse == 101
-    assert len(levels) == 3 and all(size % 57 == 0 and size > 57 for size in levels)
-    assert len(ratios) <= 4 and set(ratios) == {1}
+    # The coarse grid once and one stacked solve per refinement level over every rate's grid; the
+    # bound's ratio at rho* is read off the grid that picked rho*, where a stack of one per rate
+    # solved it again (7 stacks here). One search per rate took up to 17, solving every call afresh 36.
+    assert stacks[0] == 101
+    assert len(stacks) == 4 and all(size % 57 == 0 and size > 57 for size in stacks[1:])
 
 
 def test_no_memo_outlives_its_sweep(monkeypatch):
@@ -442,9 +440,11 @@ def test_no_memo_outlives_its_sweep(monkeypatch):
         rate_sweep_csv(CHANNEL, POLICY, [0.1, np.nan], n=100)
     assert stacks == []  # every rate is checked before any solve
     rate_sweep_csv(CHANNEL, POLICY, [0.1], n=100)
-    assert len(stacks) == 5  # the coarse grid, the three refinements and the stack of one at rho*
+    assert stacks == [101, 57, 57, 57]  # the coarse grid and the three refinements, no stack of one at rho*
     random_coding_exponent(CHANNEL, POLICY, 0.1)
-    assert len(stacks) == 9  # the coarse grid and the three refinements again
+    assert stacks == [101, 57, 57, 57] * 2  # solved again
+    error_probability_bound(CHANNEL, POLICY, 0.1, 100)
+    assert stacks == [101, 57, 57, 57] * 3
 
 
 def test_a_sweep_keys_each_rate_by_its_bytes():
@@ -464,8 +464,8 @@ def test_a_sweep_keys_each_rate_by_its_bytes():
 def test_a_stacked_level_gives_each_grid_the_bytes_it_gets_alone(n_states):
     """A refinement level's stacked solve matches each of its 57-point grids solved alone, bit for bit.
 
-    A stack of one is not covered: it can differ in the last bit (seen at
-    rho = 1), which is why the bound's ratio at rho* keeps a stack of its own.
+    A grid of one or two points is not covered: at rho = 1 NumPy's power takes
+    its sqrt or square shortcut there, which can differ in the last bit.
     """
     rng = np.random.default_rng(n_states)
     channel, weights = random_channel(rng, n_states, 3), rng.random((n_states, 3)) + 0.01
@@ -478,6 +478,22 @@ def test_a_stacked_level_gives_each_grid_the_bytes_it_gets_alone(n_states):
                 assert part.tobytes() == whole[57 * k : 57 * (k + 1)].tobytes()
 
 
+@pytest.mark.parametrize("rate, interior", [(0.0, False), (0.05, True)])
+def test_the_bound_takes_the_ratio_at_rho_star_off_the_search_grid(rate, interior):
+    # At rate 0, rho* = 1 and a stack of one at rho* gives this channel's ratio another last bit.
+    channel, policy, n = random_channel(np.random.default_rng(3), 3, 3), uniform_policy(3, 3), 300
+    exponent, rho_star = random_coding_exponent(channel, policy, rate)
+    assert (0.0 < rho_star < 1.0) if interior else rho_star == 1.0
+    grid = np.unique([0.0, 0.5, rho_star, 1.0])
+    ratio = exponent_curve(channel, policy, grid).eigen_ratio[np.searchsorted(grid, rho_star)]
+
+    def bound(ratio):
+        return min(1.0, 4.0 * ratio * 2.0 ** (-n * exponent))
+
+    assert bound(ratio) < 1.0 and bound(np.nextafter(ratio, np.inf)) != bound(ratio)  # the bound shows the last bit
+    assert error_probability_bound(channel, policy, rate, n, state_known=True) == bound(ratio)
+
+
 @pytest.mark.parametrize("n", [0, 2.5, None], ids=repr)
 def test_a_rate_sweep_checks_the_block_length_before_any_solve(monkeypatch, n):
     # The bound checked n only after the first rate's E_r had solved 4 grids.
@@ -485,6 +501,13 @@ def test_a_rate_sweep_checks_the_block_length_before_any_solve(monkeypatch, n):
     with pytest.raises(ValidationError, match="block length n"):
         rate_sweep_csv(CHANNEL, POLICY, [0.1], n=n)
     assert stacks == []
+
+
+def test_a_block_length_beyond_float_range_is_a_validation_error():
+    # -n * E_r raised a bare OverflowError for an n no float holds.
+    with pytest.raises(ValidationError, match="block length n"):
+        error_probability_bound(CHANNEL, POLICY, 0.1, 10**400)
+    assert error_probability_bound(CHANNEL, POLICY, 0.1, int(np.finfo(float).max)) == 0.0
 
 
 # The transposed state-weight matrix of a noisy 4-permutation channel under

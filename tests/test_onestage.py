@@ -218,6 +218,13 @@ def test_warm_start_at_the_optimum_certifies_every_state_at_once():
     assert not np.shares_memory(warm.policy, solved)
 
 
+def test_a_warm_start_with_an_exact_zero_tries_newton_at_the_first_update():
+    # Each state's warm start puts a letter at exactly 0: without the first
+    # attempt it sits at the floor and crawls for 256 updates.
+    rows = [[[0.9, 0.1], [0.1, 0.9]], [[0.8, 0.2], [0.3, 0.7]]]
+    assert maximize_stage_objective(rows, initial=[[0, 1], [1, 0]]).slowest_iterations == 1
+
+
 def _newton_reference(rows, pi, bias, tol, steps=_NEWTON_STEPS):
     """One state's active-set Newton ascent in its plain form; (policy, value, gap) if certified, else None.
 

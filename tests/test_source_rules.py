@@ -290,3 +290,32 @@ def test_the_stage_layer_takes_one_penalty_array():
     for path, functions in STAGE_LAYER.items():
         for name in functions:
             assert "penalty" in params.get((path, name), ()), f"{path}: {name}"
+
+
+def _memo_subscripts(tree):
+    """Enclosing function ('' at module level) of every subscript of a name ``memo`` or ``_memo``."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id in {"memo", "_memo"}:
+            yield owner.get(node, "")
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(memo, key):\n    return memo[key]", ["f"]),
+        ("def f(_memo, key):\n    _memo[key] = 1", ["f"]),
+        ("memo[key] = 1", [""]),
+        ("def f(memo, key):\n    return key in memo", []),
+        ("def f(memo):\n    return g([1], memo)[0]", []),
+    ],
+)
+def test_the_memo_rule_sees_each_form(source, expected):
+    assert list(_memo_subscripts(ast.parse(source))) == expected
+
+
+def test_one_function_reads_a_sweep_memo():
+    # exponent._rho_search owns a rate sweep's memo: the public calls hand it on and read their
+    # results, the bound's ratio at rho* included, from what the search returns.
+    found = [(path.name, owner) for path in SOURCES for owner in _memo_subscripts(ast.parse(path.read_text()))]
+    assert sorted(set(found)) == [("exponent.py", "_rho_search")]
