@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -129,6 +130,16 @@ def _stochastic_array(values, what: str, ndim: int, tol: float = STRICT_ROW_TOL,
     return array
 
 
+def _shown(value) -> str:
+    """repr(value), but an int of more than 15 digits as 1.79769e+308, or by its digit count past float range."""
+    if not isinstance(value, int) or abs(value) < 10**15:
+        return repr(value)
+    try:
+        return f"{float(value):g}"
+    except OverflowError:
+        return f"an integer of {Decimal(abs(value)).adjusted() + 1} digits"
+
+
 def _check_integer(value, what: str, low: int, high: int | None = None) -> int:
     """``value`` as an int; ValidationError unless it is a whole number in [low, high] (no upper bound by default)."""
     try:
@@ -136,8 +147,8 @@ def _check_integer(value, what: str, low: int, high: int | None = None) -> int:
     except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
         whole = False
     if not whole:
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
+        bound = f">= {_shown(low)}" if high is None else f"in [{_shown(low)}, {_shown(high)}]"
+        raise ValidationError(f"{what} must be an integer {bound}, got {_shown(value)}")
     return int(value)
 
 

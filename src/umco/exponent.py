@@ -36,6 +36,7 @@ from .infinite_horizon import _reach
 
 ENUMERATION_LIMIT = 16
 _RHO_GRID_STEP = 0.01
+_COARSE_RHOS = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
 _RHO_TOL = 1e-6
 # A batched solve has a fixed cost plus a cost per point, so three small
 # refinements are cheaper than two large ones; three take a 0.02-wide bracket
@@ -182,24 +183,21 @@ def exponent_curve(channel: UnitMemoryChannel, policy: InputPolicy, rho_grid) ->
 def _rho_search(channel: UnitMemoryChannel, policy: InputPolicy, rates, memo: dict) -> list[tuple[float, float, float]]:
     """(E_r, rho*, the eigenvector ratio at rho*) at every checked rate, with one stacked solve per level.
 
-    Every rate starts on the 0.01 grid; at each level the grids that memo
-    lacks go to one _gallager_exponents call on their concatenation, and each
-    grid's slice is stored under that grid's bytes.  A finished rate's result,
-    its ratio read off the grid that picked rho*, is stored under ("rate", its
-    bytes): bytes, not value, so 0.0 and -0.0 keep their own clamped E_r.
+    Each rate memo lacks starts on the 0.01 grid; each level solves its
+    distinct grids in one _gallager_exponents call on their concatenation.
+    memo holds finished rates only, each under its bytes, not its value, so
+    0.0 and -0.0 keep their own clamped E_r; the ratio is read off the grid
+    that picked rho*.
     """
-    keys = [("rate", np.float64(rate).tobytes()) for rate in rates]
-    coarse = np.arange(0.0, 1.0 + _RHO_GRID_STEP / 2, _RHO_GRID_STEP)
-    pending = {key: (rate, coarse) for key, rate in zip(keys, rates) if key not in memo}
+    keys = [np.float64(rate).tobytes() for rate in rates]
+    pending = {key: (rate, _COARSE_RHOS) for key, rate in zip(keys, rates) if key not in memo}
     while pending:
-        grids = {rhos.tobytes(): rhos for _, rhos in pending.values() if rhos.tobytes() not in memo}
-        if grids:
-            solved = _gallager_exponents(channel, policy, np.concatenate(list(grids.values())))
-            stops = np.cumsum([len(rhos) for rhos in grids.values()])
-            for (key, rhos), stop in zip(grids.items(), stops):
-                memo[key] = tuple(array[stop - len(rhos) : stop] for array in solved)
+        grids = {rhos.tobytes(): rhos for _, rhos in pending.values()}
+        solved = _gallager_exponents(channel, policy, np.concatenate(list(grids.values())))
+        stops = np.cumsum([len(rhos) for rhos in grids.values()])[:-1]
+        slices = dict(zip(grids, zip(*(np.split(array, stops) for array in solved))))
         for key, (rate, rhos) in list(pending.items()):
-            f_inf, ratios, _ = memo[rhos.tobytes()]
+            f_inf, ratios, _ = slices[rhos.tobytes()]
             values = f_inf - rhos * rate
             i = int(np.argmax(values))
             lo, hi = rhos[max(i - 1, 0)], rhos[min(i + 1, len(rhos) - 1)]

@@ -170,14 +170,15 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
     of every state in the pass holds mass, that is H bordered by ones with the
     scores as right-hand side, and the value is sum_a pi_a score_a, with no
     mask; otherwise identity rows and zero scores stand for the letters off
-    the support, which decouples them.  A step under which no letter loses
-    half its mass is taken in full.  Otherwise the ratio test runs: a step
-    leaving the simplex drops its blocking letter at exactly 0, and a letter
-    alone on some output of the support never blocks but keeps at least half
-    its mass, the step length coming from the other falling letters.  Once
-    the support's scores are level, the best letter off it joins.  A state
-    leaves once certified, or uncertified after a step that is not finite or
-    _NEWTON_STEPS steps; the results hold the certified rows.
+    the support, which decouples them and steps them by exactly 0.  A step
+    under which no letter loses half its mass is taken in full.  Otherwise a
+    support letter does, and the ratio test always applies the sole-letter
+    rule: a step leaving the simplex drops its blocking letter at exactly 0,
+    and a letter alone on some output of the support never blocks but keeps
+    at least half its mass, the step length coming from the other falling
+    letters.  Once the support's scores are level, the best letter off it
+    joins.  A state leaves once certified, or uncertified after a step that is
+    not finite or _NEWTON_STEPS steps; the results hold the certified rows.
     """
     n_states, n_inputs, _ = rows.shape
     support = pi >= 1e-2 * pi.max(axis=1, keepdims=True)
@@ -235,14 +236,12 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
             # No letter loses half its mass: the ratio test, the sole-reach
             # mask and the floor below all leave the full step.
             pi = pi + step
-        else:
+        else:  # a support letter loses half its mass: one alone on an output keeps it
             falling = support & (step < 0.0)
-            ratios = np.where(falling, pi / np.where(falling, -step, 1.0), np.inf)
-            floor = 0.0
-            if ratios.min(initial=np.inf) < 2.0:  # some letter loses half its mass: one alone on an output keeps it
-                reach = (rows > 0.0) & support[:, :, None]
-                sole = (reach & (reach.sum(axis=1, keepdims=True) == 1)).any(axis=2)
-                ratios[sole], floor = np.inf, np.where(sole, 0.5 * pi, 0.0)
+            reach = (rows > 0.0) & support[:, :, None]
+            sole = (reach & (reach.sum(axis=1, keepdims=True) == 1)).any(axis=2)
+            ratios = np.where(falling & ~sole, pi / np.where(falling, -step, 1.0), np.inf)
+            floor = np.where(sole, 0.5 * pi, 0.0)
             blocking = ratios.argmin(axis=1)
             states = np.arange(len(live))
             ratio = ratios[states, blocking]

@@ -74,6 +74,7 @@ def test_error_exponent_block_length_beyond_float_range_exits_one(bssc_file, cap
     assert run_command(["error-exponent", "--channel", bssc_file, "--rates", "0:0.2:0.1", "--n", "1" + "0" * 400]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "block length n" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) < 120
 
 
 def test_parse_range_rejects_oversized_grids():
@@ -476,6 +477,14 @@ def test_check_conditions(bssc_file, capsys):
     assert run_command(["check-conditions", "--channel", bssc_file, "--horizon", "3"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert run_command(["check-conditions", "--channel", bssc_file]) == 0
+
+
+@pytest.mark.parametrize("horizon", [[], ["--horizon", "10"]], ids=["infinite", "horizon-10"])
+def test_check_conditions_with_a_multiplier(tmp_path, capsys, horizon):
+    path = tmp_path / "bssc_09_06.json"
+    path.write_text(serialize_channel(bssc_channel(BSSCParams(0.9, 0.6)), cost=bssc_cost_function()))
+    assert run_command(["check-conditions", "--channel", str(path), "--multiplier", "0.5", *horizon]) == 0
+    assert re.search("conditions PASS$", capsys.readouterr().out, re.MULTILINE)
 
 
 # stdout of the README examples on bssc_1_05.json, byte for byte.  Reports

@@ -201,6 +201,9 @@ def test_oracle_enumeration_range_guard():
     # matrix form handles long horizons without underflow
     value = finite_horizon_exponent_oracle(CHANNEL, POLICY, 1.0, 5000, 0, method="matrix")
     assert np.isfinite(value)
+    # the default takes the matrix form past the enumeration limit
+    auto = finite_horizon_exponent_oracle(CHANNEL, POLICY, 0.5, 20, 1)
+    assert auto == finite_horizon_exponent_oracle(CHANNEL, POLICY, 0.5, 20, 1, method="matrix")
 
 
 def test_frobenius_bracket_symmetric_and_asymmetric():
@@ -447,6 +450,13 @@ def test_no_memo_outlives_its_sweep(monkeypatch):
     assert stacks == [101, 57, 57, 57] * 3
 
 
+def test_a_sweep_memo_holds_finished_rates_only():
+    # A level's grid slices stay local to the search; the memo keys each finished rate by its bytes.
+    memo = {}
+    exponent._rho_search(CHANNEL, POLICY, [0.1, 0.1, -0.0, 0.0], memo)
+    assert set(memo) == {np.float64(rate).tobytes() for rate in (0.1, -0.0, 0.0)}
+
+
 def test_a_sweep_keys_each_rate_by_its_bytes():
     # Output b_prev -> 1 - b_prev whatever the input: capacity 0, every Perron root exactly 1 and
     # F = -0.0 at every rho, so E_r(0.0) is -0.0 and E_r(-0.0), equal to it as a float, is 0.0.
@@ -505,8 +515,13 @@ def test_a_rate_sweep_checks_the_block_length_before_any_solve(monkeypatch, n):
 
 def test_a_block_length_beyond_float_range_is_a_validation_error():
     # -n * E_r raised a bare OverflowError for an n no float holds.
-    with pytest.raises(ValidationError, match="block length n"):
+    with pytest.raises(ValidationError, match="block length n") as raised:
         error_probability_bound(CHANNEL, POLICY, 0.1, 10**400)
+    # The bound and the value print short, not as 309 and 401 digits.
+    assert str(raised.value).endswith("in [1, 1.79769e+308], got an integer of 401 digits")
+    assert len(str(raised.value)) < 120
+    with pytest.raises(ValidationError, match="got an integer of 5001 digits"):  # past int-to-str's 4300-digit limit
+        error_probability_bound(CHANNEL, POLICY, 0.1, 10**5000)
     assert error_probability_bound(CHANNEL, POLICY, 0.1, int(np.finfo(float).max)) == 0.0
 
 

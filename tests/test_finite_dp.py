@@ -243,11 +243,12 @@ def test_dp_matches_grid_oracle(rng):
 def test_zero_multiplier_equals_unconstrained_exactly():
     channel = bssc(0.95, 0.8)
     cost = CostSpec(bssc_cost_function(), 0.3)
-    plain = solve_finite_horizon(channel, 3)
-    with_cost = solve_finite_horizon(channel, 3, cost=cost, multiplier=0.0)
-    assert np.array_equal(plain.values, with_cost.values)
-    assert np.array_equal(plain.policies, with_cost.policies)
-    assert with_cost.multiplier == 0.0
+    plain = solve_finite_horizon(channel, 5)
+    for multiplier in (0.0, None):  # a cost without a multiplier means s = 0
+        with_cost = solve_finite_horizon(channel, 5, cost=cost, multiplier=multiplier)
+        assert plain.values.tobytes() == with_cost.values.tobytes()
+        assert plain.policies.tobytes() == with_cost.policies.tobytes()
+        assert with_cost.multiplier == 0.0
 
 
 def test_terminal_values_nonnegative_without_cost(rng):

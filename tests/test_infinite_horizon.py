@@ -963,3 +963,13 @@ def test_irreducible_and_span_residual_are_read_from_the_fields_they_derive_from
     pi = policy_iteration(channel, uniform_policy(2, 2))
     lo, hi = pi.gain_bracket
     assert pi.irreducible and pi.span_residual == hi - lo  # bit for bit
+
+
+def test_a_cost_without_a_multiplier_runs_rvi_at_zero():
+    # resolve_cost's default: a cost alone means s = 0, the unconstrained solve bit for bit.
+    channel, cost = bssc(0.9, 0.6), CostSpec(bssc_cost_function(), 0.3)
+    plain, with_cost = relative_value_iteration(channel), relative_value_iteration(channel, cost=cost)
+    assert with_cost.multiplier == 0.0 and plain.multiplier is None
+    assert with_cost.gain == plain.gain and with_cost.gain_bracket == plain.gain_bracket
+    assert with_cost.bias.tobytes() == plain.bias.tobytes()
+    assert with_cost.policy.matrix.tobytes() == plain.policy.matrix.tobytes()
