@@ -169,10 +169,12 @@ def solve_finite_horizon(
         values[t] = sol.value
         policies[t] = sol.policy
         counts[t] = sol.slowest_iterations
-        if t < horizon and np.ptp(step := values[t] - values[t + 1]) <= inner_tol / (horizon + 1):  # the tail
-            values[:t] = values[t] + np.arange(t, 0, -1)[:, None] * ((step.min() + step.max()) / 2)
-            policies[:t] = sol.policy
-            break
+        if t < horizon:
+            low, high = np.minimum.reduce(step := values[t] - values[t + 1]), np.maximum.reduce(step)
+            if high - low <= inner_tol / (horizon + 1):  # the tail
+                values[:t] = values[t] + np.arange(t, 0, -1)[:, None] * ((low + high) / 2)
+                policies[:t] = sol.policy
+                break
         continuation = values[t]
         warm = sol.policy
     return DPSolution(values=values, policies=policies, multiplier=s, inner_iterations=counts, cost_gamma=gamma)

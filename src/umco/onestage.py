@@ -55,17 +55,20 @@ sit elsewhere on the optimal face.  ``iterations`` is the sum of the per-state
 counts (the work done, as if the states were solved one by one),
 ``slowest_iterations`` the count of the slowest state (the number of
 vectorised updates run) and ``gap`` the worst state's gap.  At a few dozen
-entries per array an update's cost is NumPy call overhead, so each update
-writes into work buffers allocated once per call, reads its largest normaliser
-for the pass test from a Python list, and a call whose states all certify on
-the same iteration returns its arrays directly, without the per-state slots a
-partial freeze needs.  An iteration with a Newton attempt computes the
-update's weights only after the attempt, as a call whose states all certify
-there never uses them.  The Newton pass, too, does only the work its case
-needs: while every letter holds mass, a step solves the Hessian bordered by
-ones against the scores, with no masks, and a step under which no letter
-loses half its mass is taken in full; the ratio test and the mask of letters
-alone on an output run only when some letter would lose half.
+entries per array a call costs NumPy call overhead, so each update writes into
+work buffers allocated once per call and reads its largest normaliser from a
+Python list, and reductions call a ufunc's reduce or count_nonzero, not an
+ndarray method (a microsecond more).  A call whose states all certify on the
+same iteration returns its arrays directly, with no per-state slots; an
+iteration with a Newton attempt computes the update's weights only after it,
+and a pass that every state attempts takes the stack's arrays as views and, if
+every state certifies, its result as is.  The pass, too, does only the work its
+case needs: while every letter holds mass, a step solves the Hessian bordered
+by ones against the scores, with no masks; a step under which no letter loses
+half its mass is taken in full and keeps a full support full, with no rescan;
+the ratio test and the mask of letters alone on an output run only when some
+letter would lose half, and the mask of states still stepping only once one
+certifies or takes a step that is not finite.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _policy_average, letter_divergences
+from .channel import _check_entries, _check_integer, _check_number, _policy_average, letter_divergences
 from .errors import ConvergenceError
 
 # Keep every letter strictly positive so induced outputs never lose support;
@@ -159,59 +162,62 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
     """Active-set Newton ascent of a stack of states' programs; return (certified, policy, value, gap).
 
     Letters score base - log2(q) @ R^T as in the fixed point, or +inf on an
-    output no supported letter reaches.  The support starts at the letters with
-    1% of the top mass and any reaching an output those miss; if every letter
-    of every state in the pass is in, the first step takes the solver's scores
-    at pi (no state certified) as given; otherwise every state of the pass is
-    renormalised and rescored.  Each step solves [H_SS 1; 1^T 0], H = R
-    diag(1/q) R^T / ln 2 with each letter's diagonal entry raised by 1e-12 of
-    itself, so a flat direction (dependent rows) takes a long step and a
-    near-dead letter's H_aa ~ 1/q damps no other letter.  While every letter
-    of every state in the pass holds mass, that is H bordered by ones with the
-    scores as right-hand side, and the value is sum_a pi_a score_a, with no
-    mask; otherwise identity rows and zero scores stand for the letters off
-    the support, which decouples them and steps them by exactly 0.  A step
-    under which no letter loses half its mass is taken in full.  Otherwise a
-    support letter does, and the ratio test always applies the sole-letter
-    rule: a step leaving the simplex drops its blocking letter at exactly 0,
-    and a letter alone on some output of the support never blocks but keeps
-    at least half its mass, the step length coming from the other falling
-    letters.  Once the support's scores are level, the best letter off it
-    joins.  A state leaves once certified, or uncertified after a step that is
-    not finite or _NEWTON_STEPS steps; the results hold the certified rows.
+    output no supported letter reaches.  The support starts at the letters
+    with 1% of the top mass and any reaching an output those miss; if every
+    letter of every state in the pass is in, the first step takes the solver's
+    scores at pi (no state certified) as given; otherwise every state of the
+    pass is renormalised and rescored.  Each step solves [H_SS 1; 1^T 0],
+    H = R diag(1/q) R^T / ln 2 with each letter's diagonal entry raised by
+    1e-12 of itself, so a flat direction (dependent rows) takes a long step
+    and a near-dead letter's H_aa ~ 1/q damps no other letter.  While every
+    letter of every state in the pass holds mass, that is H bordered by ones
+    with the scores as right-hand side, and the value is sum_a pi_a score_a,
+    with no mask; otherwise identity rows and zero scores stand for the
+    letters off the support, which decouples them and steps them by exactly 0.
+    A step under which no letter loses half its mass is taken in full (a full
+    support stays full).  Otherwise a support letter does, and the ratio test
+    always applies the sole-letter rule: a step leaving the simplex drops its
+    blocking letter at exactly 0, and a letter alone on some output of the
+    support never blocks but keeps at least half its mass, the step length
+    coming from the other falling letters.  Once the support's scores are
+    level, the best letter off it joins.  A state leaves once certified, or
+    uncertified after a step that is not finite or _NEWTON_STEPS steps (only
+    then is the stepping mask built); the results hold the certified rows.
     """
     n_states, n_inputs, _ = rows.shape
-    support = pi >= 1e-2 * pi.max(axis=1, keepdims=True)
-    # Every letter of every live state holds mass: the systems need no
-    # identity rows and the value no mask.  False is always safe, as the
-    # general path gives the same bytes on a full support.
-    full = support.all()
+    support = pi >= 1e-2 * np.maximum.reduce(pi, axis=1, keepdims=True)
+    # Every letter of every live state holds mass: no identity rows, no value mask.  False
+    # is always safe, as the general path gives the same bytes on a full support.
+    full = np.count_nonzero(support) == support.size
     if not full:  # a full support leaves pi, and so the scores given, as they are
         support |= np.matmul(np.matmul(support[:, None], rows) == 0.0, rows_t)[:, 0] > 0.0
         pi = np.where(support, pi, 0.0)
-        pi /= pi.sum(axis=1, keepdims=True)
+        pi /= np.add.reduce(pi, axis=1, keepdims=True)
         scores = None
     live = np.arange(n_states)  # stack index of each state still stepping
-    certified, done = np.zeros(n_states, dtype=bool), np.zeros(n_states, dtype=bool)
+    certified, done, won = np.zeros(n_states, dtype=bool), np.zeros(n_states, dtype=bool), 0  # won: certified at pi
     policy, value, gap = np.empty((n_states, n_inputs)), np.empty(n_states), np.empty(n_states)
     for _ in range(_NEWTON_STEPS):
         output = np.matmul(pi[:, None], rows)
-        dead = None if output.all() else output == 0.0  # outputs no supported letter reaches
+        dead = None if np.count_nonzero(output) == output.size else output == 0.0  # outputs no supported letter reaches
         if scores is None:
             scores = base - np.matmul(np.log2(output if dead is None else np.where(dead, 1.0, output)), rows_t)[:, 0]
             if dead is not None:
                 scores[np.matmul(dead, rows_t)[:, 0] > 0.0] = np.inf
-            values = (pi * scores).sum(axis=1) if full else _policy_average(pi, scores)
-            gaps = np.maximum(scores.max(axis=1) - values, 0.0)
+            values = np.add.reduce(pi * scores, axis=1) if full else _policy_average(pi, scores)
+            gaps = np.maximum(np.maximum.reduce(scores, axis=1) - values, 0.0)
             done = gaps <= tol
-            if done.any():
-                won = live[done]
-                certified[won], policy[won], value[won], gap[won] = True, pi[done], values[done], gaps[done]
-                if done.all():
+            won = np.count_nonzero(done)
+            if won == n_states:  # every state certified at once: the results as they are, no scatter
+                return done, pi, values, gaps
+            if won:
+                states = live[done]
+                certified[states], policy[states], value[states], gap[states] = True, pi[done], values[done], gaps[done]
+                if won == len(done):
                     break
         if not full:  # no letter can join a full support
-            spread = np.where(support, scores, -np.inf).max(axis=1) - np.where(support, scores, np.inf).min(axis=1)
-            level = spread <= tol
+            high = np.maximum.reduce(np.where(support, scores, -np.inf), axis=1)
+            level = high - np.minimum.reduce(np.where(support, scores, np.inf), axis=1) <= tol
             support[level, np.where(support, -np.inf, scores).argmax(axis=1)[level]] = True
         hessian = np.matmul(rows / (output if dead is None else np.where(dead, np.inf, output)), rows_t) / _LN2
         diagonal = hessian.reshape(len(live), n_inputs * n_inputs)[:, :: n_inputs + 1]  # a view
@@ -226,20 +232,21 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
             system[:, :-1, -1] = system[:, -1, :-1] = support
             rhs[:, :-1, 0] = np.where(support, scores, 0.0)
         step = np.linalg.solve(system, rhs)[:, :-1, 0]
-        stepping = ~done & np.isfinite(step).all(axis=1)
-        if not stepping.all():
+        finite = np.isfinite(step)
+        if won or np.count_nonzero(finite) < finite.size:  # some state leaves: certified, or its step is not finite
+            stepping = ~done & np.logical_and.reduce(finite, axis=1)
             live, rows, rows_t, base = live[stepping], rows[stepping], rows_t[stepping], base[stepping]
             pi, support, step = pi[stepping], support[stepping], step[stepping]
             if not len(live):
                 break
-        if (pi + 2.0 * step).min(initial=0.0) >= 0.0:
-            # No letter loses half its mass: the ratio test, the sole-reach
-            # mask and the floor below all leave the full step.
+        if np.minimum.reduce(pi + 2.0 * step, axis=None, initial=0.0) >= 0.0:
+            # No letter loses half its mass: the ratio test, the sole-reach mask and
+            # the floor below all leave the full step, and a full support stays full.
             pi = pi + step
         else:  # a support letter loses half its mass: one alone on an output keeps it
             falling = support & (step < 0.0)
             reach = (rows > 0.0) & support[:, :, None]
-            sole = (reach & (reach.sum(axis=1, keepdims=True) == 1)).any(axis=2)
+            sole = np.logical_or.reduce(reach & (np.add.reduce(reach, axis=1, keepdims=True) == 1), axis=2)
             ratios = np.where(falling & ~sole, pi / np.where(falling, -step, 1.0), np.inf)
             floor = np.where(sole, 0.5 * pi, 0.0)
             blocking = ratios.argmin(axis=1)
@@ -248,9 +255,10 @@ def _newton_pass(rows, rows_t, pi, base, scores, tol):
             length, dropped = np.minimum(1.0, ratio), ratio <= 1.0
             pi = np.maximum(pi + length[:, None] * step, floor)
             pi[states[dropped], blocking[dropped]] = 0.0
-        pi /= pi.sum(axis=1, keepdims=True)
-        support, scores = pi > 0.0, None
-        full = support.all()
+            full = False  # the step may have dropped a letter: rescan
+        pi /= np.add.reduce(pi, axis=1, keepdims=True)
+        support, scores = support if full else pi > 0.0, None
+        full = full or np.count_nonzero(support) == support.size
     return certified, policy[certified], value[certified], gap[certified]
 
 
@@ -276,18 +284,26 @@ def maximize_stage_objective(
     uniform, which is also the tie-breaker among optimal policies.
     _newton_start: internal; every state not certified at iteration 1 tries Newton there.
 
+    A direct call (a raw stack) raises ValidationError unless the kernel and
+    initial entries lie in [0, 1], continuation and penalty are finite, tol is
+    a number >= 0 and max_iter an integer >= 1; a solver checks its own.
     Raises ConvergenceError with the worst achieved gap if ``max_iter`` is
     hit before every state is certified.
     """
+    if not isinstance(rows, _PreparedKernel):  # a direct call: checked as the docstring says
+        rows = _prepare_kernel(_check_entries(rows, "kernel entries", 0.0, 1.0))
+        tol, max_iter = _check_number(tol, "tol"), _check_integer(max_iter, "max_iter", 1)
+        continuation = None if continuation is None else _check_entries(continuation, "continuation", None)
+        penalty = None if penalty is None else _check_entries(penalty, "penalty", None)
+        initial = None if initial is None else _check_entries(initial, "initial", 0.0, 1.0)
     tol = max(tol, 1e-14)  # the rounding of a centred value: no state certifies below it
-    kernel = rows if isinstance(rows, _PreparedKernel) else _prepare_kernel(rows)
-    rows, rows_t, unreachable = kernel.rows, kernel.rows_t, kernel.unreachable
+    rows, rows_t, information, unreachable = rows
     n_states, n_inputs, _ = rows.shape
     bias = _letter_bias(rows, continuation, penalty)
     # Work with a centered bias: a common offset shifts every score and the
     # value alike, and removing it avoids cancellation when the offset is
     # large (e.g. a big cost multiplier).
-    offset = bias.max(axis=1)
+    offset = np.maximum.reduce(bias, axis=1)
     bias -= offset[:, None]
     # Vectors are kept as (S, 1, n) rows so each product is one batched matmul.
     first_attempt = np.ones(n_states, dtype=bool) if _newton_start else None
@@ -298,14 +314,14 @@ def maximize_stage_objective(
         if first_attempt is None:
             # A letter warm-started at exactly 0 would sit at the floor until
             # the first periodic Newton attempt; such a state tries one at once.
-            zero = (pi == 0.0).any(axis=(1, 2))
-            first_attempt = zero if zero.any() else None
+            zero = np.logical_or.reduce(pi == 0.0, axis=(1, 2))
+            first_attempt = zero if np.count_nonzero(zero) else None
         pi = np.maximum(pi, _POLICY_FLOOR)
-        pi /= pi.sum(axis=2, keepdims=True)
+        pi /= np.add.reduce(pi, axis=2, keepdims=True)
     # By Blahut's identity a score is base_a - (log2 q @ R^T)_a, base = sum_b P log2 P
     # + bias: the P = 0 terms vanish as q > 0 wherever a letter reaches the output
     # (pi stays above the floor), and unreached outputs get q = 1 instead of 0.
-    base = (kernel.self_information + bias)[:, None]
+    base = (information + bias)[:, None]
     # Work buffers, written in place by every update; after a freeze the
     # first rows hold the states still iterating.
     output = np.empty((n_states, 1, rows.shape[2]))
@@ -344,8 +360,15 @@ def maximize_stage_objective(
             gap = top[:, 0, 0] - value
             finished = gap <= tol
             if newton_due:
-                attempts = np.flatnonzero(~finished if iteration > 1 else ~finished & first_attempt)
-                if len(attempts):
+                attempts = ~finished if iteration > 1 else ~finished & first_attempt
+                if np.count_nonzero(attempts) == len(attempts):  # the whole stack: the pass takes views, not copies
+                    finished, *newton = _newton_pass(rows, rows_t, pi[:, 0], base[:, 0], scores[:, 0], tol)
+                    if len(newton[1]) == len(finished):  # every state certified: the pass's rows as they are
+                        pi, value, gap = newton[0][:, None], newton[1], newton[2]
+                    else:
+                        pi[finished, 0], value[finished], gap[finished] = newton
+                elif np.count_nonzero(attempts):
+                    attempts = np.flatnonzero(attempts)
                     newton = _newton_pass(
                         rows[attempts], rows_t[attempts], pi[attempts, 0], base[attempts, 0], scores[attempts, 0], tol
                     )
@@ -357,9 +380,9 @@ def maximize_stage_objective(
                 # Every state certified together: no slots to fill.
                 gap = np.maximum(gap, 0.0)  # the value may round above the top score
                 policy, values = pi[:, 0], value + offset
-                policy.setflags(write=False)  # a view of the work buffer pi
+                policy.setflags(write=False)  # a view of the work buffer pi or the pass's rows
                 values.setflags(write=False)
-                return StateSolution(policy, values, iteration * n_states, float(gap.max()), iteration)
+                return StateSolution(policy, values, iteration * n_states, float(np.maximum.reduce(gap)), iteration)
             if newton_due:  # the deferred weights: a won state's row is dropped by the freeze below
                 np.multiply(pi, np.exp2(scores - top), out=weights)
                 np.add.reduce(weights, axis=2, keepdims=True, out=total)
@@ -396,4 +419,4 @@ def maximize_stage_objective(
         )
     policy.setflags(write=False)
     values.setflags(write=False)
-    return StateSolution(policy, values, int(iterations.sum()), float(gaps.max()), int(iterations.max()))
+    return StateSolution(policy, values, sum(each := iterations.tolist()), float(np.maximum.reduce(gaps)), max(each))

@@ -26,6 +26,16 @@ def bibo_channel(a1=0.9, a2=0.2, a3=0.1, a4=0.4):
     return channel_from_kernel(kernel, name="bibo")
 
 
+def three_by_three_channel():
+    """3 states, 3 inputs: every finite-horizon Newton pass on it starts from a full support."""
+    kernel = [
+        [[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.25, 0.25, 0.5]],
+        [[0.05, 0.9, 0.05], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]],
+        [[0.2, 0.1, 0.7], [0.45, 0.45, 0.1], [0.05, 0.6, 0.35]],
+    ]
+    return channel_from_kernel(np.array(kernel), name="three-by-three")
+
+
 def embedded_dmc(rows):
     """Memoryless channel P(b|a) embedded as a unit-memory kernel (b_prev ignored)."""
     rows = np.asarray(rows, dtype=float)

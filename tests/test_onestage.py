@@ -3,6 +3,7 @@ up to a batched Newton pass's coupling, and it agrees with a plain per-letter
 reference of the fixed point."""
 
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -11,10 +12,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import bibo_channel, bssc
+from conftest import bibo_channel, bssc, three_by_three_channel
 from sparse_stress import sparse_random_channel
 from umco import (
     ConvergenceError,
+    ValidationError,
     onestage,
     policy_iteration,
     relative_value_iteration,
@@ -551,6 +553,46 @@ def test_single_slice_is_a_stack_of_one():
         scores = letter_scores(kernel[b], [0.2, 0.8], [0.3, -0.2], 0.7 * cost[b])
         stack_scores = letter_scores(kernel[b : b + 1], [[0.2, 0.8]], [0.3, -0.2], 0.7 * cost[b : b + 1])
         assert scores.shape == (1, 2) and scores.tobytes() == stack_scores.tobytes()
+
+
+BAD_DIRECT_CALLS = {
+    "kernel entry NaN": dict(rows=np.where(np.arange(8).reshape(2, 2, 2) == 0, np.nan, bibo_channel().kernel)),
+    "tol inf": dict(tol=np.inf),
+    "tol NaN": dict(tol=np.nan),
+    "max_iter 2.5": dict(max_iter=2.5),
+    "continuation NaN": dict(continuation=[np.nan, 0.0]),
+    "penalty inf": dict(penalty=[[0.0, np.inf], [0.0, 0.0]]),
+    "initial outside [0, 1]": dict(initial=[[0.5, 0.5], [2.0, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIRECT_CALLS))
+def test_a_direct_call_checks_its_arguments(case):
+    # Unchecked, tol=inf certified the uniform policy after one update, a NaN
+    # ran all 100,000 updates before a ConvergenceError, max_iter=2.5 raised a
+    # bare TypeError and an initial policy outside [0, 1] was clipped.
+    kwargs = {"rows": bibo_channel().kernel, **BAD_DIRECT_CALLS[case]}
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        maximize_stage_objective(**kwargs)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_whole_stack_and_the_indexed_newton_hand_off_give_the_same_bytes(monkeypatch):
+    # From uniform every state attempts Newton at update 1 and the pass takes
+    # the stack's own arrays.  A 4th state warm-started at its optimum
+    # certifies before the pass, so the other three are handed over by index.
+    kernel = three_by_three_channel().kernel
+    real, passed = onestage._newton_pass, []
+    monkeypatch.setattr(onestage, "_newton_pass", lambda rows, *args: passed.append(len(rows)) or real(rows, *args))
+    whole = maximize_stage_objective(kernel, _newton_start=True)
+    rows = np.concatenate([kernel, kernel[:1]])
+    initial = np.vstack([np.full((3, 3), 1.0 / 3.0), whole.policy[:1]])
+    indexed = maximize_stage_objective(rows, initial=initial, _newton_start=True)
+    assert passed == [3, 3]
+    assert (whole.iterations, indexed.iterations) == (3, 4)
+    assert whole.policy.tobytes() == indexed.policy[:3].tobytes()
+    assert whole.value.tobytes() == indexed.value[:3].tobytes()
 
 
 def test_stall_in_one_state_carries_that_states_gap():

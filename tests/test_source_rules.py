@@ -319,3 +319,43 @@ def test_one_function_reads_a_sweep_memo():
     # results, the bound's ratio at rho* included, from what the search returns.
     found = [(path.name, owner) for path in SOURCES for owner in _memo_subscripts(ast.parse(path.read_text()))]
     assert sorted(set(found)) == [("exponent.py", "_rho_search")]
+
+
+NEWTON_PATH = {"_newton_pass", "maximize_stage_objective", "solve_finite_horizon"}
+REDUCTION_METHODS = {"all", "any", "sum", "max", "min", "mean"}
+
+
+def _method_reductions(tree):
+    """(enclosing function, name) of every reduction called as an ndarray method (``a.max()``) and of every ptp call."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            numpy = isinstance(node.func.value, ast.Name) and node.func.value.id in {"np", "numpy"}
+            if node.func.attr == "ptp" or node.func.attr in REDUCTION_METHODS and not numpy:
+                yield owner.get(node, ""), node.func.attr
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(a):\n    return a.max(axis=1)", [("f", "max")]),
+        ("def f(a):\n    return (a > 0).all()", [("f", "all")]),
+        ("def f(a):\n    return np.ptp(a)", [("f", "ptp")]),
+        ("x = a.sum()", [("", "sum")]),
+        ("def f(a):\n    return np.maximum.reduce(a) - np.minimum.reduce(a)", []),
+        ("def f(a):\n    return np.count_nonzero(a) == a.size", []),
+        ("def f(a):\n    return max(a.tolist())", []),
+    ],
+)
+def test_the_reduction_rule_sees_each_form(source, expected):
+    assert list(_method_reductions(ast.parse(source))) == expected
+
+
+def test_the_newton_path_reduces_with_ufuncs():
+    # On arrays of a few entries an ndarray method costs a microsecond or more over its
+    # ufunc's reduce, and np.ptp twice the two reductions it makes: a finite-horizon
+    # stage's Newton path calls the ufuncs, and np.count_nonzero for a test of all or any.
+    trees = [(path.name, ast.parse(path.read_text())) for path in SOURCES]
+    assert NEWTON_PATH <= {node.name for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    found = [(name, owner, what) for name, tree in trees for owner, what in _method_reductions(tree) if owner in NEWTON_PATH]
+    assert found == []
