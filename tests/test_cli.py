@@ -345,6 +345,24 @@ def test_nofb_verify_passes(capsys):
     assert "induces the feedback-optimal conditional" in capsys.readouterr().out
 
 
+def test_nofb_verify_fails_at_a_zero_tolerance(capsys):
+    argv = ["nofb-verify", "--alpha", "0.9", "--beta", "0.6", "--kappa", "0.7", "--tol", "0"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().out.endswith("\ndoes NOT induce the target conditional\n")
+
+
+@pytest.mark.parametrize(
+    "horizon, verdict",
+    [([], "infinite horizon: conditions FAIL"), (["--horizon", "5"], "finite horizon n=5: conditions FAIL")],
+    ids=["infinite", "horizon-5"],
+)
+def test_check_conditions_fails_at_a_zero_tolerance(bibo_file, capsys, horizon, verdict):
+    # BIBO's solve leaves rounding-level violations, so a tolerance of 0 fails the check.
+    assert run_command(["check-conditions", "--channel", bibo_file, "--tol", "0", *horizon]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == verdict and out[1].endswith("bits (tol 0)") and len(out) == 2
+
+
 def test_bssc_slack_budget_prints_the_markov_input_of_the_unconstrained_optimum(capsys):
     # nu = 0.5323894180 < kappa = 0.9: the Markov input is the one for
     # occupancy nu, not for 0.9 (diagonal 0.9597701149, sigma 0.935).
