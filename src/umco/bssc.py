@@ -239,6 +239,8 @@ def _point_diagonals(solution: BSSCSolution) -> tuple[float, float]:
 def bssc_grid_csv(alphas, betas, kappa: float | None = None) -> str:
     """CSV sweep over an (alpha, beta) grid; singular points are skipped with a warning."""
     rows, betas = [], _float_grid(betas, "betas").tolist()
+    if kappa is not None:  # a bad budget fails every point: refuse it once, not point by point
+        _check_number(kappa, "kappa", 0.0, 1.0)
     for a in _float_grid(alphas, "alphas").tolist():
         for b in betas:
             try:

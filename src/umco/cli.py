@@ -1,8 +1,9 @@
 """Command-line front end: load channel files, run solvers, emit reports and CSV sweeps.
 
 Exit codes: 0 success, 1 validation/usage error, 2 solver non-convergence.
-All iteration orders are fixed, so identical invocations produce identical
-output byte for byte.
+A command's whole result exists before run_command, the one emitter, prints it
+and writes --out, so a failing command prints nothing to stdout. Iteration
+orders are fixed: identical invocations give identical output byte for byte.
 """
 
 from __future__ import annotations
@@ -131,27 +132,18 @@ def _read_channel(path: str, need_cost: bool = False):
     return channel, gamma
 
 
-def _write_out(args, text: str):
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-
-
-def _cmd_fb_capacity(args) -> int:
+def _cmd_fb_capacity(args) -> tuple[list[str], str | None, int]:
     channel, _ = _read_channel(args.channel)
     if args.method == "policy-iteration":
         policy = uniform_policy(channel.n_states, channel.n_inputs)
         solution = policy_iteration(channel, policy, tol=args.tol, max_iter=args.max_iter)
     else:
         solution = relative_value_iteration(channel, tol=args.tol, max_iter=args.max_iter)
-    if channel.name:
-        print(f"channel: {channel.name}")
-    print(solution_report(solution))
-    _write_out(args, solution_csv(solution))
-    return 0
+    lines = [f"channel: {channel.name}"] if channel.name else []
+    return [*lines, solution_report(solution)], solution_csv(solution), 0
 
 
-def _cmd_finite_horizon(args) -> int:
+def _cmd_finite_horizon(args) -> tuple[list[str], str | None, int]:
     if args.kappa is not None and args.multiplier is None:
         raise _UsageError("finite-horizon --kappa needs --multiplier")
     channel, gamma = _read_channel(args.channel, need_cost=args.multiplier is not None)
@@ -159,25 +151,24 @@ def _cmd_finite_horizon(args) -> int:
     solution = solve_finite_horizon(
         channel, args.horizon, cost=cost, multiplier=args.multiplier, inner_tol=args.tol
     )
-    print(dp_report(solution))
-    uniform = Distribution.uniform(channel.n_states)
-    value = ftfi_capacity(solution, uniform)
-    print(f"value under uniform initial distribution = {value:.10f} bits")
-    print(f"per-stage average = {value / (args.horizon + 1):.10f} bits/channel use")
+    value = ftfi_capacity(solution, Distribution.uniform(channel.n_states))
+    lines = [
+        dp_report(solution),
+        f"value under uniform initial distribution = {value:.10f} bits",
+        f"per-stage average = {value / (args.horizon + 1):.10f} bits/channel use",
+    ]
     if args.kappa is not None:
         lagrangian = value + args.kappa * ((args.horizon + 1) * args.multiplier)
-        print(f"Lagrangian value at kappa={args.kappa:g} = {lagrangian:.10f} bits")
+        lines.append(f"Lagrangian value at kappa={args.kappa:g} = {lagrangian:.10f} bits")
     verdict = classify_non_nested(solution, tol=1e-6)
-    print(f"stage coupling: {verdict.kind} (max value spread {verdict.state_spread.max():.3e} bits)")
-    if args.out:
-        header = ["stage", "state", "value_bits"] + [f"policy_a{a}" for a in range(channel.n_inputs)]
-        stage_states = [(t, b) for t in range(solution.horizon + 1) for b in range(channel.n_states)]
-        rows = ([str(t), str(b), solution.values[t, b], *solution.policies[t, b]] for t, b in stage_states)
-        _write_out(args, _csv(header, rows))
-    return 0
+    lines.append(f"stage coupling: {verdict.kind} (max value spread {verdict.state_spread.max():.3e} bits)")
+    header = ["stage", "state", "value_bits"] + [f"policy_a{a}" for a in range(channel.n_inputs)]
+    stage_states = [(t, b) for t in range(solution.horizon + 1) for b in range(channel.n_states)]
+    rows = ([str(t), str(b), solution.values[t, b], *solution.policies[t, b]] for t, b in stage_states)
+    return lines, _csv(header, rows), 0
 
 
-def _cmd_constrained(args) -> int:
+def _cmd_constrained(args) -> tuple[list[str], str | None, int]:
     if (args.kappa is None) == (not args.sweep):
         raise _UsageError("constrained needs --kappa or --sweep kappa=start:stop:step, not both")
     channel, gamma = _read_channel(args.channel, need_cost=True)
@@ -188,28 +179,27 @@ def _cmd_constrained(args) -> int:
         results = constrained_mod.capacity_cost_curve(
             channel, CostSpec(gamma, 0.0), grid, dual_tol=args.dual_tol, cost_tol=args.cost_tol
         )
-        for r in results:
-            print(
-                f"kappa={r.kappa:g}: capacity={r.capacity:.9f} bits, multiplier={r.multiplier:.6g}, "
-                f"achieved cost={r.achieved_cost:.9f}, binding={str(r.binding).lower()}"
-            )
-        _write_out(args, constrained_mod.curve_csv(results))
-        return 0
+        lines = [
+            f"kappa={r.kappa:g}: capacity={r.capacity:.9f} bits, multiplier={r.multiplier:.6g}, "
+            f"achieved cost={r.achieved_cost:.9f}, binding={str(r.binding).lower()}"
+            for r in results
+        ]
+        return lines, constrained_mod.curve_csv(results), 0
     result = constrained_mod.constrained_capacity(
         channel, CostSpec(gamma, args.kappa), dual_tol=args.dual_tol, cost_tol=args.cost_tol
     )
-    print(f"capacity       = {result.capacity:.10f} bits")
-    print(f"multiplier     = {result.multiplier:.10g}")
-    print(f"achieved cost  = {result.achieved_cost:.10f}")
-    print(f"binding        = {str(result.binding).lower()}")
-    print(f"kappa_max      = {result.kappa_max:.10f}")
-    for b, row in enumerate(result.policy.matrix):
-        print(f"policy pi(.|{b}) = {_row(row)}")
-    _write_out(args, constrained_mod.curve_csv([result]))
-    return 0
+    lines = [
+        f"capacity       = {result.capacity:.10f} bits",
+        f"multiplier     = {result.multiplier:.10g}",
+        f"achieved cost  = {result.achieved_cost:.10f}",
+        f"binding        = {str(result.binding).lower()}",
+        f"kappa_max      = {result.kappa_max:.10f}",
+    ]
+    lines += [f"policy pi(.|{b}) = {_row(row)}" for b, row in enumerate(result.policy.matrix)]
+    return lines, constrained_mod.curve_csv([result]), 0
 
 
-def _cmd_bssc(args) -> int:
+def _cmd_bssc(args) -> tuple[list[str], str | None, int]:
     params = bssc_mod.BSSCParams(args.alpha, args.beta)
     if args.sweep:
         key, grid = _parse_sweep(args.sweep)
@@ -223,30 +213,30 @@ def _cmd_bssc(args) -> int:
             text = bssc_mod.bssc_grid_csv([args.alpha], grid, kappa=args.kappa)
         else:
             raise _UsageError(f"unknown sweep variable '{key}' (use kappa, alpha, or beta)")
-        print(text, end="")
-        _write_out(args, text)
-        return 0
+        return text.splitlines(), text, 0
     solution = bssc_mod.bssc_closed_form(params)
-    print(f"capacity (unconstrained) = {solution.capacity:.10f} bits")
-    print(f"policy diagonal nu       = {solution.nu:.10f}")
-    print(f"output diagonal          = {solution.lam:.10f}")
-    print(f"exponent                 = {solution.bssc_exponent:.10f}")
+    lines = [
+        f"capacity (unconstrained) = {solution.capacity:.10f} bits",
+        f"policy diagonal nu       = {solution.nu:.10f}",
+        f"output diagonal          = {solution.lam:.10f}",
+        f"exponent                 = {solution.bssc_exponent:.10f}",
+    ]
     if args.kappa is not None:
         solution = bssc_mod.bssc_constrained_closed_form(params, args.kappa)
-        print(f"capacity at kappa={args.kappa:g}  = {solution.capacity:.10f} bits")
+        lines.append(f"capacity at kappa={args.kappa:g}  = {solution.capacity:.10f} bits")
         if solution.constrained:
-            print(f"constrained output diag  = {solution.lam_bar:.10f}")
+            lines.append(f"constrained output diag  = {solution.lam_bar:.10f}")
         else:
-            print("budget is slack (kappa above the saturation point)")
+            lines.append("budget is slack (kappa above the saturation point)")
     try:
         markov = bssc_mod.bssc_nofeedback_markov(params, bssc_mod._point_diagonals(solution)[0])
-        print(f"no-feedback Markov input diagonal = {markov.matrix[0, 0]:.10f} (sigma {markov.sigma:.6f})")
+        lines.append(f"no-feedback Markov input diagonal = {markov.matrix[0, 0]:.10f} (sigma {markov.sigma:.6f})")
     except ValidationError as exc:
-        print(f"no-feedback Markov input undefined: {exc}")
-    return 0
+        lines.append(f"no-feedback Markov input undefined: {exc}")
+    return lines, None, 0
 
 
-def _cmd_nofb_verify(args) -> int:
+def _cmd_nofb_verify(args) -> tuple[list[str], str | None, int]:
     _check_number(args.tol, "tol")
     params = bssc_mod.BSSCParams(args.alpha, args.beta)
     solution = bssc_mod.bssc_closed_form(params)
@@ -258,11 +248,13 @@ def _cmd_nofb_verify(args) -> int:
     channel = bssc_mod.bssc_channel(params)
     records = bssc_mod.nofb_induction_deviations(channel, markov, target, Distribution.uniform(2), args.horizon)
     worst = max(dev for _, dev, _ in records)
-    print(f"Markov input diagonal = {markov.matrix[0, 0]:.10f}")
-    print(f"worst stage deviation over {args.horizon} stages = {worst:.3e}")
     ok = worst <= args.tol
-    print("induces the feedback-optimal conditional" if ok else "does NOT induce the target conditional")
-    return 0 if ok else 1
+    lines = [
+        f"Markov input diagonal = {markov.matrix[0, 0]:.10f}",
+        f"worst stage deviation over {args.horizon} stages = {worst:.3e}",
+        "induces the feedback-optimal conditional" if ok else "does NOT induce the target conditional",
+    ]
+    return lines, None, 0 if ok else 1
 
 
 def _resolve_exponent_policy(args, channel) -> InputPolicy:
@@ -285,21 +277,21 @@ def _resolve_exponent_policy(args, channel) -> InputPolicy:
     return InputPolicy(matrix)
 
 
-def _cmd_error_exponent(args) -> int:
+def _cmd_error_exponent(args) -> tuple[list[str], str | None, int]:
+    if not args.rates and (args.n is not None or args.state_known):
+        raise _UsageError(f"error-exponent {'--n' if args.n is not None else '--state-known'} needs --rates")
     channel, _ = _read_channel(args.channel)
     policy = _resolve_exponent_policy(args, channel)
     if args.rates:
         rates = parse_range(args.rates)
-        text = exponent_mod.rate_sweep_csv(channel, policy, rates, args.n, args.state_known)
+        text = exponent_mod.rate_sweep_csv(channel, policy, rates, 1000 if args.n is None else args.n, args.state_known)
     else:
         grid = parse_range(args.rho_grid or "0:1:0.01")
         text = exponent_mod.exponent_csv(channel, policy, grid)
-    print(text, end="")
-    _write_out(args, text)
-    return 0
+    return text.splitlines(), text, 0
 
 
-def _cmd_check_conditions(args) -> int:
+def _cmd_check_conditions(args) -> tuple[list[str], str | None, int]:
     _check_number(args.tol, "tol")  # before the solve: the checker would test it only after
     channel, gamma = _read_channel(args.channel, need_cost=args.multiplier is not None)
     cost = CostSpec(gamma, 0.0) if args.multiplier is not None else None
@@ -311,9 +303,9 @@ def _cmd_check_conditions(args) -> int:
         solution = relative_value_iteration(channel, cost=cost, multiplier=args.multiplier)
         report = verify_bellman_conditions(channel, solution, tol=args.tol)
         label = "infinite horizon"
-    print(f"{label}: conditions {'PASS' if report.passed else 'FAIL'}")
-    print(f"worst violation = {report.worst_violation:.3e} bits (tol {args.tol:g})")
-    return 0 if report.passed else 1
+    verdict = f"{label}: conditions {'PASS' if report.passed else 'FAIL'}"
+    lines = [verdict, f"worst violation = {report.worst_violation:.3e} bits (tol {args.tol:g})"]
+    return lines, None, 0 if report.passed else 1
 
 
 @functools.cache
@@ -371,7 +363,7 @@ def build_parser() -> _Parser:
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--rates", help="rate sweep start:stop:step (bits)")
     grid.add_argument("--rho-grid", help="rho grid start:stop:step (default 0:1:0.01)")
-    p.add_argument("--n", type=int, default=1000, help="block length for the bound")
+    p.add_argument("--n", type=int, help="block length for the bound (default 1000)")
     p.add_argument("--state-known", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_error_exponent)
@@ -389,7 +381,15 @@ def run_command(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        lines, table, code = args.func(args)
+        if getattr(args, "out", None):
+            if table is None:
+                raise _UsageError(f"{args.command} --out: no table in this result to write")
+            try:
+                Path(args.out).write_text(table)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {args.out}: {exc}") from exc
+            lines.append(f"wrote {args.out}")
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -399,6 +399,8 @@ def run_command(argv) -> int:
     except (ConvergenceError, ReducibleChainError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    return code
 
 
 def main() -> None:

@@ -415,6 +415,15 @@ def test_grid_csv_skips_singular_points():
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("kappa, message", [(2, "kappa must lie in"), (np.nan, "kappa must be finite")])
+def test_grid_csv_refuses_a_bad_budget_once_before_the_grid(kappa, message):
+    # A budget outside [0, 1] fails every point: it once gave one warning per point and a header-only table.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            bssc_grid_csv([0.8, 0.9], [0.2], kappa=kappa)
+
+
 def test_grid_csv_lets_errors_other_than_input_rules_through(monkeypatch):
     def broken(params):
         raise ValueError("not an input rule")

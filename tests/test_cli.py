@@ -407,6 +407,28 @@ def test_nofb_verify_slack_budget_checks_the_unconstrained_target(capsys):
             "bssc --kappa cannot be combined with --sweep kappa=start:stop:step",
         ),
         (["finite-horizon", "--channel", "{bssc_file}", "--horizon", "2", "--kappa", "0.3"], "--kappa needs --multiplier"),
+        (["bssc", "--alpha", "0.9", "--beta", "0.2", "--kappa", "2"], "kappa must lie in [0, 1]"),
+        (
+            ["bssc", "--alpha", "0.9", "--beta", "0.2", "--kappa", "2", "--sweep", "alpha=0.8:0.9:0.05"],
+            "kappa must lie in [0, 1]",
+        ),
+        (["bssc", "--alpha", "0.9", "--beta", "0.2", "--out", "{tmp}/point.csv"], "bssc --out: no table"),
+        (["fb-capacity", "--channel", "{bssc_file}", "--out", "{nodir}"], "cannot write {nodir}: "),
+        (
+            ["finite-horizon", "--channel", "{bssc_file}", "--horizon", "2", "--out", "{nodir}"],
+            "cannot write {nodir}: ",
+        ),
+        (["constrained", "--channel", "{bssc_file}", "--kappa", "0.5", "--out", "{nodir}"], "cannot write {nodir}: "),
+        (
+            ["bssc", "--alpha", "0.9", "--beta", "0.2", "--sweep", "kappa=0:1:0.5", "--out", "{nodir}"],
+            "cannot write {nodir}: ",
+        ),
+        (
+            ["error-exponent", "--channel", "{bssc_file}", "--rho-grid", "0:1:0.5", "--out", "{nodir}"],
+            "cannot write {nodir}: ",
+        ),
+        (["error-exponent", "--channel", "{bssc_file}", "--rho-grid", "0:1:0.5", "--n", "100"], "--n needs --rates"),
+        (["error-exponent", "--channel", "{bssc_file}", "--state-known"], "--state-known needs --rates"),
     ],
     ids=[
         "bssc-sweep-gamma",
@@ -423,15 +445,45 @@ def test_nofb_verify_slack_budget_checks_the_unconstrained_target(capsys):
         "error-exponent-rates-and-rho-grid",
         "bssc-kappa-and-kappa-sweep",
         "finite-horizon-kappa-without-multiplier",
+        "bssc-kappa-out-of-range",
+        "bssc-grid-sweep-kappa-out-of-range",
+        "bssc-out-without-a-table",
+        "fb-capacity-out-unwritable",
+        "finite-horizon-out-unwritable",
+        "constrained-out-unwritable",
+        "bssc-sweep-out-unwritable",
+        "error-exponent-out-unwritable",
+        "error-exponent-n-without-rates",
+        "error-exponent-state-known-without-rates",
     ],
 )
 def test_cli_edge_branches_exit_one_with_their_message(bssc_file, tmp_path, capsys, argv, message):
     perm3 = tmp_path / "perm3.json"
     perm3.write_text(serialize_channel(channel_from_kernel(np.eye(3)[[[0, 1, 2], [1, 2, 0], [2, 0, 1]]])))
-    paths = {"bssc_file": bssc_file, "perm3_file": str(perm3), "missing": str(tmp_path / "missing.json")}
+    paths = {
+        "bssc_file": bssc_file,
+        "perm3_file": str(perm3),
+        "missing": str(tmp_path / "missing.json"),
+        "nodir": str(tmp_path / "no-such-dir" / "out.csv"),
+        "tmp": str(tmp_path),
+    }
     assert run_command([arg.format(**paths) for arg in argv]) == 1
     captured = capsys.readouterr()
-    assert message in captured.err
+    assert message.format(**paths) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert {path.name for path in tmp_path.iterdir()} <= {"perm3.json", "bssc_1_05.json"}  # no file written
+
+
+def test_an_error_after_the_solve_leaves_stdout_empty(bssc_file, monkeypatch, capsys):
+    # The report once printed in full before the CSV table was built and failed.
+    def fail(solution):
+        raise ConvergenceError("injected")
+
+    monkeypatch.setattr(umco.cli, "solution_csv", fail)
+    assert run_command(["fb-capacity", "--channel", bssc_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "solver failure: injected\n"
     assert captured.out == ""
 
 

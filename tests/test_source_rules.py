@@ -129,6 +129,42 @@ def test_the_freeze_rule_sees_each_form(source, expected):
     assert list(_freezes(ast.parse(source))) == expected
 
 
+WRITE_METHODS = {"write", "write_text", "write_bytes"}
+
+
+def _emitters(tree):
+    """Enclosing function ('' at module level) of every print call and of every ``.write``/``.write_text`` call."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            printed = isinstance(node.func, ast.Name) and node.func.id == "print"
+            if printed or isinstance(node.func, ast.Attribute) and node.func.attr in WRITE_METHODS:
+                yield owner.get(node, "")
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(x):\n    print(x)", ["f"]),
+        ("def f(x):\n    def g():\n        print(x, file=sys.stderr)", ["g"]),
+        ("def f(x):\n    sys.stdout.write(x)", ["f"]),
+        ("def f(path, x):\n    Path(path).write_text(x)", ["f"]),
+        ("print('x')", [""]),
+        ("def f(path):\n    return Path(path).read_text()", []),
+        ("def f(lines):\n    return lines.append('x')", []),
+    ],
+)
+def test_the_emitter_rule_sees_each_form(source, expected):
+    assert list(_emitters(ast.parse(source))) == expected
+
+
+def test_the_cli_writes_in_one_place():
+    # Handlers compute and return their lines and table; run_command alone prints them and writes
+    # --out, so nothing reaches stdout or a file before the whole result exists.
+    tree = ast.parse(next(path for path in SOURCES if path.name == "cli.py").read_text())
+    assert sorted(set(_emitters(tree))) == ["run_command"]
+
+
 def test_one_function_freezes_arrays_outside_the_stage_solver():
     # Records freeze what they are given through channel._frozen_array; only the stage solver's
     # StateSolution, a NamedTuple on the hot path, freezes its own buffers.
