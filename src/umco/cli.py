@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -379,27 +380,32 @@ def build_parser() -> _Parser:
 
 def run_command(argv) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        lines, table, code = args.func(args)
-        if getattr(args, "out", None):
-            if table is None:
-                raise _UsageError(f"{args.command} --out: no table in this result to write")
-            try:
-                Path(args.out).write_text(table)
-            except OSError as exc:
-                raise ValidationError(f"cannot write {args.out}: {exc}") from exc
-            lines.append(f"wrote {args.out}")
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:  # ValidationError and the other input errors derive from it
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConvergenceError, ReducibleChainError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    print("\n".join(lines))
+    # A UserWarning (a sweep point skipped, say) is recorded and printed as one
+    # "warning:" line, not as Python's report of its source file and line; the
+    # other categories keep the filters in force, an "error" filter included.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            args = parser.parse_args(argv)
+            lines, table, code = args.func(args)
+            if getattr(args, "out", None):
+                if table is None:
+                    raise _UsageError(f"{args.command} --out: no table in this result to write")
+                try:
+                    Path(args.out).write_text(table)
+                except OSError as exc:
+                    raise ValidationError(f"cannot write {args.out}: {exc}") from exc
+                lines.append(f"wrote {args.out}")
+            stream = sys.stdout
+        except _UsageError as exc:
+            lines, code, stream = [str(exc)], 1, sys.stderr
+        except ValueError as exc:  # ValidationError and the other input errors derive from it
+            lines, code, stream = [f"error: {exc}"], 1, sys.stderr
+        except (ConvergenceError, ReducibleChainError) as exc:
+            lines, code, stream = [f"solver failure: {exc}"], 2, sys.stderr
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    print("\n".join(lines), file=stream)
     return code
 
 

@@ -27,7 +27,7 @@ from .channel import (
 )
 from .errors import ConvergenceError, ReducibleChainError, ValidationError
 from .finite_dp import ConditionReport, _condition_report
-from .onestage import letter_scores, maximize_stage_objective
+from .onestage import TOL_FLOOR, letter_scores, maximize_stage_objective
 
 # Entries above this are edges of the output-chain graph; below is treated as
 # a structural zero rather than rounding noise.
@@ -158,7 +158,7 @@ def stationary_distribution(kernel: OutputKernel) -> Distribution:
 
 
 def _sweep(channel, continuation, penalty, tol, initial=None, newton_start=False):
-    """One Bellman sweep: every state's stage problem solved to tol * 1e-2 (the stage solver floors it at 1e-14)."""
+    """One Bellman sweep: every state's stage problem solved to tol * 1e-2 (the stage solver floors it at TOL_FLOOR)."""
     return maximize_stage_objective(
         channel._prepared_kernel, continuation, penalty, tol=tol * 1e-2,
         initial=initial, _newton_start=newton_start,
@@ -180,6 +180,9 @@ def relative_value_iteration(
     ``tol``; the gain is the midpoint of the span bounds, which bracket the
     true average reward.  Non-convergence raises ConvergenceError with the
     final span (the convergence assumptions may fail for such a channel).
+    ``tol`` is floored at the stage solver's TOL_FLOOR (1e-14): the sweeps'
+    values are certified no closer, and a span that rounds at 1e-16 would
+    otherwise run out the sweeps.
 
     The per-state fixed point is warm-started from the previous sweep (first
     sweep: uniform, or ``initial_policy``); ``initial_value`` seeds the value
@@ -191,7 +194,7 @@ def relative_value_iteration(
     inner iteration, not its 256th.  A warm start must fit the channel by
     ``channel._fit``, and a value must be all finite numbers (ValidationError).
     """
-    _check_number(tol, "tol")
+    tol = max(_check_number(tol, "tol"), TOL_FLOOR)
     max_iter = _check_integer(max_iter, "max_iter", 1)
     s, gamma, penalty = resolve_cost(channel, cost, multiplier)
     warm = None if initial_policy is None else _check_compatible(channel, initial_policy.matrix)

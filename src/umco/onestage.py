@@ -31,12 +31,11 @@ the simplex only asymptotically, so every 256 iterations the states not yet
 certified try an active-set Newton ascent from their iterates in one batched
 pass, scoring letters by the same identity: it puts exact zeros on dead
 letters, lets a letter at zero mass rejoin by its score, and a state keeps
-its result only once the same certificate holds.  A state tries at iteration
-1 when its warm start holds an exact zero (a letter that would sit at the
-floor until iteration 256) or when the caller asks, as every finite-horizon
-stage does and relative value iteration does from a caller's warm start:
-near the optimum Newton converges quadratically.  ``tol`` is floored at
-1e-14, the rounding of a centred value.
+its result only once the same certificate holds.  At iteration 1 one mask
+picks the states whose warm start holds an exact zero (a letter that would
+sit at the floor until iteration 256), or the caller asks for all, as every
+finite-horizon stage and relative value iteration from a warm start do: near
+the optimum Newton converges quadratically.  ``tol`` is floored at TOL_FLOOR.
 
 The solver takes the kernel stack ``(S, A, B)``, one slice per previous
 output, and runs one vectorised update for all S states per iteration; a
@@ -58,17 +57,17 @@ vectorised updates run) and ``gap`` the worst state's gap.  At a few dozen
 entries per array a call costs NumPy call overhead, so each update writes into
 work buffers allocated once per call and reads its largest normaliser from a
 Python list, and reductions call a ufunc's reduce or count_nonzero, not an
-ndarray method (a microsecond more).  A call whose states all certify on the
-same iteration returns its arrays directly, with no per-state slots; an
-iteration with a Newton attempt computes the update's weights only after it,
-and a pass that every state attempts takes the stack's arrays as views and, if
-every state certifies, its result as is.  The pass, too, does only the work its
-case needs: while every letter holds mass, a step solves the Hessian bordered
-by ones against the scores, with no masks; a step under which no letter loses
-half its mass is taken in full and keeps a full support full, with no rescan;
-the ratio test and the mask of letters alone on an output run only when some
-letter would lose half, and the mask of states still stepping only once one
-certifies or takes a step that is not finite.
+ndarray method (a microsecond more).  One call hands the pass the whole stack
+as views, or the attempting part by index, and one scatter takes back its
+certified rows; the update's weights wait until after an attempt.  States that
+all certify on one iteration keep their arrays, with no per-state slots, and
+every call leaves through one exit, which clamps the gap.  The pass, too, does
+only the work its case needs: while every letter holds mass, a step solves
+the Hessian bordered by ones against the scores, with no masks; a step under
+which no letter loses half its mass is taken in full and keeps a full support
+full, with no rescan; the ratio test and the mask of letters alone on an
+output run only when some letter would lose half, and the mask of states
+still stepping only once one certifies or takes a step that is not finite.
 """
 
 from __future__ import annotations
@@ -95,6 +94,7 @@ _BOUND_MARGIN = 1e-13
 
 DEFAULT_INNER_TOL = 1e-10
 DEFAULT_INNER_MAX_ITER = 100_000
+TOL_FLOOR = 1e-14  # the rounding of a centred value: no state certifies below it
 
 
 class StateSolution(NamedTuple):
@@ -296,7 +296,7 @@ def maximize_stage_objective(
         continuation = None if continuation is None else _check_entries(continuation, "continuation", None)
         penalty = None if penalty is None else _check_entries(penalty, "penalty", None)
         initial = None if initial is None else _check_entries(initial, "initial", 0.0, 1.0)
-    tol = max(tol, 1e-14)  # the rounding of a centred value: no state certifies below it
+    tol = max(tol, TOL_FLOOR)
     rows, rows_t, information, unreachable = rows
     n_states, n_inputs, _ = rows.shape
     bias = _letter_bias(rows, continuation, penalty)
@@ -305,18 +305,16 @@ def maximize_stage_objective(
     # large (e.g. a big cost multiplier).
     offset = np.maximum.reduce(bias, axis=1)
     bias -= offset[:, None]
+    # Newton at update 1 for every state on request, else for each state whose warm start holds
+    # an exact 0: that letter would sit at the floor until the first periodic attempt.
+    first_attempt = _newton_start or initial is not None and np.logical_or.reduce(
+        np.equal(initial, 0.0).reshape(n_states, -1), axis=1
+    )
     # Vectors are kept as (S, 1, n) rows so each product is one batched matmul.
-    first_attempt = np.ones(n_states, dtype=bool) if _newton_start else None
     if initial is None:
         pi = np.full((n_states, 1, n_inputs), 1.0 / n_inputs)
     else:
-        pi = np.asarray(initial, dtype=float).reshape(n_states, 1, n_inputs)
-        if first_attempt is None:
-            # A letter warm-started at exactly 0 would sit at the floor until
-            # the first periodic Newton attempt; such a state tries one at once.
-            zero = np.logical_or.reduce(pi == 0.0, axis=(1, 2))
-            first_attempt = zero if np.count_nonzero(zero) else None
-        pi = np.maximum(pi, _POLICY_FLOOR)
+        pi = np.maximum(np.asarray(initial, dtype=float).reshape(n_states, 1, n_inputs), _POLICY_FLOOR)
         pi /= np.add.reduce(pi, axis=2, keepdims=True)
     # By Blahut's identity a score is base_a - (log2 q @ R^T)_a, base = sum_b P log2 P
     # + bias: the P = 0 terms vanish as q > 0 wherever a letter reaches the output
@@ -332,7 +330,7 @@ def maximize_stage_objective(
     floor = np.array(_POLICY_FLOOR)  # a Python float would be converted on every update
 
     index = None  # output slot of each state still iterating, from the first partial freeze on
-    gap = np.inf
+    work = 0  # the updates of the certified states, summed
     # By Jensen's inequality the update's normaliser, sum_a pi_a 2^(score_a -
     # top), is at least 2^-gap, so no state can certify while every
     # normaliser stays below this.
@@ -345,14 +343,14 @@ def maximize_stage_objective(
         np.matmul(output, rows_t, out=scores)
         np.subtract(base, scores, out=scores)
         np.maximum.reduce(scores, axis=2, keepdims=True, out=top)
-        newton_due = iteration % _NEWTON_PERIOD == 0 or (iteration == 1 and first_attempt is not None)
+        newton_due = iteration % _NEWTON_PERIOD == 0 or iteration == 1 and np.count_nonzero(first_attempt) > 0
         if not newton_due:  # an attempt defers the update's weights until its states may all have certified
             np.subtract(scores, top, out=weights)
             np.exp2(weights, out=weights)
             np.multiply(pi, weights, out=weights)
             np.add.reduce(weights, axis=2, keepdims=True, out=total)
-        # The largest normaliser is read from a list: on a few states that
-        # costs a fraction of total.max(), and the test runs on every update.
+        # The largest normaliser is read from a list: on a few states that costs a fraction
+        # of total.max(), and the test runs on every update; the last always builds the certificate.
         if newton_due or iteration == max_iter or max(total.ravel().tolist()) >= certifiable:
             # An elementwise sum, not a BLAS dot, whose rounding may depend on
             # the order of the letters: mirror-image states keep equal values.
@@ -360,29 +358,20 @@ def maximize_stage_objective(
             gap = top[:, 0, 0] - value
             finished = gap <= tol
             if newton_due:
-                attempts = ~finished if iteration > 1 else ~finished & first_attempt
-                if np.count_nonzero(attempts) == len(attempts):  # the whole stack: the pass takes views, not copies
-                    finished, *newton = _newton_pass(rows, rows_t, pi[:, 0], base[:, 0], scores[:, 0], tol)
-                    if len(newton[1]) == len(finished):  # every state certified: the pass's rows as they are
-                        pi, value, gap = newton[0][:, None], newton[1], newton[2]
-                    else:
-                        pi[finished, 0], value[finished], gap[finished] = newton
-                elif np.count_nonzero(attempts):
-                    attempts = np.flatnonzero(attempts)
-                    newton = _newton_pass(
-                        rows[attempts], rows_t[attempts], pi[attempts, 0], base[attempts, 0], scores[attempts, 0], tol
+                attempts = ~finished & first_attempt if iteration == 1 else ~finished
+                tried = np.count_nonzero(attempts)
+                if tried:  # the whole stack goes as views, not copies, a part by index
+                    part = slice(None) if tried == len(attempts) else np.flatnonzero(attempts)
+                    finished[part], *newton = _newton_pass(
+                        rows[part], rows_t[part], pi[part, 0], base[part, 0], scores[part, 0], tol
                     )
-                    won = attempts[newton[0]]
-                    pi[won, 0], value[won], gap[won] = newton[1:]
-                    finished[won] = True
+                    won = attempts & finished  # an attempted state was not finished before the pass
+                    pi[won, 0], value[won], gap[won] = newton
             certified = np.count_nonzero(finished)  # cheaper than .any() and .all() on a few states
-            if index is None and certified == len(finished):
-                # Every state certified together: no slots to fill.
-                gap = np.maximum(gap, 0.0)  # the value may round above the top score
-                policy, values = pi[:, 0], value + offset
-                policy.setflags(write=False)  # a view of the work buffer pi or the pass's rows
-                values.setflags(write=False)
-                return StateSolution(policy, values, iteration * n_states, float(np.maximum.reduce(gap)), iteration)
+            work += certified * iteration
+            if index is None and certified == len(finished):  # every state certified together: no slots to fill
+                policy, values, gaps = pi[:, 0], value + offset, gap
+                break
             if newton_due:  # the deferred weights: a won state's row is dropped by the freeze below
                 np.multiply(pi, np.exp2(scores - top), out=weights)
                 np.add.reduce(weights, axis=2, keepdims=True, out=total)
@@ -392,12 +381,10 @@ def maximize_stage_objective(
                     policy = np.empty((n_states, n_inputs))
                     values = np.empty(n_states)
                     gaps = np.empty(n_states)
-                    iterations = np.zeros(n_states, dtype=int)
                 slots = index[finished]
                 policy[slots] = pi[finished, 0]
                 values[slots] = value[finished] + offset[finished]
-                gaps[slots] = np.maximum(gap[finished], 0.0)
-                iterations[slots] = iteration
+                gaps[slots] = gap[finished]
                 if certified == len(finished):
                     break
                 # Freeze the certified states: the rest iterate on alone.
@@ -417,6 +404,7 @@ def maximize_stage_objective(
             f"(achieved gap {worst:.3e})",
             residual=worst,
         )
-    policy.setflags(write=False)
+    policy.setflags(write=False)  # a view of the work buffer pi, or the slots
     values.setflags(write=False)
-    return StateSolution(policy, values, sum(each := iterations.tolist()), float(np.maximum.reduce(gaps)), max(each))
+    # The value may round above the top score: the gap is clamped at 0.0 (first, so -0.0 reads 0.0).
+    return StateSolution(policy, values, work, max(0.0, float(np.maximum.reduce(gaps))), iteration)

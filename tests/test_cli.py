@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,48 @@ def test_bssc_command_lets_errors_other_than_input_rules_through(monkeypatch, ca
     captured = capsys.readouterr()
     assert "undefined" not in captured.out
     assert "error: not an input rule" in captured.err
+
+
+# A sweep over a point that fails: stdout, byte for byte, and the one stderr line naming the point.
+SKIPPING_SWEEPS = {
+    "bssc-singular-beta": (
+        ["bssc", "--alpha", "0.9", "--beta", "0.2", "--sweep", "beta=0.05:0.15:0.05"],
+        "alpha,beta,kappa,capacity_bits,policy_diagonal,output_diagonal\n"
+        "0.9,0.05,,0.006633330041374924,0.47378258859357014,0.9263108705703216\n"
+        "0.9,0.15000000000000002,,0.0041499377731327725,0.5144282264696026,0.8757214113234801\n",
+        "warning: alpha=0.9, beta=0.1: alpha + beta - 1 = 0 is on or so near the singular line",
+    ),
+    "constrained-negative-kappa": (
+        ["constrained", "--sweep", "kappa=-0.1:0.3:0.2"],
+        "kappa=0.1: capacity=0.092774454 bits, multiplier=0.855246, achieved cost=0.100000149, binding=true\n"
+        "kappa=0.3: capacity=0.234068055 bits, multiplier=0.553458, achieved cost=0.300000000, binding=true\n",
+        "warning: kappa=-0.1: budget kappa must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SKIPPING_SWEEPS))
+def test_a_skipped_sweep_point_is_one_warning_line(bssc_file, capsys, case):
+    # Python's own report named the installed bssc.py or constrained.py with a
+    # line number and echoed the source line of the warnings.warn call.
+    argv, out, warning = SKIPPING_SWEEPS[case]
+    argv = [*argv, "--channel", bssc_file] if argv[0] == "constrained" else argv
+    assert run_command(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(warning)
+    assert ".py" not in captured.err
+
+
+def test_a_runtime_warning_in_a_command_still_fails_under_an_error_filter(monkeypatch, capsys):
+    # The CLI records UserWarnings only; the suite's error::RuntimeWarning filter still raises.
+    def overflowing(params):
+        warnings.warn("overflow encountered in exp2", RuntimeWarning)
+
+    monkeypatch.setattr(umco.bssc, "bssc_closed_form", overflowing)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        run_command(["bssc", "--alpha", "1.0", "--beta", "0.5"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_nofb_verify_passes(capsys):

@@ -1,6 +1,7 @@
 """Average-reward solvers, stationary distributions, Bellman-condition verifiers."""
 
 import dataclasses
+import time
 from collections import deque
 from functools import partial
 
@@ -220,6 +221,20 @@ def test_rvi_bssc_best_worst():
 def test_rvi_bibo():
     solution = relative_value_iteration(bibo_channel(), tol=1e-9)
     assert abs(solution.gain - 0.215) < 1e-3
+
+
+def test_rvi_floors_a_zero_span_tolerance_at_the_stage_solvers_floor():
+    # The S = 3 channel drawn after an S = 2 one from default_rng(0): at tol 0 its
+    # span stalled at 1.1e-16 for all 100,000 sweeps (~5 s) before a ConvergenceError.
+    rng = np.random.default_rng(0)
+    for n in (2, 3):
+        kernel = rng.random((n, n, n))
+    channel = channel_from_kernel(kernel / kernel.sum(axis=2, keepdims=True))
+    start = time.perf_counter()
+    solution = relative_value_iteration(channel, tol=0.0)
+    assert time.perf_counter() - start < 1.0
+    assert solution.span_residual <= umco.onestage.TOL_FLOOR == 1e-14
+    assert solution.iterations == relative_value_iteration(channel, tol=1e-14).iterations == 17
 
 
 def test_rvi_input_independent_channel():
